@@ -14,9 +14,12 @@ Per chunk the cell runs four stages:
                    future context) and a classifier head emits the
                    present-chunk logits
 
-All tensors flow through the `numeric` autograd kernel, so the same code
-path serves gradient-checked training, batched evaluation (columns of a
-matrix are independent sequences), and single-vector streaming inference.
+The stages run on `numeric` tensors, and `chunk_step` is the one code path
+shared by batched inference (columns of a matrix are independent
+sequences) and single-vector streaming inference. The training loss does
+not step through it: `training.sequence_loss` runs the same arithmetic as
+a fused window kernel with a hand-derived backward pass, and the tests pin
+it to this path.
 """
 
 from __future__ import annotations
@@ -88,6 +91,13 @@ class TrnConfig:
         if self.fusion_variant is FusionVariant.TWO_STREAM:
             return ("appearance", "motion")
         return ("appearance", "pose", "motion")
+
+    @property
+    def streams(self) -> tuple[str, ...]:
+        """The streams the variant consumes, in fusion (concatenation) order."""
+        if self.fusion_variant is FusionVariant.ONE_STREAM:
+            return (self.one_stream_name,)
+        return self._required_streams()
 
     @property
     def classes(self) -> int:
@@ -335,7 +345,8 @@ def chunk_step(
     params: TrnParams, streams: ChunkStreams, h: Tensor, c: Tensor
 ) -> tuple[Tensor, list[Tensor], list[Tensor], Tensor, Tensor]:
     """The full cell for one chunk; the single code path shared by batch
-    forward, streaming inference, and the training loss.
+    inference and streaming. The training loss runs the same arithmetic in
+    the fused window kernel of ``training.sequence_loss``.
 
     Returns (present logits, per-step decoder logits, per-step predicted
     features, new h, new c).

@@ -8,7 +8,9 @@ gradient checking run in float64.
 
 Ops never mutate their inputs. Gradients accumulate additively into ``.grad``
 buffers when ``backward()`` is called on a scalar result, which is what makes
-backpropagation through time come out as a sum over steps.
+backpropagation through time come out as a sum over steps. A kernel that
+computes its own gradients joins the tape as a single node through
+:func:`custom_op`.
 """
 
 from __future__ import annotations
@@ -157,6 +159,26 @@ def _result(data: np.ndarray, parents: tuple, backward) -> Tensor:
     return out
 
 
+def custom_op(
+    data, parents: Sequence[Tensor], vjp: Callable[[np.ndarray], Sequence]
+) -> Tensor:
+    """A node computed outside the tape, such as a fused kernel.
+
+    ``vjp(g)`` takes the upstream gradient and returns one gradient per
+    parent, or None for a parent it does not reach. It runs only when
+    ``backward()`` reaches the node; under ``no_grad()`` the node has no
+    backward closure at all.
+    """
+    parents = tuple(parents)
+
+    def backward(g):
+        for p, gp in zip(parents, vjp(g)):
+            if gp is not None and _wants_grad(p):
+                _accum(p, gp)
+
+    return _result(np.asarray(data, dtype=np.float64), parents, backward)
+
+
 # ---------------------------------------------------------------------------
 # elementary ops
 
@@ -269,29 +291,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return _result(y, tuple(parts), backward)
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate matrices along the batch axis (axis 1)."""
-    if not parts:
-        raise DimensionError("concat_cols: empty input list")
-    for p in parts:
-        if p.data.ndim != 2:
-            raise DimensionError("concat_cols: operands must be matrices")
-    rows = {p.data.shape[0] for p in parts}
-    if len(rows) != 1:
-        raise DimensionError("concat_cols: row counts differ")
-    y = np.concatenate([p.data for p in parts], axis=1)
-    widths = [p.data.shape[1] for p in parts]
-
-    def backward(g):
-        off = 0
-        for p, n in zip(parts, widths):
-            if _wants_grad(p):
-                _accum(p, g[:, off : off + n])
-            off += n
-
-    return _result(y, tuple(parts), backward)
-
-
 def mean_stack(parts: Sequence[Tensor]) -> Tensor:
     """Elementwise mean of same-shape tensors."""
     if not parts:
@@ -334,7 +333,7 @@ def softmax(z: Tensor) -> Tensor:
     return _result(y, (z,), backward)
 
 
-_CE_CLAMP = 1e-12
+CE_CLAMP = 1e-12
 
 
 def cross_entropy(p: Tensor, label: int) -> Tensor:
@@ -352,13 +351,13 @@ def cross_entropy(p: Tensor, label: int) -> Tensor:
     if not 0 <= label < k:
         raise ValidationError(f"cross_entropy: label {label} out of range [0, {k})")
     picked = p.data[label]
-    clamped = max(picked, _CE_CLAMP)
+    clamped = max(picked, CE_CLAMP)
     y = np.array([-math.log(clamped)])
 
     def backward(g):
         if _wants_grad(p):
             gp = np.zeros_like(p.data)
-            if picked >= _CE_CLAMP:
+            if picked >= CE_CLAMP:
                 gp[label] = -g[0] / picked
             _accum(p, gp)
 
@@ -381,13 +380,13 @@ def cross_entropy_cols(p: Tensor, labels: np.ndarray) -> Tensor:
         raise ValidationError("cross_entropy_cols: label out of range")
     cols = np.arange(n)
     picked = p.data[labels, cols]
-    clamped = np.maximum(picked, _CE_CLAMP)
+    clamped = np.maximum(picked, CE_CLAMP)
     y = np.array([-np.log(clamped).sum()])
 
     def backward(g):
         if _wants_grad(p):
             gp = np.zeros_like(p.data)
-            live = picked >= _CE_CLAMP
+            live = picked >= CE_CLAMP
             gp[labels[live], cols[live]] = -g[0] / picked[live]
             _accum(p, gp)
 

@@ -6,9 +6,11 @@ chunk-by-chunk is bitwise identical to one whole-sequence call. Only the
 chunk being pushed is ever read; nothing downstream of it exists yet as
 far as the detector is concerned.
 
-A push that raises (bad dims, non-finite activations) leaves the state
-half-advanced, so the detector poisons itself: further pushes are refused
-until reset(). This turns silent mid-stream corruption into a loud error.
+A push that raises (bad dims, non-finite activations) leaves the carried
+state as it was: the state is committed only after the step succeeds. The
+chunk is still lost to the stream, so the detector poisons itself and
+refuses further pushes until reset(). This turns a silent gap mid-stream
+into a loud error.
 """
 
 from __future__ import annotations

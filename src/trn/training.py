@@ -12,9 +12,16 @@ the decay term lr * wd * theta is subtracted directly from the weights
 rather than folded into the gradient, so "weight_decay" means the same
 thing at any gradient scale.
 
-Batching packs same-length windows as columns of one matrix and runs the
-standard cell on column batches; per-sequence results are identical to
-running each window alone (up to float reassociation in the gemm).
+The loss is a fused kernel over one window rather than a tape built chunk
+by chunk. Every product off the recurrence (fusion, embedding, the input
+projections of the two LSTMs, both classifiers) runs as one GEMM over all
+chunks of the window, and the gradient is a hand-derived backpropagation
+through time that runs only when backward() reaches the loss. To the tape
+the loss is a single node whose parents are the parameters.
+
+Batching packs same-length windows as columns of one matrix; per-sequence
+results are identical to running each window alone (up to float
+reassociation in the gemm).
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from . import model as md
 from . import numeric as nm
 from .dataio import BadMagicError, HeaderError, TruncatedFileError
 from .model import ChunkStreams, FusionVariant, TrnConfig, TrnParams
-from .numeric import Tensor, ValidationError
+from .numeric import DimensionError, Tensor, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -78,6 +85,10 @@ def sequence_loss(
     """Two-head training loss for one window (vectors or column batches).
 
     labels: (T,) ints, or (T, B) when the sequence holds column batches.
+
+    The result is a single tape node whose parents are the parameters; its
+    gradients come from the hand-derived BPTT of :class:`_FusedWindow`,
+    which runs only when ``backward()`` reaches the node.
     """
     classes = params.config.classes
     if params.config.decoder_steps != config.decoder_steps:
@@ -85,6 +96,8 @@ def sequence_loss(
             f"model rolls out {params.config.decoder_steps} decoder steps, "
             f"train config says {config.decoder_steps}"
         )
+    if not sequence:
+        raise ValidationError("empty sequence")
     labels = np.asarray(labels)
     t_len = len(sequence)
     if labels.shape[0] != t_len:
@@ -93,35 +106,249 @@ def sequence_loss(
         raise ValidationError(
             f"labels must lie in [0, {classes}), got range [{labels.min()}, {labels.max()}]"
         )
-
-    def lift(v):
-        if v is None:
-            return None
-        v = np.asarray(v, dtype=np.float64)
-        return v.reshape(-1, 1) if v.ndim == 1 else v
-
-    sequence = [
-        ChunkStreams(appearance=lift(s.appearance), motion=lift(s.motion), pose=lift(s.pose))
-        for s in sequence
-    ]
     if labels.ndim == 1:
         labels = labels.reshape(-1, 1)
-    batch = labels.shape[1]
+    window = _FusedWindow(params, config, sequence, labels.astype(np.int64))
+    named = params.named()
+    return nm.custom_op([window.loss], named.values(), lambda g: window.grads(g[0], named))
 
-    enc_logits, dec_logits, _, _ = md.forward_sequence_logits(params, sequence)
-    enc_all = nm.concat_cols(enc_logits) if t_len > 1 else enc_logits[0]
-    enc_labels = labels.reshape(-1)  # t-major, matching the concat order
-    enc_sum = nm.cross_entropy_cols(nm.softmax(enc_all), enc_labels)
-    total = nm.scale(enc_sum, config.lambda_enc / (t_len * batch))
 
-    pairs = decoder_target_pairs(t_len, config.decoder_steps)
-    if pairs:
-        cols = [dec_logits[t][i - 1] for t, i in pairs]
-        dec_all = nm.concat_cols(cols) if len(cols) > 1 else cols[0]
-        dec_labels = np.concatenate([labels[t + i] for t, i in pairs])
-        dec_sum = nm.cross_entropy_cols(nm.softmax(dec_all), dec_labels)
-        total = nm.add(total, nm.scale(dec_sum, config.lambda_dec / (len(pairs) * batch)))
-    return total
+def _stack_streams(cfg: TrnConfig, sequence: list[ChunkStreams], batch: int) -> np.ndarray:
+    """The consumed streams of a window as one (D, T*B) matrix.
+
+    Rows follow the fusion order, columns run t-major (column t*B + b).
+    """
+    rows = []
+    for name in cfg.streams:
+        dim = getattr(cfg, f"{name}_dim")
+        cols = []
+        for streams in sequence:
+            v = getattr(streams, name)
+            if v is None:
+                raise ValidationError(f"{cfg.fusion_variant.value} requires the {name} stream")
+            v = np.asarray(v, dtype=np.float64)
+            v = v.reshape(-1, 1) if v.ndim == 1 else v
+            if v.shape != (dim, batch):
+                raise DimensionError(
+                    f"{name} stream has shape {v.shape}, expected ({dim}, {batch}) "
+                    "for the config and labels"
+                )
+            cols.append(v)
+        rows.append(np.concatenate(cols, axis=1))
+    return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=0)
+
+
+def _lstm_forward(z: np.ndarray, c_prev: np.ndarray, hs: int):
+    """Gates [i, f, g, o] from pre-activations z; returns (h, c, trace).
+
+    The trace holds what :func:`_lstm_backward` needs: the gate
+    activations (g in its tanh form) and c_prev, tanh(c).
+    """
+    a = 1.0 / (1.0 + np.exp(-z))
+    a[2 * hs : 3 * hs] = np.tanh(z[2 * hs : 3 * hs])
+    c = a[hs : 2 * hs] * c_prev + a[:hs] * a[2 * hs : 3 * hs]
+    tc = np.tanh(c)
+    return a[3 * hs :] * tc, c, (a, c_prev, tc)
+
+
+def _lstm_backward(trace, dh: np.ndarray, dc, hs: int, dz: np.ndarray) -> np.ndarray:
+    """Write d(loss)/dz into ``dz`` given the gradients reaching h and c;
+    returns the gradient for c_prev."""
+    a, c_prev, tc = trace
+    i, f, g, o = a[:hs], a[hs : 2 * hs], a[2 * hs : 3 * hs], a[3 * hs :]
+    dc = dc + dh * o * (1.0 - tc * tc)
+    dz[:hs] = dc * g * i * (1.0 - i)
+    dz[hs : 2 * hs] = dc * c_prev * f * (1.0 - f)
+    dz[2 * hs : 3 * hs] = dc * i * (1.0 - g * g)
+    dz[3 * hs :] = dh * tc * o * (1.0 - o)
+    return dc * f
+
+
+def _softmax_xent(logits: np.ndarray, labels: np.ndarray):
+    """Summed -log softmax(logits)[label] over columns, with the tape's
+    1e-12 clamp; returns (sum, d sum / d logits)."""
+    e = np.exp(logits - logits.max(axis=0))
+    p = e / e.sum(axis=0)
+    cols = np.arange(labels.size)
+    picked = p[labels, cols]
+    total = -np.log(np.maximum(picked, nm.CE_CLAMP)).sum()
+    p[labels, cols] -= 1.0
+    p[:, picked < nm.CE_CLAMP] = 0.0  # clamped columns carry no gradient
+    return total, p
+
+
+def _steps(m: np.ndarray, t_len: int) -> np.ndarray:
+    """A (R, T*B) matrix with t-major columns as contiguous (T, R, B)."""
+    return np.ascontiguousarray(m.reshape(len(m), t_len, -1).transpose(1, 0, 2))
+
+
+def _cols(a: np.ndarray) -> np.ndarray:
+    """Per-step (..., R, B) arrays as one (R, N) matrix, columns in
+    (step..., b) order."""
+    return np.moveaxis(a, -2, 0).reshape(a.shape[-2], -1)
+
+
+class _FusedWindow:
+    """Forward pass of the two-head loss over one window, with its BPTT.
+
+    Every GEMM off the recurrence runs once over all columns of the
+    window: fusion, embedding, the input projections of decoder step 1
+    and of the encoder, and both classifiers. The time loop keeps only
+    the recurrent products. The backward pass (:meth:`grads`) stores the
+    LSTM pre-activation gradients of every step and forms each weight
+    gradient as one GEMM over the stacked (gradient, input) columns.
+
+    The arithmetic is the one ``chunk_step`` runs, up to float
+    reassociation: gates [i, f, g, o], ReLU gradient 0 at 0, decoder
+    hiddens averaged into the future context, and clamped cross-entropy
+    columns without gradient. Per-step arrays are laid out (t, step,
+    rows, b) so that every step reads and writes contiguous memory.
+    """
+
+    def __init__(self, params: TrnParams, config: TrainConfig, sequence, labels: np.ndarray):
+        cfg = params.config
+        hs, steps = cfg.hidden_size, cfg.decoder_steps
+        t_len, batch = labels.shape
+        self.params, self.shape = params, (hs, t_len, steps, batch)
+
+        # input stages over all T*B columns
+        self.raw = fused = _stack_streams(cfg, sequence, batch)
+        if params.fusion is not None:
+            fused = np.maximum(params.fusion.w.data @ fused + params.fusion.b.data[:, None], 0.0)
+        self.fused = fused
+        self.x = x = np.maximum(params.embed.w.data @ fused + params.embed.b.data[:, None], 0.0)
+        x_steps = _steps(x, t_len)
+
+        # the input halves of decoder step 1 and of the encoder
+        wd, bd = params.decoder_lstm.w.data, params.decoder_lstm.b.data[:, None]
+        we, be = params.encoder_lstm.w.data, params.encoder_lstm.b.data[:, None]
+        wf, bf = params.decoder_feat.w.data, params.decoder_feat.b.data[:, None]
+        x_dec = _steps(wd[:, :hs] @ x + bd, t_len)
+        x_enc = _steps(we[:, :hs] @ x + be, t_len)
+        w_dx = np.ascontiguousarray(wd[:, :hs])
+        w_ctx = np.ascontiguousarray(we[:, hs : 2 * hs])
+        # the encoder state feeds decoder step 1 and the encoder: one GEMM
+        w_state = np.vstack([wd[:, hs:], we[:, 2 * hs :]])
+        # a decoder hidden feeds the feature head and the next step
+        w_hidden = np.vstack([wf, wd[:, hs:]])
+
+        self.dec_in = dec_in = np.empty((t_len, steps, 2 * hs, batch))  # (input; h_prev)
+        self.dec_h = dec_h = np.empty((t_len, steps, hs, batch))
+        self.enc_in = enc_in = np.empty((t_len, 3 * hs, batch))  # (x; ctx; h_prev)
+        self.enc_h = enc_h = np.empty((t_len, hs, batch))
+        dec_in[:, 0, :hs] = x_steps
+        enc_in[:, :hs] = x_steps
+        self.dec_trace, self.enc_trace = [], []
+        h = np.zeros((hs, batch))
+        c = np.zeros((hs, batch))
+        for t in range(t_len):
+            r = w_state @ h
+            z = x_dec[t] + r[: 4 * hs]
+            h_dec, c_dec = h, c
+            for k in range(steps):
+                dec_in[t, k, hs:] = h_dec
+                h_dec, c_dec, trace = _lstm_forward(z, c_dec, hs)
+                self.dec_trace.append(trace)
+                dec_h[t, k] = h_dec
+                if k + 1 < steps:
+                    s = w_hidden @ h_dec
+                    feat = np.maximum(s[:hs] + bf, 0.0)
+                    dec_in[t, k + 1, :hs] = feat
+                    z = w_dx @ feat + s[hs:] + bd
+            ctx = dec_h[t].mean(axis=0)
+            enc_in[t, hs : 2 * hs] = ctx
+            enc_in[t, 2 * hs :] = h
+            z = x_enc[t] + w_ctx @ ctx + r[4 * hs :]
+            h, c, trace = _lstm_forward(z, c, hs)
+            self.enc_trace.append(trace)
+            enc_h[t] = h
+
+        # heads: encoder over all T, decoder over the (t, i) pairs whose
+        # target t + i lies inside the window, in pair order
+        self.enc_scale = config.lambda_enc / (t_len * batch)
+        logits = params.encoder_cls.w.data @ _cols(enc_h) + params.encoder_cls.b.data[:, None]
+        enc_sum, self.g_enc = _softmax_xent(logits, labels.reshape(-1))
+        self.loss = enc_sum * self.enc_scale
+        self.pairs = np.zeros((t_len, steps), dtype=bool)
+        self.g_dec = None
+        pairs = decoder_target_pairs(t_len, steps)
+        if pairs:
+            t_idx, i_idx = np.array(pairs).T
+            self.pairs[t_idx, i_idx - 1] = True
+            self.dec_scale = config.lambda_dec / (len(pairs) * batch)
+            self.dec_hid = _cols(dec_h[self.pairs])
+            logits = params.decoder_cls.w.data @ self.dec_hid + params.decoder_cls.b.data[:, None]
+            dec_sum, self.g_dec = _softmax_xent(logits, labels[t_idx + i_idx].reshape(-1))
+            self.loss = self.loss + dec_sum * self.dec_scale
+
+    def grads(self, g: float, named: dict[str, Tensor]) -> list[np.ndarray]:
+        """Gradients of g * loss for every parameter, in ``named`` order;
+        None for the decoder head when no (t, i) pair survives."""
+        p = self.params
+        hs, t_len, steps, batch = self.shape
+        out: dict[str, np.ndarray] = {}
+
+        # heads
+        g_enc = self.g_enc * (g * self.enc_scale)
+        out["encoder.cls.w"] = g_enc @ _cols(self.enc_h).T
+        out["encoder.cls.b"] = g_enc.sum(axis=1)
+        d_enc_h = _steps(p.encoder_cls.w.data.T @ g_enc, t_len)
+        d_dec_h = np.zeros((t_len, steps, hs, batch))
+        if self.g_dec is not None:
+            g_dec = self.g_dec * (g * self.dec_scale)
+            out["decoder.cls.w"] = g_dec @ self.dec_hid.T
+            out["decoder.cls.b"] = g_dec.sum(axis=1)
+            d_hid = (p.decoder_cls.w.data.T @ g_dec).reshape(hs, -1, batch)
+            d_dec_h[self.pairs] = d_hid.transpose(1, 0, 2)
+
+        # BPTT, newest chunk first; within a chunk the encoder step comes
+        # before the decoder rollout that produced its future context
+        wd, we = p.decoder_lstm.w.data, p.encoder_lstm.w.data
+        wd_t = wd.T.copy()
+        w_rec_t = we[:, hs:].T.copy()  # encoder (ctx; h_prev) columns
+        wf_t = p.decoder_feat.w.data.T.copy()
+        dz_dec = np.empty((t_len, steps, 4 * hs, batch))
+        dz_enc = np.empty((t_len, 4 * hs, batch))
+        d_feat = np.empty((t_len, steps - 1, hs, batch))
+        dh_next = np.zeros((hs, batch))
+        dc_next = np.zeros((hs, batch))
+        for t in reversed(range(t_len)):
+            dh = d_enc_h[t] + dh_next
+            dc_prev = _lstm_backward(self.enc_trace[t], dh, dc_next, hs, dz_enc[t])
+            r = w_rec_t @ dz_enc[t]
+            dh_prev = r[hs:]
+            d_dec_h[t] += r[:hs] / steps
+            dh, dc = d_dec_h[t, steps - 1], 0.0
+            for k in reversed(range(steps)):
+                dc = _lstm_backward(self.dec_trace[t * steps + k], dh, dc, hs, dz_dec[t, k])
+                r = wd_t @ dz_dec[t, k]
+                if k:
+                    d = r[:hs] * (self.dec_in[t, k, :hs] > 0.0)
+                    d_feat[t, k - 1] = d
+                    dh = d_dec_h[t, k - 1] + r[hs:] + wf_t @ d
+            dh_next = dh_prev + r[hs:]
+            dc_next = dc_prev + dc
+
+        # weight gradients: one GEMM each over the stacked columns
+        dz_dec_cols, dz_enc_cols, d_feat_cols = _cols(dz_dec), _cols(dz_enc), _cols(d_feat)
+        out["decoder.lstm.w"] = dz_dec_cols @ _cols(self.dec_in).T
+        out["decoder.lstm.b"] = dz_dec_cols.sum(axis=1)
+        out["encoder.lstm.w"] = dz_enc_cols @ _cols(self.enc_in).T
+        out["encoder.lstm.b"] = dz_enc_cols.sum(axis=1)
+        out["decoder.feat.w"] = d_feat_cols @ _cols(self.dec_h[:, :-1]).T
+        out["decoder.feat.b"] = d_feat_cols.sum(axis=1)
+
+        # input stages: both step-1 projections of x, then embed and fusion
+        dx = wd[:, :hs].T @ _cols(dz_dec[:, 0]) + we[:, :hs].T @ dz_enc_cols
+        dx *= self.x > 0.0
+        out["embed.w"] = dx @ self.fused.T
+        out["embed.b"] = dx.sum(axis=1)
+        if p.fusion is not None:
+            du = p.embed.w.data.T @ dx
+            du *= self.fused > 0.0
+            out["fusion.w"] = du @ self.raw.T
+            out["fusion.b"] = du.sum(axis=1)
+        return [out.get(name) for name in named]
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +470,23 @@ def _window_batch_sequence(batch: list[Window]) -> tuple[list[ChunkStreams], np.
 
 def _streams_for_variant(streams: dict[str, np.ndarray], config: TrnConfig):
     """Drop streams the fusion variant does not consume."""
-    keep = {"appearance", "motion", "pose"}
-    if config.fusion_variant is FusionVariant.ONE_STREAM:
-        keep = {config.one_stream_name}
-    elif config.fusion_variant is FusionVariant.TWO_STREAM:
-        keep = {"appearance", "motion"}
+    keep = set(config.streams)
     missing = keep - streams.keys()
     if missing:
         raise ValidationError(f"dataset lacks streams {sorted(missing)} required by the variant")
     return {k: v for k, v in streams.items() if k in keep}
+
+
+def _read_intervals(
+    manifest: dio.Manifest, videos: list[dio.VideoEntry]
+) -> dict[str, list[dio.Interval]]:
+    """Annotations of the videos, merged over their files; each file is
+    read once."""
+    merged: dict[str, list[dio.Interval]] = {}
+    for path in dict.fromkeys(v.annotations for v in videos):
+        for video_id, rows in dio.read_annotations(manifest.resolve(path)).items():
+            merged.setdefault(video_id, []).extend(rows)
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +527,9 @@ def train(
     ]
     windows = make_windows(train_videos, train_config.seq_len)
     heldout = manifest.split(heldout_split)
+    heldout_gt = None
+    if heldout and train_config.eval_every:
+        heldout_gt = ev.GroundTruth(intervals=_read_intervals(manifest, heldout), cmap=cmap)
 
     named = params.named()
     metrics: list[EpochMetrics] = []
@@ -323,15 +561,9 @@ def train(
         mean_loss = float(np.mean(losses))
 
         heldout_map = None
-        if heldout and train_config.eval_every and epoch % train_config.eval_every == 0:
+        if heldout_gt is not None and epoch % train_config.eval_every == 0:
             dump = predict_manifest(params, manifest, heldout_split)
-            gt = ev.GroundTruth(
-                intervals=dio.read_annotations(
-                    manifest.resolve(heldout[0].annotations)
-                ),
-                cmap=cmap,
-            )
-            heldout_map = ev.per_frame_map(dump, gt).mean_ap
+            heldout_map = ev.per_frame_map(dump, heldout_gt).mean_ap
         metrics.append(EpochMetrics(epoch=epoch, mean_loss=mean_loss, heldout_map=heldout_map))
         log.info(
             "epoch %d: loss %.4f%s",

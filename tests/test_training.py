@@ -1,9 +1,13 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from trn import dataio as dio
+from trn import evaluate as ev
+from trn import model as md
 from trn import numeric as nm
 from trn import training as tr
 from trn.model import ChunkStreams, FusionVariant, TrnConfig, TrnParams
@@ -156,6 +160,128 @@ def test_sequence_loss_lambda_weights():
 
 
 # ---------------------------------------------------------------------------
+# fused loss against the tape
+
+
+STREAM_DIMS = {
+    FusionVariant.ONE_STREAM: dict(appearance_dim=None, motion_dim=3, pose_dim=None),
+    FusionVariant.TWO_STREAM: dict(appearance_dim=3, motion_dim=2, pose_dim=None),
+    FusionVariant.FUSED_TWO_STREAM: dict(appearance_dim=3, motion_dim=2, pose_dim=4),
+}
+
+
+def tape_loss(params, tc, sequence, labels):
+    """The two-head window loss built op by op on the tape, through the
+    inference cell: the reference the fused kernel must reproduce."""
+    def as_cols(v):
+        return None if v is None else np.asarray(v).reshape(len(v), -1)
+
+    sequence = [
+        ChunkStreams(appearance=as_cols(s.appearance), motion=as_cols(s.motion),
+                     pose=as_cols(s.pose))
+        for s in sequence
+    ]
+    labels = np.asarray(labels).reshape(len(sequence), -1)
+    t_len, batch = labels.shape
+    enc, dec, _, _ = md.forward_sequence_logits(params, sequence)
+
+    def column(m, j):
+        # column j of a matrix as a tape op: m @ e_j
+        return nm.linear(m, nm.tensor(np.zeros(m.shape[0])), nm.tensor(np.eye(batch)[j]))
+
+    def summed(logits_and_labels):
+        total = None
+        for logits, row in logits_and_labels:
+            p = nm.softmax(logits)
+            for j in range(batch):
+                ce = nm.cross_entropy(column(p, j), row[j])
+                total = ce if total is None else nm.add(total, ce)
+        return total
+
+    loss = nm.scale(summed(zip(enc, labels)), tc.lambda_enc / (t_len * batch))
+    pairs = tr.decoder_target_pairs(t_len, tc.decoder_steps)
+    if pairs:
+        dec_sum = summed((dec[t][i - 1], labels[t + i]) for t, i in pairs)
+        loss = nm.add(loss, nm.scale(dec_sum, tc.lambda_dec / (len(pairs) * batch)))
+    return loss
+
+
+def loss_and_grads(loss_fn, params):
+    named = params.named()
+    for t in named.values():
+        t.zero_grad()
+    loss = loss_fn()
+    loss.backward()
+    return loss.item(), {
+        k: np.zeros_like(t.data) if t.grad is None else t.grad.copy() for k, t in named.items()
+    }
+
+
+def assert_matches_tape(params, tc, sequence, labels):
+    fused, fused_grads = loss_and_grads(
+        lambda: tr.sequence_loss(params, tc, sequence, labels), params
+    )
+    tape, tape_grads = loss_and_grads(lambda: tape_loss(params, tc, sequence, labels), params)
+    assert abs(fused - tape) <= 1e-12
+    for name, want in tape_grads.items():
+        err = np.abs(fused_grads[name] - want).max()
+        assert err <= 1e-10 * np.abs(want).max(), (name, err)
+    return fused_grads
+
+
+def fused_setup(variant, batch, t_len, steps, seed):
+    cfg = TrnConfig(
+        fusion_variant=variant, hidden_size=4, decoder_steps=steps, num_actions=2,
+        **STREAM_DIMS[variant],
+    )
+    rng = np.random.default_rng(seed)
+    params = TrnParams.init(cfg, rng)
+    for t in params.named().values():  # off the ReLU kinks of a fresh init
+        t.data = rng.uniform(-0.5, 0.5, size=t.data.shape)
+    shape = () if batch == 1 else (batch,)
+    sequence = [
+        ChunkStreams(**{n: rng.normal(size=(getattr(cfg, f"{n}_dim"),) + shape)
+                        for n in cfg.streams})
+        for _ in range(t_len)
+    ]
+    labels = rng.integers(0, cfg.classes, size=(t_len,) + shape)
+    tc = tiny_train(decoder_steps=steps, lambda_enc=1.5, lambda_dec=0.75)
+    return params, tc, sequence, labels
+
+
+def test_fused_loss_matches_tape():
+    for n, (variant, batch, t_len, steps) in enumerate(
+        itertools.product(FusionVariant, (1, 3), (1, 5), (1, 3))
+    ):
+        params, tc, sequence, labels = fused_setup(variant, batch, t_len, steps, 100 + n)
+        grads = assert_matches_tape(params, tc, sequence, labels)
+        if steps == 1:  # the last predicted feature feeds nothing
+            assert not grads["decoder.feat.w"].any() and not grads["decoder.feat.b"].any()
+        if t_len == 1:  # no (t, i) pair stays inside the window
+            assert not grads["decoder.cls.w"].any() and not grads["decoder.cls.b"].any()
+
+
+def test_fused_loss_clamped_columns_match_tape():
+    params, tc, sequence, labels = fused_setup(FusionVariant.TWO_STREAM, 3, 5, 3, 7)
+    # background (label 0) is pushed below the 1e-12 clamp in both heads
+    params.encoder_cls.b.data[0] = -40.0
+    params.decoder_cls.b.data[0] = -40.0
+    labels[:, 0] = 0
+    assert_matches_tape(params, tc, sequence, labels)
+
+
+def test_fused_loss_under_no_grad_has_no_backward():
+    params, tc, sequence, labels = fused_setup(FusionVariant.TWO_STREAM, 3, 5, 3, 8)
+    with nm.no_grad():
+        loss = tr.sequence_loss(params, tc, sequence, labels)
+    assert loss._backward is None and loss._parents == ()
+    # with gradients on, the whole window is one node over the parameters
+    loss = tr.sequence_loss(params, tc, sequence, labels)
+    assert loss._backward is not None
+    assert list(loss._parents) == list(params.named().values())
+
+
+# ---------------------------------------------------------------------------
 # optimizer
 
 
@@ -290,6 +416,28 @@ def test_train_heldout_metrics(tmp_path):
     assert metrics[0].heldout_map is None
     assert metrics[1].heldout_map is not None
     assert 0.0 <= metrics[1].heldout_map <= 1.0
+
+
+def test_train_heldout_map_reads_every_annotation_file(tmp_path):
+    # one annotation file per video: every held-out video must be scored
+    # against its own file, not the first video's
+    manifest = synth_manifest(tmp_path, num_videos=6, video_len=16)
+    intervals = dio.read_annotations(manifest.resolve(manifest.videos[0].annotations))
+    videos = []
+    for video in manifest.videos:
+        name = f"annotations-{video.video_id}.tsv"
+        dio.write_annotations(
+            manifest.resolve(name), {video.video_id: intervals.get(video.video_id, [])}
+        )
+        videos.append(dataclasses.replace(video, annotations=name))
+    split = dataclasses.replace(manifest, videos=videos)
+    assert len(split.split("test")) == 3
+    mc = tiny_model(appearance_dim=5, motion_dim=4, hidden_size=6, decoder_steps=2)
+    params, metrics = tr.train(split, mc, tiny_train(seq_len=6, epochs=1, eval_every=1))
+    cmap = dio.read_class_map(split.resolve(split.class_map))
+    dump = tr.predict_manifest(params, split, "test")
+    expected = ev.per_frame_map(dump, ev.GroundTruth(intervals=intervals, cmap=cmap)).mean_ap
+    assert metrics[0].heldout_map == expected
 
 
 def test_train_class_map_mismatch(tmp_path):
