@@ -38,8 +38,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 
-STREAM_NAMES = ("appearance", "motion", "pose")
-
 
 def _variant(value: str) -> str:
     try:
@@ -64,9 +62,9 @@ def _features_value(value) -> dict[str, str]:
                 raise ValidationError(f"--features takes NAME=PATH pairs, got {item!r}")
             pairs[name] = path
     for name in pairs:
-        if name not in STREAM_NAMES:
+        if name not in md.STREAM_NAMES:
             raise ValidationError(
-                f"unknown stream {name!r}, expected one of {list(STREAM_NAMES)}"
+                f"unknown stream {name!r}, expected one of {list(md.STREAM_NAMES)}"
             )
     return pairs
 
@@ -263,29 +261,16 @@ def _model_config_from_manifest(
     if not manifest.videos:
         raise ValidationError("manifest lists no videos")
     first = manifest.videos[0]
-    available = {name: ref.dim for name, ref in first.streams.items()}
-    variant = FusionVariant(cfg["variant"])
-    if variant is FusionVariant.ONE_STREAM:
-        wanted = (cfg["one_stream"],)
-    elif variant is FusionVariant.TWO_STREAM:
-        wanted = ("appearance", "motion")
-    else:
-        wanted = ("appearance", "pose", "motion")
-    missing = sorted(set(wanted) - set(available))
-    if missing:
-        raise ValidationError(
-            f"{variant.value} needs streams {list(wanted)}, manifest lacks {missing}"
-        )
-    dims = {f"{n}_dim": (available[n] if n in wanted else None) for n in STREAM_NAMES}
-    return TrnConfig(
-        fusion_variant=variant,
+    return TrnConfig.for_streams(
+        FusionVariant(cfg["variant"]),
+        {name: ref.dim for name, ref in first.streams.items()},
+        one_stream=cfg["one_stream"],
         hidden_size=cfg["hidden_size"],
         decoder_steps=cfg["decoder_steps"],
         num_actions=cmap.num_actions,
         seq_len=cfg["seq_len"],
         chunk_size=first.chunk_size,
-        fps=int(first.fps),
-        **dims,
+        fps=first.fps,
     )
 
 
@@ -300,7 +285,6 @@ def cmd_train(args) -> int:
         weight_decay=cfg["weight_decay"],
         batch_size=cfg["batch_size"],
         seq_len=cfg["seq_len"],
-        decoder_steps=cfg["decoder_steps"],
         epochs=cfg["epochs"],
         seed=cfg["seed"],
         lambda_enc=cfg["lambda_enc"],
@@ -332,10 +316,9 @@ def cmd_train(args) -> int:
 
 
 def _load_feature_inputs(cfg: dict, config: TrnConfig):
-    """Resolve input flags into (video_id, streams dict, chunk_size, fps)."""
+    """Resolve input flags into ([(video_id, streams dict)], (chunk_size, fps))."""
     if cfg.get("features") and cfg.get("manifest"):
         raise ValidationError("pass either --features or --manifest, not both")
-    inputs = []
     if cfg.get("features"):
         streams = {}
         lengths = {}
@@ -345,45 +328,29 @@ def _load_feature_inputs(cfg: dict, config: TrnConfig):
             lengths[name] = arr.shape[0]
         if len(set(lengths.values())) > 1:
             raise ValidationError(f"feature files disagree on chunk count: {lengths}")
-        inputs.append((cfg["video_id"], streams, config.chunk_size, float(config.fps)))
-    elif cfg.get("manifest"):
-        manifest = dio.load_manifest(cfg["manifest"])
-        videos = manifest.split(cfg["split"])
-        if cfg.get("video"):
-            videos = [v for v in videos if v.video_id == cfg["video"]]
-            if not videos:
-                raise ValidationError(
-                    f"video {cfg['video']!r} is not in split {cfg['split']!r}"
-                )
-        for video in videos:
-            streams = dio.load_video_streams(manifest, video)
-            inputs.append((video.video_id, streams, video.chunk_size, video.fps))
-    else:
+        return [(cfg["video_id"], streams)], (config.chunk_size, config.fps)
+    if not cfg.get("manifest"):
         raise ValidationError("missing input: pass --features NAME=PATH ... or --manifest")
-    if not inputs:
+    manifest = dio.load_manifest(cfg["manifest"])
+    videos = manifest.split(cfg["split"])
+    if cfg.get("video"):
+        videos = [v for v in videos if v.video_id == cfg["video"]]
+        if not videos:
+            raise ValidationError(f"video {cfg['video']!r} is not in split {cfg['split']!r}")
+    if not videos:
         raise ValidationError(f"no videos in split {cfg.get('split')!r}")
-    return [
-        (vid, tr._streams_for_variant(streams, config), chunk, fps)
-        for vid, streams, chunk, fps in inputs
-    ]
+    clock = dio.split_clock(videos, (config.chunk_size, config.fps))
+    inputs = [(v.video_id, dio.load_video_streams(manifest, v, config.streams)) for v in videos]
+    return inputs, clock
 
 
-def _run_inference(params: TrnParams, inputs, batch: bool) -> ev.PredictionDump:
+def _run_inference(params: TrnParams, inputs, clock, batch: bool) -> ev.PredictionDump:
     cfg = params.config
-    first = inputs[0]
     dump = ev.PredictionDump(
-        chunk_size=first[2], fps=first[3], decoder_steps=cfg.decoder_steps, classes=cfg.classes
+        chunk_size=clock[0], fps=clock[1], decoder_steps=cfg.decoder_steps, classes=cfg.classes
     )
-    for video_id, streams, _, _ in inputs:
-        t_len = next(iter(streams.values())).shape[0]
-        sequence = [
-            ChunkStreams(
-                appearance=streams["appearance"][t] if "appearance" in streams else None,
-                motion=streams["motion"][t] if "motion" in streams else None,
-                pose=streams["pose"][t] if "pose" in streams else None,
-            )
-            for t in range(t_len)
-        ]
+    for video_id, streams in inputs:
+        sequence = md.chunk_sequence(cfg, streams)
         if batch:
             outputs, _ = md.trn_forward(params, sequence)
         else:
@@ -402,10 +369,10 @@ def _cmd_inference(args, batch_flag: bool) -> int:
     cfg = _effective_config(args, _io_options(batch_flag))
     _require(cfg, "ckpt", "out")
     params, _, _ = tr.load_checkpoint(cfg["ckpt"])
-    inputs = _load_feature_inputs(cfg, params.config)
-    dump = _run_inference(params, inputs, batch=bool(cfg.get("batch")))
+    inputs, clock = _load_feature_inputs(cfg, params.config)
+    dump = _run_inference(params, inputs, clock, batch=bool(cfg.get("batch")))
     ev.write_prediction_dump(cfg["out"], dump)
-    chunks = sum(streams[next(iter(streams))].shape[0] for _, streams, _, _ in inputs)
+    chunks = sum(v.num_chunks for v in dump.videos.values())
     log.info(
         "wrote %d videos (%d chunks) to %s", len(inputs), chunks, cfg["out"]
     )
@@ -451,26 +418,16 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _effective_config(args, _gradcheck_options())
-    variant = FusionVariant(cfg["variant"])
-    dims = {f"{n}_dim": cfg[f"{n}_dim"] for n in STREAM_NAMES}
-    if variant is FusionVariant.ONE_STREAM:
-        dims = {
-            f"{n}_dim": (cfg[f"{n}_dim"] if n == cfg["one_stream"] else None)
-            for n in STREAM_NAMES
-        }
-    elif variant is FusionVariant.TWO_STREAM:
-        dims["pose_dim"] = None
-    model_config = TrnConfig(
-        fusion_variant=variant,
+    model_config = TrnConfig.for_streams(
+        FusionVariant(cfg["variant"]),
+        {n: cfg[f"{n}_dim"] for n in md.STREAM_NAMES},
+        one_stream=cfg["one_stream"],
         hidden_size=cfg["hidden_size"],
         decoder_steps=cfg["decoder_steps"],
         num_actions=cfg["num_actions"],
         seq_len=cfg["seq_len"],
-        **dims,
     )
-    train_config = tr.TrainConfig(
-        seq_len=cfg["seq_len"], decoder_steps=cfg["decoder_steps"], epochs=0, eval_every=0
-    )
+    train_config = tr.TrainConfig(seq_len=cfg["seq_len"], epochs=0, eval_every=0)
     rng = np.random.default_rng(cfg["seed"])
     params = TrnParams.init(model_config, rng)
     # audit at a generic position: the zero biases of a fresh init can park
@@ -479,13 +436,9 @@ def cmd_gradcheck(args) -> int:
     # legitimately disagree
     for t in params.named().values():
         t.data = rng.uniform(-0.5, 0.5, size=t.data.shape)
+    dims = {n: getattr(model_config, f"{n}_dim") for n in md.STREAM_NAMES}
     sequence = [
-        ChunkStreams(
-            **{
-                n: (rng.normal(size=d) if d is not None else None)
-                for n, d in ((n, getattr(model_config, f"{n}_dim")) for n in STREAM_NAMES)
-            }
-        )
+        ChunkStreams(**{n: rng.normal(size=d) for n, d in dims.items() if d is not None})
         for _ in range(cfg["seq_len"])
     ]
     labels = rng.integers(0, model_config.classes, size=cfg["seq_len"])

@@ -269,6 +269,23 @@ def interval_chunk_mask(
     return mask
 
 
+def labels_from_intervals(
+    rows: list[Interval], cmap: ClassMap, fps: float, chunk_size: int, num_chunks: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-chunk labels and the ambiguous-chunk mask from one video's
+    annotation rows: "Ambiguous" rows mark chunks to ignore, every other
+    row labels chunks with its class index."""
+    actions = [
+        (cmap.index_of(iv.class_name), iv.start, iv.end)
+        for iv in rows
+        if iv.class_name != AMBIGUOUS
+    ]
+    ambiguous = [(iv.start, iv.end) for iv in rows if iv.class_name == AMBIGUOUS]
+    labels = chunk_labels(actions, fps, chunk_size, num_chunks)
+    mask = interval_chunk_mask(ambiguous, fps, chunk_size, num_chunks)
+    return labels, mask
+
+
 # ---------------------------------------------------------------------------
 # manifest
 
@@ -378,11 +395,16 @@ def load_manifest(path: str) -> Manifest:
     return Manifest(root=root, class_map=doc.get("class_map", ""), videos=videos)
 
 
-def load_video_streams(manifest: Manifest, video: VideoEntry) -> dict[str, np.ndarray]:
-    """Load all streams of one video, truncated to its effective length."""
+def load_video_streams(
+    manifest: Manifest, video: VideoEntry, names: tuple[str, ...] | None = None
+) -> dict[str, np.ndarray]:
+    """Load the named streams of one video (all by default), truncated to
+    its effective length."""
     out = {}
-    for name, ref in video.streams.items():
-        data = read_features(manifest.resolve(ref.path))
+    for name in video.streams if names is None else names:
+        if name not in video.streams:
+            raise ValidationError(f"{video.video_id} lacks the {name} stream")
+        data = read_features(manifest.resolve(video.streams[name].path))
         out[name] = data[: video.num_chunks]
     return out
 
@@ -392,15 +414,22 @@ def load_video_labels(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-chunk labels and an ambiguous-chunk mask for one video."""
     rows = read_annotations(manifest.resolve(video.annotations)).get(video.video_id, [])
-    actions = [
-        (cmap.index_of(iv.class_name), iv.start, iv.end)
-        for iv in rows
-        if iv.class_name != AMBIGUOUS
-    ]
-    ambiguous = [(iv.start, iv.end) for iv in rows if iv.class_name == AMBIGUOUS]
-    labels = chunk_labels(actions, video.fps, video.chunk_size, video.num_chunks)
-    mask = interval_chunk_mask(ambiguous, video.fps, video.chunk_size, video.num_chunks)
-    return labels, mask
+    return labels_from_intervals(rows, cmap, video.fps, video.chunk_size, video.num_chunks)
+
+
+def split_clock(videos: list[VideoEntry], default: tuple[int, float]) -> tuple[int, float]:
+    """The (chunk_size, fps) every video shares; ``default`` when there are
+    none. Videos on different clocks cannot share one prediction dump, so
+    a disagreement is a ValidationError."""
+    first_on: dict[tuple[int, float], str] = {}
+    for v in videos:
+        first_on.setdefault((v.chunk_size, v.fps), v.video_id)
+    if len(first_on) > 1:
+        raise ValidationError(
+            "videos disagree on the clock (chunk_size, fps): "
+            + ", ".join(f"{vid} has {clock}" for clock, vid in first_on.items())
+        )
+    return next(iter(first_on), default)
 
 
 # ---------------------------------------------------------------------------

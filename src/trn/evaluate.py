@@ -91,16 +91,10 @@ def _video_pools(dump: PredictionDump, gt: GroundTruth, step: int | None):
     """Yield (scores (N, classes), labels (N,)) per video, ambiguous
     chunks removed and anticipation shift applied when step is given."""
     for video_id, pred in dump.videos.items():
-        rows = gt.intervals.get(video_id, [])
-        actions = [
-            (gt.cmap.index_of(iv.class_name), iv.start, iv.end)
-            for iv in rows
-            if iv.class_name != dio.AMBIGUOUS
-        ]
-        ambiguous = [(iv.start, iv.end) for iv in rows if iv.class_name == dio.AMBIGUOUS]
         t = pred.num_chunks
-        labels = dio.chunk_labels(actions, dump.fps, dump.chunk_size, t)
-        excluded = dio.interval_chunk_mask(ambiguous, dump.fps, dump.chunk_size, t)
+        labels, excluded = dio.labels_from_intervals(
+            gt.intervals.get(video_id, []), gt.cmap, dump.fps, dump.chunk_size, t
+        )
         if step is None:
             scores = pred.present
             keep = ~excluded

@@ -25,7 +25,7 @@ it to this path.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,6 +37,28 @@ class FusionVariant(enum.Enum):
     ONE_STREAM = "one_stream"
     TWO_STREAM = "two_stream"
     FUSED_TWO_STREAM = "fused_two_stream"
+
+
+@dataclass(frozen=True)
+class ChunkStreams:
+    """Feature vectors for one chunk; absent streams stay None.
+
+    Arrays may be (D,) for a single sequence or (D, B) column batches.
+    """
+
+    appearance: np.ndarray | None = None
+    motion: np.ndarray | None = None
+    pose: np.ndarray | None = None
+
+
+STREAM_NAMES = tuple(f.name for f in fields(ChunkStreams))
+
+# streams each multi-stream variant consumes, in fusion (concatenation)
+# order; ONE_STREAM consumes whichever single stream has a dim set
+_VARIANT_STREAMS = {
+    FusionVariant.TWO_STREAM: ("appearance", "motion"),
+    FusionVariant.FUSED_TWO_STREAM: ("appearance", "pose", "motion"),
+}
 
 
 @dataclass(frozen=True)
@@ -52,7 +74,7 @@ class TrnConfig:
     num_actions: int = 20
     seq_len: int = 64
     chunk_size: int = 6
-    fps: int = 30
+    fps: float = 30.0
 
     def __post_init__(self):
         if self.hidden_size < 1:
@@ -67,59 +89,52 @@ class TrnConfig:
             raise ValidationError(f"seq_len must be >= 1, got {self.seq_len}")
         if self.fps <= 0:
             raise ValidationError(f"fps must be positive, got {self.fps}")
-        for name in self._required_streams():
+        # an integer fps (older checkpoints store one) is kept as a float, so
+        # every checkpoint and dump header carries the same type
+        object.__setattr__(self, "fps", float(self.fps))
+        if self.fusion_variant is FusionVariant.ONE_STREAM and len(self.streams) != 1:
+            raise ValidationError(
+                f"one_stream requires exactly one stream dim, got {list(self.streams) or 'none'}"
+            )
+        for name in self.streams:
             dim = getattr(self, f"{name}_dim")
             if dim is None or dim < 1:
                 raise ValidationError(
                     f"{self.fusion_variant.value} requires a positive {name}_dim, got {dim}"
                 )
-        if self.fusion_variant is FusionVariant.ONE_STREAM:
-            present = [
-                n
-                for n in ("appearance", "motion", "pose")
-                if getattr(self, f"{n}_dim") is not None
-            ]
-            if len(present) != 1:
-                raise ValidationError(
-                    f"one_stream requires exactly one stream dim, got {present or 'none'}"
-                )
 
-    def _required_streams(self) -> tuple[str, ...]:
-        if self.fusion_variant is FusionVariant.ONE_STREAM:
-            # exactly-one constraint is checked separately above
-            return ()
-        if self.fusion_variant is FusionVariant.TWO_STREAM:
-            return ("appearance", "motion")
-        return ("appearance", "pose", "motion")
+    @staticmethod
+    def for_streams(
+        variant: FusionVariant, dims: dict[str, int], one_stream: str = "appearance", **kw
+    ) -> "TrnConfig":
+        """The config of ``variant`` over streams of the given dims.
+
+        ``one_stream`` names the stream the ONE_STREAM variant consumes.
+        Streams the variant does not consume get no dim; a consumed stream
+        missing from ``dims`` is a ValidationError.
+        """
+        wanted = (one_stream,) if variant is FusionVariant.ONE_STREAM else _VARIANT_STREAMS[variant]
+        missing = sorted(set(wanted) - set(dims))
+        if missing:
+            raise ValidationError(f"{variant.value} needs streams {list(wanted)}, input lacks {missing}")
+        stream_dims = {f"{n}_dim": dims[n] if n in wanted else None for n in STREAM_NAMES}
+        return TrnConfig(fusion_variant=variant, **stream_dims, **kw)
 
     @property
     def streams(self) -> tuple[str, ...]:
         """The streams the variant consumes, in fusion (concatenation) order."""
         if self.fusion_variant is FusionVariant.ONE_STREAM:
-            return (self.one_stream_name,)
-        return self._required_streams()
+            return tuple(n for n in STREAM_NAMES if getattr(self, f"{n}_dim") is not None)
+        return _VARIANT_STREAMS[self.fusion_variant]
 
     @property
     def classes(self) -> int:
         """Label count: the action classes plus background at index 0."""
         return self.num_actions + 1
 
-    @property
-    def one_stream_name(self) -> str:
-        if self.fusion_variant is not FusionVariant.ONE_STREAM:
-            raise ValidationError("one_stream_name is only defined for ONE_STREAM")
-        for n in ("appearance", "motion", "pose"):
-            if getattr(self, f"{n}_dim") is not None:
-                return n
-        raise AssertionError("unreachable: validated in __post_init__")
-
     def concat_dim(self) -> int:
         """Width of the stream concatenation entering the fusion layer."""
-        if self.fusion_variant is FusionVariant.ONE_STREAM:
-            return getattr(self, f"{self.one_stream_name}_dim")
-        if self.fusion_variant is FusionVariant.TWO_STREAM:
-            return self.appearance_dim + self.motion_dim
-        return self.appearance_dim + self.pose_dim + self.motion_dim
+        return sum(getattr(self, f"{n}_dim") for n in self.streams)
 
     def embed_input_dim(self) -> int:
         # one-stream skips the fusion layer and embeds the raw features
@@ -233,18 +248,6 @@ class TrnState:
 
 
 @dataclass(frozen=True)
-class ChunkStreams:
-    """Feature vectors for one chunk; absent streams stay None.
-
-    Arrays may be (D,) for a single sequence or (D, B) column batches.
-    """
-
-    appearance: np.ndarray | None = None
-    motion: np.ndarray | None = None
-    pose: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class DetectionOutput:
     present: np.ndarray  # probability distribution over classes
     anticipated: list[np.ndarray] = field(default_factory=list)  # one per decoder step
@@ -265,32 +268,49 @@ def _check_stream(name: str, v: Tensor, dim: int) -> None:
 def fuse(params: TrnParams, streams: ChunkStreams) -> Tensor:
     """Combine the chunk's streams into the model input vector.
 
-    ONE_STREAM passes the raw features through unchanged; the other
-    variants concatenate (pose rides between appearance and motion for
-    FUSED_TWO_STREAM) and apply ReLU(W_f x + b_f).
+    The streams are concatenated in ``TrnConfig.streams`` order (pose rides
+    between appearance and motion for FUSED_TWO_STREAM). Variants with a
+    fusion layer then apply ReLU(W_f x + b_f); ONE_STREAM passes the raw
+    features through unchanged.
     """
     cfg = params.config
-    variant = cfg.fusion_variant
-    if variant is FusionVariant.ONE_STREAM:
-        name = cfg.one_stream_name
-        v = getattr(streams, name)
-        if v is None:
-            raise ValidationError(f"one_stream config expects the {name} stream")
-        t = _as_tensor(v)
-        _check_stream(name, t, getattr(cfg, f"{name}_dim"))
-        return t
-
-    wanted = cfg._required_streams()
     parts = []
-    for name in wanted:
+    for name in cfg.streams:
         v = getattr(streams, name)
         if v is None:
-            raise ValidationError(f"{variant.value} requires the {name} stream")
+            raise ValidationError(f"{cfg.fusion_variant.value} requires the {name} stream")
         t = _as_tensor(v)
         _check_stream(name, t, getattr(cfg, f"{name}_dim"))
         parts.append(t)
     joined = nm.concat(parts)
+    if params.fusion is None:
+        return joined
     return nm.relu(nm.linear(params.fusion.w, params.fusion.b, joined))
+
+
+def chunk_sequence(config: TrnConfig, streams) -> list[ChunkStreams]:
+    """Per-chunk inputs from name -> (T, D) arrays.
+
+    ``streams`` is one such dict, or a list of them that all hold T chunks;
+    a list becomes (D, B) column batches, one column per dict. Only the
+    streams the variant consumes are kept, and each must be present.
+    """
+    batch = [streams] if isinstance(streams, dict) else streams
+    for name in config.streams:
+        if any(name not in s for s in batch):
+            raise ValidationError(
+                f"{config.fusion_variant.value} requires streams {list(config.streams)}, "
+                f"input lacks {name}"
+            )
+    if isinstance(streams, dict):
+        arrays = {n: streams[n] for n in config.streams}
+    else:
+        arrays = {n: np.stack([s[n] for s in batch], axis=2) for n in config.streams}
+    lengths = {n: len(a) for n, a in arrays.items()}
+    if len(set(lengths.values())) != 1:
+        raise DimensionError(f"streams disagree on chunk count: {lengths}")
+    t_len = lengths[config.streams[0]]
+    return [ChunkStreams(**{n: a[t] for n, a in arrays.items()}) for t in range(t_len)]
 
 
 def embed(params: TrnParams, fused: Tensor) -> Tensor:
@@ -374,10 +394,7 @@ def forward_sequence_logits(
     if not sequence:
         raise ValidationError("empty sequence")
     hs = params.config.hidden_size
-    first = next(
-        v for v in (sequence[0].appearance, sequence[0].motion, sequence[0].pose) if v is not None
-    )
-    arr = np.asarray(first)
+    arr = np.asarray(getattr(sequence[0], params.config.streams[0]))
     if arr.ndim == 2:
         shape = (hs, arr.shape[1])
     else:

@@ -247,26 +247,6 @@ def relu(x: Tensor) -> Tensor:
     return _result(y, (x,), backward)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-x.data))
-
-    def backward(g):
-        if _wants_grad(x):
-            _accum(x, g * y * (1.0 - y))
-
-    return _result(y, (x,), backward)
-
-
-def tanh(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-
-    def backward(g):
-        if _wants_grad(x):
-            _accum(x, g * (1.0 - y * y))
-
-    return _result(y, (x,), backward)
-
-
 def concat(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate along the feature axis (axis 0)."""
     if not parts:
@@ -359,35 +339,6 @@ def cross_entropy(p: Tensor, label: int) -> Tensor:
             gp = np.zeros_like(p.data)
             if picked >= CE_CLAMP:
                 gp[label] = -g[0] / picked
-            _accum(p, gp)
-
-    return _result(y, (p,), backward)
-
-
-def cross_entropy_cols(p: Tensor, labels: np.ndarray) -> Tensor:
-    """Sum of per-column -log p[label_j, j] over a probability matrix."""
-    if p.data.ndim != 2:
-        raise DimensionError(
-            f"cross_entropy_cols: expected a matrix, got {p.data.shape}"
-        )
-    labels = np.asarray(labels, dtype=np.int64)
-    k, n = p.data.shape
-    if labels.shape != (n,):
-        raise DimensionError(
-            f"cross_entropy_cols: {n} columns but labels shape {labels.shape}"
-        )
-    if n and (labels.min() < 0 or labels.max() >= k):
-        raise ValidationError("cross_entropy_cols: label out of range")
-    cols = np.arange(n)
-    picked = p.data[labels, cols]
-    clamped = np.maximum(picked, CE_CLAMP)
-    y = np.array([-np.log(clamped).sum()])
-
-    def backward(g):
-        if _wants_grad(p):
-            gp = np.zeros_like(p.data)
-            live = picked >= CE_CLAMP
-            gp[labels[live], cols[live]] = -g[0] / picked[live]
             _accum(p, gp)
 
     return _result(y, (p,), backward)

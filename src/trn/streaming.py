@@ -58,7 +58,7 @@ class OnlineDetector:
         if self._poisoned:
             raise PoisonedError("detector poisoned by an earlier failed push; call reset()")
         try:
-            for name in ("appearance", "motion", "pose"):
+            for name in self.config.streams:
                 v = getattr(streams, name)
                 if v is not None and np.asarray(v).ndim != 1:
                     raise ValidationError(

@@ -50,7 +50,6 @@ class TrainConfig:
     weight_decay: float = 5e-4
     batch_size: int = 2
     seq_len: int = 64
-    decoder_steps: int = 8
     epochs: int = 10
     seed: int = 0
     lambda_enc: float = 1.0
@@ -60,8 +59,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0 or self.weight_decay < 0:
             raise ValidationError("learning_rate must be > 0 and weight_decay >= 0")
-        if self.batch_size < 1 or self.seq_len < 1 or self.decoder_steps < 1:
-            raise ValidationError("batch_size, seq_len and decoder_steps must be >= 1")
+        if self.batch_size < 1 or self.seq_len < 1:
+            raise ValidationError("batch_size and seq_len must be >= 1")
         if self.epochs < 0 or self.eval_every < 0:
             raise ValidationError("epochs and eval_every must be >= 0")
         if self.lambda_enc < 0 or self.lambda_dec < 0:
@@ -91,11 +90,6 @@ def sequence_loss(
     which runs only when ``backward()`` reaches the node.
     """
     classes = params.config.classes
-    if params.config.decoder_steps != config.decoder_steps:
-        raise ValidationError(
-            f"model rolls out {params.config.decoder_steps} decoder steps, "
-            f"train config says {config.decoder_steps}"
-        )
     if not sequence:
         raise ValidationError("empty sequence")
     labels = np.asarray(labels)
@@ -423,13 +417,22 @@ class Window:
 
 
 def load_split(
-    manifest: dio.Manifest, cmap: dio.ClassMap, split: str
+    manifest: dio.Manifest,
+    cmap: dio.ClassMap,
+    split: str,
+    streams: tuple[str, ...] | None = None,
 ) -> list[tuple[str, dict[str, np.ndarray], np.ndarray]]:
+    """(video id, stream arrays, labels) per video of the split; only the
+    named streams are read (all by default)."""
+    videos = manifest.split(split)
+    intervals = _read_intervals(manifest, videos)
     out = []
-    for video in manifest.split(split):
-        streams = dio.load_video_streams(manifest, video)
-        labels, _ = dio.load_video_labels(manifest, video, cmap)
-        out.append((video.video_id, streams, labels))
+    for video in videos:
+        arrays = dio.load_video_streams(manifest, video, streams)
+        labels, _ = dio.labels_from_intervals(
+            intervals.get(video.video_id, []), cmap, video.fps, video.chunk_size, video.num_chunks
+        )
+        out.append((video.video_id, arrays, labels))
     return out
 
 
@@ -446,35 +449,6 @@ def make_windows(videos, seq_len: int) -> list[Window]:
                 )
             )
     return windows
-
-
-def _window_batch_sequence(batch: list[Window]) -> tuple[list[ChunkStreams], np.ndarray]:
-    length = len(batch[0])
-    names = batch[0].streams.keys()
-    sequence = []
-    for t in range(length):
-        cols = {
-            name: np.stack([w.streams[name][t] for w in batch], axis=1)
-            for name in names
-        }
-        sequence.append(
-            ChunkStreams(
-                appearance=cols.get("appearance"),
-                motion=cols.get("motion"),
-                pose=cols.get("pose"),
-            )
-        )
-    labels = np.stack([w.labels for w in batch], axis=1)
-    return sequence, labels
-
-
-def _streams_for_variant(streams: dict[str, np.ndarray], config: TrnConfig):
-    """Drop streams the fusion variant does not consume."""
-    keep = set(config.streams)
-    missing = keep - streams.keys()
-    if missing:
-        raise ValidationError(f"dataset lacks streams {sorted(missing)} required by the variant")
-    return {k: v for k, v in streams.items() if k in keep}
 
 
 def _read_intervals(
@@ -518,13 +492,9 @@ def train(
         params = TrnParams.init(model_config, rng)
     adam = AdamState.init(params)
 
-    train_videos = load_split(manifest, cmap, "train")
+    train_videos = load_split(manifest, cmap, "train", params.config.streams)
     if not train_videos:
         raise ValidationError("manifest has no train videos")
-    train_videos = [
-        (vid, _streams_for_variant(streams, model_config), labels)
-        for vid, streams, labels in train_videos
-    ]
     windows = make_windows(train_videos, train_config.seq_len)
     heldout = manifest.split(heldout_split)
     heldout_gt = None
@@ -550,7 +520,8 @@ def train(
 
         losses = []
         for batch in batches:
-            sequence, labels = _window_batch_sequence(batch)
+            sequence = md.chunk_sequence(params.config, [w.streams for w in batch])
+            labels = np.stack([w.labels for w in batch], axis=1)
             for p in named.values():
                 p.zero_grad()
             loss = sequence_loss(params, train_config, sequence, labels)
@@ -580,36 +551,19 @@ def predict_manifest(
     """Batched whole-sequence inference over a manifest split."""
     cfg = params.config
     videos = manifest.split(split)
+    chunk_size, fps = dio.split_clock(videos, (cfg.chunk_size, cfg.fps))
     dump = ev.PredictionDump(
-        chunk_size=videos[0].chunk_size if videos else cfg.chunk_size,
-        fps=videos[0].fps if videos else cfg.fps,
-        decoder_steps=cfg.decoder_steps,
-        classes=cfg.classes,
+        chunk_size=chunk_size, fps=fps, decoder_steps=cfg.decoder_steps, classes=cfg.classes
     )
-    loaded = []
-    for video in videos:
-        streams = _streams_for_variant(dio.load_video_streams(manifest, video), cfg)
-        loaded.append((video.video_id, streams))
     # group equal-length videos into column batches
     by_len: dict[int, list[tuple[str, dict]]] = {}
-    for vid, streams in loaded:
-        t = next(iter(streams.values())).shape[0]
-        by_len.setdefault(t, []).append((vid, streams))
-    for t_len, group in by_len.items():
+    for video in videos:
+        streams = dio.load_video_streams(manifest, video, cfg.streams)
+        by_len.setdefault(video.num_chunks, []).append((video.video_id, streams))
+    for group in by_len.values():
         for at in range(0, len(group), group_size):
             part = group[at : at + group_size]
-            names = part[0][1].keys()
-            sequence = [
-                ChunkStreams(
-                    **{
-                        name: np.stack([streams[name][t] for _, streams in part], axis=1)
-                        if name in names
-                        else None
-                        for name in ("appearance", "motion", "pose")
-                    }
-                )
-                for t in range(t_len)
-            ]
+            sequence = md.chunk_sequence(cfg, [streams for _, streams in part])
             with nm.no_grad():
                 enc_logits, dec_logits, _, _ = md.forward_sequence_logits(params, sequence)
                 present = np.stack(

@@ -81,7 +81,7 @@ def test_criterion_1_gradient_correctness():
             seq_len=t,
             **_dims_for(variant),
         )
-        tc = tr.TrainConfig(seq_len=t, decoder_steps=ld, epochs=0, eval_every=0)
+        tc = tr.TrainConfig(seq_len=t, epochs=0, eval_every=0)
         rng = np.random.default_rng(1000 + count)
         params, sequence, labels = _random_setup(cfg, rng, generic=True)
         err = nm.grad_check(

@@ -10,6 +10,7 @@ from trn import dataio as dio
 from trn import evaluate as ev
 from trn import training as tr
 from trn.model import FusionVariant, TrnConfig, TrnParams
+from trn.numeric import ValidationError
 
 
 def run(argv):
@@ -303,6 +304,44 @@ def test_stream_from_manifest_split(dataset, tmp_path):
     assert rc == 0
     dump = ev.read_prediction_dump(str(out))
     assert set(dump.videos) == {v.video_id for v in manifest.split("test")}
+
+
+def set_manifest_fps(manifest_path, *fps):
+    """Rewrite the manifest's per-video fps, cycling through ``fps``."""
+    with open(manifest_path) as f:
+        doc = json.load(f)
+    for i, video in enumerate(doc["videos"]):
+        video["fps"] = fps[i % len(fps)]
+    with open(manifest_path, "w") as f:
+        json.dump(doc, f)
+
+
+def test_fractional_fps_reaches_checkpoint_and_dump(dataset, tmp_path):
+    set_manifest_fps(dataset, 29.97)
+    ckpt = tmp_path / "m.trnc"
+    assert run(train_argv(dataset, ckpt)) == 0
+    params, _, _ = tr.load_checkpoint(str(ckpt))
+    assert params.config.fps == 29.97
+    manifest = dio.load_manifest(dataset)
+    video = manifest.videos[0]
+    feats = [f"{n}={manifest.resolve(video.streams[n].path)}" for n in ("appearance", "motion")]
+    out = tmp_path / "dump.jsonl"
+    assert run(["stream", "--ckpt", str(ckpt), "--out", str(out), "--features"] + feats) == 0
+    header = json.loads(out.read_text().splitlines()[0])
+    assert header["fps"] == 29.97
+
+
+def test_infer_mixed_clocks_exits_1(dataset, tmp_path):
+    set_manifest_fps(dataset, 30, 25)  # the two test videos disagree
+    ckpt, _ = tiny_ckpt(tmp_path, appearance_dim=5, motion_dim=4)
+    out = tmp_path / "dump.jsonl"
+    rc = run(["infer", "--ckpt", ckpt, "--manifest", dataset, "--split", "test",
+              "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    params, _, _ = tr.load_checkpoint(ckpt)
+    with pytest.raises(ValidationError, match="clock"):
+        tr.predict_manifest(params, dio.load_manifest(dataset), "test")
 
 
 def test_stream_mismatched_lengths_exits_1(tmp_path):

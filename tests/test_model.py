@@ -94,6 +94,36 @@ def test_param_count_pure_function_of_config():
     assert a == expected
 
 
+def test_config_for_streams_sets_only_consumed_dims():
+    dims = {"appearance": 3, "motion": 4, "pose": 6}
+    two = TrnConfig.for_streams(FusionVariant.TWO_STREAM, dims)
+    assert two.streams == ("appearance", "motion") and two.pose_dim is None
+    fused = TrnConfig.for_streams(FusionVariant.FUSED_TWO_STREAM, dims)
+    assert fused.streams == ("appearance", "pose", "motion") and fused.concat_dim() == 13
+    one = TrnConfig.for_streams(FusionVariant.ONE_STREAM, dims, one_stream="pose")
+    assert one.streams == ("pose",) and one.appearance_dim is None
+    with pytest.raises(nm.ValidationError):
+        TrnConfig.for_streams(FusionVariant.ONE_STREAM, dims, one_stream="flow")
+
+
+def test_chunk_sequence_keeps_consumed_streams_and_stacks_columns():
+    cfg = tiny_config()
+    rng = np.random.default_rng(0)
+    videos = [
+        {"appearance": rng.normal(size=(4, 3)), "motion": rng.normal(size=(4, 4)),
+         "pose": rng.normal(size=(4, 6))}
+        for _ in range(2)
+    ]
+    single = md.chunk_sequence(cfg, videos[0])
+    assert len(single) == 4 and single[1].pose is None
+    assert np.array_equal(single[1].motion, videos[0]["motion"][1])
+    batched = md.chunk_sequence(cfg, videos)
+    assert len(batched) == 4 and batched[2].appearance.shape == (3, 2)
+    assert np.array_equal(batched[2].appearance[:, 1], videos[1]["appearance"][2])
+    with pytest.raises(nm.ValidationError):
+        md.chunk_sequence(cfg, {"appearance": videos[0]["appearance"]})
+
+
 # ---------------------------------------------------------------------------
 # fuse
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ def tiny_model(**kw):
 
 
 def tiny_train(**kw):
-    base = dict(decoder_steps=2, seq_len=4, batch_size=2, epochs=1, seed=0, eval_every=0)
+    base = dict(seq_len=4, batch_size=2, epochs=1, seed=0, eval_every=0)
     base.update(kw)
     return tr.TrainConfig(**base)
 
@@ -57,7 +58,6 @@ def test_train_config_defaults():
     assert cfg.weight_decay == 5e-4
     assert cfg.batch_size == 2
     assert cfg.seq_len == 64
-    assert cfg.decoder_steps == 8
 
 
 def test_decoder_target_pairs_masking_example():
@@ -102,14 +102,6 @@ def test_sequence_loss_label_out_of_range():
         tr.sequence_loss(params, tiny_train(), seq, np.array([0, 3]))
     with pytest.raises(ValidationError):
         tr.sequence_loss(params, tiny_train(), seq, np.array([-1, 0]))
-
-
-def test_sequence_loss_decoder_steps_mismatch():
-    cfg = tiny_model(decoder_steps=3)
-    params = TrnParams.zeros(cfg)
-    seq = random_sequence(np.random.default_rng(5), cfg, 2)
-    with pytest.raises(ValidationError):
-        tr.sequence_loss(params, tiny_train(decoder_steps=2), seq, np.array([0, 1]))
 
 
 def test_sequence_loss_batch_equals_mean_of_singles():
@@ -199,7 +191,7 @@ def tape_loss(params, tc, sequence, labels):
         return total
 
     loss = nm.scale(summed(zip(enc, labels)), tc.lambda_enc / (t_len * batch))
-    pairs = tr.decoder_target_pairs(t_len, tc.decoder_steps)
+    pairs = tr.decoder_target_pairs(t_len, params.config.decoder_steps)
     if pairs:
         dec_sum = summed((dec[t][i - 1], labels[t + i]) for t, i in pairs)
         loss = nm.add(loss, nm.scale(dec_sum, tc.lambda_dec / (len(pairs) * batch)))
@@ -245,7 +237,7 @@ def fused_setup(variant, batch, t_len, steps, seed):
         for _ in range(t_len)
     ]
     labels = rng.integers(0, cfg.classes, size=(t_len,) + shape)
-    tc = tiny_train(decoder_steps=steps, lambda_enc=1.5, lambda_dec=0.75)
+    tc = tiny_train(lambda_enc=1.5, lambda_dec=0.75)
     return params, tc, sequence, labels
 
 
@@ -297,7 +289,7 @@ def test_adam_zero_grad_zero_decay_is_identity():
     state = tr.AdamState.init(params)
     zeros = {k: np.zeros_like(t.data) for k, t in params.named().items()}
     before = {k: t.data.copy() for k, t in params.named().items()}
-    tr.adam_step(params, zeros, state, tiny_train(decoder_steps=1, weight_decay=0.0))
+    tr.adam_step(params, zeros, state, tiny_train(weight_decay=0.0))
     for k, t in params.named().items():
         assert np.array_equal(t.data, before[k])
 
@@ -309,7 +301,7 @@ def test_adam_single_step_hand_example():
     state = tr.AdamState.init(params)
     grads = {k: np.zeros_like(t.data) for k, t in params.named().items()}
     grads["embed.b"] = np.array([1.0])
-    tc = tiny_train(decoder_steps=1, learning_rate=0.1, weight_decay=0.0)
+    tc = tiny_train(learning_rate=0.1, weight_decay=0.0)
     tr.adam_step(params, grads, state, tc)
     theta = params.embed.b.data[0]
     assert abs(theta - 0.9) < 1e-6
@@ -323,7 +315,7 @@ def test_adam_first_update_magnitude_is_lr_for_any_scale():
         grads = {k: np.zeros_like(t.data) for k, t in params.named().items()}
         grads["embed.b"] = np.array([g])
         tr.adam_step(
-            params, grads, state, tiny_train(decoder_steps=1, learning_rate=0.01, weight_decay=0.0)
+            params, grads, state, tiny_train(learning_rate=0.01, weight_decay=0.0)
         )
         assert abs(abs(params.embed.b.data[0]) - 0.01) < 1e-4
 
@@ -334,7 +326,7 @@ def test_adam_nonfinite_gradient_names_parameter():
     grads = {k: np.zeros_like(t.data) for k, t in params.named().items()}
     grads["decoder.cls.b"] = np.array([np.nan])
     with pytest.raises(ValidationError) as exc:
-        tr.adam_step(params, grads, state, tiny_train(decoder_steps=1))
+        tr.adam_step(params, grads, state, tiny_train())
     assert "decoder.cls.b" in str(exc.value)
 
 
@@ -342,7 +334,7 @@ def test_adam_decay_only_shrinks_monotonically():
     params = one_param_setup(1.0)
     state = tr.AdamState.init(params)
     zeros = {k: np.zeros_like(t.data) for k, t in params.named().items()}
-    tc = tiny_train(decoder_steps=1, learning_rate=0.1, weight_decay=0.5)
+    tc = tiny_train(learning_rate=0.1, weight_decay=0.5)
     norms = [abs(params.embed.b.data[0])]
     for _ in range(5):
         tr.adam_step(params, zeros, state, tc)
@@ -357,7 +349,7 @@ def test_adam_deterministic():
         params = one_param_setup(1.0)
         state = tr.AdamState.init(params)
         rng = np.random.default_rng(0)
-        tc = tiny_train(decoder_steps=1)
+        tc = tiny_train()
         for _ in range(10):
             grads = {k: rng.normal(size=t.data.shape) for k, t in params.named().items()}
             tr.adam_step(params, grads, state, tc)
@@ -386,6 +378,22 @@ def synth_manifest(tmp_path, **kw):
     base.update(kw)
     path = dio.generate_synthetic(dio.SyntheticSpec(**base), str(tmp_path))
     return dio.load_manifest(path)
+
+
+def test_load_split_reads_shared_annotation_file_once(tmp_path, monkeypatch):
+    manifest = synth_manifest(tmp_path, num_videos=3, train_fraction=1.0)
+    videos = manifest.split("train")
+    assert len(videos) == 3 and len({v.annotations for v in videos}) == 1
+    cmap = dio.read_class_map(manifest.resolve(manifest.class_map))
+    want = [dio.load_video_labels(manifest, v, cmap)[0] for v in videos]
+    calls = []
+    read = dio.read_annotations
+    monkeypatch.setattr(dio, "read_annotations", lambda path: calls.append(path) or read(path))
+    got = tr.load_split(manifest, cmap, "train")
+    assert len(calls) == 1
+    assert [vid for vid, _, _ in got] == [v.video_id for v in videos]
+    for (_, _, labels), expected in zip(got, want):
+        assert np.array_equal(labels, expected)
 
 
 def test_train_loss_decreases(tmp_path):
@@ -492,6 +500,26 @@ def test_checkpoint_roundtrip(tmp_path):
     for k in adam.m:
         assert np.array_equal(adam2.m[k], adam.m[k])
         assert np.array_equal(adam2.v[k], adam.v[k])
+
+
+def test_checkpoint_with_integer_fps_loads(tmp_path):
+    # checkpoints written while fps was an int store e.g. "fps": 30
+    params = TrnParams.init(tiny_model(), np.random.default_rng(3))
+    path = tmp_path / "model.trnc"
+    tr.save_checkpoint(str(path), params)
+    blob = path.read_bytes()
+    magic, version, json_len = tr._CKPT_HEADER.unpack(blob[: tr._CKPT_HEADER.size])
+    at = tr._CKPT_HEADER.size
+    doc = json.loads(blob[at : at + json_len])
+    assert doc["config"]["fps"] == 30.0
+    doc["config"]["fps"] = 30
+    index = json.dumps(doc, sort_keys=True).encode("utf-8")
+    path.write_bytes(tr._CKPT_HEADER.pack(magic, version, len(index)) + index
+                     + blob[at + json_len :])
+    loaded, _, _ = tr.load_checkpoint(str(path))
+    assert loaded.config.fps == 30.0 and isinstance(loaded.config.fps, float)
+    for k, t in params.named().items():
+        assert np.array_equal(loaded.named()[k].data, t.data)
 
 
 def test_checkpoint_without_adam(tmp_path):
