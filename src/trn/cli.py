@@ -261,6 +261,11 @@ def _model_config_from_manifest(
     if not manifest.videos:
         raise ValidationError("manifest lists no videos")
     first = manifest.videos[0]
+    # the checkpoint carries one clock: every video training and the
+    # held-out score read must share it
+    chunk_size, fps = dio.split_clock(
+        manifest.split("train") + manifest.split("test"), (first.chunk_size, first.fps)
+    )
     return TrnConfig.for_streams(
         FusionVariant(cfg["variant"]),
         {name: ref.dim for name, ref in first.streams.items()},
@@ -269,8 +274,8 @@ def _model_config_from_manifest(
         decoder_steps=cfg["decoder_steps"],
         num_actions=cmap.num_actions,
         seq_len=cfg["seq_len"],
-        chunk_size=first.chunk_size,
-        fps=first.fps,
+        chunk_size=chunk_size,
+        fps=fps,
     )
 
 
@@ -349,20 +354,22 @@ def _run_inference(params: TrnParams, inputs, clock, batch: bool) -> ev.Predicti
     dump = ev.PredictionDump(
         chunk_size=clock[0], fps=clock[1], decoder_steps=cfg.decoder_steps, classes=cfg.classes
     )
-    for video_id, streams in inputs:
-        sequence = md.chunk_sequence(cfg, streams)
-        if batch:
-            outputs, _ = md.trn_forward(params, sequence)
-        else:
-            det = OnlineDetector(params)
-            outputs = [det.push_chunk(chunk) for chunk in sequence]
-        dump.videos[video_id] = ev.VideoPredictions(
-            present=np.stack([o.present for o in outputs], axis=0),
-            anticipated=np.stack(
-                [np.stack(o.anticipated, axis=0) for o in outputs], axis=0
-            ),
-        )
+    if batch:
+        results = md.forward_videos(params, [streams for _, streams in inputs])
+    else:
+        results = [_stream_video(params, streams) for _, streams in inputs]
+    for (video_id, _), (present, anticipated) in zip(inputs, results):
+        dump.videos[video_id] = ev.VideoPredictions(present, anticipated)
     return dump
+
+
+def _stream_video(params: TrnParams, streams: dict) -> tuple[np.ndarray, np.ndarray]:
+    """One video pushed chunk by chunk through a fresh detector."""
+    det = OnlineDetector(params)
+    outputs = [det.push_chunk(chunk) for chunk in md.chunk_sequence(params.config, streams)]
+    present = np.stack([o.present for o in outputs], axis=0)
+    anticipated = np.stack([np.stack(o.anticipated, axis=0) for o in outputs], axis=0)
+    return present, anticipated
 
 
 def _cmd_inference(args, batch_flag: bool) -> int:
@@ -394,9 +401,10 @@ def cmd_eval(args) -> int:
     dump = ev.read_prediction_dump(cfg["dump"])
     gt = ev.ground_truth_from_files(cfg["gt"], cfg["classmap"])
     expand = bool(cfg["expand_to_frames"])
-    encoder = ev.per_frame_map(dump, gt, expand_to_frames=expand)
+    labels = ev.video_labels(dump, gt)  # once per video, shared by every head
+    encoder = ev.per_frame_map(dump, gt, expand_to_frames=expand, labels=labels)
     steps = [
-        ev.anticipation_map(dump, gt, step=i, expand_to_frames=expand)
+        ev.anticipation_map(dump, gt, step=i, expand_to_frames=expand, labels=labels)
         for i in range(1, dump.decoder_steps + 1)
     ]
     for name, res in [("encoder", encoder)] + [

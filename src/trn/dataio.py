@@ -245,13 +245,12 @@ def chunk_labels(
         cleaned.append((cls, start, end))
     cleaned.sort(key=lambda iv: iv[1])
     labels = np.zeros(num_chunks, dtype=np.int64)
-    duration = chunk_size / fps
-    for t in range(num_chunks):
-        center = (t + 0.5) * duration
-        for cls, start, end in cleaned:
-            if start <= center < end:
-                labels[t] = cls
-                break
+    if cleaned:
+        classes, starts, ends = zip(*cleaned)
+        lo, hi = _center_spans(starts, ends, fps, chunk_size, num_chunks)
+        # latest start first, so the earliest-starting interval writes last
+        for k in reversed(range(len(classes))):
+            labels[lo[k] : hi[k]] = classes[k]
     return labels
 
 
@@ -259,14 +258,25 @@ def interval_chunk_mask(
     intervals: list[tuple[float, float]], fps: float, chunk_size: int, num_chunks: int
 ) -> np.ndarray:
     """Boolean mask of chunks whose center falls inside any interval."""
-    mask = np.zeros(num_chunks, dtype=bool)
-    duration = chunk_size / fps
-    for start, end in intervals:
-        for t in range(num_chunks):
-            center = (t + 0.5) * duration
-            if start <= center < end:
-                mask[t] = True
-    return mask
+    if not intervals:
+        return np.zeros(num_chunks, dtype=bool)
+    starts, ends = zip(*intervals)
+    lo, hi = _center_spans(starts, ends, fps, chunk_size, num_chunks)
+    keep = lo < hi
+    # +1 where a span opens, -1 where it closes: a chunk is covered while
+    # the running sum is positive
+    edges = np.bincount(lo[keep], minlength=num_chunks + 1)
+    edges -= np.bincount(hi[keep], minlength=num_chunks + 1)
+    return np.cumsum(edges[:num_chunks]) > 0
+
+
+def _center_spans(starts, ends, fps: float, chunk_size: int, num_chunks: int):
+    """Per interval [start, end), the chunk range [lo, hi) whose center
+    timestamps (t + 0.5) * chunk_size / fps it covers."""
+    centers = (np.arange(num_chunks) + 0.5) * (chunk_size / fps)
+    lo = np.searchsorted(centers, np.asarray(starts, dtype=np.float64), side="left")
+    hi = np.searchsorted(centers, np.asarray(ends, dtype=np.float64), side="left")
+    return lo, hi
 
 
 def labels_from_intervals(

@@ -87,18 +87,28 @@ class EvalResult:
     skipped: list[str]
 
 
-def _video_pools(dump: PredictionDump, gt: GroundTruth, step: int | None):
+VideoLabels = dict[str, tuple[np.ndarray, np.ndarray]]
+
+
+def video_labels(dump: PredictionDump, gt: GroundTruth) -> VideoLabels:
+    """(labels, ambiguous mask) per video of the dump, on the dump's clock."""
+    return {
+        video_id: dio.labels_from_intervals(
+            gt.intervals.get(video_id, []), gt.cmap, dump.fps, dump.chunk_size, pred.num_chunks
+        )
+        for video_id, pred in dump.videos.items()
+    }
+
+
+def _video_pools(dump: PredictionDump, labels: VideoLabels, step: int | None):
     """Yield (scores (N, classes), labels (N,)) per video, ambiguous
     chunks removed and anticipation shift applied when step is given."""
     for video_id, pred in dump.videos.items():
         t = pred.num_chunks
-        labels, excluded = dio.labels_from_intervals(
-            gt.intervals.get(video_id, []), gt.cmap, dump.fps, dump.chunk_size, t
-        )
+        chunk_labels, excluded = labels[video_id]
         if step is None:
-            scores = pred.present
             keep = ~excluded
-            yield scores[keep], labels[keep]
+            yield pred.present[keep], chunk_labels[keep]
         else:
             if not (1 <= step <= dump.decoder_steps):
                 raise ValidationError(
@@ -107,15 +117,20 @@ def _video_pools(dump: PredictionDump, gt: GroundTruth, step: int | None):
             if t <= step:
                 continue  # every target falls off the video end
             scores = pred.anticipated[: t - step, step - 1, :]
-            target_labels = labels[step:]
             keep = ~excluded[step:]
-            yield scores[keep], target_labels[keep]
+            yield scores[keep], chunk_labels[step:][keep]
 
 
 def _pooled_map(
-    dump: PredictionDump, gt: GroundTruth, step: int | None, expand_to_frames: bool
+    dump: PredictionDump,
+    gt: GroundTruth,
+    step: int | None,
+    expand_to_frames: bool,
+    labels: VideoLabels | None,
 ) -> EvalResult:
-    pools = list(_video_pools(dump, gt, step))
+    if labels is None:
+        labels = video_labels(dump, gt)
+    pools = list(_video_pools(dump, labels, step))
     if pools:
         all_scores = np.concatenate([s for s, _ in pools], axis=0)
         all_labels = np.concatenate([l for _, l in pools], axis=0)
@@ -140,17 +155,31 @@ def _pooled_map(
 
 
 def per_frame_map(
-    dump: PredictionDump, gt: GroundTruth, expand_to_frames: bool = False
+    dump: PredictionDump,
+    gt: GroundTruth,
+    expand_to_frames: bool = False,
+    *,
+    labels: VideoLabels | None = None,
 ) -> EvalResult:
-    """Detection mAP: one pooled ranking per action class across videos."""
-    return _pooled_map(dump, gt, None, expand_to_frames)
+    """Detection mAP: one pooled ranking per action class across videos.
+
+    ``labels`` is ``video_labels(dump, gt)`` for a caller that scores
+    several heads of one dump; by default they are computed here.
+    """
+    return _pooled_map(dump, gt, None, expand_to_frames, labels)
 
 
 def anticipation_map(
-    dump: PredictionDump, gt: GroundTruth, step: int, expand_to_frames: bool = False
+    dump: PredictionDump,
+    gt: GroundTruth,
+    step: int,
+    expand_to_frames: bool = False,
+    *,
+    labels: VideoLabels | None = None,
 ) -> EvalResult:
-    """Anticipation mAP at decoder step `step` (1-based)."""
-    return _pooled_map(dump, gt, step, expand_to_frames)
+    """Anticipation mAP at decoder step `step` (1-based); ``labels`` as
+    for :func:`per_frame_map`."""
+    return _pooled_map(dump, gt, step, expand_to_frames, labels)
 
 
 # ---------------------------------------------------------------------------

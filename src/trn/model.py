@@ -288,6 +288,22 @@ def fuse(params: TrnParams, streams: ChunkStreams) -> Tensor:
     return nm.relu(nm.linear(params.fusion.w, params.fusion.b, joined))
 
 
+def _consumed_streams(config: TrnConfig, streams: dict) -> tuple[dict, int]:
+    """The streams of one name -> (T, D) dict that the variant consumes,
+    and the chunk count T they share."""
+    for name in config.streams:
+        if name not in streams:
+            raise ValidationError(
+                f"{config.fusion_variant.value} requires streams {list(config.streams)}, "
+                f"input lacks {name}"
+            )
+    arrays = {n: streams[n] for n in config.streams}
+    lengths = {n: len(a) for n, a in arrays.items()}
+    if len(set(lengths.values())) != 1:
+        raise DimensionError(f"streams disagree on chunk count: {lengths}")
+    return arrays, lengths[config.streams[0]]
+
+
 def chunk_sequence(config: TrnConfig, streams) -> list[ChunkStreams]:
     """Per-chunk inputs from name -> (T, D) arrays.
 
@@ -295,21 +311,12 @@ def chunk_sequence(config: TrnConfig, streams) -> list[ChunkStreams]:
     a list becomes (D, B) column batches, one column per dict. Only the
     streams the variant consumes are kept, and each must be present.
     """
-    batch = [streams] if isinstance(streams, dict) else streams
-    for name in config.streams:
-        if any(name not in s for s in batch):
-            raise ValidationError(
-                f"{config.fusion_variant.value} requires streams {list(config.streams)}, "
-                f"input lacks {name}"
-            )
     if isinstance(streams, dict):
-        arrays = {n: streams[n] for n in config.streams}
+        arrays, t_len = _consumed_streams(config, streams)
     else:
+        batch = [_consumed_streams(config, s)[0] for s in streams]
         arrays = {n: np.stack([s[n] for s in batch], axis=2) for n in config.streams}
-    lengths = {n: len(a) for n, a in arrays.items()}
-    if len(set(lengths.values())) != 1:
-        raise DimensionError(f"streams disagree on chunk count: {lengths}")
-    t_len = lengths[config.streams[0]]
+        t_len = len(arrays[config.streams[0]])
     return [ChunkStreams(**{n: a[t] for n, a in arrays.items()}) for t in range(t_len)]
 
 
@@ -437,3 +444,71 @@ def trn_forward(
             logits, dlogits, dfeats, h, c = chunk_step(params, streams, h, c)
             outputs.append(_detection_output(logits, dlogits, dfeats))
     return outputs, TrnState(h.data.copy(), c.data.copy())
+
+
+def forward_videos(
+    params: TrnParams, videos: list[dict], group_size: int = 16
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Whole-sequence inference over many videos of any lengths.
+
+    ``videos`` holds one name -> (T_i, D) stream dict per video. The videos
+    run longest first (a stable sort), ``group_size`` at a time, as the
+    columns of (D, n_t) batches through ``chunk_step``: n_t counts the
+    videos of the group still running at chunk t, so a video retires after
+    its last chunk by leaving the column prefix. A group of one video runs
+    on vectors, exactly as ``trn_forward`` does. In a wider group a video's
+    outputs may differ from its single-video outputs in the last bits
+    (matrix products against matrix-vector products).
+
+    Returns (present (T_i, classes), anticipated (T_i, steps, classes)) per
+    video, in input order.
+    """
+    if group_size < 1:
+        raise ValidationError(f"group_size must be >= 1, got {group_size}")
+    inputs = [_consumed_streams(params.config, v) for v in videos]
+    if any(t_len == 0 for _, t_len in inputs):
+        raise ValidationError("empty sequence")
+    order = sorted(range(len(inputs)), key=lambda i: -inputs[i][1])
+    out: list = [None] * len(inputs)
+    for at in range(0, len(order), group_size):
+        group = order[at : at + group_size]
+        for i, result in zip(group, _forward_group(params, [inputs[i] for i in group])):
+            out[i] = result
+    return out
+
+
+def _forward_group(params: TrnParams, group: list[tuple[dict, int]]):
+    """``forward_videos`` over (streams, T) pairs sorted longest first."""
+    cfg = params.config
+    k, steps = cfg.classes, cfg.decoder_steps
+    lengths = [t_len for _, t_len in group]
+    present = [np.empty((t_len, k)) for t_len in lengths]
+    anticipated = [np.empty((t_len, steps, k)) for t_len in lengths]
+    single = len(group) == 1
+    shape = (cfg.hidden_size,) if single else (cfg.hidden_size, len(group))
+    h, c = nm.tensor(np.zeros(shape)), nm.tensor(np.zeros(shape))
+    n = len(group)
+    with nm.no_grad():
+        for t in range(lengths[0]):
+            if single:
+                chunk = ChunkStreams(**{name: a[t] for name, a in group[0][0].items()})
+            else:
+                while lengths[n - 1] <= t:
+                    n -= 1
+                if n < h.data.shape[1]:
+                    h, c = nm.tensor(h.data[:, :n]), nm.tensor(c.data[:, :n])
+                chunk = ChunkStreams(**{
+                    name: np.stack([streams[name][t] for streams, _ in group[:n]], axis=1)
+                    for name in cfg.streams
+                })
+            logits, dec_logits, _, h, c = chunk_step(params, chunk, h, c)
+            # one softmax over every head's logits, one (video, head) per
+            # column; the columns are contiguous, so each sums exactly as a
+            # lone vector does in trn_forward
+            z = np.stack([y.data.reshape(k, -1) for y in (logits, *dec_logits)])
+            rows = np.ascontiguousarray(z.transpose(2, 0, 1)).reshape(-1, k)
+            p = nm.softmax(nm.tensor(rows.T)).data.T.reshape(n, steps + 1, k)
+            for j in range(n):
+                present[j][t] = p[j, 0]
+                anticipated[j][t] = p[j, 1:]
+    return list(zip(present, anticipated))

@@ -385,11 +385,28 @@ def _uniform_init(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
+def lstm_forward(z: np.ndarray, c_prev: np.ndarray, hs: int):
+    """Gates [i, f, g, o] from pre-activations z; returns (h, c, trace).
+
+    One sigmoid runs over all of z and tanh then overwrites the g block.
+    The trace holds the gate activations (g in its tanh form), c_prev and
+    tanh(c), which a backward pass needs. Both the tape's :func:`lstm_step`
+    and the fused training kernel run their gates through here.
+    """
+    a = 1.0 / (1.0 + np.exp(-z))
+    a[2 * hs : 3 * hs] = np.tanh(z[2 * hs : 3 * hs])
+    c = a[hs : 2 * hs] * c_prev + a[:hs] * a[2 * hs : 3 * hs]
+    tc = np.tanh(c)
+    return a[3 * hs :] * tc, c, (a, c_prev, tc)
+
+
 def lstm_step(params: LstmParams, x: Tensor, h_prev: Tensor, c_prev: Tensor):
     """One LSTM step: returns (h, c).
 
     i, f, o = sigmoid of their pre-activations, g = tanh, then
-    c = f*c_prev + i*g and h = o*tanh(c).
+    c = f*c_prev + i*g and h = o*tanh(c). The backward closures are
+    written out here rather than shared with the fused training kernel,
+    so the tape stays an independent reference for that kernel.
     """
     hs = params.hidden_size
     if x.data.shape[0] != params.input_dim:
@@ -402,21 +419,12 @@ def lstm_step(params: LstmParams, x: Tensor, h_prev: Tensor, c_prev: Tensor):
                 f"lstm_step: {name} {t.data.shape} but hidden size is {hs}"
             )
     z = linear(params.w, params.b, concat([x, h_prev]))
-    c = _lstm_cell(z, c_prev, hs)
-    h = _lstm_out(z, c, hs)
-    return h, c
+    h_data, c_data, (a, _, tc) = lstm_forward(z.data, c_prev.data, hs)
+    i, f, g, o = a[0:hs], a[hs : 2 * hs], a[2 * hs : 3 * hs], a[3 * hs :]
 
-
-def _lstm_cell(z: Tensor, c_prev: Tensor, hs: int) -> Tensor:
-    zd = z.data
-    i = 1.0 / (1.0 + np.exp(-zd[0:hs]))
-    f = 1.0 / (1.0 + np.exp(-zd[hs : 2 * hs]))
-    g = np.tanh(zd[2 * hs : 3 * hs])
-    c = f * c_prev.data + i * g
-
-    def backward(dc):
+    def cell_backward(dc):
         if _wants_grad(z):
-            gz = np.zeros_like(zd)
+            gz = np.zeros_like(z.data)
             gz[0:hs] = dc * g * i * (1.0 - i)
             gz[hs : 2 * hs] = dc * c_prev.data * f * (1.0 - f)
             gz[2 * hs : 3 * hs] = dc * i * (1.0 - g * g)
@@ -424,15 +432,9 @@ def _lstm_cell(z: Tensor, c_prev: Tensor, hs: int) -> Tensor:
         if _wants_grad(c_prev):
             _accum(c_prev, dc * f)
 
-    return _result(c, (z, c_prev), backward)
+    c = _result(c_data, (z, c_prev), cell_backward)
 
-
-def _lstm_out(z: Tensor, c: Tensor, hs: int) -> Tensor:
-    o = 1.0 / (1.0 + np.exp(-z.data[3 * hs : 4 * hs]))
-    tc = np.tanh(c.data)
-    h = o * tc
-
-    def backward(dh):
+    def out_backward(dh):
         if _wants_grad(z):
             gz = np.zeros_like(z.data)
             gz[3 * hs : 4 * hs] = dh * tc * o * (1.0 - o)
@@ -440,7 +442,7 @@ def _lstm_out(z: Tensor, c: Tensor, hs: int) -> Tensor:
         if _wants_grad(c):
             _accum(c, dh * o * (1.0 - tc * tc))
 
-    return _result(h, (z, c), backward)
+    return _result(h_data, (z, c), out_backward), c
 
 
 # ---------------------------------------------------------------------------

@@ -132,22 +132,10 @@ def _stack_streams(cfg: TrnConfig, sequence: list[ChunkStreams], batch: int) -> 
     return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=0)
 
 
-def _lstm_forward(z: np.ndarray, c_prev: np.ndarray, hs: int):
-    """Gates [i, f, g, o] from pre-activations z; returns (h, c, trace).
-
-    The trace holds what :func:`_lstm_backward` needs: the gate
-    activations (g in its tanh form) and c_prev, tanh(c).
-    """
-    a = 1.0 / (1.0 + np.exp(-z))
-    a[2 * hs : 3 * hs] = np.tanh(z[2 * hs : 3 * hs])
-    c = a[hs : 2 * hs] * c_prev + a[:hs] * a[2 * hs : 3 * hs]
-    tc = np.tanh(c)
-    return a[3 * hs :] * tc, c, (a, c_prev, tc)
-
-
 def _lstm_backward(trace, dh: np.ndarray, dc, hs: int, dz: np.ndarray) -> np.ndarray:
     """Write d(loss)/dz into ``dz`` given the gradients reaching h and c;
-    returns the gradient for c_prev."""
+    returns the gradient for c_prev. ``trace`` is the third result of
+    :func:`numeric.lstm_forward`."""
     a, c_prev, tc = trace
     i, f, g, o = a[:hs], a[hs : 2 * hs], a[2 * hs : 3 * hs], a[3 * hs :]
     dc = dc + dh * o * (1.0 - tc * tc)
@@ -241,7 +229,7 @@ class _FusedWindow:
             h_dec, c_dec = h, c
             for k in range(steps):
                 dec_in[t, k, hs:] = h_dec
-                h_dec, c_dec, trace = _lstm_forward(z, c_dec, hs)
+                h_dec, c_dec, trace = nm.lstm_forward(z, c_dec, hs)
                 self.dec_trace.append(trace)
                 dec_h[t, k] = h_dec
                 if k + 1 < steps:
@@ -253,7 +241,7 @@ class _FusedWindow:
             enc_in[t, hs : 2 * hs] = ctx
             enc_in[t, 2 * hs :] = h
             z = x_enc[t] + w_ctx @ ctx + r[4 * hs :]
-            h, c, trace = _lstm_forward(z, c, hs)
+            h, c, trace = nm.lstm_forward(z, c, hs)
             self.enc_trace.append(trace)
             enc_h[t] = h
 
@@ -548,39 +536,20 @@ def train(
 def predict_manifest(
     params: TrnParams, manifest: dio.Manifest, split: str, group_size: int = 16
 ) -> ev.PredictionDump:
-    """Batched whole-sequence inference over a manifest split."""
+    """Whole-sequence inference over a manifest split; up to ``group_size``
+    videos run at once as the columns of one ragged batch
+    (``model.forward_videos``)."""
     cfg = params.config
     videos = manifest.split(split)
     chunk_size, fps = dio.split_clock(videos, (cfg.chunk_size, cfg.fps))
     dump = ev.PredictionDump(
         chunk_size=chunk_size, fps=fps, decoder_steps=cfg.decoder_steps, classes=cfg.classes
     )
-    # group equal-length videos into column batches
-    by_len: dict[int, list[tuple[str, dict]]] = {}
-    for video in videos:
-        streams = dio.load_video_streams(manifest, video, cfg.streams)
-        by_len.setdefault(video.num_chunks, []).append((video.video_id, streams))
-    for group in by_len.values():
-        for at in range(0, len(group), group_size):
-            part = group[at : at + group_size]
-            sequence = md.chunk_sequence(cfg, [streams for _, streams in part])
-            with nm.no_grad():
-                enc_logits, dec_logits, _, _ = md.forward_sequence_logits(params, sequence)
-                present = np.stack(
-                    [nm.softmax(z).data for z in enc_logits], axis=0
-                )  # (T, classes, B)
-                anticipated = np.stack(
-                    [
-                        np.stack([nm.softmax(z).data for z in step_logits], axis=0)
-                        for step_logits in dec_logits
-                    ],
-                    axis=0,
-                )  # (T, steps, classes, B)
-            for b, (vid, _) in enumerate(part):
-                dump.videos[vid] = ev.VideoPredictions(
-                    present=present[:, :, b].copy(),
-                    anticipated=anticipated[:, :, :, b].copy(),
-                )
+    streams = [dio.load_video_streams(manifest, video, cfg.streams) for video in videos]
+    for video, (present, anticipated) in zip(
+        videos, md.forward_videos(params, streams, group_size)
+    ):
+        dump.videos[video.video_id] = ev.VideoPredictions(present, anticipated)
     return dump
 
 

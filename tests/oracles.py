@@ -40,6 +40,35 @@ def labels_to_intervals(labels, chunk_duration, cmap):
     return out
 
 
+def brute_force_chunk_labels(intervals, fps, chunk_size, num_chunks):
+    """Label per chunk by scanning every (cls, start, end) interval at every
+    chunk center. Among the intervals covering a center, the one whose
+    start, clipped to the video at 0, is smallest wins; on equal clipped
+    starts the earlier interval in the list wins."""
+    duration = chunk_size / fps
+    labels = []
+    for t in range(num_chunks):
+        center = (t + 0.5) * duration
+        label, best = 0, None
+        for cls, start, end in intervals:
+            if start <= center < end and (best is None or max(start, 0.0) < best):
+                label, best = cls, max(start, 0.0)
+        labels.append(label)
+    return np.array(labels, dtype=np.int64)
+
+
+def brute_force_interval_mask(intervals, fps, chunk_size, num_chunks):
+    """Chunks whose center lies in any [start, end), by a full scan."""
+    duration = chunk_size / fps
+    return np.array(
+        [
+            any(start <= (t + 0.5) * duration < end for start, end in intervals)
+            for t in range(num_chunks)
+        ],
+        dtype=bool,
+    )
+
+
 def brute_force_map(dump, gt, step=None):
     """Independent pooling + explicit AP enumeration."""
     duration = dump.chunk_size / dump.fps

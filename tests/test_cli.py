@@ -344,6 +344,39 @@ def test_infer_mixed_clocks_exits_1(dataset, tmp_path):
         tr.predict_manifest(params, dio.load_manifest(dataset), "test")
 
 
+def test_train_mixed_clocks_exits_1(dataset, tmp_path):
+    set_manifest_fps(dataset, 30, 25)  # the two train videos disagree
+    ckpt = tmp_path / "m.trnc"
+    assert run(train_argv(dataset, ckpt)) == 1
+    assert not ckpt.exists()
+
+
+def test_infer_batch_ragged_split_matches_stream(tmp_path):
+    # columns run as one matrix product where streaming multiplies vectors:
+    # the dumps agree to float64 rounding, in manifest order
+    rc = run(synth_args(tmp_path / "data", num_classes=9, num_videos=6, train_fraction=0.2))
+    manifest_path = str(tmp_path / "data" / "manifest.json")
+    manifest = dio.load_manifest(manifest_path)
+    for video, length in zip(manifest.split("test"), (7, 1, 12, 4, 9)):
+        for ref in video.streams.values():
+            path = manifest.resolve(ref.path)
+            dio.write_features(path, dio.read_features(path)[:length])
+    ckpt, _ = tiny_ckpt(tmp_path, appearance_dim=5, motion_dim=4, num_actions=9)
+    argv = ["--ckpt", ckpt, "--manifest", manifest_path, "--split", "test"]
+    a, b = tmp_path / "stream.jsonl", tmp_path / "batch.jsonl"
+    assert rc == 0
+    assert run(["stream", "--out", str(a)] + argv) == 0
+    assert run(["infer", "--batch", "--out", str(b)] + argv) == 0
+    streamed, batched = ev.read_prediction_dump(str(a)), ev.read_prediction_dump(str(b))
+    order = [v.video_id for v in manifest.split("test")]
+    assert list(streamed.videos) == list(batched.videos) == order
+    for vid in order:
+        s, t = streamed.videos[vid], batched.videos[vid]
+        assert s.num_chunks == t.num_chunks
+        assert np.abs(s.present - t.present).max() <= 1e-12
+        assert np.abs(s.anticipated - t.anticipated).max() <= 1e-12
+
+
 def test_stream_mismatched_lengths_exits_1(tmp_path):
     ckpt, cfg = tiny_ckpt(tmp_path)
     rng = np.random.default_rng(0)
@@ -410,6 +443,26 @@ def test_eval_perfect_dump_scores_100(dataset, tmp_path, capsys):
     table = capsys.readouterr().out
     cells = table.strip().splitlines()[-1].split()[2:]
     assert cells and all(c == "100.00" for c in cells)
+
+
+def test_eval_labels_each_video_once(dataset, tmp_path, monkeypatch):
+    manifest = dio.load_manifest(dataset)
+    videos = manifest.videos[:3]
+    classes = dio.read_class_map(manifest.resolve(manifest.class_map)).num_actions + 1
+    rng = np.random.default_rng(0)
+    dump = ev.PredictionDump(chunk_size=6, fps=30.0, decoder_steps=3, classes=classes)
+    for video in videos:
+        scores = rng.dirichlet(np.ones(classes), size=(video.num_chunks, 4))
+        dump.videos[video.video_id] = ev.VideoPredictions(scores[:, 0], scores[:, 1:])
+    dump_path = tmp_path / "dump.jsonl"
+    ev.write_prediction_dump(str(dump_path), dump)
+    argv = ["eval", "--dump", str(dump_path), "--gt", manifest.resolve(videos[0].annotations),
+            "--classmap", manifest.resolve(manifest.class_map)]
+    calls = []
+    label = dio.labels_from_intervals
+    monkeypatch.setattr(dio, "labels_from_intervals", lambda *a: calls.append(a) or label(*a))
+    assert run(argv) == 0
+    assert len(calls) == 3  # one per video, shared by the encoder and all 3 steps
 
 
 def test_eval_missing_dump_exits_2(tmp_path):

@@ -438,3 +438,88 @@ def test_one_stream_full_forward():
     outputs, _ = md.trn_forward(params, seq)
     assert len(outputs) == 3
     assert all(abs(o.present.sum() - 1.0) <= 1e-6 for o in outputs)
+
+
+# ---------------------------------------------------------------------------
+# ragged multi-video inference
+
+
+def random_video(rng, config, t_len):
+    return {n: rng.normal(size=(t_len, getattr(config, f"{n}_dim"))) for n in config.streams}
+
+
+def reference_outputs(params, video):
+    """Per-video trn_forward outputs as (present, anticipated) arrays."""
+    outputs, _ = md.trn_forward(params, md.chunk_sequence(params.config, video))
+    return (
+        np.stack([o.present for o in outputs]),
+        np.stack([np.stack(o.anticipated) for o in outputs]),
+    )
+
+
+@pytest.mark.parametrize("variant", list(FusionVariant))
+def test_forward_videos_ragged_matches_trn_forward(variant):
+    # columns run as one matrix product where trn_forward multiplies
+    # vectors; the two agree to float64 rounding (measured: ~2e-17)
+    cfg = tiny_config(variant, decoder_steps=3, num_actions=9)
+    params = TrnParams.init(cfg, np.random.default_rng(30))
+    rng = np.random.default_rng(31)
+    videos = [random_video(rng, cfg, t) for t in (4, 1, 7)]
+    results = md.forward_videos(params, videos)
+    assert len(results) == 3
+    for video, (present, anticipated) in zip(videos, results):
+        want_present, want_anticipated = reference_outputs(params, video)
+        assert present.shape == want_present.shape
+        assert anticipated.shape == want_anticipated.shape
+        assert np.abs(present - want_present).max() <= 1e-12
+        assert np.abs(anticipated - want_anticipated).max() <= 1e-12
+
+
+def test_forward_videos_one_video_bitwise_equals_trn_forward():
+    # 21 classes: numpy sums 8 or more contiguous values pairwise, so this
+    # also pins the softmax column layout to the vector one
+    cfg = tiny_config(num_actions=20, decoder_steps=4)
+    params = TrnParams.init(cfg, np.random.default_rng(32))
+    video = random_video(np.random.default_rng(33), cfg, 6)
+    [(present, anticipated)] = md.forward_videos(params, [video])
+    want_present, want_anticipated = reference_outputs(params, video)
+    assert np.array_equal(present, want_present)
+    assert np.array_equal(anticipated, want_anticipated)
+
+
+def test_forward_videos_group_size_caps_columns(monkeypatch):
+    cfg = tiny_config()
+    params = TrnParams.init(cfg, np.random.default_rng(34))
+    rng = np.random.default_rng(35)
+    videos = [random_video(rng, cfg, t) for t in (3, 5, 2, 5, 1)]
+    widths = []
+    step = md.chunk_step
+
+    def counting(params, streams, h, c):
+        widths.append(1 if streams.appearance.ndim == 1 else streams.appearance.shape[1])
+        return step(params, streams, h, c)
+
+    monkeypatch.setattr(md, "chunk_step", counting)
+    capped = md.forward_videos(params, videos, group_size=2)
+    # longest first: (5, 5) then (3, 2) then the single (1,)
+    assert widths == [2] * 5 + [2, 2, 1] + [1]
+    widths.clear()
+    whole = md.forward_videos(params, videos)
+    assert widths == [5, 4, 3, 2, 2]
+    for (p1, a1), (p2, a2) in zip(capped, whole):
+        assert np.abs(p1 - p2).max() <= 1e-12 and np.abs(a1 - a2).max() <= 1e-12
+
+
+def test_forward_videos_rejects_bad_input():
+    cfg = tiny_config()
+    params = TrnParams.init(cfg, np.random.default_rng(36))
+    rng = np.random.default_rng(37)
+    assert md.forward_videos(params, []) == []
+    with pytest.raises(nm.ValidationError, match="empty"):
+        md.forward_videos(params, [random_video(rng, cfg, 0)])
+    with pytest.raises(nm.ValidationError, match="lacks motion"):
+        md.forward_videos(params, [{"appearance": rng.normal(size=(2, 3))}])
+    with pytest.raises(nm.DimensionError):
+        md.forward_videos(params, [random_video(rng, tiny_config(appearance_dim=2), 2)])
+    with pytest.raises(nm.ValidationError, match="group_size"):
+        md.forward_videos(params, [random_video(rng, cfg, 2)], group_size=0)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from trn import model as md
 from trn import numeric as nm
+from trn import training as tr
 
 
 def test_linear_identity():
@@ -111,6 +113,31 @@ def test_lstm_step_matches_scalar_reference():
         h_ref, c_ref = _scalar_lstm_reference(w, b, x, h0, c0)
         assert np.max(np.abs(h.data - h_ref)) < 1e-12
         assert np.max(np.abs(c.data - c_ref)) < 1e-12
+
+
+def test_lstm_step_gates_equal_the_fused_kernel_gates(monkeypatch):
+    # the tape cell and the fused training kernel run one gate function:
+    # lstm_step equals lstm_forward bitwise, and the kernel calls it once
+    # per decoder step and encoder step
+    rng = np.random.default_rng(8)
+    p = nm.LstmParams.init(3, 4, rng)
+    for batch in ((), (5,)):
+        x, h0, c0 = (rng.normal(size=(n, *batch)) for n in (3, 4, 4))
+        h, c = nm.lstm_step(p, nm.tensor(x), nm.tensor(h0), nm.tensor(c0))
+        bias = p.b.data.reshape(-1, *[1] * len(batch))
+        z = p.w.data @ np.concatenate([x, h0]) + bias
+        h_ref, c_ref, _ = nm.lstm_forward(z, c0, 4)
+        assert np.array_equal(h.data, h_ref) and np.array_equal(c.data, c_ref)
+
+    calls = []
+    gates = nm.lstm_forward
+    monkeypatch.setattr(nm, "lstm_forward", lambda *a: calls.append(1) or gates(*a))
+    cfg = md.TrnConfig(appearance_dim=2, motion_dim=3, hidden_size=4, decoder_steps=3, num_actions=2)
+    params = md.TrnParams.init(cfg, rng)
+    seq = md.chunk_sequence(cfg, {"appearance": rng.normal(size=(2, 2)),
+                                  "motion": rng.normal(size=(2, 3))})
+    tr.sequence_loss(params, tr.TrainConfig(), seq, np.array([0, 1]))
+    assert len(calls) == 2 * (3 + 1)
 
 
 def test_lstm_step_dimension_mismatch():

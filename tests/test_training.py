@@ -476,6 +476,42 @@ def test_predict_manifest_matches_streaming(tmp_path):
                 assert np.allclose(out.anticipated[i], pred.anticipated[t, i], atol=1e-12)
 
 
+def test_predict_manifest_ragged_split_keeps_order_and_column_cap(tmp_path, monkeypatch):
+    manifest = synth_manifest(tmp_path, num_videos=20, video_len=8, train_fraction=0.1)
+    # cut the 18 test videos to ragged lengths, the longest in the middle
+    lengths = iter([3, 1, 8, 5, 2, 7, 8, 4, 6, 1, 8, 3, 5, 2, 7, 6, 4, 8])
+    videos = [
+        v if v.split != "test" else dataclasses.replace(v, num_chunks=next(lengths))
+        for v in manifest.videos
+    ]
+    split = dataclasses.replace(manifest, videos=videos)
+    test_videos = split.split("test")
+    assert len(test_videos) == 18
+    mc = tiny_model(appearance_dim=5, motion_dim=4, hidden_size=6, decoder_steps=2)
+    params = TrnParams.init(mc, np.random.default_rng(0))
+    widths = []
+    step = md.chunk_step
+
+    def counting(params, streams, h, c):
+        widths.append(1 if streams.appearance.ndim == 1 else streams.appearance.shape[1])
+        return step(params, streams, h, c)
+
+    monkeypatch.setattr(md, "chunk_step", counting)
+    dump = tr.predict_manifest(params, split, "test")
+    assert max(widths) == 16  # the 16 longest run together, then the last 2
+    assert sum(widths) == sum(v.num_chunks for v in test_videos)
+    assert list(dump.videos) == [v.video_id for v in test_videos]
+    monkeypatch.setattr(md, "chunk_step", step)
+    for video in test_videos:
+        streams = dio.load_video_streams(split, video, mc.streams)
+        outputs, _ = md.trn_forward(params, md.chunk_sequence(mc, streams))
+        pred = dump.videos[video.video_id]
+        assert pred.num_chunks == video.num_chunks
+        assert np.abs(pred.present - np.stack([o.present for o in outputs])).max() <= 1e-12
+        anticipated = np.stack([np.stack(o.anticipated) for o in outputs])
+        assert np.abs(pred.anticipated - anticipated).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
