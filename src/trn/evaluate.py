@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,51 +250,92 @@ def write_prediction_dump(path: str, dump: PredictionDump) -> None:
 
 
 def read_prediction_dump(path: str) -> PredictionDump:
-    rows: dict[str, list[tuple[int, list, list]]] = {}
-    header = None
-    with open(path, "r", encoding="utf-8") as f:
+    """Read a dump written by :func:`write_prediction_dump`.
+
+    The config record comes first. Each chunk record becomes float64
+    arrays as it is read, so no record's Python floats outlive it. A line
+    that is not a JSON object, a missing or mistyped field, a distribution
+    of the wrong shape and a non-finite value each raise FormatError
+    naming ``path:line``.
+    """
+    dump = None
+    rows: dict[str, list[tuple[int, np.ndarray, np.ndarray]]] = {}
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise dio.FormatError(f"{path}:{lineno}: malformed JSON: {e}") from e
-            if doc.get("type") == "config":
-                header = doc
-            elif doc.get("type") == "chunk":
-                rows.setdefault(doc["video"], []).append(
-                    (doc["chunk"], doc["present"], doc["anticipated"])
-                )
+            except ValueError as e:  # JSON syntax or bad UTF-8
+                raise dio.FormatError(f"{where}: malformed JSON: {e}") from e
+            if not isinstance(doc, dict):
+                raise dio.FormatError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+            kind = doc.get("type")
+            if kind == "config":
+                if dump is not None:
+                    raise dio.FormatError(f"{where}: second config record")
+                dump = _dump_header(doc, where)
+            elif kind == "chunk":
+                if dump is None:
+                    raise dio.FormatError(f"{where}: chunk record before the config record")
+                video, chunk = doc.get("video"), doc.get("chunk")
+                if not isinstance(video, str) or type(chunk) is not int:
+                    raise dio.FormatError(
+                        f"{where}: a chunk record needs a string video and an integer chunk"
+                    )
+                k = dump.classes
+                present = _distribution(doc, "present", (k,), where)
+                anticipated = _distribution(doc, "anticipated", (dump.decoder_steps, k), where)
+                rows.setdefault(video, []).append((chunk, present, anticipated))
             else:
-                raise dio.FormatError(f"{path}:{lineno}: unknown record type {doc.get('type')!r}")
-    if header is None:
+                raise dio.FormatError(f"{where}: unknown record type {kind!r}")
+    if dump is None:
         raise dio.FormatError(f"{path}: missing config record")
-    dump = PredictionDump(
-        chunk_size=int(header["chunk_size"]),
-        fps=float(header["fps"]),
-        decoder_steps=int(header["decoder_steps"]),
-        classes=int(header["classes"]),
-    )
     for video_id, chunks in rows.items():
         chunks.sort(key=lambda r: r[0])
         if [c for c, _, _ in chunks] != list(range(len(chunks))):
             raise dio.FormatError(f"{path}: {video_id} chunk indices are not contiguous from 0")
-        present = np.array([p for _, p, _ in chunks], dtype=np.float64)
-        anticipated = np.array([a for _, _, a in chunks], dtype=np.float64)
-        if present.shape[1] != dump.classes:
-            raise dio.FormatError(
-                f"{path}: {video_id} distributions have {present.shape[1]} entries, "
-                f"config declares {dump.classes}"
-            )
-        if anticipated.shape[1:] != (dump.decoder_steps, dump.classes):
-            raise dio.FormatError(
-                f"{path}: {video_id} anticipated block is {anticipated.shape[1:]}, "
-                f"expected ({dump.decoder_steps}, {dump.classes})"
-            )
-        dump.videos[video_id] = VideoPredictions(present=present, anticipated=anticipated)
+        dump.videos[video_id] = VideoPredictions(
+            present=np.stack([p for _, p, _ in chunks]),
+            anticipated=np.stack([a for _, _, a in chunks]),
+        )
     return dump
+
+
+def _dump_header(doc: dict, where: str) -> PredictionDump:
+    """The empty dump a config record declares."""
+    values = {}
+    for key in ("chunk_size", "decoder_steps", "classes", "fps"):
+        v = doc.get(key)
+        if key == "fps":
+            ok = type(v) in (int, float) and 0 < v <= sys.float_info.max
+        else:
+            ok = type(v) is int and v > 0
+        if not ok:
+            kind = "a positive number" if key == "fps" else "a positive integer"
+            raise dio.FormatError(f"{where}: config {key} must be {kind}, got {v!r}")
+        values[key] = v
+    values["fps"] = float(values["fps"])
+    return PredictionDump(**values)
+
+
+def _distribution(doc: dict, key: str, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """Field ``key`` of a chunk record as a finite float64 array of ``shape``."""
+    if key not in doc:
+        raise dio.FormatError(f"{where}: chunk record lacks {key!r}")
+    try:
+        a = np.array(doc[key])
+    except (ValueError, TypeError, OverflowError) as e:  # ragged nesting and the like
+        raise dio.FormatError(f"{where}: {key} is not an array of numbers: {e}") from e
+    if a.dtype.kind not in "fi" or a.shape != shape:
+        raise dio.FormatError(
+            f"{where}: {key} must be numbers of shape {shape}, got {a.dtype.name} {a.shape}"
+        )
+    a = a.astype(np.float64, copy=False)
+    if not np.isfinite(a).all():
+        raise dio.FormatError(f"{where}: {key} holds a non-finite value")
+    return a
 
 
 def ground_truth_from_files(annotations_path: str, class_map_path: str) -> GroundTruth:

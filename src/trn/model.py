@@ -14,12 +14,13 @@ Per chunk the cell runs four stages:
                    future context) and a classifier head emits the
                    present-chunk logits
 
-The stages run on `numeric` tensors, and `chunk_step` is the one code path
-shared by batched inference (columns of a matrix are independent
-sequences) and single-vector streaming inference. The training loss does
-not step through it: `training.sequence_loss` runs the same arithmetic as
-a fused window kernel with a hand-derived backward pass, and the tests pin
-it to this path.
+The stages run on `numeric` tensors in `chunk_step`, the per-chunk code
+path of streaming inference and of one-video batch inference (columns of
+a matrix are independent sequences). `window_forward` runs the same
+arithmetic over a block of chunks at once, with every product off the
+recurrence hoisted out of the time loop; the training loss and
+multi-video inference (`forward_videos`) share it, and the tests pin it
+to `chunk_step`.
 """
 
 from __future__ import annotations
@@ -371,9 +372,9 @@ def encoder_step(
 def chunk_step(
     params: TrnParams, streams: ChunkStreams, h: Tensor, c: Tensor
 ) -> tuple[Tensor, list[Tensor], list[Tensor], Tensor, Tensor]:
-    """The full cell for one chunk; the single code path shared by batch
-    inference and streaming. The training loss runs the same arithmetic in
-    the fused window kernel of ``training.sequence_loss``.
+    """The full cell for one chunk, as streaming and one-video batch
+    inference run it. :func:`window_forward` runs the same arithmetic over
+    a block of chunks for the training loss and multi-video inference.
 
     Returns (present logits, per-step decoder logits, per-step predicted
     features, new h, new c).
@@ -446,69 +447,225 @@ def trn_forward(
     return outputs, TrnState(h.data.copy(), c.data.copy())
 
 
+# ---------------------------------------------------------------------------
+# window forward: the cell over a block of chunks
+
+
+def split_steps(m: np.ndarray, t_len: int) -> np.ndarray:
+    """A (R, T*B) matrix with t-major columns as contiguous (T, R, B)."""
+    return np.ascontiguousarray(m.reshape(len(m), t_len, -1).transpose(1, 0, 2))
+
+
+def join_cols(a: np.ndarray) -> np.ndarray:
+    """Per-step (..., R, B) arrays as one (R, N) matrix, columns in
+    (step..., b) order."""
+    return np.moveaxis(a, -2, 0).reshape(a.shape[-2], -1)
+
+
+@dataclass(frozen=True)
+class CellWeights:
+    """The recurrent weight slices :func:`window_forward` reads, copied
+    contiguous or stacked; built once per loss call or inference group,
+    not per block."""
+
+    w_dx: np.ndarray  # decoder LSTM input columns
+    w_ctx: np.ndarray  # encoder LSTM future-context columns
+    w_state: np.ndarray  # encoder state -> decoder step 1 and encoder, one GEMM
+    w_hidden: np.ndarray  # decoder hidden -> feature head and next step, one GEMM
+
+    @staticmethod
+    def of(params: TrnParams) -> "CellWeights":
+        hs = params.config.hidden_size
+        wd, we = params.decoder_lstm.w.data, params.encoder_lstm.w.data
+        return CellWeights(
+            w_dx=np.ascontiguousarray(wd[:, :hs]),
+            w_ctx=np.ascontiguousarray(we[:, hs : 2 * hs]),
+            w_state=np.vstack([wd[:, hs:], we[:, 2 * hs :]]),
+            w_hidden=np.vstack([params.decoder_feat.w.data, wd[:, hs:]]),
+        )
+
+
+@dataclass
+class WindowPass:
+    """What :func:`window_forward` computed over T chunks of B columns.
+
+    Per-step arrays are laid out (t, step, rows, b), so that every step
+    reads and writes contiguous memory.
+    """
+
+    fused: np.ndarray  # fusion output (raw streams without a fusion layer), (., T*B)
+    x: np.ndarray  # embedded input, (H, T*B)
+    dec_h: np.ndarray  # decoder hiddens, (T, steps, H, B)
+    feat: np.ndarray  # predicted features feeding steps 2.., (T, steps - 1, H, B)
+    ctx: np.ndarray  # future contexts, (T, H, B)
+    enc_h: np.ndarray  # encoder hiddens, (T, H, B)
+    h: np.ndarray  # state after the last chunk, (H, B)
+    c: np.ndarray
+    dec_trace: list | None  # numeric.lstm_forward traces, t-major; None unless asked
+    enc_trace: list | None
+
+
+def window_forward(
+    params: TrnParams,
+    raw: np.ndarray,
+    h: np.ndarray,
+    c: np.ndarray,
+    weights: CellWeights | None = None,
+    trace: bool = False,
+) -> WindowPass:
+    """The cell over an equal-length block of columns.
+
+    ``raw`` holds the consumed streams of T chunks of B sequences as one
+    (D, T*B) matrix: rows in fusion order, columns t-major (column
+    t*B + b). (h, c) is the (H, B) state entering the block. Every GEMM
+    off the recurrence runs once over all T*B columns: fusion, embedding
+    and the input projections of decoder step 1 and of the encoder. The
+    time loop keeps only the recurrent products. The arithmetic is the one
+    ``chunk_step`` runs, up to float reassociation. ``trace`` keeps the
+    gate traces a backward pass reads.
+    """
+    cfg = params.config
+    hs, steps = cfg.hidden_size, cfg.decoder_steps
+    w = weights if weights is not None else CellWeights.of(params)
+    bd, be = params.decoder_lstm.b.data[:, None], params.encoder_lstm.b.data[:, None]
+    bf = params.decoder_feat.b.data[:, None]
+    batch = h.shape[1]
+    t_len = raw.shape[1] // batch
+
+    fused = raw
+    if params.fusion is not None:
+        fused = np.maximum(params.fusion.w.data @ raw + params.fusion.b.data[:, None], 0.0)
+    x = np.maximum(params.embed.w.data @ fused + params.embed.b.data[:, None], 0.0)
+    # the input halves of decoder step 1 and of the encoder
+    x_dec = split_steps(params.decoder_lstm.w.data[:, :hs] @ x + bd, t_len)
+    x_enc = split_steps(params.encoder_lstm.w.data[:, :hs] @ x + be, t_len)
+
+    dec_h = np.empty((t_len, steps, hs, batch))
+    feat = np.empty((t_len, steps - 1, hs, batch))
+    ctx = np.empty((t_len, hs, batch))
+    enc_h = np.empty((t_len, hs, batch))
+    dec_trace = [] if trace else None
+    enc_trace = [] if trace else None
+    for t in range(t_len):
+        r = w.w_state @ h
+        z = x_dec[t] + r[: 4 * hs]
+        h_dec, c_dec = h, c
+        for k in range(steps):
+            h_dec, c_dec, gates = nm.lstm_forward(z, c_dec, hs)
+            if trace:
+                dec_trace.append(gates)
+            dec_h[t, k] = h_dec
+            if k + 1 < steps:
+                s = w.w_hidden @ h_dec
+                f = feat[t, k] = np.maximum(s[:hs] + bf, 0.0)
+                z = w.w_dx @ f + s[hs:] + bd
+        ctx[t] = dec_h[t].mean(axis=0)
+        z = x_enc[t] + w.w_ctx @ ctx[t] + r[4 * hs :]
+        h, c, gates = nm.lstm_forward(z, c, hs)
+        if trace:
+            enc_trace.append(gates)
+        enc_h[t] = h
+    return WindowPass(fused, x, dec_h, feat, ctx, enc_h, h, c, dec_trace, enc_trace)
+
+
+# chunks per window_forward call in multi-video inference: long enough to
+# amortise the hoisted GEMMs, short enough to keep the block's arrays small
+BLOCK_CHUNKS = 16
+
+
 def forward_videos(
     params: TrnParams, videos: list[dict], group_size: int = 16
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Whole-sequence inference over many videos of any lengths.
 
     ``videos`` holds one name -> (T_i, D) stream dict per video. The videos
-    run longest first (a stable sort), ``group_size`` at a time, as the
-    columns of (D, n_t) batches through ``chunk_step``: n_t counts the
-    videos of the group still running at chunk t, so a video retires after
-    its last chunk by leaving the column prefix. A group of one video runs
-    on vectors, exactly as ``trn_forward`` does. In a wider group a video's
-    outputs may differ from its single-video outputs in the last bits
-    (matrix products against matrix-vector products).
+    run longest first (a stable sort), ``group_size`` at a time. A group of
+    one video runs chunk by chunk with the arithmetic of ``trn_forward``,
+    so its outputs are bitwise those of ``trn stream``. A wider group runs as the
+    columns of :func:`window_forward` blocks of at most ``BLOCK_CHUNKS``
+    chunks; a block also ends where a video retires, and the next block
+    runs without its column. Its outputs may differ from single-video ones
+    in the last bits (matrix products against matrix-vector products).
 
     Returns (present (T_i, classes), anticipated (T_i, steps, classes)) per
     video, in input order.
     """
     if group_size < 1:
         raise ValidationError(f"group_size must be >= 1, got {group_size}")
-    inputs = [_consumed_streams(params.config, v) for v in videos]
+    cfg = params.config
+    inputs = [_consumed_streams(cfg, v) for v in videos]
     if any(t_len == 0 for _, t_len in inputs):
         raise ValidationError("empty sequence")
+    for arrays, _ in inputs:
+        for name, a in arrays.items():
+            dim = getattr(cfg, f"{name}_dim")
+            if a.ndim != 2 or a.shape[1] != dim:
+                raise DimensionError(
+                    f"{name} stream has shape {a.shape}, config requires (T, {dim})"
+                )
     order = sorted(range(len(inputs)), key=lambda i: -inputs[i][1])
     out: list = [None] * len(inputs)
     for at in range(0, len(order), group_size):
         group = order[at : at + group_size]
-        for i, result in zip(group, _forward_group(params, [inputs[i] for i in group])):
+        if len(group) == 1:
+            out[group[0]] = _forward_chunks(params, inputs[group[0]][0])
+            continue
+        for i, result in zip(group, _forward_blocks(params, [inputs[i] for i in group])):
             out[i] = result
     return out
 
 
-def _forward_group(params: TrnParams, group: list[tuple[dict, int]]):
-    """``forward_videos`` over (streams, T) pairs sorted longest first."""
+def _forward_chunks(params: TrnParams, streams: dict) -> tuple[np.ndarray, np.ndarray]:
+    """One video chunk by chunk with the softmaxes of ``trn_forward``, so
+    that its outputs are bitwise those of ``trn stream``; only the
+    distributions are kept."""
     cfg = params.config
-    k, steps = cfg.classes, cfg.decoder_steps
+    sequence = chunk_sequence(cfg, streams)
+    present = np.empty((len(sequence), cfg.classes))
+    anticipated = np.empty((len(sequence), cfg.decoder_steps, cfg.classes))
+    h, c = nm.tensor(np.zeros(cfg.hidden_size)), nm.tensor(np.zeros(cfg.hidden_size))
+    with nm.no_grad():
+        for t, chunk in enumerate(sequence):
+            logits, dec_logits, _, h, c = chunk_step(params, chunk, h, c)
+            present[t] = nm.softmax(logits).data
+            for i, z in enumerate(dec_logits):
+                anticipated[t, i] = nm.softmax(z).data
+    return present, anticipated
+
+
+def _forward_blocks(params: TrnParams, group: list[tuple[dict, int]]):
+    """``forward_videos`` over two or more (streams, T) pairs sorted
+    longest first."""
+    cfg = params.config
+    k, steps, hs = cfg.classes, cfg.decoder_steps, cfg.hidden_size
     lengths = [t_len for _, t_len in group]
     present = [np.empty((t_len, k)) for t_len in lengths]
     anticipated = [np.empty((t_len, steps, k)) for t_len in lengths]
-    single = len(group) == 1
-    shape = (cfg.hidden_size,) if single else (cfg.hidden_size, len(group))
-    h, c = nm.tensor(np.zeros(shape)), nm.tensor(np.zeros(shape))
+    weights = CellWeights.of(params)
+    enc_cls, dec_cls = params.encoder_cls, params.decoder_cls
     n = len(group)
-    with nm.no_grad():
-        for t in range(lengths[0]):
-            if single:
-                chunk = ChunkStreams(**{name: a[t] for name, a in group[0][0].items()})
-            else:
-                while lengths[n - 1] <= t:
-                    n -= 1
-                if n < h.data.shape[1]:
-                    h, c = nm.tensor(h.data[:, :n]), nm.tensor(c.data[:, :n])
-                chunk = ChunkStreams(**{
-                    name: np.stack([streams[name][t] for streams, _ in group[:n]], axis=1)
-                    for name in cfg.streams
-                })
-            logits, dec_logits, _, h, c = chunk_step(params, chunk, h, c)
-            # one softmax over every head's logits, one (video, head) per
-            # column; the columns are contiguous, so each sums exactly as a
-            # lone vector does in trn_forward
-            z = np.stack([y.data.reshape(k, -1) for y in (logits, *dec_logits)])
-            rows = np.ascontiguousarray(z.transpose(2, 0, 1)).reshape(-1, k)
-            p = nm.softmax(nm.tensor(rows.T)).data.T.reshape(n, steps + 1, k)
-            for j in range(n):
-                present[j][t] = p[j, 0]
-                anticipated[j][t] = p[j, 1:]
+    h, c = np.zeros((hs, n)), np.zeros((hs, n))
+    t0 = 0
+    while t0 < lengths[0]:
+        while lengths[n - 1] <= t0:
+            n -= 1
+        t1 = min(t0 + BLOCK_CHUNKS, lengths[n - 1])
+        # each stream as (T, n, D), then all as (D, T*n) with t-major columns
+        parts = [np.stack([s[name][t0:t1] for s, _ in group[:n]], axis=1) for name in cfg.streams]
+        raw = np.concatenate([a.reshape(-1, a.shape[2]).T for a in parts], dtype=np.float64)
+        run = window_forward(params, raw, h[:, :n], c[:, :n], weights)
+        h, c = run.h, run.c
+        # both heads, one softmax: columns (t, b) then (t, step, b)
+        logits = np.concatenate([
+            enc_cls.w.data @ join_cols(run.enc_h) + enc_cls.b.data[:, None],
+            dec_cls.w.data @ join_cols(run.dec_h) + dec_cls.b.data[:, None],
+        ], axis=1)
+        p = nm.softmax(nm.tensor(logits)).data
+        block = t1 - t0
+        p_enc = p[:, : block * n].reshape(k, block, n)
+        p_dec = p[:, block * n :].reshape(k, block, steps, n)
+        for j in range(n):
+            present[j][t0:t1] = p_enc[:, :, j].T
+            anticipated[j][t0:t1] = p_dec[:, :, :, j].transpose(1, 2, 0)
+        t0 = t1
     return list(zip(present, anticipated))

@@ -5,7 +5,10 @@ the present-chunk distributions. The decoder head supervises
 anticipation: the distribution emitted at chunk t for step i is scored
 against the label of chunk t + i, and pairs that reach past the end of
 the window are masked out; the head is the mean over surviving pairs.
-The two heads are combined with configurable weights (default 1, 1).
+Chunks inside "Ambiguous" annotation spans are ignored as evaluation
+ignores them: they leave the encoder head, and a pair whose target is
+ambiguous leaves the decoder head. The two heads are combined with
+configurable weights (default 1, 1).
 
 Optimization is Adam with bias correction plus decoupled weight decay:
 the decay term lr * wd * theta is subtracted directly from the weights
@@ -13,11 +16,13 @@ rather than folded into the gradient, so "weight_decay" means the same
 thing at any gradient scale.
 
 The loss is a fused kernel over one window rather than a tape built chunk
-by chunk. Every product off the recurrence (fusion, embedding, the input
-projections of the two LSTMs, both classifiers) runs as one GEMM over all
-chunks of the window, and the gradient is a hand-derived backpropagation
-through time that runs only when backward() reaches the loss. To the tape
-the loss is a single node whose parents are the parameters.
+by chunk. Its forward pass is ``model.window_forward``, which multi-video
+inference runs too: every product off the recurrence (fusion, embedding,
+the input projections of the two LSTMs) runs as one GEMM over all chunks
+of the window, and so does each classifier. The gradient is a
+hand-derived backpropagation through time that runs only when backward()
+reaches the loss. To the tape the loss is a single node whose parents are
+the parameters.
 
 Batching packs same-length windows as columns of one matrix; per-sequence
 results are identical to running each window alone (up to float
@@ -80,10 +85,15 @@ def sequence_loss(
     config: TrainConfig,
     sequence: list[ChunkStreams],
     labels: np.ndarray,
+    ambiguous: np.ndarray | None = None,
 ) -> Tensor:
     """Two-head training loss for one window (vectors or column batches).
 
     labels: (T,) ints, or (T, B) when the sequence holds column batches.
+    ambiguous: an optional bool mask of the labels' shape. An ambiguous
+    chunk leaves the encoder head's mean, and a (t, i) pair whose target
+    t + i is ambiguous leaves the decoder head's mean; a head with nothing
+    left contributes 0.
 
     The result is a single tape node whose parents are the parameters; its
     gradients come from the hand-derived BPTT of :class:`_FusedWindow`,
@@ -100,9 +110,16 @@ def sequence_loss(
         raise ValidationError(
             f"labels must lie in [0, {classes}), got range [{labels.min()}, {labels.max()}]"
         )
+    if ambiguous is not None:
+        ambiguous = np.asarray(ambiguous, dtype=bool)
+        if ambiguous.shape != labels.shape:
+            raise ValidationError(
+                f"ambiguous mask has shape {ambiguous.shape}, labels {labels.shape}"
+            )
+        ambiguous = ambiguous.reshape(t_len, -1)
     if labels.ndim == 1:
         labels = labels.reshape(-1, 1)
-    window = _FusedWindow(params, config, sequence, labels.astype(np.int64))
+    window = _FusedWindow(params, config, sequence, labels.astype(np.int64), ambiguous)
     named = params.named()
     return nm.custom_op([window.loss], named.values(), lambda g: window.grads(g[0], named))
 
@@ -146,110 +163,60 @@ def _lstm_backward(trace, dh: np.ndarray, dc, hs: int, dz: np.ndarray) -> np.nda
     return dc * f
 
 
-def _softmax_xent(logits: np.ndarray, labels: np.ndarray):
-    """Summed -log softmax(logits)[label] over columns, with the tape's
-    1e-12 clamp; returns (sum, d sum / d logits)."""
+def _softmax_xent(logits: np.ndarray, labels: np.ndarray, keep: np.ndarray | None = None):
+    """Summed -log softmax(logits)[label] over the kept columns (all when
+    ``keep`` is None), with the tape's 1e-12 clamp; returns (sum,
+    d sum / d logits)."""
     e = np.exp(logits - logits.max(axis=0))
     p = e / e.sum(axis=0)
     cols = np.arange(labels.size)
     picked = p[labels, cols]
-    total = -np.log(np.maximum(picked, nm.CE_CLAMP)).sum()
+    logs = np.log(np.maximum(picked, nm.CE_CLAMP))
     p[labels, cols] -= 1.0
     p[:, picked < nm.CE_CLAMP] = 0.0  # clamped columns carry no gradient
-    return total, p
+    if keep is not None:
+        logs = logs[keep]
+        p[:, ~keep] = 0.0
+    return -logs.sum(), p
 
 
-def _steps(m: np.ndarray, t_len: int) -> np.ndarray:
-    """A (R, T*B) matrix with t-major columns as contiguous (T, R, B)."""
-    return np.ascontiguousarray(m.reshape(len(m), t_len, -1).transpose(1, 0, 2))
-
-
-def _cols(a: np.ndarray) -> np.ndarray:
-    """Per-step (..., R, B) arrays as one (R, N) matrix, columns in
-    (step..., b) order."""
-    return np.moveaxis(a, -2, 0).reshape(a.shape[-2], -1)
+def _head_scale(weight: float, total: int, keep: np.ndarray | None) -> float:
+    """The factor that turns a head's summed loss into ``weight`` times its
+    mean over the kept columns; 0 when no column is kept."""
+    count = total if keep is None else int(keep.sum())
+    return weight / count if count else 0.0
 
 
 class _FusedWindow:
-    """Forward pass of the two-head loss over one window, with its BPTT.
+    """The two-head loss over one window, with its BPTT.
 
-    Every GEMM off the recurrence runs once over all columns of the
-    window: fusion, embedding, the input projections of decoder step 1
-    and of the encoder, and both classifiers. The time loop keeps only
-    the recurrent products. The backward pass (:meth:`grads`) stores the
-    LSTM pre-activation gradients of every step and forms each weight
-    gradient as one GEMM over the stacked (gradient, input) columns.
-
-    The arithmetic is the one ``chunk_step`` runs, up to float
-    reassociation: gates [i, f, g, o], ReLU gradient 0 at 0, decoder
-    hiddens averaged into the future context, and clamped cross-entropy
-    columns without gradient. Per-step arrays are laid out (t, step,
-    rows, b) so that every step reads and writes contiguous memory.
+    The forward pass is :func:`model.window_forward` from zero state, with
+    its gate traces kept for the backward pass; this class adds the heads,
+    each one GEMM over all its columns. The backward pass (:meth:`grads`)
+    stores the LSTM pre-activation gradients of every step and forms each
+    weight gradient as one GEMM over the stacked (gradient, input) columns.
+    Gates are [i, f, g, o], the ReLU gradient is 0 at 0, and clamped
+    cross-entropy columns carry no gradient.
     """
 
-    def __init__(self, params: TrnParams, config: TrainConfig, sequence, labels: np.ndarray):
+    def __init__(
+        self, params: TrnParams, config: TrainConfig, sequence, labels: np.ndarray, ambiguous
+    ):
         cfg = params.config
         hs, steps = cfg.hidden_size, cfg.decoder_steps
         t_len, batch = labels.shape
         self.params, self.shape = params, (hs, t_len, steps, batch)
-
-        # input stages over all T*B columns
-        self.raw = fused = _stack_streams(cfg, sequence, batch)
-        if params.fusion is not None:
-            fused = np.maximum(params.fusion.w.data @ fused + params.fusion.b.data[:, None], 0.0)
-        self.fused = fused
-        self.x = x = np.maximum(params.embed.w.data @ fused + params.embed.b.data[:, None], 0.0)
-        x_steps = _steps(x, t_len)
-
-        # the input halves of decoder step 1 and of the encoder
-        wd, bd = params.decoder_lstm.w.data, params.decoder_lstm.b.data[:, None]
-        we, be = params.encoder_lstm.w.data, params.encoder_lstm.b.data[:, None]
-        wf, bf = params.decoder_feat.w.data, params.decoder_feat.b.data[:, None]
-        x_dec = _steps(wd[:, :hs] @ x + bd, t_len)
-        x_enc = _steps(we[:, :hs] @ x + be, t_len)
-        w_dx = np.ascontiguousarray(wd[:, :hs])
-        w_ctx = np.ascontiguousarray(we[:, hs : 2 * hs])
-        # the encoder state feeds decoder step 1 and the encoder: one GEMM
-        w_state = np.vstack([wd[:, hs:], we[:, 2 * hs :]])
-        # a decoder hidden feeds the feature head and the next step
-        w_hidden = np.vstack([wf, wd[:, hs:]])
-
-        self.dec_in = dec_in = np.empty((t_len, steps, 2 * hs, batch))  # (input; h_prev)
-        self.dec_h = dec_h = np.empty((t_len, steps, hs, batch))
-        self.enc_in = enc_in = np.empty((t_len, 3 * hs, batch))  # (x; ctx; h_prev)
-        self.enc_h = enc_h = np.empty((t_len, hs, batch))
-        dec_in[:, 0, :hs] = x_steps
-        enc_in[:, :hs] = x_steps
-        self.dec_trace, self.enc_trace = [], []
-        h = np.zeros((hs, batch))
-        c = np.zeros((hs, batch))
-        for t in range(t_len):
-            r = w_state @ h
-            z = x_dec[t] + r[: 4 * hs]
-            h_dec, c_dec = h, c
-            for k in range(steps):
-                dec_in[t, k, hs:] = h_dec
-                h_dec, c_dec, trace = nm.lstm_forward(z, c_dec, hs)
-                self.dec_trace.append(trace)
-                dec_h[t, k] = h_dec
-                if k + 1 < steps:
-                    s = w_hidden @ h_dec
-                    feat = np.maximum(s[:hs] + bf, 0.0)
-                    dec_in[t, k + 1, :hs] = feat
-                    z = w_dx @ feat + s[hs:] + bd
-            ctx = dec_h[t].mean(axis=0)
-            enc_in[t, hs : 2 * hs] = ctx
-            enc_in[t, 2 * hs :] = h
-            z = x_enc[t] + w_ctx @ ctx + r[4 * hs :]
-            h, c, trace = nm.lstm_forward(z, c, hs)
-            self.enc_trace.append(trace)
-            enc_h[t] = h
+        self.raw = _stack_streams(cfg, sequence, batch)
+        zero = np.zeros((hs, batch))
+        self.run = run = md.window_forward(params, self.raw, zero, zero, trace=True)
 
         # heads: encoder over all T, decoder over the (t, i) pairs whose
         # target t + i lies inside the window, in pair order
-        self.enc_scale = config.lambda_enc / (t_len * batch)
-        logits = params.encoder_cls.w.data @ _cols(enc_h) + params.encoder_cls.b.data[:, None]
-        enc_sum, self.g_enc = _softmax_xent(logits, labels.reshape(-1))
+        keep = None if ambiguous is None else ~ambiguous.reshape(-1)
+        self.enc_scale = _head_scale(config.lambda_enc, t_len * batch, keep)
+        enc_cls = params.encoder_cls
+        logits = enc_cls.w.data @ md.join_cols(run.enc_h) + enc_cls.b.data[:, None]
+        enc_sum, self.g_enc = _softmax_xent(logits, labels.reshape(-1), keep)
         self.loss = enc_sum * self.enc_scale
         self.pairs = np.zeros((t_len, steps), dtype=bool)
         self.g_dec = None
@@ -257,24 +224,26 @@ class _FusedWindow:
         if pairs:
             t_idx, i_idx = np.array(pairs).T
             self.pairs[t_idx, i_idx - 1] = True
-            self.dec_scale = config.lambda_dec / (len(pairs) * batch)
-            self.dec_hid = _cols(dec_h[self.pairs])
+            target = t_idx + i_idx
+            keep = None if ambiguous is None else ~ambiguous[target].reshape(-1)
+            self.dec_scale = _head_scale(config.lambda_dec, len(pairs) * batch, keep)
+            self.dec_hid = md.join_cols(run.dec_h[self.pairs])
             logits = params.decoder_cls.w.data @ self.dec_hid + params.decoder_cls.b.data[:, None]
-            dec_sum, self.g_dec = _softmax_xent(logits, labels[t_idx + i_idx].reshape(-1))
+            dec_sum, self.g_dec = _softmax_xent(logits, labels[target].reshape(-1), keep)
             self.loss = self.loss + dec_sum * self.dec_scale
 
     def grads(self, g: float, named: dict[str, Tensor]) -> list[np.ndarray]:
         """Gradients of g * loss for every parameter, in ``named`` order;
         None for the decoder head when no (t, i) pair survives."""
-        p = self.params
+        p, run = self.params, self.run
         hs, t_len, steps, batch = self.shape
         out: dict[str, np.ndarray] = {}
 
         # heads
         g_enc = self.g_enc * (g * self.enc_scale)
-        out["encoder.cls.w"] = g_enc @ _cols(self.enc_h).T
+        out["encoder.cls.w"] = g_enc @ md.join_cols(run.enc_h).T
         out["encoder.cls.b"] = g_enc.sum(axis=1)
-        d_enc_h = _steps(p.encoder_cls.w.data.T @ g_enc, t_len)
+        d_enc_h = md.split_steps(p.encoder_cls.w.data.T @ g_enc, t_len)
         d_dec_h = np.zeros((t_len, steps, hs, batch))
         if self.g_dec is not None:
             g_dec = self.g_dec * (g * self.dec_scale)
@@ -296,38 +265,49 @@ class _FusedWindow:
         dc_next = np.zeros((hs, batch))
         for t in reversed(range(t_len)):
             dh = d_enc_h[t] + dh_next
-            dc_prev = _lstm_backward(self.enc_trace[t], dh, dc_next, hs, dz_enc[t])
+            dc_prev = _lstm_backward(run.enc_trace[t], dh, dc_next, hs, dz_enc[t])
             r = w_rec_t @ dz_enc[t]
             dh_prev = r[hs:]
             d_dec_h[t] += r[:hs] / steps
             dh, dc = d_dec_h[t, steps - 1], 0.0
             for k in reversed(range(steps)):
-                dc = _lstm_backward(self.dec_trace[t * steps + k], dh, dc, hs, dz_dec[t, k])
+                dc = _lstm_backward(run.dec_trace[t * steps + k], dh, dc, hs, dz_dec[t, k])
                 r = wd_t @ dz_dec[t, k]
                 if k:
-                    d = r[:hs] * (self.dec_in[t, k, :hs] > 0.0)
+                    d = r[:hs] * (run.feat[t, k - 1] > 0.0)
                     d_feat[t, k - 1] = d
                     dh = d_dec_h[t, k - 1] + r[hs:] + wf_t @ d
             dh_next = dh_prev + r[hs:]
             dc_next = dc_prev + dc
 
+        # the LSTM inputs of every step: (input; h_prev) for the decoder,
+        # (x; ctx; h_prev) for the encoder, h_prev the state entering chunk t
+        x_steps = md.split_steps(run.x, t_len)
+        h_prev = np.concatenate([np.zeros((1, hs, batch)), run.enc_h[:-1]])
+        dec_in = np.concatenate([
+            np.concatenate([x_steps[:, None], run.feat], axis=1),
+            np.concatenate([h_prev[:, None], run.dec_h[:, :-1]], axis=1),
+        ], axis=2)
+        enc_in = np.concatenate([x_steps, run.ctx, h_prev], axis=1)
+
         # weight gradients: one GEMM each over the stacked columns
-        dz_dec_cols, dz_enc_cols, d_feat_cols = _cols(dz_dec), _cols(dz_enc), _cols(d_feat)
-        out["decoder.lstm.w"] = dz_dec_cols @ _cols(self.dec_in).T
+        cols = md.join_cols
+        dz_dec_cols, dz_enc_cols, d_feat_cols = cols(dz_dec), cols(dz_enc), cols(d_feat)
+        out["decoder.lstm.w"] = dz_dec_cols @ cols(dec_in).T
         out["decoder.lstm.b"] = dz_dec_cols.sum(axis=1)
-        out["encoder.lstm.w"] = dz_enc_cols @ _cols(self.enc_in).T
+        out["encoder.lstm.w"] = dz_enc_cols @ cols(enc_in).T
         out["encoder.lstm.b"] = dz_enc_cols.sum(axis=1)
-        out["decoder.feat.w"] = d_feat_cols @ _cols(self.dec_h[:, :-1]).T
+        out["decoder.feat.w"] = d_feat_cols @ cols(run.dec_h[:, :-1]).T
         out["decoder.feat.b"] = d_feat_cols.sum(axis=1)
 
         # input stages: both step-1 projections of x, then embed and fusion
-        dx = wd[:, :hs].T @ _cols(dz_dec[:, 0]) + we[:, :hs].T @ dz_enc_cols
-        dx *= self.x > 0.0
-        out["embed.w"] = dx @ self.fused.T
+        dx = wd[:, :hs].T @ cols(dz_dec[:, 0]) + we[:, :hs].T @ dz_enc_cols
+        dx *= run.x > 0.0
+        out["embed.w"] = dx @ run.fused.T
         out["embed.b"] = dx.sum(axis=1)
         if p.fusion is not None:
             du = p.embed.w.data.T @ dx
-            du *= self.fused > 0.0
+            du *= run.fused > 0.0
             out["fusion.w"] = du @ self.raw.T
             out["fusion.b"] = du.sum(axis=1)
         return [out.get(name) for name in named]
@@ -395,10 +375,12 @@ def adam_step(
 
 @dataclass
 class Window:
-    """A training slice: per-stream (L, D) arrays plus (L,) labels."""
+    """A training slice: per-stream (L, D) arrays plus (L,) labels and
+    their (L,) ambiguous mask."""
 
     streams: dict[str, np.ndarray]
     labels: np.ndarray
+    ambiguous: np.ndarray
 
     def __len__(self):
         return len(self.labels)
@@ -409,24 +391,24 @@ def load_split(
     cmap: dio.ClassMap,
     split: str,
     streams: tuple[str, ...] | None = None,
-) -> list[tuple[str, dict[str, np.ndarray], np.ndarray]]:
-    """(video id, stream arrays, labels) per video of the split; only the
-    named streams are read (all by default)."""
+) -> list[tuple[str, dict[str, np.ndarray], np.ndarray, np.ndarray]]:
+    """(video id, stream arrays, labels, ambiguous mask) per video of the
+    split; only the named streams are read (all by default)."""
     videos = manifest.split(split)
     intervals = _read_intervals(manifest, videos)
     out = []
     for video in videos:
         arrays = dio.load_video_streams(manifest, video, streams)
-        labels, _ = dio.labels_from_intervals(
+        labels, ambiguous = dio.labels_from_intervals(
             intervals.get(video.video_id, []), cmap, video.fps, video.chunk_size, video.num_chunks
         )
-        out.append((video.video_id, arrays, labels))
+        out.append((video.video_id, arrays, labels, ambiguous))
     return out
 
 
 def make_windows(videos, seq_len: int) -> list[Window]:
     windows = []
-    for _, streams, labels in videos:
+    for _, streams, labels, ambiguous in videos:
         t = len(labels)
         for start in range(0, t, seq_len):
             end = min(start + seq_len, t)
@@ -434,6 +416,7 @@ def make_windows(videos, seq_len: int) -> list[Window]:
                 Window(
                     streams={k: v[start:end] for k, v in streams.items()},
                     labels=labels[start:end],
+                    ambiguous=ambiguous[start:end],
                 )
             )
     return windows
@@ -510,9 +493,10 @@ def train(
         for batch in batches:
             sequence = md.chunk_sequence(params.config, [w.streams for w in batch])
             labels = np.stack([w.labels for w in batch], axis=1)
+            ambiguous = np.stack([w.ambiguous for w in batch], axis=1)
             for p in named.values():
                 p.zero_grad()
-            loss = sequence_loss(params, train_config, sequence, labels)
+            loss = sequence_loss(params, train_config, sequence, labels, ambiguous)
             loss.backward()
             grads = {k: p.grad for k, p in named.items()}
             adam_step(params, grads, adam, train_config)

@@ -470,6 +470,19 @@ def test_eval_missing_dump_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_eval_malformed_dump_exits_2(tmp_path):
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(
+        '{"chunk_size": 6, "classes": 2, "decoder_steps": 1, "fps": 30, "type": "config"}\n'
+        '{"type": "chunk", "video": "v", "chunk": 0, "present": [0.5, 0.5]}\n'
+    )
+    gt, classmap = tmp_path / "gt.tsv", tmp_path / "classes.tsv"
+    dio.write_annotations(str(gt), {"v": [dio.Interval("jump", 0.0, 1.0)]})
+    dio.write_class_map(str(classmap), dio.ClassMap(["Background", "jump"]))
+    rc = run(["eval", "--dump", str(dump), "--gt", str(gt), "--classmap", str(classmap)])
+    assert rc == 2
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 

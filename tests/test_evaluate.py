@@ -295,6 +295,57 @@ def test_prediction_dump_rejects_malformed(tmp_path):
         ev.read_prediction_dump(str(path))  # distribution width mismatch
 
 
+DUMP_HEADER = '{"chunk_size": 6, "classes": 2, "decoder_steps": 1, "fps": 30, "type": "config"}\n'
+
+# one malformed chunk record each; before the strict reader these raised
+# AttributeError, KeyError, IndexError, a bare ValueError, or read back NaN
+MALFORMED_RECORDS = {
+    "not an object": '[1, 2]',
+    "missing anticipated": '{"type": "chunk", "video": "v", "chunk": 0, "present": [0.5, 0.5]}',
+    "scalar present": (
+        '{"type": "chunk", "video": "v", "chunk": 0, "present": 0.5, "anticipated": [[0.5, 0.5]]}'
+    ),
+    "ragged present": (
+        '{"type": "chunk", "video": "v", "chunk": 0, "present": [[0.5], [0.5, 0.5]], '
+        '"anticipated": [[0.5, 0.5]]}'
+    ),
+    "NaN": (
+        '{"type": "chunk", "video": "v", "chunk": 0, "present": [NaN, 0.5], '
+        '"anticipated": [[0.5, 0.5]]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+def test_prediction_dump_malformed_record_names_its_line(tmp_path, case):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(DUMP_HEADER + MALFORMED_RECORDS[case] + "\n")
+    with pytest.raises(dio.FormatError, match=f"{path}:2: "):
+        ev.read_prediction_dump(str(path))
+
+
+def test_prediction_dump_rejects_bad_header_and_order(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    record = (
+        '{"type": "chunk", "video": "v", "chunk": 0, "present": [0.5, 0.5], '
+        '"anticipated": [[0.5, 0.5]]}\n'
+    )
+    for text, where in [
+        (DUMP_HEADER.replace('"classes": 2', '"classes": 0'), 1),
+        (DUMP_HEADER.replace('"fps": 30', '"fps": NaN'), 1),
+        (DUMP_HEADER.replace('"chunk_size": 6', '"chunk_size": "6"'), 1),
+        (record + DUMP_HEADER, 1),  # the config record comes first
+        (DUMP_HEADER + DUMP_HEADER, 2),
+        (DUMP_HEADER + record.replace('"chunk": 0', '"chunk": 0.0'), 2),
+    ]:
+        path.write_text(text)
+        with pytest.raises(dio.FormatError, match=f"{path}:{where}: "):
+            ev.read_prediction_dump(str(path))
+    path.write_bytes(DUMP_HEADER.encode() + b'{"type": "\xff"}\n')
+    with pytest.raises(dio.FormatError, match=f"{path}:2: "):
+        ev.read_prediction_dump(str(path))
+
+
 def test_ground_truth_from_files(tmp_path):
     ann = tmp_path / "ann.tsv"
     cm = tmp_path / "classes.tsv"

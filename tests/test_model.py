@@ -457,6 +457,26 @@ def reference_outputs(params, video):
     )
 
 
+def record_widths(monkeypatch):
+    """Column width per chunk of every forward_videos call from now on:
+    window_forward blocks count once per chunk, chunk_step calls (a group
+    of one video) once each."""
+    widths = []
+    window, step = md.window_forward, md.chunk_step
+
+    def counting_window(params, raw, h, c, *args, **kw):
+        widths.extend([h.shape[1]] * (raw.shape[1] // h.shape[1]))
+        return window(params, raw, h, c, *args, **kw)
+
+    def counting_step(params, streams, h, c):
+        widths.append(1 if streams.appearance.ndim == 1 else streams.appearance.shape[1])
+        return step(params, streams, h, c)
+
+    monkeypatch.setattr(md, "window_forward", counting_window)
+    monkeypatch.setattr(md, "chunk_step", counting_step)
+    return widths
+
+
 @pytest.mark.parametrize("variant", list(FusionVariant))
 def test_forward_videos_ragged_matches_trn_forward(variant):
     # columns run as one matrix product where trn_forward multiplies
@@ -467,6 +487,34 @@ def test_forward_videos_ragged_matches_trn_forward(variant):
     videos = [random_video(rng, cfg, t) for t in (4, 1, 7)]
     results = md.forward_videos(params, videos)
     assert len(results) == 3
+    for video, (present, anticipated) in zip(videos, results):
+        want_present, want_anticipated = reference_outputs(params, video)
+        assert present.shape == want_present.shape
+        assert anticipated.shape == want_anticipated.shape
+        assert np.abs(present - want_present).max() <= 1e-12
+        assert np.abs(anticipated - want_anticipated).max() <= 1e-12
+
+
+@pytest.mark.parametrize("variant", list(FusionVariant))
+def test_forward_videos_blocks_cross_the_block_length_and_retire_inside(variant, monkeypatch):
+    # 40 and 17 cross the 16-chunk block boundary; 3, 16 and 17 retire
+    # inside blocks, which end where they do
+    cfg = tiny_config(variant, decoder_steps=3, num_actions=4)
+    params = TrnParams.init(cfg, np.random.default_rng(38))
+    rng = np.random.default_rng(39)
+    videos = [random_video(rng, cfg, t) for t in (16, 40, 3, 17)]
+    blocks = []
+    window = md.window_forward
+
+    def recording(params, raw, h, c, *args, **kw):
+        blocks.append((h.shape[1], raw.shape[1] // h.shape[1]))  # (columns, chunks)
+        return window(params, raw, h, c, *args, **kw)
+
+    monkeypatch.setattr(md, "window_forward", recording)
+    results = md.forward_videos(params, videos)
+    monkeypatch.undo()
+    assert md.BLOCK_CHUNKS == 16
+    assert blocks == [(4, 3), (3, 13), (2, 1), (1, 16), (1, 7)]
     for video, (present, anticipated) in zip(videos, results):
         want_present, want_anticipated = reference_outputs(params, video)
         assert present.shape == want_present.shape
@@ -492,14 +540,7 @@ def test_forward_videos_group_size_caps_columns(monkeypatch):
     params = TrnParams.init(cfg, np.random.default_rng(34))
     rng = np.random.default_rng(35)
     videos = [random_video(rng, cfg, t) for t in (3, 5, 2, 5, 1)]
-    widths = []
-    step = md.chunk_step
-
-    def counting(params, streams, h, c):
-        widths.append(1 if streams.appearance.ndim == 1 else streams.appearance.shape[1])
-        return step(params, streams, h, c)
-
-    monkeypatch.setattr(md, "chunk_step", counting)
+    widths = record_widths(monkeypatch)
     capped = md.forward_videos(params, videos, group_size=2)
     # longest first: (5, 5) then (3, 2) then the single (1,)
     assert widths == [2] * 5 + [2, 2, 1] + [1]

@@ -162,9 +162,10 @@ STREAM_DIMS = {
 }
 
 
-def tape_loss(params, tc, sequence, labels):
+def tape_loss(params, tc, sequence, labels, ambiguous=None):
     """The two-head window loss built op by op on the tape, through the
-    inference cell: the reference the fused kernel must reproduce."""
+    inference cell: the reference the fused kernel must reproduce.
+    Columns that ``ambiguous`` marks leave the head means."""
     def as_cols(v):
         return None if v is None else np.asarray(v).reshape(len(v), -1)
 
@@ -175,26 +176,34 @@ def tape_loss(params, tc, sequence, labels):
     ]
     labels = np.asarray(labels).reshape(len(sequence), -1)
     t_len, batch = labels.shape
+    ignored = np.zeros(labels.shape, dtype=bool)
+    if ambiguous is not None:
+        ignored = np.asarray(ambiguous).reshape(labels.shape)
     enc, dec, _, _ = md.forward_sequence_logits(params, sequence)
 
     def column(m, j):
         # column j of a matrix as a tape op: m @ e_j
         return nm.linear(m, nm.tensor(np.zeros(m.shape[0])), nm.tensor(np.eye(batch)[j]))
 
-    def summed(logits_and_labels):
-        total = None
-        for logits, row in logits_and_labels:
+    def mean(weight, logits_labels_ignored):
+        # weight times the mean cross-entropy over the kept columns, or
+        # None when no column is kept
+        total, count = None, 0
+        for logits, row, skip in logits_labels_ignored:
             p = nm.softmax(logits)
             for j in range(batch):
+                if skip[j]:
+                    continue
                 ce = nm.cross_entropy(column(p, j), row[j])
                 total = ce if total is None else nm.add(total, ce)
-        return total
+                count += 1
+        return None if total is None else nm.scale(total, weight / count)
 
-    loss = nm.scale(summed(zip(enc, labels)), tc.lambda_enc / (t_len * batch))
+    loss = mean(tc.lambda_enc, zip(enc, labels, ignored))
     pairs = tr.decoder_target_pairs(t_len, params.config.decoder_steps)
-    if pairs:
-        dec_sum = summed((dec[t][i - 1], labels[t + i]) for t, i in pairs)
-        loss = nm.add(loss, nm.scale(dec_sum, tc.lambda_dec / (len(pairs) * batch)))
+    dec_mean = mean(tc.lambda_dec, ((dec[t][i - 1], labels[t + i], ignored[t + i]) for t, i in pairs))
+    if dec_mean is not None:
+        loss = dec_mean if loss is None else nm.add(loss, dec_mean)
     return loss
 
 
@@ -209,11 +218,13 @@ def loss_and_grads(loss_fn, params):
     }
 
 
-def assert_matches_tape(params, tc, sequence, labels):
+def assert_matches_tape(params, tc, sequence, labels, ambiguous=None):
     fused, fused_grads = loss_and_grads(
-        lambda: tr.sequence_loss(params, tc, sequence, labels), params
+        lambda: tr.sequence_loss(params, tc, sequence, labels, ambiguous), params
     )
-    tape, tape_grads = loss_and_grads(lambda: tape_loss(params, tc, sequence, labels), params)
+    tape, tape_grads = loss_and_grads(
+        lambda: tape_loss(params, tc, sequence, labels, ambiguous), params
+    )
     assert abs(fused - tape) <= 1e-12
     for name, want in tape_grads.items():
         err = np.abs(fused_grads[name] - want).max()
@@ -260,6 +271,54 @@ def test_fused_loss_clamped_columns_match_tape():
     params.decoder_cls.b.data[0] = -40.0
     labels[:, 0] = 0
     assert_matches_tape(params, tc, sequence, labels)
+
+
+def test_fused_loss_ambiguous_columns_match_tape():
+    for n, (variant, batch) in enumerate(itertools.product(FusionVariant, (1, 3))):
+        params, tc, sequence, labels = fused_setup(variant, batch, 6, 3, 200 + n)
+        rng = np.random.default_rng(300 + n)
+        ambiguous = rng.random(labels.shape) < 0.4
+        ambiguous[0] = True  # a chunk no pair targets
+        ambiguous[-1] = True  # the target of the last chunks' step-1 pairs
+        assert_matches_tape(params, tc, sequence, labels, ambiguous)
+
+
+def test_fused_loss_head_with_every_column_ambiguous_contributes_zero():
+    params, tc, sequence, labels = fused_setup(FusionVariant.TWO_STREAM, 3, 4, 2, 9)
+    # chunk 0 is no pair's target, so the decoder head keeps its pairs
+    ambiguous = np.zeros(labels.shape, dtype=bool)
+    ambiguous[1:] = True
+    enc_only = dataclasses.replace(tc, lambda_dec=0.0)
+    want, _ = loss_and_grads(
+        lambda: tr.sequence_loss(params, enc_only, sequence, labels, ambiguous), params
+    )
+    dec_only = dataclasses.replace(tc, lambda_enc=0.0)
+    loss, grads = loss_and_grads(
+        lambda: tr.sequence_loss(params, dec_only, sequence, labels, ambiguous), params
+    )
+    assert loss == 0.0 and not any(g.any() for g in grads.values())
+    assert want > 0.0  # the encoder head still scores chunk 0
+    loss, grads = loss_and_grads(
+        lambda: tr.sequence_loss(params, tc, sequence, labels, np.ones(labels.shape, bool)), params
+    )
+    assert loss == 0.0 and not any(g.any() for g in grads.values())
+
+
+def test_fused_loss_without_ambiguous_chunks_is_bitwise_unmasked():
+    params, tc, sequence, labels = fused_setup(FusionVariant.FUSED_TWO_STREAM, 3, 5, 3, 10)
+    want, want_grads = loss_and_grads(lambda: tr.sequence_loss(params, tc, sequence, labels), params)
+    got, got_grads = loss_and_grads(
+        lambda: tr.sequence_loss(params, tc, sequence, labels, np.zeros(labels.shape, bool)), params
+    )
+    assert got == want
+    for name, g in want_grads.items():
+        assert np.array_equal(got_grads[name], g), name
+
+
+def test_sequence_loss_rejects_misshapen_ambiguous_mask():
+    params, tc, sequence, labels = fused_setup(FusionVariant.TWO_STREAM, 3, 5, 3, 11)
+    with pytest.raises(ValidationError, match="ambiguous"):
+        tr.sequence_loss(params, tc, sequence, labels, np.zeros(labels.shape[0], bool))
 
 
 def test_fused_loss_under_no_grad_has_no_backward():
@@ -391,9 +450,28 @@ def test_load_split_reads_shared_annotation_file_once(tmp_path, monkeypatch):
     monkeypatch.setattr(dio, "read_annotations", lambda path: calls.append(path) or read(path))
     got = tr.load_split(manifest, cmap, "train")
     assert len(calls) == 1
-    assert [vid for vid, _, _ in got] == [v.video_id for v in videos]
-    for (_, _, labels), expected in zip(got, want):
+    assert [vid for vid, *_ in got] == [v.video_id for v in videos]
+    for (_, _, labels, _), expected in zip(got, want):
         assert np.array_equal(labels, expected)
+
+
+def test_load_split_carries_the_ambiguous_mask_into_windows(tmp_path):
+    manifest = synth_manifest(tmp_path, num_videos=2, train_fraction=1.0)
+    video = manifest.split("train")[0]
+    path = manifest.resolve(video.annotations)
+    rows = dio.read_annotations(path)
+    chunk_s = video.chunk_size / video.fps
+    # chunks 2 and 3 of the first video become ambiguous
+    rows[video.video_id].append(dio.Interval(dio.AMBIGUOUS, 2 * chunk_s, 4 * chunk_s))
+    dio.write_annotations(path, rows)
+    cmap = dio.read_class_map(manifest.resolve(manifest.class_map))
+    videos = tr.load_split(manifest, cmap, "train")
+    _, _, labels, ambiguous = videos[0]
+    assert ambiguous.shape == labels.shape
+    assert np.flatnonzero(ambiguous).tolist() == [2, 3]
+    assert not videos[1][3].any()
+    windows = tr.make_windows(videos, 3)
+    assert [w.ambiguous.tolist() for w in windows[:2]] == [[False, False, True], [True, False, False]]
 
 
 def test_train_loss_decreases(tmp_path):
@@ -490,18 +568,18 @@ def test_predict_manifest_ragged_split_keeps_order_and_column_cap(tmp_path, monk
     mc = tiny_model(appearance_dim=5, motion_dim=4, hidden_size=6, decoder_steps=2)
     params = TrnParams.init(mc, np.random.default_rng(0))
     widths = []
-    step = md.chunk_step
+    window = md.window_forward
 
-    def counting(params, streams, h, c):
-        widths.append(1 if streams.appearance.ndim == 1 else streams.appearance.shape[1])
-        return step(params, streams, h, c)
+    def counting(params, raw, h, c, *args, **kw):
+        widths.extend([h.shape[1]] * (raw.shape[1] // h.shape[1]))
+        return window(params, raw, h, c, *args, **kw)
 
-    monkeypatch.setattr(md, "chunk_step", counting)
+    monkeypatch.setattr(md, "window_forward", counting)
     dump = tr.predict_manifest(params, split, "test")
     assert max(widths) == 16  # the 16 longest run together, then the last 2
     assert sum(widths) == sum(v.num_chunks for v in test_videos)
     assert list(dump.videos) == [v.video_id for v in test_videos]
-    monkeypatch.setattr(md, "chunk_step", step)
+    monkeypatch.setattr(md, "window_forward", window)
     for video in test_videos:
         streams = dio.load_video_streams(split, video, mc.streams)
         outputs, _ = md.trn_forward(params, md.chunk_sequence(mc, streams))
