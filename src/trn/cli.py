@@ -364,11 +364,16 @@ def _run_inference(params: TrnParams, inputs, clock, batch: bool) -> ev.Predicti
 
 
 def _stream_video(params: TrnParams, streams: dict) -> tuple[np.ndarray, np.ndarray]:
-    """One video pushed chunk by chunk through a fresh detector."""
+    """One video pushed chunk by chunk through a fresh detector; only each
+    push's two distributions are kept."""
+    cfg = params.config
+    sequence = md.chunk_sequence(cfg, streams)
+    present = np.empty((len(sequence), cfg.classes))
+    anticipated = np.empty((len(sequence), cfg.decoder_steps, cfg.classes))
     det = OnlineDetector(params)
-    outputs = [det.push_chunk(chunk) for chunk in md.chunk_sequence(params.config, streams)]
-    present = np.stack([o.present for o in outputs], axis=0)
-    anticipated = np.stack([np.stack(o.anticipated, axis=0) for o in outputs], axis=0)
+    for t, chunk in enumerate(sequence):
+        out = det.push_chunk(chunk)
+        present[t], anticipated[t] = out.present, out.anticipated
     return present, anticipated
 
 

@@ -14,13 +14,14 @@ Per chunk the cell runs four stages:
                    future context) and a classifier head emits the
                    present-chunk logits
 
-The stages run on `numeric` tensors in `chunk_step`, the per-chunk code
-path of streaming inference and of one-video batch inference (columns of
-a matrix are independent sequences). `window_forward` runs the same
-arithmetic over a block of chunks at once, with every product off the
-recurrence hoisted out of the time loop; the training loss and
-multi-video inference (`forward_videos`) share it, and the tests pin it
-to `chunk_step`.
+`window_forward` runs the cell over a block of chunks at once (columns
+of a matrix are independent sequences), with every product off the
+recurrence hoisted out of the time loop. The training loss runs it, and
+so does every inference path through one step, `detect_block`: streaming
+and `trn_forward` as one-chunk blocks, `forward_videos` as blocks of many
+videos. `chunk_step` runs the same stages op by op on `numeric` tensors;
+it is the test oracle that the window kernel is pinned to, and no
+inference path calls it.
 """
 
 from __future__ import annotations
@@ -244,9 +245,6 @@ class TrnState:
     def zero(hidden_size: int) -> "TrnState":
         return TrnState(np.zeros(hidden_size), np.zeros(hidden_size))
 
-    def copy(self) -> "TrnState":
-        return TrnState(self.h.copy(), self.c.copy())
-
 
 @dataclass(frozen=True)
 class DetectionOutput:
@@ -255,15 +253,20 @@ class DetectionOutput:
     predicted_features: list[np.ndarray] = field(default_factory=list)
 
 
-def _as_tensor(v) -> Tensor:
-    return v if isinstance(v, Tensor) else nm.tensor(np.asarray(v, dtype=np.float64))
-
-
-def _check_stream(name: str, v: Tensor, dim: int) -> None:
-    if v.data.shape[0] != dim:
-        raise DimensionError(
-            f"{name} stream has dim {v.data.shape[0]}, config requires {dim}"
-        )
+def _chunk_parts(config: TrnConfig, streams: ChunkStreams) -> list[np.ndarray]:
+    """The consumed streams of one chunk as float64 arrays, in fusion order;
+    a missing stream is a ValidationError, a wrong dim a DimensionError."""
+    parts = []
+    for name in config.streams:
+        v = getattr(streams, name)
+        if v is None:
+            raise ValidationError(f"{config.fusion_variant.value} requires the {name} stream")
+        v = np.asarray(v, dtype=np.float64)
+        dim = getattr(config, f"{name}_dim")
+        if v.shape[:1] != (dim,):
+            raise DimensionError(f"{name} stream has shape {v.shape}, config requires dim {dim}")
+        parts.append(v)
+    return parts
 
 
 def fuse(params: TrnParams, streams: ChunkStreams) -> Tensor:
@@ -274,16 +277,7 @@ def fuse(params: TrnParams, streams: ChunkStreams) -> Tensor:
     fusion layer then apply ReLU(W_f x + b_f); ONE_STREAM passes the raw
     features through unchanged.
     """
-    cfg = params.config
-    parts = []
-    for name in cfg.streams:
-        v = getattr(streams, name)
-        if v is None:
-            raise ValidationError(f"{cfg.fusion_variant.value} requires the {name} stream")
-        t = _as_tensor(v)
-        _check_stream(name, t, getattr(cfg, f"{name}_dim"))
-        parts.append(t)
-    joined = nm.concat(parts)
+    joined = nm.concat([nm.tensor(v) for v in _chunk_parts(params.config, streams)])
     if params.fusion is None:
         return joined
     return nm.relu(nm.linear(params.fusion.w, params.fusion.b, joined))
@@ -372,9 +366,9 @@ def encoder_step(
 def chunk_step(
     params: TrnParams, streams: ChunkStreams, h: Tensor, c: Tensor
 ) -> tuple[Tensor, list[Tensor], list[Tensor], Tensor, Tensor]:
-    """The full cell for one chunk, as streaming and one-video batch
-    inference run it. :func:`window_forward` runs the same arithmetic over
-    a block of chunks for the training loss and multi-video inference.
+    """The full cell for one chunk, op by op on the tape: the reference
+    the tests pin :func:`window_forward` and every inference path to. No
+    inference path runs it.
 
     Returns (present logits, per-step decoder logits, per-step predicted
     features, new h, new c).
@@ -418,35 +412,6 @@ def forward_sequence_logits(
     return enc_logits, dec_logits, h, c
 
 
-def _detection_output(
-    logits: Tensor, dec_logits: list[Tensor], dec_feats: list[Tensor]
-) -> DetectionOutput:
-    return DetectionOutput(
-        present=nm.softmax(logits).data,
-        anticipated=[nm.softmax(z).data for z in dec_logits],
-        predicted_features=[f.data for f in dec_feats],
-    )
-
-
-def trn_forward(
-    params: TrnParams,
-    sequence: list[ChunkStreams],
-    state0: TrnState | None = None,
-) -> tuple[list[DetectionOutput], TrnState]:
-    """Batch inference over a whole sequence of single-chunk vectors."""
-    if not sequence:
-        raise ValidationError("empty sequence")
-    hs = params.config.hidden_size
-    state = state0.copy() if state0 is not None else TrnState.zero(hs)
-    with nm.no_grad():
-        h, c = nm.tensor(state.h), nm.tensor(state.c)
-        outputs = []
-        for streams in sequence:
-            logits, dlogits, dfeats, h, c = chunk_step(params, streams, h, c)
-            outputs.append(_detection_output(logits, dlogits, dfeats))
-    return outputs, TrnState(h.data.copy(), c.data.copy())
-
-
 # ---------------------------------------------------------------------------
 # window forward: the cell over a block of chunks
 
@@ -460,29 +425,6 @@ def join_cols(a: np.ndarray) -> np.ndarray:
     """Per-step (..., R, B) arrays as one (R, N) matrix, columns in
     (step..., b) order."""
     return np.moveaxis(a, -2, 0).reshape(a.shape[-2], -1)
-
-
-@dataclass(frozen=True)
-class CellWeights:
-    """The recurrent weight slices :func:`window_forward` reads, copied
-    contiguous or stacked; built once per loss call or inference group,
-    not per block."""
-
-    w_dx: np.ndarray  # decoder LSTM input columns
-    w_ctx: np.ndarray  # encoder LSTM future-context columns
-    w_state: np.ndarray  # encoder state -> decoder step 1 and encoder, one GEMM
-    w_hidden: np.ndarray  # decoder hidden -> feature head and next step, one GEMM
-
-    @staticmethod
-    def of(params: TrnParams) -> "CellWeights":
-        hs = params.config.hidden_size
-        wd, we = params.decoder_lstm.w.data, params.encoder_lstm.w.data
-        return CellWeights(
-            w_dx=np.ascontiguousarray(wd[:, :hs]),
-            w_ctx=np.ascontiguousarray(we[:, hs : 2 * hs]),
-            w_state=np.vstack([wd[:, hs:], we[:, 2 * hs :]]),
-            w_hidden=np.vstack([params.decoder_feat.w.data, wd[:, hs:]]),
-        )
 
 
 @dataclass
@@ -506,12 +448,7 @@ class WindowPass:
 
 
 def window_forward(
-    params: TrnParams,
-    raw: np.ndarray,
-    h: np.ndarray,
-    c: np.ndarray,
-    weights: CellWeights | None = None,
-    trace: bool = False,
+    params: TrnParams, raw: np.ndarray, h: np.ndarray, c: np.ndarray, trace: bool = False
 ) -> WindowPass:
     """The cell over an equal-length block of columns.
 
@@ -520,13 +457,18 @@ def window_forward(
     t*B + b). (h, c) is the (H, B) state entering the block. Every GEMM
     off the recurrence runs once over all T*B columns: fusion, embedding
     and the input projections of decoder step 1 and of the encoder. The
-    time loop keeps only the recurrent products. The arithmetic is the one
-    ``chunk_step`` runs, up to float reassociation. ``trace`` keeps the
-    gate traces a backward pass reads.
+    time loop keeps only the recurrent products, each on a view of its
+    slice of the LSTM weights. The arithmetic is the one ``chunk_step``
+    runs, up to float reassociation. ``trace`` keeps the gate traces a
+    backward pass reads.
     """
     cfg = params.config
     hs, steps = cfg.hidden_size, cfg.decoder_steps
-    w = weights if weights is not None else CellWeights.of(params)
+    # decoder columns act on (input; h_prev), encoder ones on (x; ctx; h_prev)
+    wd, we = params.decoder_lstm.w.data, params.encoder_lstm.w.data
+    w_dx, w_dh = wd[:, :hs], wd[:, hs:]
+    w_ctx, w_eh = we[:, hs : 2 * hs], we[:, 2 * hs :]
+    w_feat = params.decoder_feat.w.data
     bd, be = params.decoder_lstm.b.data[:, None], params.encoder_lstm.b.data[:, None]
     bf = params.decoder_feat.b.data[:, None]
     batch = h.shape[1]
@@ -537,8 +479,8 @@ def window_forward(
         fused = np.maximum(params.fusion.w.data @ raw + params.fusion.b.data[:, None], 0.0)
     x = np.maximum(params.embed.w.data @ fused + params.embed.b.data[:, None], 0.0)
     # the input halves of decoder step 1 and of the encoder
-    x_dec = split_steps(params.decoder_lstm.w.data[:, :hs] @ x + bd, t_len)
-    x_enc = split_steps(params.encoder_lstm.w.data[:, :hs] @ x + be, t_len)
+    x_dec = split_steps(w_dx @ x + bd, t_len)
+    x_enc = split_steps(we[:, :hs] @ x + be, t_len)
 
     dec_h = np.empty((t_len, steps, hs, batch))
     feat = np.empty((t_len, steps - 1, hs, batch))
@@ -547,8 +489,7 @@ def window_forward(
     dec_trace = [] if trace else None
     enc_trace = [] if trace else None
     for t in range(t_len):
-        r = w.w_state @ h
-        z = x_dec[t] + r[: 4 * hs]
+        z = x_dec[t] + w_dh @ h
         h_dec, c_dec = h, c
         for k in range(steps):
             h_dec, c_dec, gates = nm.lstm_forward(z, c_dec, hs)
@@ -556,11 +497,10 @@ def window_forward(
                 dec_trace.append(gates)
             dec_h[t, k] = h_dec
             if k + 1 < steps:
-                s = w.w_hidden @ h_dec
-                f = feat[t, k] = np.maximum(s[:hs] + bf, 0.0)
-                z = w.w_dx @ f + s[hs:] + bd
+                f = feat[t, k] = np.maximum(w_feat @ h_dec + bf, 0.0)
+                z = w_dx @ f + w_dh @ h_dec + bd
         ctx[t] = dec_h[t].mean(axis=0)
-        z = x_enc[t] + w.w_ctx @ ctx[t] + r[4 * hs :]
+        z = x_enc[t] + w_ctx @ ctx[t] + w_eh @ h
         h, c, gates = nm.lstm_forward(z, c, hs)
         if trace:
             enc_trace.append(gates)
@@ -568,8 +508,93 @@ def window_forward(
     return WindowPass(fused, x, dec_h, feat, ctx, enc_h, h, c, dec_trace, enc_trace)
 
 
-# chunks per window_forward call in multi-video inference: long enough to
-# amortise the hoisted GEMMs, short enough to keep the block's arrays small
+# ---------------------------------------------------------------------------
+# inference: every path runs detect_block
+
+
+def _check_finite(config: TrnConfig, raw: np.ndarray) -> None:
+    """Raise ValidationError naming the first stream whose rows of ``raw``
+    hold a NaN or an infinity."""
+    bad = ~np.isfinite(raw).all(axis=1)
+    if bad.any():
+        ends = np.cumsum([getattr(config, f"{n}_dim") for n in config.streams])
+        name = config.streams[int(np.searchsorted(ends, np.argmax(bad), side="right"))]
+        raise ValidationError(f"the {name} stream holds a non-finite value")
+
+
+def detect_block(
+    params: TrnParams, raw: np.ndarray, h: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, WindowPass]:
+    """Inference over one block: :func:`window_forward`, both classifier
+    heads, and one softmax over all their columns.
+
+    Takes what ``window_forward`` takes. Returns the distributions as one
+    (classes, T*B*(1 + steps)) matrix, the encoder head's columns (t, b)
+    first, then the decoder head's (t, step, b); and the pass, whose
+    (h, c) is the state after the block. Non-finite input raises
+    ValidationError naming the stream.
+    """
+    _check_finite(params.config, raw)
+    run = window_forward(params, raw, h, c)
+    enc_cls, dec_cls = params.encoder_cls, params.decoder_cls
+    logits = np.concatenate([
+        enc_cls.w.data @ join_cols(run.enc_h) + enc_cls.b.data[:, None],
+        dec_cls.w.data @ join_cols(run.dec_h) + dec_cls.b.data[:, None],
+    ], axis=1)
+    return nm.softmax_array(logits), run
+
+
+def detect_chunk(
+    params: TrnParams, streams: ChunkStreams, h: np.ndarray, c: np.ndarray
+) -> tuple[DetectionOutput, np.ndarray, np.ndarray]:
+    """One chunk of one sequence from the (H,) state (h, c), as a one-chunk
+    :func:`detect_block`; returns the detection and the new state.
+
+    Streaming and ``trn_forward`` run this. Each consumed stream must be
+    a vector of its configured dim.
+    """
+    cfg = params.config
+    hs = cfg.hidden_size
+    for name, v in (("h", h), ("c", c)):
+        if np.shape(v) != (hs,):
+            raise DimensionError(f"state {name} has shape {np.shape(v)}, hidden size is {hs}")
+    parts = _chunk_parts(cfg, streams)
+    for name, v in zip(cfg.streams, parts):
+        if v.ndim != 1:
+            raise ValidationError(f"a chunk step takes single vectors, {name} has batch dims")
+    raw = np.concatenate(parts)[:, None]
+    p, run = detect_block(params, raw, h[:, None], c[:, None])
+    dists = p.T.copy()  # present, then one row per decoder step
+    feats = np.empty((cfg.decoder_steps, hs))
+    feats[:-1] = run.feat[0, :, :, 0]
+    # the last step's feature feeds no further step, so the kernel skips it
+    w, b = params.decoder_feat.w.data, params.decoder_feat.b.data
+    feats[-1] = np.maximum(w @ run.dec_h[0, -1, :, 0] + b, 0.0)
+    out = DetectionOutput(dists[0], list(dists[1:]), list(feats))
+    return out, run.h[:, 0], run.c[:, 0]
+
+
+def trn_forward(
+    params: TrnParams,
+    sequence: list[ChunkStreams],
+    state0: TrnState | None = None,
+) -> tuple[list[DetectionOutput], TrnState]:
+    """Inference over a sequence of single-chunk vectors, one
+    :func:`detect_chunk` per chunk, from ``state0`` (zero by default)."""
+    if not sequence:
+        raise ValidationError("empty sequence")
+    if state0 is None:
+        state0 = TrnState.zero(params.config.hidden_size)
+    h, c = state0.h, state0.c
+    outputs = []
+    for streams in sequence:
+        out, h, c = detect_chunk(params, streams, h, c)
+        outputs.append(out)
+    return outputs, TrnState(h, c)
+
+
+# chunks per block in multi-video inference: long enough to amortise the
+# hoisted GEMMs, short enough to keep the block's arrays small
 BLOCK_CHUNKS = 16
 
 
@@ -579,13 +604,14 @@ def forward_videos(
     """Whole-sequence inference over many videos of any lengths.
 
     ``videos`` holds one name -> (T_i, D) stream dict per video. The videos
-    run longest first (a stable sort), ``group_size`` at a time. A group of
-    one video runs chunk by chunk with the arithmetic of ``trn_forward``,
-    so its outputs are bitwise those of ``trn stream``. A wider group runs as the
-    columns of :func:`window_forward` blocks of at most ``BLOCK_CHUNKS``
-    chunks; a block also ends where a video retires, and the next block
-    runs without its column. Its outputs may differ from single-video ones
-    in the last bits (matrix products against matrix-vector products).
+    run longest first (a stable sort), ``group_size`` at a time, as the
+    columns of :func:`detect_block` calls. A group of one video runs in
+    one-chunk blocks, as ``trn stream`` does, so its outputs are bitwise
+    those of ``trn stream`` and ``trn_forward``. A wider group runs in
+    blocks of at most ``BLOCK_CHUNKS`` chunks; a block also ends where a
+    video retires, and the next block runs without its column. Its
+    outputs may differ from single-video ones in the last bits (a wider
+    GEMM may sum in another order).
 
     Returns (present (T_i, classes), anticipated (T_i, steps, classes)) per
     video, in input order.
@@ -607,63 +633,35 @@ def forward_videos(
     out: list = [None] * len(inputs)
     for at in range(0, len(order), group_size):
         group = order[at : at + group_size]
-        if len(group) == 1:
-            out[group[0]] = _forward_chunks(params, inputs[group[0]][0])
-            continue
-        for i, result in zip(group, _forward_blocks(params, [inputs[i] for i in group])):
+        block = BLOCK_CHUNKS if len(group) > 1 else 1
+        for i, result in zip(group, _forward_blocks(params, [inputs[i] for i in group], block)):
             out[i] = result
     return out
 
 
-def _forward_chunks(params: TrnParams, streams: dict) -> tuple[np.ndarray, np.ndarray]:
-    """One video chunk by chunk with the softmaxes of ``trn_forward``, so
-    that its outputs are bitwise those of ``trn stream``; only the
-    distributions are kept."""
-    cfg = params.config
-    sequence = chunk_sequence(cfg, streams)
-    present = np.empty((len(sequence), cfg.classes))
-    anticipated = np.empty((len(sequence), cfg.decoder_steps, cfg.classes))
-    h, c = nm.tensor(np.zeros(cfg.hidden_size)), nm.tensor(np.zeros(cfg.hidden_size))
-    with nm.no_grad():
-        for t, chunk in enumerate(sequence):
-            logits, dec_logits, _, h, c = chunk_step(params, chunk, h, c)
-            present[t] = nm.softmax(logits).data
-            for i, z in enumerate(dec_logits):
-                anticipated[t, i] = nm.softmax(z).data
-    return present, anticipated
-
-
-def _forward_blocks(params: TrnParams, group: list[tuple[dict, int]]):
-    """``forward_videos`` over two or more (streams, T) pairs sorted
-    longest first."""
+def _forward_blocks(params: TrnParams, group: list[tuple[dict, int]], block: int):
+    """``forward_videos`` over (streams, T) pairs sorted longest first, in
+    blocks of at most ``block`` chunks."""
     cfg = params.config
     k, steps, hs = cfg.classes, cfg.decoder_steps, cfg.hidden_size
     lengths = [t_len for _, t_len in group]
     present = [np.empty((t_len, k)) for t_len in lengths]
     anticipated = [np.empty((t_len, steps, k)) for t_len in lengths]
-    weights = CellWeights.of(params)
-    enc_cls, dec_cls = params.encoder_cls, params.decoder_cls
     n = len(group)
     h, c = np.zeros((hs, n)), np.zeros((hs, n))
     t0 = 0
     while t0 < lengths[0]:
         while lengths[n - 1] <= t0:
             n -= 1
-        t1 = min(t0 + BLOCK_CHUNKS, lengths[n - 1])
+        t1 = min(t0 + block, lengths[n - 1])
         # each stream as (T, n, D), then all as (D, T*n) with t-major columns
         parts = [np.stack([s[name][t0:t1] for s, _ in group[:n]], axis=1) for name in cfg.streams]
         raw = np.concatenate([a.reshape(-1, a.shape[2]).T for a in parts], dtype=np.float64)
-        run = window_forward(params, raw, h[:, :n], c[:, :n], weights)
+        p, run = detect_block(params, raw, h[:, :n], c[:, :n])
         h, c = run.h, run.c
-        # both heads, one softmax: columns (t, b) then (t, step, b)
-        logits = np.concatenate([
-            enc_cls.w.data @ join_cols(run.enc_h) + enc_cls.b.data[:, None],
-            dec_cls.w.data @ join_cols(run.dec_h) + dec_cls.b.data[:, None],
-        ], axis=1)
-        p = nm.softmax(nm.tensor(logits)).data
-        block = t1 - t0
-        p_enc = p[:, : block * n].reshape(k, block, n)
-        p_dec = p[:, block * n :].reshape(k, block, steps, n)
+        cols = (t1 - t0) * n
+        p_enc = p[:, :cols].reshape(k, t1 - t0, n)
+        p_dec = p[:, cols:].reshape(k, t1 - t0, steps, n)
         for j in range(n):
             present[j][t0:t1] = p_enc[:, :, j].T
             anticipated[j][t0:t1] = p_dec[:, :, :, j].transpose(1, 2, 0)

@@ -296,14 +296,19 @@ def mean_stack(parts: Sequence[Tensor]) -> Tensor:
     return _result(y, tuple(parts), backward)
 
 
+def softmax_array(z: np.ndarray) -> np.ndarray:
+    """Column-wise probability distribution of a vector or matrix,
+    max-subtracted for stability."""
+    e = np.exp(z - z.max(axis=0, keepdims=z.ndim == 2))
+    return e / e.sum(axis=0, keepdims=z.ndim == 2)
+
+
 def softmax(z: Tensor) -> Tensor:
-    """Column-wise probability distribution, max-subtracted for stability."""
+    """:func:`softmax_array` as a tape op."""
     if z.data.shape[0] < 1:
         raise DimensionError("softmax: empty input")
     zd = z.data
-    m = zd.max(axis=0, keepdims=zd.ndim == 2)
-    e = np.exp(zd - m)
-    y = e / e.sum(axis=0, keepdims=zd.ndim == 2)
+    y = softmax_array(zd)
 
     def backward(g):
         if _wants_grad(z):

@@ -1,24 +1,22 @@
 """Streaming inference: one chunk in, one detection out.
 
-The detector carries the encoder state between pushes and runs exactly
-the same per-chunk code path as the batch forward, so pushing a sequence
-chunk-by-chunk is bitwise identical to one whole-sequence call. Only the
-chunk being pushed is ever read; nothing downstream of it exists yet as
-far as the detector is concerned.
+The detector carries the encoder state between pushes. Each push runs
+``model.detect_chunk``, the one-chunk window-kernel step that
+``trn_forward`` and one-video ``forward_videos`` groups run too, so
+pushing a sequence chunk-by-chunk is bitwise identical to one
+whole-sequence call. Only the chunk being pushed is ever read; nothing
+downstream of it exists yet as far as the detector is concerned.
 
-A push that raises (bad dims, non-finite activations) leaves the carried
-state as it was: the state is committed only after the step succeeds. The
-chunk is still lost to the stream, so the detector poisons itself and
-refuses further pushes until reset(). This turns a silent gap mid-stream
-into a loud error.
+A push that raises (a missing stream, bad dims, a non-finite feature)
+leaves the carried state as it was: the state is committed only after
+the step succeeds. The chunk is still lost to the stream, so the detector
+poisons itself and refuses further pushes until reset(). This turns a
+silent gap mid-stream into a loud error.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import model as md
-from . import numeric as nm
 from .model import ChunkStreams, DetectionOutput, TrnParams, TrnState
 from .numeric import ValidationError
 
@@ -58,21 +56,10 @@ class OnlineDetector:
         if self._poisoned:
             raise PoisonedError("detector poisoned by an earlier failed push; call reset()")
         try:
-            for name in self.config.streams:
-                v = getattr(streams, name)
-                if v is not None and np.asarray(v).ndim != 1:
-                    raise ValidationError(
-                        f"push_chunk takes single vectors, {name} has batch dims"
-                    )
-            with nm.no_grad():
-                h, c = nm.tensor(self.state.h), nm.tensor(self.state.c)
-                logits, dec_logits, dec_feats, h, c = md.chunk_step(
-                    self.params, streams, h, c
-                )
-                out = md._detection_output(logits, dec_logits, dec_feats)
-            self.state = TrnState(h.data.copy(), c.data.copy())
+            out, h, c = md.detect_chunk(self.params, streams, self.state.h, self.state.c)
         except Exception:
             self._poisoned = True
             raise
+        self.state = TrnState(h, c)
         self.chunks_seen += 1
         return out

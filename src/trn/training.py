@@ -16,10 +16,11 @@ rather than folded into the gradient, so "weight_decay" means the same
 thing at any gradient scale.
 
 The loss is a fused kernel over one window rather than a tape built chunk
-by chunk. Its forward pass is ``model.window_forward``, which multi-video
-inference runs too: every product off the recurrence (fusion, embedding,
-the input projections of the two LSTMs) runs as one GEMM over all chunks
-of the window, and so does each classifier. The gradient is a
+by chunk. Its forward pass is ``model.window_forward``, the kernel every
+inference path runs too (``model.detect_block``): every product off the
+recurrence (fusion, embedding, the input projections of the two LSTMs)
+runs as one GEMM over all chunks of the window, and so does each
+classifier. The tests pin it to the tape's op-by-op ``model.chunk_step``. The gradient is a
 hand-derived backpropagation through time that runs only when backward()
 reaches the loss. To the tape the loss is a single node whose parents are
 the parameters.
@@ -167,8 +168,7 @@ def _softmax_xent(logits: np.ndarray, labels: np.ndarray, keep: np.ndarray | Non
     """Summed -log softmax(logits)[label] over the kept columns (all when
     ``keep`` is None), with the tape's 1e-12 clamp; returns (sum,
     d sum / d logits)."""
-    e = np.exp(logits - logits.max(axis=0))
-    p = e / e.sum(axis=0)
+    p = nm.softmax_array(logits)
     cols = np.arange(labels.size)
     picked = p[labels, cols]
     logs = np.log(np.maximum(picked, nm.CE_CLAMP))

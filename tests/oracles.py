@@ -1,13 +1,35 @@
 """Brute-force reference implementations shared by the test modules.
 
 Everything here is written for clarity over speed: explicit counting at
-every rank, quadratic scans, no shared code with the package.
+every rank, quadratic scans, no shared code with the package. The one
+exception is the inference reference, which steps the package's tape
+cell (``chunk_step``) op by op: no inference path runs it.
 """
 
 import numpy as np
 
 from trn import dataio as dio
 from trn import evaluate as ev
+from trn import model as md
+from trn import numeric as nm
+
+
+def tape_forward(params, sequence, state0=None):
+    """Inference over single-chunk vectors on the tape: ``md.chunk_step``
+    plus one ``nm.softmax`` per head and step, per chunk. Returns
+    (present (T, K), anticipated (T, steps, K), predicted features (T,
+    steps, H), final (h, c))."""
+    hs = params.config.hidden_size
+    h0, c0 = (np.zeros(hs), np.zeros(hs)) if state0 is None else (state0.h, state0.c)
+    present, anticipated, features = [], [], []
+    with nm.no_grad():
+        h, c = nm.tensor(h0), nm.tensor(c0)
+        for streams in sequence:
+            logits, dec_logits, dec_feats, h, c = md.chunk_step(params, streams, h, c)
+            present.append(nm.softmax(logits).data)
+            anticipated.append([nm.softmax(z).data for z in dec_logits])
+            features.append([f.data for f in dec_feats])
+    return np.array(present), np.array(anticipated), np.array(features), (h.data, c.data)
 
 
 def brute_force_ap(scores, positives):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ import pytest
 from trn import cli
 from trn import dataio as dio
 from trn import evaluate as ev
+from trn import model as md
+from trn import numeric as nm
 from trn import training as tr
 from trn.model import FusionVariant, TrnConfig, TrnParams
 from trn.numeric import ValidationError
+from trn.streaming import OnlineDetector
 
 
 def run(argv):
@@ -375,6 +379,49 @@ def test_infer_batch_ragged_split_matches_stream(tmp_path):
         assert s.num_chunks == t.num_chunks
         assert np.abs(s.present - t.present).max() <= 1e-12
         assert np.abs(s.anticipated - t.anticipated).max() <= 1e-12
+
+
+def test_stream_keeps_only_the_distributions():
+    # a detection also carries the decoder's predicted features (H floats
+    # per step); trn stream must not hold them for the whole video
+    cfg = TrnConfig(fusion_variant=FusionVariant.TWO_STREAM, appearance_dim=8, motion_dim=8,
+                    pose_dim=None, hidden_size=128, decoder_steps=8, num_actions=3)
+    params = TrnParams.init(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    video = {n: rng.normal(size=(1000, 8)) for n in ("appearance", "motion")}
+    tracemalloc.start()
+    try:
+        present, anticipated = cli._stream_video(params, video)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert present.shape == (1000, 4) and anticipated.shape == (1000, 8, 4)
+    # the two outputs hold 0.29 MB; the predicted features alone are 8.2 MB
+    assert peak < 2_000_000, peak
+
+
+def test_inference_paths_run_no_tape(dataset, tmp_path, monkeypatch):
+    ckpt, cfg = tiny_ckpt(tmp_path, appearance_dim=5, motion_dim=4)
+    params, _, _ = tr.load_checkpoint(ckpt)
+    manifest = dio.load_manifest(dataset)
+    videos = [dio.load_video_streams(manifest, v, cfg.streams) for v in manifest.split("test")]
+    assert len(videos) == 2
+
+    def tape(*args, **kw):
+        raise AssertionError("an inference path ran the tape")
+
+    monkeypatch.setattr(md, "chunk_step", tape)
+    monkeypatch.setattr(nm, "tensor", tape)
+    monkeypatch.setattr(nm, "_result", tape)
+    sequence = md.chunk_sequence(cfg, videos[0])
+    OnlineDetector(params).push_chunk(sequence[0])
+    md.trn_forward(params, sequence)
+    md.forward_videos(params, videos[:1])
+    md.forward_videos(params, videos)
+    tr.predict_manifest(params, manifest, "test")
+    argv = ["--ckpt", ckpt, "--manifest", dataset, "--split", "test"]
+    assert run(["stream", "--out", str(tmp_path / "s.jsonl")] + argv) == 0
+    assert run(["infer", "--batch", "--out", str(tmp_path / "b.jsonl")] + argv) == 0
 
 
 def test_stream_mismatched_lengths_exits_1(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import tape_forward
 from trn import model as md
 from trn import numeric as nm
 from trn.model import ChunkStreams, FusionVariant, TrnConfig, TrnParams, TrnState
@@ -390,6 +391,50 @@ def test_trn_forward_split_state_threading_bitwise():
             assert np.array_equal(u, v)
 
 
+@pytest.mark.parametrize("variant", list(FusionVariant))
+def test_trn_forward_matches_tape_oracle(variant):
+    # the window kernel against the op-by-op tape cell, from a nonzero
+    # state: distributions, every predicted feature (the last one too),
+    # and the carried state
+    cfg = tiny_config(variant, decoder_steps=3, num_actions=4)
+    params = TrnParams.init(cfg, np.random.default_rng(40))
+    rng = np.random.default_rng(41)
+    seq = [random_streams(rng, cfg) for _ in range(6)]
+    state0 = TrnState(rng.normal(size=5), rng.normal(size=5))
+    outputs, state = md.trn_forward(params, seq, state0)
+    present, anticipated, features, (h, c) = tape_forward(params, seq, state0)
+    assert np.abs(np.stack([o.present for o in outputs]) - present).max() <= 1e-12
+    assert np.abs(np.array([o.anticipated for o in outputs]) - anticipated).max() <= 1e-12
+    got_features = np.array([o.predicted_features for o in outputs])
+    assert got_features.shape == features.shape == (6, 3, 5)
+    assert np.abs(got_features - features).max() <= 1e-12
+    assert np.abs(state.h - h).max() <= 1e-12 and np.abs(state.c - c).max() <= 1e-12
+
+
+def test_trn_forward_rejects_wrong_size_state():
+    cfg = tiny_config()
+    params = TrnParams.init(cfg, np.random.default_rng(42))
+    seq = [random_streams(np.random.default_rng(43), cfg)]
+    with pytest.raises(nm.DimensionError):
+        md.trn_forward(params, seq, TrnState(np.zeros(6), np.zeros(5)))
+    # a size-1 c would broadcast against the gates
+    with pytest.raises(nm.DimensionError):
+        md.trn_forward(params, seq, TrnState(np.zeros(5), np.zeros(1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_trn_forward_rejects_non_finite_input_naming_the_stream(bad):
+    cfg = tiny_config(FusionVariant.FUSED_TWO_STREAM)
+    params = TrnParams.init(cfg, np.random.default_rng(44))
+    rng = np.random.default_rng(45)
+    seq = [random_streams(rng, cfg) for _ in range(3)]
+    pose = seq[1].pose.copy()
+    pose[2] = bad
+    seq[1] = ChunkStreams(appearance=seq[1].appearance, motion=seq[1].motion, pose=pose)
+    with pytest.raises(nm.ValidationError, match="pose stream holds a non-finite"):
+        md.trn_forward(params, seq)
+
+
 def test_forward_batch_columns_match_single_sequences():
     cfg = tiny_config()
     params = TrnParams.init(cfg, np.random.default_rng(18))
@@ -449,31 +494,23 @@ def random_video(rng, config, t_len):
 
 
 def reference_outputs(params, video):
-    """Per-video trn_forward outputs as (present, anticipated) arrays."""
-    outputs, _ = md.trn_forward(params, md.chunk_sequence(params.config, video))
-    return (
-        np.stack([o.present for o in outputs]),
-        np.stack([np.stack(o.anticipated) for o in outputs]),
-    )
+    """Per-video (present, anticipated) arrays from the tape oracle."""
+    present, anticipated, _, _ = tape_forward(params, md.chunk_sequence(params.config, video))
+    return present, anticipated
 
 
 def record_widths(monkeypatch):
     """Column width per chunk of every forward_videos call from now on:
-    window_forward blocks count once per chunk, chunk_step calls (a group
-    of one video) once each."""
+    each window_forward block counts once per chunk, a group of one video
+    included."""
     widths = []
-    window, step = md.window_forward, md.chunk_step
+    window = md.window_forward
 
     def counting_window(params, raw, h, c, *args, **kw):
         widths.extend([h.shape[1]] * (raw.shape[1] // h.shape[1]))
         return window(params, raw, h, c, *args, **kw)
 
-    def counting_step(params, streams, h, c):
-        widths.append(1 if streams.appearance.ndim == 1 else streams.appearance.shape[1])
-        return step(params, streams, h, c)
-
     monkeypatch.setattr(md, "window_forward", counting_window)
-    monkeypatch.setattr(md, "chunk_step", counting_step)
     return widths
 
 
@@ -525,14 +562,14 @@ def test_forward_videos_blocks_cross_the_block_length_and_retire_inside(variant,
 
 def test_forward_videos_one_video_bitwise_equals_trn_forward():
     # 21 classes: numpy sums 8 or more contiguous values pairwise, so this
-    # also pins the softmax column layout to the vector one
+    # also pins the softmax column layout of the two callers to each other
     cfg = tiny_config(num_actions=20, decoder_steps=4)
     params = TrnParams.init(cfg, np.random.default_rng(32))
     video = random_video(np.random.default_rng(33), cfg, 6)
     [(present, anticipated)] = md.forward_videos(params, [video])
-    want_present, want_anticipated = reference_outputs(params, video)
-    assert np.array_equal(present, want_present)
-    assert np.array_equal(anticipated, want_anticipated)
+    outputs, _ = md.trn_forward(params, md.chunk_sequence(cfg, video))
+    assert np.array_equal(present, np.stack([o.present for o in outputs]))
+    assert np.array_equal(anticipated, np.stack([np.stack(o.anticipated) for o in outputs]))
 
 
 def test_forward_videos_group_size_caps_columns(monkeypatch):
@@ -564,3 +601,7 @@ def test_forward_videos_rejects_bad_input():
         md.forward_videos(params, [random_video(rng, tiny_config(appearance_dim=2), 2)])
     with pytest.raises(nm.ValidationError, match="group_size"):
         md.forward_videos(params, [random_video(rng, cfg, 2)], group_size=0)
+    videos = [random_video(rng, cfg, 3), random_video(rng, cfg, 2)]
+    videos[1]["motion"][1, 0] = np.nan
+    with pytest.raises(nm.ValidationError, match="motion stream holds a non-finite"):
+        md.forward_videos(params, videos)

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import tape_forward
 from trn import model as md
 from trn.model import ChunkStreams, FusionVariant, TrnConfig, TrnParams
 from trn.numeric import DimensionError, ValidationError
@@ -56,6 +57,21 @@ def test_streaming_equals_batch_bitwise_all_variants():
         for t, streams in enumerate(seq):
             out = det.push_chunk(streams)
             assert outputs_equal(out, batch[t]), (variant, t)
+
+
+@pytest.mark.parametrize("variant", list(FusionVariant))
+def test_push_matches_tape_oracle(variant):
+    det = make_detector(variant, seed=8)
+    rng = np.random.default_rng(9)
+    seq = [draw_streams(rng, det.config) for _ in range(5)]
+    outs = [det.push_chunk(s) for s in seq]
+    present, anticipated, features, (h, c) = tape_forward(det.params, seq)
+    assert np.abs(np.stack([o.present for o in outs]) - present).max() <= 1e-12
+    assert np.abs(np.array([o.anticipated for o in outs]) - anticipated).max() <= 1e-12
+    got_features = np.array([o.predicted_features for o in outs])
+    assert got_features.shape == features.shape == (5, 3, 6)
+    assert np.abs(got_features - features).max() <= 1e-12
+    assert np.abs(det.state.h - h).max() <= 1e-12 and np.abs(det.state.c - c).max() <= 1e-12
 
 
 def test_first_push_starts_from_zero_state_and_counter():
@@ -146,10 +162,32 @@ def test_poison_on_missing_stream():
         det.push_chunk(ChunkStreams(appearance=np.zeros(4), motion=np.zeros(3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_non_finite_push_keeps_state_and_poisons(bad):
+    det = make_detector()
+    rng = np.random.default_rng(10)
+    good = draw_streams(rng, det.config)
+    det.push_chunk(good)
+    h, c = det.state.h.copy(), det.state.c.copy()
+    motion = good.motion.copy()
+    motion[0] = bad
+    with pytest.raises(ValidationError, match="motion stream holds a non-finite"):
+        det.push_chunk(ChunkStreams(appearance=good.appearance, motion=motion))
+    assert np.array_equal(det.state.h, h) and np.array_equal(det.state.c, c)
+    assert det.chunks_seen == 1
+    with pytest.raises(PoisonedError):
+        det.push_chunk(good)
+    det.reset()
+    assert np.isfinite(det.push_chunk(good).present).all()
+
+
 def test_batch_input_rejected():
     det = make_detector()
     with pytest.raises(ValidationError):
         det.push_chunk(ChunkStreams(appearance=np.zeros((4, 2)), motion=np.zeros((3, 2))))
+    det.reset()
+    with pytest.raises(ValidationError):  # a scalar, not a vector
+        det.push_chunk(ChunkStreams(appearance=np.float64(1.0), motion=np.zeros(3)))
 
 
 def test_push_cost_independent_of_history():
