@@ -135,7 +135,7 @@ def _synth_options():
 def _io_options(batch_flag: bool):
     out = {
         "ckpt": Opt(str, None, "checkpoint file"),
-        "out": Opt(str, None, "prediction dump to write (JSON lines)"),
+        "out": Opt(str, None, "prediction dump to write (TRND)"),
         "features": Opt(None, None, "per-stream feature files as NAME=PATH", kind="features"),
         "video_id": Opt(str, "video", "video id recorded with --features input"),
         "manifest": Opt(str, None, "dataset manifest (alternative to --features)"),
@@ -149,7 +149,7 @@ def _io_options(batch_flag: bool):
 
 def _eval_options():
     return {
-        "dump": Opt(str, None, "prediction dump (JSON lines)"),
+        "dump": Opt(str, None, "prediction dump (TRND)"),
         "gt": Opt(str, None, "ground-truth annotation TSV"),
         "classmap": Opt(str, None, "class map TSV"),
         "expand_to_frames": Opt(bool, False, "rank frames instead of chunks", kind="flag"),

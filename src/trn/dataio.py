@@ -5,6 +5,11 @@ little-endian u32 fields (magic, version, chunk count T, dimension D)
 followed by T*D float32 values, row-major. Values are widened to float64
 on load; widening is lossless so write-then-read is bit-exact.
 
+Checkpoints ("TRNC") and prediction dumps ("TRND") share one indexed
+container: magic, u32 version and u64 index length, a sorted-key JSON
+index, then C-order little-endian float64 arrays whose shapes the index
+determines.
+
 Datasets are described by a JSON manifest listing per-video stream files,
 dims, split tags, and annotation references. Annotations are TSV rows of
 (video id, class name, start seconds, end seconds); class indices come
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -126,6 +132,67 @@ def read_features(path: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise NonFiniteValueError(f"{path}: payload contains non-finite values")
     return values.astype(np.float64)
+
+
+# ---------------------------------------------------------------------------
+# indexed float64 containers (checkpoints "TRNC", prediction dumps "TRND")
+
+CONTAINER_VERSION = 1
+CONTAINER_HEADER = struct.Struct("<4sIQ")  # magic, version, index length
+
+
+def write_container(path: str, magic: bytes, doc: dict, arrays) -> None:
+    """Write the header, ``doc`` as a sorted-key JSON index, then each of
+    ``arrays`` as C-order little-endian float64. Identical inputs give
+    identical bytes."""
+    index = json.dumps(doc, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(CONTAINER_HEADER.pack(magic, CONTAINER_VERSION, len(index)))
+        f.write(index)
+        for a in arrays:
+            f.write(np.ascontiguousarray(a, dtype="<f8"))
+
+
+def read_container(path: str, magic: bytes, layout) -> tuple[dict, list[np.ndarray]]:
+    """The index and float64 arrays of a container. ``layout(doc)`` checks
+    the index and yields each array's (label, shape of non-negative ints) in
+    file order; a KeyError, TypeError or ValueError it raises becomes a
+    HeaderError. The payload size is checked before any array is read into
+    its own buffer, and a non-finite value is reported by its label."""
+    with open(path, "rb", buffering=0) as f:
+        head = f.read(CONTAINER_HEADER.size)
+        if len(head) < CONTAINER_HEADER.size:
+            raise TruncatedFileError(f"{path}: file shorter than the 16-byte header")
+        got, version, index_len = CONTAINER_HEADER.unpack(head)
+        if got != magic:
+            raise BadMagicError(f"{path}: bad magic {got!r}, not a {magic.decode()} file")
+        if version != CONTAINER_VERSION:
+            raise HeaderError(f"{path}: unsupported {magic.decode()} version {version}")
+        size = os.fstat(f.fileno()).st_size
+        if index_len > size - CONTAINER_HEADER.size:
+            raise TruncatedFileError(f"{path}: truncated index")
+        try:
+            doc = json.loads(f.read(index_len))
+            if not isinstance(doc, dict):
+                raise HeaderError(f"expected a JSON object, got {type(doc).__name__}")
+            shapes = list(layout(doc))
+        except (KeyError, TypeError, ValueError) as e:  # JSON syntax and bad UTF-8 too
+            raise HeaderError(f"{path}: malformed index: {e}") from e
+        expected = sum(8 * math.prod(shape) for _, shape in shapes)
+        actual = size - CONTAINER_HEADER.size - index_len
+        if actual < expected:
+            raise TruncatedFileError(f"{path}: payload holds {actual} of {expected} bytes")
+        if actual > expected:
+            raise TrailingDataError(f"{path}: {actual - expected} bytes of trailing data")
+        arrays = []
+        for label, shape in shapes:
+            a = np.empty(shape, dtype="<f8")
+            if f.readinto(a) != a.nbytes:
+                raise TruncatedFileError(f"{path}: {label} ends early")
+            if not np.isfinite(a).all():
+                raise NonFiniteValueError(f"{path}: {label} holds a non-finite value")
+            arrays.append(a)
+    return doc, arrays
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +570,9 @@ def _segment_labels(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray
     return labels
 
 
-def _labels_to_intervals(labels: np.ndarray, chunk_duration: float) -> list[Interval]:
+def _labels_to_intervals(labels: np.ndarray, chunk_size: int, fps: float) -> list[Interval]:
+    # boundaries as t * chunk_size / fps, the arithmetic of chunk_labels'
+    # video span, so the last interval cannot end one ulp past it
     out = []
     t = 0
     n = len(labels)
@@ -515,7 +584,7 @@ def _labels_to_intervals(labels: np.ndarray, chunk_duration: float) -> list[Inte
         while t < n and labels[t] == labels[start]:
             t += 1
         out.append(
-            Interval(f"class_{labels[start]}", start * chunk_duration, t * chunk_duration)
+            Interval(f"class_{labels[start]}", start * chunk_size / fps, t * chunk_size / fps)
         )
     return out
 
@@ -623,14 +692,13 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str) -> str:
     cmap = ClassMap([BACKGROUND_NAME] + [f"class_{c}" for c in range(1, k + 1)])
     write_class_map(os.path.join(out_dir, "classes.tsv"), cmap)
 
-    chunk_duration = spec.chunk_size / spec.fps
     n_train = int(round(spec.num_videos * spec.train_fraction))
     annotations: dict[str, list[Interval]] = {}
     videos = []
     for v in range(spec.num_videos):
         video_id = f"synth_{v:04d}"
         labels = _segment_labels(spec, rng)
-        annotations[video_id] = _labels_to_intervals(labels, chunk_duration)
+        annotations[video_id] = _labels_to_intervals(labels, spec.chunk_size, spec.fps)
 
         t = spec.video_len
         app = app_means[labels] + rng.normal(scale=spec.sigma_ratio, size=(t, spec.appearance_dim))

@@ -19,7 +19,6 @@ pairs that run past the video end are dropped.
 
 from __future__ import annotations
 
-import json
 import logging
 import sys
 from dataclasses import dataclass, field
@@ -224,87 +223,62 @@ def render_report(
 
 
 # ---------------------------------------------------------------------------
-# prediction dump files (JSON lines)
+# prediction dump files (TRND containers)
+
+DUMP_MAGIC = b"TRND"
 
 
 def write_prediction_dump(path: str, dump: PredictionDump) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        header = {
-            "type": "config",
-            "chunk_size": dump.chunk_size,
-            "fps": dump.fps,
-            "decoder_steps": dump.decoder_steps,
-            "classes": dump.classes,
-        }
-        f.write(json.dumps(header, sort_keys=True) + "\n")
-        for video_id, pred in dump.videos.items():
-            for t in range(pred.num_chunks):
-                record = {
-                    "type": "chunk",
-                    "video": video_id,
-                    "chunk": t,
-                    "present": pred.present[t].tolist(),
-                    "anticipated": pred.anticipated[t].tolist(),
-                }
-                f.write(json.dumps(record, sort_keys=True) + "\n")
+    """Write ``dump`` as a TRND container: the clock, steps, classes, dtype
+    and ordered [video id, chunks] list as the index, each video's present
+    (T, classes) then anticipated (T, steps, classes) as the payload. A
+    misshapen or non-finite distribution raises ValidationError naming the
+    video (and the chunk) before the file is opened."""
+    arrays = []
+    for video_id, pred in dump.videos.items():
+        t, k = pred.num_chunks, dump.classes
+        for name, a, shape in (("present", pred.present, (t, k)),
+                               ("anticipated", pred.anticipated, (t, dump.decoder_steps, k))):
+            if a.shape != shape:
+                raise ValidationError(f"video {video_id!r}: {name} is {a.shape}, not {shape}")
+            bad = np.nonzero(~np.isfinite(a))[0]
+            if bad.size:
+                raise ValidationError(
+                    f"video {video_id!r} chunk {bad[0]}: {name} holds a non-finite value"
+                )
+            arrays.append(a)
+    doc = {
+        "chunk_size": dump.chunk_size, "fps": dump.fps, "decoder_steps": dump.decoder_steps,
+        "classes": dump.classes, "dtype": "float64",
+        "videos": [[video_id, pred.num_chunks] for video_id, pred in dump.videos.items()],
+    }
+    dio.write_container(path, DUMP_MAGIC, doc, arrays)
 
 
 def read_prediction_dump(path: str) -> PredictionDump:
-    """Read a dump written by :func:`write_prediction_dump`.
-
-    The config record comes first. Each chunk record becomes float64
-    arrays as it is read, so no record's Python floats outlive it. A line
-    that is not a JSON object, a missing or mistyped field, a distribution
-    of the wrong shape and a non-finite value each raise FormatError
-    naming ``path:line``.
-    """
+    """Read a dump written by :func:`write_prediction_dump`; any other file
+    raises the FormatError subclass of its fault (``dio.read_container``)."""
     dump = None
-    rows: dict[str, list[tuple[int, np.ndarray, np.ndarray]]] = {}
-    with open(path, "rb") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                doc = json.loads(line)
-            except ValueError as e:  # JSON syntax or bad UTF-8
-                raise dio.FormatError(f"{where}: malformed JSON: {e}") from e
-            if not isinstance(doc, dict):
-                raise dio.FormatError(f"{where}: expected a JSON object, got {type(doc).__name__}")
-            kind = doc.get("type")
-            if kind == "config":
-                if dump is not None:
-                    raise dio.FormatError(f"{where}: second config record")
-                dump = _dump_header(doc, where)
-            elif kind == "chunk":
-                if dump is None:
-                    raise dio.FormatError(f"{where}: chunk record before the config record")
-                video, chunk = doc.get("video"), doc.get("chunk")
-                if not isinstance(video, str) or type(chunk) is not int:
-                    raise dio.FormatError(
-                        f"{where}: a chunk record needs a string video and an integer chunk"
-                    )
-                k = dump.classes
-                present = _distribution(doc, "present", (k,), where)
-                anticipated = _distribution(doc, "anticipated", (dump.decoder_steps, k), where)
-                rows.setdefault(video, []).append((chunk, present, anticipated))
-            else:
-                raise dio.FormatError(f"{where}: unknown record type {kind!r}")
-    if dump is None:
-        raise dio.FormatError(f"{path}: missing config record")
-    for video_id, chunks in rows.items():
-        chunks.sort(key=lambda r: r[0])
-        if [c for c, _, _ in chunks] != list(range(len(chunks))):
-            raise dio.FormatError(f"{path}: {video_id} chunk indices are not contiguous from 0")
-        dump.videos[video_id] = VideoPredictions(
-            present=np.stack([p for _, p, _ in chunks]),
-            anticipated=np.stack([a for _, _, a in chunks]),
-        )
+
+    def layout(doc):
+        nonlocal dump
+        dump = _dump_header(doc)
+        seen = set()
+        for video_id, t in doc["videos"]:
+            if not isinstance(video_id, str) or type(t) is not int or t < 0 or video_id in seen:
+                raise dio.HeaderError(f"videos entry {[video_id, t]} is not a new [id, chunks]")
+            seen.add(video_id)
+            yield f"video {video_id!r} present", (t, dump.classes)
+            yield f"video {video_id!r} anticipated", (t, dump.decoder_steps, dump.classes)
+
+    doc, arrays = dio.read_container(path, DUMP_MAGIC, layout)
+    for (video_id, _), present, anticipated in zip(doc["videos"], arrays[::2], arrays[1::2]):
+        dump.videos[video_id] = VideoPredictions(present, anticipated)
     return dump
 
 
-def _dump_header(doc: dict, where: str) -> PredictionDump:
-    """The empty dump a config record declares."""
+def _dump_header(doc: dict) -> PredictionDump:
+    """The empty dump an index declares."""
     values = {}
     for key in ("chunk_size", "decoder_steps", "classes", "fps"):
         v = doc.get(key)
@@ -314,28 +288,12 @@ def _dump_header(doc: dict, where: str) -> PredictionDump:
             ok = type(v) is int and v > 0
         if not ok:
             kind = "a positive number" if key == "fps" else "a positive integer"
-            raise dio.FormatError(f"{where}: config {key} must be {kind}, got {v!r}")
+            raise dio.HeaderError(f"{key} must be {kind}, got {v!r}")
         values[key] = v
+    if doc.get("dtype") != "float64":
+        raise dio.HeaderError(f"dtype must be 'float64', got {doc.get('dtype')!r}")
     values["fps"] = float(values["fps"])
     return PredictionDump(**values)
-
-
-def _distribution(doc: dict, key: str, shape: tuple[int, ...], where: str) -> np.ndarray:
-    """Field ``key`` of a chunk record as a finite float64 array of ``shape``."""
-    if key not in doc:
-        raise dio.FormatError(f"{where}: chunk record lacks {key!r}")
-    try:
-        a = np.array(doc[key])
-    except (ValueError, TypeError, OverflowError) as e:  # ragged nesting and the like
-        raise dio.FormatError(f"{where}: {key} is not an array of numbers: {e}") from e
-    if a.dtype.kind not in "fi" or a.shape != shape:
-        raise dio.FormatError(
-            f"{where}: {key} must be numbers of shape {shape}, got {a.dtype.name} {a.shape}"
-        )
-    a = a.astype(np.float64, copy=False)
-    if not np.isfinite(a).all():
-        raise dio.FormatError(f"{where}: {key} holds a non-finite value")
-    return a
 
 
 def ground_truth_from_files(annotations_path: str, class_map_path: str) -> GroundTruth:

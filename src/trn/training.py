@@ -32,10 +32,9 @@ reassociation in the gemm).
 
 from __future__ import annotations
 
-import json
+import itertools
 import logging
-import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from . import dataio as dio
 from . import evaluate as ev
 from . import model as md
 from . import numeric as nm
-from .dataio import BadMagicError, HeaderError, TruncatedFileError
+from .dataio import HeaderError
 from .model import ChunkStreams, FusionVariant, TrnConfig, TrnParams
 from .numeric import DimensionError, Tensor, ValidationError
 
@@ -542,23 +541,6 @@ def predict_manifest(
 
 
 CKPT_MAGIC = b"TRNC"
-CKPT_VERSION = 1
-_CKPT_HEADER = struct.Struct("<4sIQ")
-
-
-def _config_to_dict(config: TrnConfig) -> dict:
-    return {
-        "fusion_variant": config.fusion_variant.value,
-        "appearance_dim": config.appearance_dim,
-        "motion_dim": config.motion_dim,
-        "pose_dim": config.pose_dim,
-        "hidden_size": config.hidden_size,
-        "decoder_steps": config.decoder_steps,
-        "num_actions": config.num_actions,
-        "seq_len": config.seq_len,
-        "chunk_size": config.chunk_size,
-        "fps": config.fps,
-    }
 
 
 def config_from_dict(doc: dict) -> TrnConfig:
@@ -567,83 +549,62 @@ def config_from_dict(doc: dict) -> TrnConfig:
     return TrnConfig(**doc)
 
 
+def _tensor_index(params: TrnParams) -> list[dict]:
+    return [{"name": k, "shape": list(t.data.shape)} for k, t in params.named().items()]
+
+
 def save_checkpoint(
     path: str,
     params: TrnParams,
     adam: AdamState | None = None,
     meta: dict | None = None,
 ) -> None:
-    """Versioned binary container; identical inputs give identical bytes."""
-    named = params.named()
-    index = [{"name": k, "shape": list(t.data.shape)} for k, t in named.items()]
+    """A TRNC container: the config, tensor index, Adam step and ``meta``
+    as the index; the parameters, then Adam's m and v, as the payload.
+    Identical inputs give identical bytes. A non-finite value, which the
+    reader would refuse, raises ValidationError before the file is opened."""
+    config = params.config
     doc = {
-        "config": _config_to_dict(params.config),
-        "tensors": index,
+        "config": {**asdict(config), "fusion_variant": config.fusion_variant.value},
+        "tensors": _tensor_index(params),
         "adam": None if adam is None else {"t": adam.t},
         "meta": meta or {},
     }
-    blob = json.dumps(doc, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_CKPT_HEADER.pack(CKPT_MAGIC, CKPT_VERSION, len(blob)))
-        f.write(blob)
-        for k in named:
-            f.write(named[k].data.astype("<f8").tobytes(order="C"))
-        if adam is not None:
-            for k in named:
-                f.write(adam.m[k].astype("<f8").tobytes(order="C"))
-            for k in named:
-                f.write(adam.v[k].astype("<f8").tobytes(order="C"))
+    named = params.named()
+    arrays = [t.data for t in named.values()]
+    if adam is not None:
+        arrays += [adam.m[k] for k in named] + [adam.v[k] for k in named]
+    for name, a in zip(itertools.cycle(named), arrays):
+        if not np.isfinite(a).all():
+            raise ValidationError(f"{name} holds a non-finite value; checkpoint not written")
+    dio.write_container(path, CKPT_MAGIC, doc, arrays)
 
 
 def load_checkpoint(path: str) -> tuple[TrnParams, AdamState | None, dict]:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < _CKPT_HEADER.size:
-        raise TruncatedFileError(f"{path}: shorter than the checkpoint header")
-    magic, version, json_len = _CKPT_HEADER.unpack(blob[: _CKPT_HEADER.size])
-    if magic != CKPT_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {CKPT_MAGIC!r}")
-    if version != CKPT_VERSION:
-        raise HeaderError(f"{path}: unsupported checkpoint version {version}")
-    at = _CKPT_HEADER.size
-    if len(blob) < at + json_len:
-        raise TruncatedFileError(f"{path}: truncated checkpoint index")
-    try:
-        doc = json.loads(blob[at : at + json_len])
-    except json.JSONDecodeError as e:
-        raise HeaderError(f"{path}: malformed checkpoint index: {e}") from e
-    at += json_len
-    config = config_from_dict(doc["config"])
-    params = TrnParams.zeros(config)
+    """Read a checkpoint written by :func:`save_checkpoint`. An index that
+    does not describe this architecture raises HeaderError."""
+    params = None
+
+    def layout(doc):
+        nonlocal params
+        params = TrnParams.zeros(config_from_dict(doc["config"]))
+        if doc["tensors"] != _tensor_index(params):
+            raise HeaderError("tensor index does not match the architecture")
+        adam = doc["adam"]
+        if adam is not None and type(adam["t"]) is not int:
+            raise HeaderError("the Adam step must be an integer")
+        parts = ["tensor"] if adam is None else ["tensor", "adam m", "adam v"]
+        return [(f"{part} {k}", t.data.shape) for part in parts for k, t in params.named().items()]
+
+    doc, arrays = dio.read_container(path, CKPT_MAGIC, layout)
     named = params.named()
-    index = doc["tensors"]
-    if [e["name"] for e in index] != list(named.keys()):
-        raise HeaderError(f"{path}: tensor index does not match the architecture")
-
-    def take(shape):
-        nonlocal at
-        n = int(np.prod(shape)) * 8
-        if len(blob) < at + n:
-            raise TruncatedFileError(f"{path}: truncated tensor payload")
-        arr = np.frombuffer(blob[at : at + n], dtype="<f8").reshape(shape).copy()
-        at += n
-        return arr
-
-    for entry in index:
-        target = named[entry["name"]]
-        if list(target.data.shape) != entry["shape"]:
-            raise HeaderError(
-                f"{path}: tensor {entry['name']} has shape {entry['shape']}, "
-                f"architecture expects {list(target.data.shape)}"
-            )
-        target.data = take(entry["shape"])
+    n = len(named)
+    for t, a in zip(named.values(), arrays):
+        t.data = a
     adam = None
     if doc["adam"] is not None:
         adam = AdamState(
-            m={e["name"]: take(e["shape"]) for e in index},
-            v={e["name"]: take(e["shape"]) for e in index},
-            t=int(doc["adam"]["t"]),
+            m=dict(zip(named, arrays[n : 2 * n])), v=dict(zip(named, arrays[2 * n :])),
+            t=doc["adam"]["t"],
         )
-    if at != len(blob):
-        raise HeaderError(f"{path}: {len(blob) - at} bytes of trailing data")
     return params, adam, doc.get("meta", {})

@@ -262,26 +262,26 @@ def test_train_missing_stream_exits_1(dataset, tmp_path):
 def test_stream_dump_structure(tmp_path, capsys):
     ckpt, cfg = tiny_ckpt(tmp_path)
     feats = tiny_features(tmp_path, cfg, t=5)
-    out = tmp_path / "dump.jsonl"
+    out = tmp_path / "dump.trnd"
     rc = run(["stream", "--ckpt", ckpt, "--out", str(out),
               "--features", f"appearance={feats['appearance']}", f"motion={feats['motion']}"])
     assert rc == 0
-    lines = [json.loads(l) for l in out.read_text().splitlines()]
-    header, records = lines[0], lines[1:]
-    assert header["type"] == "config"
-    assert header["decoder_steps"] == 2
-    assert len(records) == 5  # chunk count equals feature file T
-    for rec in records:
-        assert len(rec["anticipated"]) == 2
-        assert len(rec["present"]) == cfg.num_actions + 1
-        assert abs(sum(rec["present"]) - 1.0) < 1e-9
+    assert out.read_bytes()[:4] == b"TRND"
+    dump = ev.read_prediction_dump(str(out))
+    assert dump.decoder_steps == 2
+    assert list(dump.videos) == ["video"]
+    pred = dump.videos["video"]
+    assert pred.num_chunks == 5  # chunk count equals feature file T
+    assert pred.anticipated.shape == (5, 2, cfg.num_actions + 1)
+    assert pred.present.shape == (5, cfg.num_actions + 1)
+    assert np.abs(pred.present.sum(axis=1) - 1.0).max() < 1e-9
 
 
 def test_stream_equals_infer_batch(tmp_path, capsys):
     ckpt, cfg = tiny_ckpt(tmp_path)
     feats = tiny_features(tmp_path, cfg, t=7)
     features_argv = ["--features", f"appearance={feats['appearance']}", f"motion={feats['motion']}"]
-    a, b = tmp_path / "stream.jsonl", tmp_path / "batch.jsonl"
+    a, b = tmp_path / "stream.trnd", tmp_path / "batch.trnd"
     assert run(["stream", "--ckpt", ckpt, "--out", str(a)] + features_argv) == 0
     assert run(["infer", "--batch", "--ckpt", ckpt, "--out", str(b)] + features_argv) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -302,7 +302,7 @@ def test_stream_from_manifest_split(dataset, tmp_path):
     params = TrnParams.init(cfg, np.random.default_rng(0))
     ckpt = str(tmp_path / "m.trnc")
     tr.save_checkpoint(ckpt, params)
-    out = tmp_path / "dump.jsonl"
+    out = tmp_path / "dump.trnd"
     rc = run(["stream", "--ckpt", ckpt, "--manifest", dataset, "--split", "test",
               "--out", str(out)])
     assert rc == 0
@@ -329,16 +329,15 @@ def test_fractional_fps_reaches_checkpoint_and_dump(dataset, tmp_path):
     manifest = dio.load_manifest(dataset)
     video = manifest.videos[0]
     feats = [f"{n}={manifest.resolve(video.streams[n].path)}" for n in ("appearance", "motion")]
-    out = tmp_path / "dump.jsonl"
+    out = tmp_path / "dump.trnd"
     assert run(["stream", "--ckpt", str(ckpt), "--out", str(out), "--features"] + feats) == 0
-    header = json.loads(out.read_text().splitlines()[0])
-    assert header["fps"] == 29.97
+    assert ev.read_prediction_dump(str(out)).fps == 29.97
 
 
 def test_infer_mixed_clocks_exits_1(dataset, tmp_path):
     set_manifest_fps(dataset, 30, 25)  # the two test videos disagree
     ckpt, _ = tiny_ckpt(tmp_path, appearance_dim=5, motion_dim=4)
-    out = tmp_path / "dump.jsonl"
+    out = tmp_path / "dump.trnd"
     rc = run(["infer", "--ckpt", ckpt, "--manifest", dataset, "--split", "test",
               "--out", str(out)])
     assert rc == 1
@@ -367,7 +366,7 @@ def test_infer_batch_ragged_split_matches_stream(tmp_path):
             dio.write_features(path, dio.read_features(path)[:length])
     ckpt, _ = tiny_ckpt(tmp_path, appearance_dim=5, motion_dim=4, num_actions=9)
     argv = ["--ckpt", ckpt, "--manifest", manifest_path, "--split", "test"]
-    a, b = tmp_path / "stream.jsonl", tmp_path / "batch.jsonl"
+    a, b = tmp_path / "stream.trnd", tmp_path / "batch.trnd"
     assert rc == 0
     assert run(["stream", "--out", str(a)] + argv) == 0
     assert run(["infer", "--batch", "--out", str(b)] + argv) == 0
@@ -420,8 +419,8 @@ def test_inference_paths_run_no_tape(dataset, tmp_path, monkeypatch):
     md.forward_videos(params, videos)
     tr.predict_manifest(params, manifest, "test")
     argv = ["--ckpt", ckpt, "--manifest", dataset, "--split", "test"]
-    assert run(["stream", "--out", str(tmp_path / "s.jsonl")] + argv) == 0
-    assert run(["infer", "--batch", "--out", str(tmp_path / "b.jsonl")] + argv) == 0
+    assert run(["stream", "--out", str(tmp_path / "s.trnd")] + argv) == 0
+    assert run(["infer", "--batch", "--out", str(tmp_path / "b.trnd")] + argv) == 0
 
 
 def test_stream_mismatched_lengths_exits_1(tmp_path):
@@ -430,7 +429,7 @@ def test_stream_mismatched_lengths_exits_1(tmp_path):
     a, m = str(tmp_path / "a.trnf"), str(tmp_path / "m.trnf")
     dio.write_features(a, rng.normal(size=(5, 3)))
     dio.write_features(m, rng.normal(size=(4, 2)))
-    rc = run(["stream", "--ckpt", ckpt, "--out", str(tmp_path / "d.jsonl"),
+    rc = run(["stream", "--ckpt", ckpt, "--out", str(tmp_path / "d.trnd"),
               "--features", f"appearance={a}", f"motion={m}"])
     assert rc == 1
 
@@ -439,20 +438,20 @@ def test_stream_corrupt_features_exits_2(tmp_path):
     ckpt, cfg = tiny_ckpt(tmp_path)
     bad = tmp_path / "bad.trnf"
     bad.write_bytes(b"NOPE" + b"\x00" * 32)
-    rc = run(["stream", "--ckpt", ckpt, "--out", str(tmp_path / "d.jsonl"),
+    rc = run(["stream", "--ckpt", ckpt, "--out", str(tmp_path / "d.trnd"),
               "--features", f"appearance={bad}", f"motion={bad}"])
     assert rc == 2
 
 
 def test_stream_missing_ckpt_exits_2(tmp_path):
     rc = run(["stream", "--ckpt", str(tmp_path / "nope.trnc"),
-              "--out", str(tmp_path / "d.jsonl"), "--features", "appearance=x"])
+              "--out", str(tmp_path / "d.trnd"), "--features", "appearance=x"])
     assert rc == 2
 
 
 def test_infer_without_input_exits_1(tmp_path):
     ckpt, _ = tiny_ckpt(tmp_path)
-    rc = run(["infer", "--ckpt", ckpt, "--out", str(tmp_path / "d.jsonl")])
+    rc = run(["infer", "--ckpt", ckpt, "--out", str(tmp_path / "d.trnd")])
     assert rc == 1
 
 
@@ -481,7 +480,7 @@ def test_eval_perfect_dump_scores_100(dataset, tmp_path, capsys):
         dump.videos[video.video_id] = ev.VideoPredictions(
             present=present, anticipated=anticipated
         )
-    dump_path = tmp_path / "perfect.jsonl"
+    dump_path = tmp_path / "perfect.trnd"
     ev.write_prediction_dump(str(dump_path), dump)
     annotations = manifest.resolve(videos[0].annotations)
     rc = run(["eval", "--dump", str(dump_path), "--gt", annotations,
@@ -490,6 +489,33 @@ def test_eval_perfect_dump_scores_100(dataset, tmp_path, capsys):
     table = capsys.readouterr().out
     cells = table.strip().splitlines()[-1].split()[2:]
     assert cells and all(c == "100.00" for c in cells)
+
+
+def test_synth_then_eval_logs_no_clip_warning(tmp_path, capsys, caplog, monkeypatch):
+    # interval ends written as t * (chunk_size / fps) landed one ulp past the
+    # video span t * chunk_size / fps, so the README walkthrough's eval
+    # warned about clipping for every video that ends in an action
+    drawn = []
+    segment_labels = dio._segment_labels
+    monkeypatch.setattr(dio, "_segment_labels", lambda *a: drawn.append(segment_labels(*a)) or drawn[-1])
+    readme = dict(num_videos=8, video_len=48, appearance_dim=8, motion_dim=8, seed=7,
+                  train_fraction=0.8)
+    assert run(synth_args(tmp_path / "data", **readme)) == 0
+    manifest_path = capsys.readouterr().out.strip()
+    manifest = dio.load_manifest(manifest_path)
+    cmap = dio.read_class_map(manifest.resolve(manifest.class_map))
+    # the written annotations label every chunk as the generator drew it
+    assert len(drawn) == len(manifest.videos)
+    for video, want in zip(manifest.videos, drawn):
+        labels, ambiguous = dio.load_video_labels(manifest, video, cmap)
+        assert np.array_equal(labels, want) and not ambiguous.any()
+    ckpt, _ = tiny_ckpt(tmp_path, appearance_dim=8, motion_dim=8)
+    dump = str(tmp_path / "dump.trnd")
+    assert run(["infer", "--batch", "--ckpt", ckpt, "--manifest", manifest_path,
+                "--out", dump]) == 0
+    assert run(["eval", "--dump", dump, "--gt", manifest.resolve("annotations.tsv"),
+                "--classmap", manifest.resolve(manifest.class_map)]) == 0
+    assert not [r for r in caplog.records if r.levelname == "WARNING"], caplog.text
 
 
 def test_eval_labels_each_video_once(dataset, tmp_path, monkeypatch):
@@ -501,7 +527,7 @@ def test_eval_labels_each_video_once(dataset, tmp_path, monkeypatch):
     for video in videos:
         scores = rng.dirichlet(np.ones(classes), size=(video.num_chunks, 4))
         dump.videos[video.video_id] = ev.VideoPredictions(scores[:, 0], scores[:, 1:])
-    dump_path = tmp_path / "dump.jsonl"
+    dump_path = tmp_path / "dump.trnd"
     ev.write_prediction_dump(str(dump_path), dump)
     argv = ["eval", "--dump", str(dump_path), "--gt", manifest.resolve(videos[0].annotations),
             "--classmap", manifest.resolve(manifest.class_map)]
@@ -513,11 +539,12 @@ def test_eval_labels_each_video_once(dataset, tmp_path, monkeypatch):
 
 
 def test_eval_missing_dump_exits_2(tmp_path):
-    rc = run(["eval", "--dump", str(tmp_path / "nope.jsonl"), "--gt", "x", "--classmap", "y"])
+    rc = run(["eval", "--dump", str(tmp_path / "nope.trnd"), "--gt", "x", "--classmap", "y"])
     assert rc == 2
 
 
-def test_eval_malformed_dump_exits_2(tmp_path):
+def test_eval_malformed_dump_exits_2(tmp_path, caplog):
+    # a JSON-lines dump of earlier versions is not a TRND container
     dump = tmp_path / "dump.jsonl"
     dump.write_text(
         '{"chunk_size": 6, "classes": 2, "decoder_steps": 1, "fps": 30, "type": "config"}\n'
@@ -528,6 +555,7 @@ def test_eval_malformed_dump_exits_2(tmp_path):
     dio.write_class_map(str(classmap), dio.ClassMap(["Background", "jump"]))
     rc = run(["eval", "--dump", str(dump), "--gt", str(gt), "--classmap", str(classmap)])
     assert rc == 2
+    assert "not a TRND file" in caplog.text
 
 
 # ---------------------------------------------------------------------------

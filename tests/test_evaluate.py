@@ -260,7 +260,7 @@ def test_render_report_both_horizon_conventions():
 
 def test_prediction_dump_roundtrip(tmp_path):
     dump, gt = random_instance(np.random.default_rng(5))
-    path = str(tmp_path / "dump.jsonl")
+    path = str(tmp_path / "dump.trnd")
     ev.write_prediction_dump(path, dump)
     back = ev.read_prediction_dump(path)
     assert back.classes == dump.classes and back.decoder_steps == dump.decoder_steps
@@ -272,78 +272,124 @@ def test_prediction_dump_roundtrip(tmp_path):
     assert ev.per_frame_map(back, gt).mean_ap == ev.per_frame_map(dump, gt).mean_ap
 
 
+# the index of a one-video, one-chunk, two-class, one-step dump
+DUMP_INDEX = {
+    "chunk_size": 6, "classes": 2, "decoder_steps": 1, "dtype": "float64", "fps": 30,
+    "videos": [["v", 1]],
+}
+HALF = np.full((1, 2), 0.5)  # present; HALF[:, None] is anticipated
+OLD_JSONL_DUMP = (
+    '{"chunk_size": 6, "classes": 2, "decoder_steps": 1, "fps": 30, "type": "config"}\n'
+    '{"type": "chunk", "video": "v", "chunk": 0, "present": [0.5, 0.5], '
+    '"anticipated": [[0.5, 0.5]]}\n'
+)
+
+
+def write_raw_dump(path, arrays=(HALF, HALF[:, None]), **index):
+    """A TRND container with DUMP_INDEX updated by ``index`` (a key set to
+    None is dropped) and ``arrays`` as its payload, written without the
+    dump writer's checks."""
+    doc = {k: v for k, v in {**DUMP_INDEX, **index}.items() if v is not None}
+    dio.write_container(str(path), ev.DUMP_MAGIC, doc, arrays)
+
+
 def test_prediction_dump_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text('{"type": "chunk", "video": "v", "chunk": 0, "present": [1], "anticipated": [[1]]}\n')
-    with pytest.raises(dio.FormatError):
-        ev.read_prediction_dump(str(path))  # missing config record
+    path = tmp_path / "bad.trnd"
+    path.write_text(OLD_JSONL_DUMP)
+    with pytest.raises(dio.BadMagicError, match="not a TRND file"):
+        ev.read_prediction_dump(str(path))  # a JSON-lines dump of earlier versions
     path.write_text("not json\n")
-    with pytest.raises(dio.FormatError):
-        ev.read_prediction_dump(str(path))
-    header = '{"chunk_size": 6, "classes": 2, "decoder_steps": 1, "fps": 30, "type": "config"}\n'
-    path.write_text(
-        header
-        + '{"type": "chunk", "video": "v", "chunk": 1, "present": [0.5, 0.5], "anticipated": [[0.5, 0.5]]}\n'
-    )
-    with pytest.raises(dio.FormatError):
-        ev.read_prediction_dump(str(path))  # chunks must start at 0
-    path.write_text(
-        header
-        + '{"type": "chunk", "video": "v", "chunk": 0, "present": [0.5, 0.5, 0.5], "anticipated": [[0.5, 0.5, 0.5]]}\n'
-    )
-    with pytest.raises(dio.FormatError):
+    with pytest.raises(dio.TruncatedFileError):
+        ev.read_prediction_dump(str(path))  # shorter than the header
+    write_raw_dump(path, videos=[["v", 2]])
+    with pytest.raises(dio.TruncatedFileError):
+        ev.read_prediction_dump(str(path))  # the index declares more chunks than the payload
+    write_raw_dump(path, arrays=[np.full((1, 3), 0.5), np.full((1, 1, 3), 0.5)])
+    with pytest.raises(dio.TrailingDataError):
         ev.read_prediction_dump(str(path))  # distribution width mismatch
 
 
-DUMP_HEADER = '{"chunk_size": 6, "classes": 2, "decoder_steps": 1, "fps": 30, "type": "config"}\n'
-
-# one malformed chunk record each; before the strict reader these raised
-# AttributeError, KeyError, IndexError, a bare ValueError, or read back NaN
+# one malformed container each, under the names of the JSON-lines record
+# cases they replace; each raises its FormatError subclass naming the file
 MALFORMED_RECORDS = {
-    "not an object": '[1, 2]',
-    "missing anticipated": '{"type": "chunk", "video": "v", "chunk": 0, "present": [0.5, 0.5]}',
+    "not an object": (
+        dio.HeaderError, lambda path: dio.write_container(path, ev.DUMP_MAGIC, [1, 2], [])
+    ),
+    "missing anticipated": (dio.TruncatedFileError, lambda path: write_raw_dump(path, [HALF])),
     "scalar present": (
-        '{"type": "chunk", "video": "v", "chunk": 0, "present": 0.5, "anticipated": [[0.5, 0.5]]}'
+        dio.TruncatedFileError, lambda path: write_raw_dump(path, [np.array(0.5), HALF[:, None]])
     ),
-    "ragged present": (
-        '{"type": "chunk", "video": "v", "chunk": 0, "present": [[0.5], [0.5, 0.5]], '
-        '"anticipated": [[0.5, 0.5]]}'
-    ),
+    "ragged present": (dio.HeaderError, lambda path: write_raw_dump(path, videos=[["v"], ["w", 1]])),
     "NaN": (
-        '{"type": "chunk", "video": "v", "chunk": 0, "present": [NaN, 0.5], '
-        '"anticipated": [[0.5, 0.5]]}'
+        dio.NonFiniteValueError,
+        lambda path: write_raw_dump(path, [np.array([[np.nan, 0.5]]), HALF[:, None]]),
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
 def test_prediction_dump_malformed_record_names_its_line(tmp_path, case):
-    path = tmp_path / "bad.jsonl"
-    path.write_text(DUMP_HEADER + MALFORMED_RECORDS[case] + "\n")
-    with pytest.raises(dio.FormatError, match=f"{path}:2: "):
+    error, write = MALFORMED_RECORDS[case]
+    path = tmp_path / "bad.trnd"
+    write(str(path))
+    detail = "video 'v' present holds a non-finite value" if case == "NaN" else ""
+    with pytest.raises(error, match=f"{path}: {detail}"):
         ev.read_prediction_dump(str(path))
 
 
 def test_prediction_dump_rejects_bad_header_and_order(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    record = (
-        '{"type": "chunk", "video": "v", "chunk": 0, "present": [0.5, 0.5], '
-        '"anticipated": [[0.5, 0.5]]}\n'
-    )
-    for text, where in [
-        (DUMP_HEADER.replace('"classes": 2', '"classes": 0'), 1),
-        (DUMP_HEADER.replace('"fps": 30', '"fps": NaN'), 1),
-        (DUMP_HEADER.replace('"chunk_size": 6', '"chunk_size": "6"'), 1),
-        (record + DUMP_HEADER, 1),  # the config record comes first
-        (DUMP_HEADER + DUMP_HEADER, 2),
-        (DUMP_HEADER + record.replace('"chunk": 0', '"chunk": 0.0'), 2),
+    path = tmp_path / "bad.trnd"
+    for index in [
+        dict(classes=0),
+        dict(fps=float("nan")),
+        dict(chunk_size="6"),
+        dict(dtype="float32"),
+        dict(decoder_steps=None),
+        dict(videos=None),
+        dict(videos=[["v", 1], ["v", 1]]),  # a video listed twice
+        dict(videos=[["v", 1.0]]),  # a chunk count must be an integer
+        dict(videos=[["v", -1]]),
+        dict(videos=[[7, 1]]),
+        dict(videos={"v": 1}),
     ]:
-        path.write_text(text)
-        with pytest.raises(dio.FormatError, match=f"{path}:{where}: "):
+        write_raw_dump(path, **index)
+        with pytest.raises(dio.HeaderError, match=f"{path}: "):
             ev.read_prediction_dump(str(path))
-    path.write_bytes(DUMP_HEADER.encode() + b'{"type": "\xff"}\n')
-    with pytest.raises(dio.FormatError, match=f"{path}:2: "):
+    index = b'{"chunk_size": "\xff"}'
+    path.write_bytes(dio.CONTAINER_HEADER.pack(ev.DUMP_MAGIC, 1, len(index)) + index)
+    with pytest.raises(dio.HeaderError, match=f"{path}: "):
         ev.read_prediction_dump(str(path))
+    path.write_bytes(dio.CONTAINER_HEADER.pack(ev.DUMP_MAGIC, 2, 2) + b"{}")
+    with pytest.raises(dio.HeaderError, match=f"{path}: unsupported TRND version 2"):
+        ev.read_prediction_dump(str(path))
+
+
+def test_write_rejects_non_finite_naming_video_and_chunk(tmp_path):
+    # the writer used to write NaN as a JSON token its own reader rejects
+    dump = ev.PredictionDump(chunk_size=6, fps=30.0, decoder_steps=2, classes=3)
+    dump.videos["a"] = ev.VideoPredictions(np.full((4, 3), 0.25), np.full((4, 2, 3), 0.25))
+    for name, bad in (("present", np.nan), ("anticipated", np.inf), ("anticipated", -np.inf)):
+        present, anticipated = np.full((5, 3), 0.25), np.full((5, 2, 3), 0.25)
+        (present if name == "present" else anticipated)[3, ..., 1] = bad
+        dump.videos["b"] = ev.VideoPredictions(present, anticipated)
+        path = tmp_path / "dump.trnd"
+        with pytest.raises(ValidationError, match=f"video 'b' chunk 3: {name} holds a non-finite"):
+            ev.write_prediction_dump(str(path), dump)
+        assert not path.exists()
+
+
+def test_write_rejects_misshapen_distributions(tmp_path):
+    dump = ev.PredictionDump(chunk_size=6, fps=30.0, decoder_steps=2, classes=3)
+    path = tmp_path / "dump.trnd"
+    for present, anticipated in [
+        (np.full((4, 2), 0.5), np.full((4, 2, 3), 0.5)),  # too few classes
+        (np.full((4, 3), 0.5), np.full((4, 1, 3), 0.5)),  # too few steps
+        (np.full((4, 3), 0.5), np.full((3, 2, 3), 0.5)),  # chunk counts disagree
+    ]:
+        dump.videos["v"] = ev.VideoPredictions(present, anticipated)
+        with pytest.raises(ValidationError, match="video 'v'"):
+            ev.write_prediction_dump(str(path), dump)
+        assert not path.exists()
 
 
 def test_ground_truth_from_files(tmp_path):

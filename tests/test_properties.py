@@ -1,5 +1,6 @@
 """Property tests: the vectorised labelling against brute-force scans,
-and prediction dumps against their own writer."""
+prediction dumps and checkpoints against their own writers, and the one
+clock a split must share."""
 
 import json
 import logging
@@ -15,8 +16,12 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from oracles import brute_force_chunk_labels, brute_force_interval_mask  # noqa: E402
+from trn import cli  # noqa: E402
 from trn import dataio as dio  # noqa: E402
 from trn import evaluate as ev  # noqa: E402
+from trn import training as tr  # noqa: E402
+from trn.model import FusionVariant, TrnConfig, TrnParams  # noqa: E402
+from trn.numeric import ValidationError  # noqa: E402
 
 
 @st.composite
@@ -98,26 +103,26 @@ def dumps(draw):
 
 
 def written(dump):
-    """The dump's file lines, as write_prediction_dump writes them."""
+    """The dump's file bytes, as write_prediction_dump writes them."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "dump.jsonl")
+        path = os.path.join(tmp, "dump.trnd")
         ev.write_prediction_dump(path, dump)
-        with open(path, encoding="utf-8") as f:
-            return f.read().splitlines()
+        with open(path, "rb") as f:
+            return f.read()
 
 
-def read_lines(lines):
+def read_bytes(blob, read=ev.read_prediction_dump):
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "dump.jsonl")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("".join(line + "\n" for line in lines))
-        return ev.read_prediction_dump(path)
+        path = os.path.join(tmp, "file")
+        with open(path, "wb") as f:
+            f.write(blob)
+        return read(path)
 
 
 @settings(max_examples=150, deadline=None)
 @given(dumps())
 def test_prediction_dump_roundtrip_is_bitwise(dump):
-    back = read_lines(written(dump))
+    back = read_bytes(written(dump))
     assert (back.chunk_size, back.fps, back.decoder_steps, back.classes) == (
         dump.chunk_size, dump.fps, dump.decoder_steps, dump.classes
     )
@@ -129,6 +134,79 @@ def test_prediction_dump_roundtrip_is_bitwise(dump):
         assert got.anticipated.tobytes() == pred.anticipated.tobytes()
 
 
+def checkpoint_bytes(variant, adam):
+    """A tiny checkpoint of ``variant``, with Adam state when ``adam``."""
+    cfg = TrnConfig.for_streams(
+        variant, {"appearance": 3, "motion": 2, "pose": 4}, hidden_size=3, decoder_steps=2,
+        num_actions=2, chunk_size=6, fps=29.97,
+    )
+    params = TrnParams.init(cfg, np.random.default_rng(0))
+    state = tr.AdamState.init(params) if adam else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.trnc")
+        tr.save_checkpoint(path, params, state, meta={"epochs": 1})
+        with open(path, "rb") as f:
+            return f.read()
+
+
+CHECKPOINTS = [checkpoint_bytes(v, adam) for v in FusionVariant for adam in (False, True)]
+
+
+def check_checkpoint(blob):
+    params, adam, _ = read_bytes(blob, tr.load_checkpoint)
+    arrays = [t.data for t in params.named().values()]
+    if adam is not None:
+        arrays += list(adam.m.values()) + list(adam.v.values())
+    assert all(a.dtype == np.float64 and np.isfinite(a).all() for a in arrays)
+    fresh = TrnParams.zeros(params.config).named()
+    assert {k: t.data.shape for k, t in params.named().items()} == {
+        k: t.data.shape for k, t in fresh.items()
+    }
+
+
+def check_dump(blob):
+    back = read_bytes(blob)
+    for pred in back.videos.values():
+        t_len = pred.num_chunks
+        assert pred.present.shape == (t_len, back.classes)
+        assert pred.anticipated.shape == (t_len, back.decoder_steps, back.classes)
+        assert np.isfinite(pred.present).all() and np.isfinite(pred.anticipated).all()
+
+
+@st.composite
+def containers(draw):
+    """(file bytes, checker): a valid dump or checkpoint."""
+    if draw(st.booleans()):
+        return written(draw(dumps())), check_dump
+    return draw(st.sampled_from(CHECKPOINTS)), check_checkpoint
+
+
+@settings(max_examples=300, deadline=None)
+@given(containers(), st.data())
+def test_mutated_container_reads_back_or_raises_its_format_error(container, data):
+    """Changed bytes read back as a well-formed value or raise a FormatError
+    subclass, never another exception: a changed magic BadMagicError, a
+    changed version HeaderError. Cut bytes raise TruncatedFileError and
+    appended bytes TrailingDataError."""
+    blob, check = container
+    kind = data.draw(st.sampled_from(["change", "cut", "append"]))
+    if kind == "cut":
+        blob, error = blob[: data.draw(st.integers(0, len(blob) - 1))], dio.TruncatedFileError
+    elif kind == "append":
+        blob, error = blob + data.draw(st.binary(min_size=1, max_size=16)), dio.TrailingDataError
+    else:
+        at = data.draw(st.integers(0, len(blob) - 1))
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[at]))
+        blob = blob[:at] + bytes([byte]) + blob[at + 1 :]
+        error = dio.BadMagicError if at < 4 else dio.HeaderError if at < 8 else dio.FormatError
+    try:
+        check(blob)
+    except dio.FormatError as e:
+        assert isinstance(e, error), (type(e), error)
+        return
+    assert kind == "change" and error is dio.FormatError
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
@@ -136,40 +214,104 @@ JSON_VALUES = st.recursive(
 )
 
 
-@st.composite
-def mutations(draw, line):
-    """``line`` with one random edit: a span of characters replaced, one
-    field set to a random JSON value (NaN included) or removed, or the
-    whole line replaced by a JSON value."""
-    kind = draw(st.sampled_from(["text", "field", "drop", "line"]))
-    if kind == "text":
-        i = draw(st.integers(0, len(line)))
-        j = draw(st.integers(i, min(len(line), i + 6)))
-        junk = draw(st.text(alphabet='{}[]",:-.0123456789eEaNInfinity tl', max_size=6))
-        return line[:i] + junk + line[j:]
-    if kind == "line":
-        return json.dumps(draw(JSON_VALUES))
-    doc = json.loads(line)
-    key = draw(st.sampled_from(sorted(doc)))
-    if kind == "drop":
-        del doc[key]
-    else:
-        doc[key] = draw(JSON_VALUES | FINITE | st.sampled_from([float("nan"), float("inf")]))
-    return json.dumps(doc)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_mutated_dump_reads_back_or_raises_format_error(data):
-    lines = written(data.draw(dumps()))
-    at = data.draw(st.integers(0, len(lines) - 1))
-    lines[at] = data.draw(mutations(lines[at]))
+    """A dump whose index has one field set to a random JSON value (NaN
+    included) or removed reads back well formed or raises a FormatError."""
+    dump = data.draw(dumps())
+    doc = {
+        "chunk_size": dump.chunk_size, "fps": dump.fps, "decoder_steps": dump.decoder_steps,
+        "classes": dump.classes, "dtype": "float64",
+        "videos": [[v, p.num_chunks] for v, p in dump.videos.items()],
+    }
+    key = data.draw(st.sampled_from(sorted(doc)))
+    if data.draw(st.booleans()):
+        del doc[key]
+    else:
+        doc[key] = data.draw(
+            JSON_VALUES | FINITE | st.sampled_from([float("nan"), float("inf")])
+        )
+    arrays = [a for p in dump.videos.values() for a in (p.present, p.anticipated)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dump.trnd")
+        dio.write_container(path, ev.DUMP_MAGIC, doc, arrays)
+        with open(path, "rb") as f:
+            blob = f.read()
     try:
-        back = read_lines(lines)
+        check_dump(blob)
     except dio.FormatError:
-        return
-    for pred in back.videos.values():
-        t_len = pred.num_chunks
-        assert pred.present.shape == (t_len, back.classes)
-        assert pred.anticipated.shape == (t_len, back.decoder_steps, back.classes)
-        assert np.isfinite(pred.present).all() and np.isfinite(pred.anticipated).all()
+        pass
+
+
+# ---------------------------------------------------------------------------
+# clocks
+
+CLOCKS = st.tuples(st.sampled_from([4, 6]), st.sampled_from([25.0, 29.97, 30.0]))
+
+
+@pytest.fixture(scope="module")
+def clock_dataset(tmp_path_factory):
+    """A 4-video manifest (2 train, 2 test) as a JSON document, and a
+    checkpoint that runs on it."""
+    root = tmp_path_factory.mktemp("clocks")
+    spec = dio.SyntheticSpec(
+        num_classes=2, appearance_dim=3, motion_dim=2, num_videos=4, video_len=6,
+        train_fraction=0.5,
+    )
+    manifest_path = dio.generate_synthetic(spec, str(root))
+    with open(manifest_path) as f:
+        doc = json.load(f)
+    cfg = TrnConfig.for_streams(
+        FusionVariant.TWO_STREAM, {"appearance": 3, "motion": 2}, hidden_size=3,
+        decoder_steps=2, num_actions=2,
+    )
+    ckpt = str(root / "m.trnc")
+    tr.save_checkpoint(ckpt, TrnParams.init(cfg, np.random.default_rng(0)))
+    return manifest_path, doc, ckpt
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_a_split_runs_on_one_clock(clock_dataset, data):
+    """Random per-video clocks: split_clock, predict_manifest, trn infer and
+    trn train reject exactly the splits whose videos disagree, and a dump
+    carries the clock its videos share."""
+    manifest_path, doc, ckpt = clock_dataset
+    base = data.draw(CLOCKS)
+    for video in doc["videos"]:
+        video["chunk_size"], video["fps"] = data.draw(st.just(base) | CLOCKS)
+    with open(manifest_path, "w") as f:
+        json.dump(doc, f)
+    manifest = dio.load_manifest(manifest_path)
+    test = manifest.split("test")
+    for videos in (test, manifest.videos):
+        clocks = {(v.chunk_size, v.fps) for v in videos}
+        if len(clocks) > 1:
+            with pytest.raises(ValidationError, match="clock"):
+                dio.split_clock(videos, base)
+        else:
+            assert dio.split_clock(videos, (1, 1.0)) == clocks.pop()
+    test_clocks = {(v.chunk_size, v.fps) for v in test}
+    all_agree = len({(v.chunk_size, v.fps) for v in manifest.videos}) == 1
+
+    params, _, _ = tr.load_checkpoint(ckpt)
+    out = os.path.join(os.path.dirname(manifest_path), "dump.trnd")
+    if os.path.exists(out):
+        os.remove(out)
+    rc = cli.main(["infer", "--ckpt", ckpt, "--manifest", manifest_path, "--out", out])
+    if len(test_clocks) > 1:
+        with pytest.raises(ValidationError, match="clock"):
+            tr.predict_manifest(params, manifest, "test")
+        assert rc == 1 and not os.path.exists(out)
+    else:
+        clock = test_clocks.pop()
+        dump = tr.predict_manifest(params, manifest, "test")
+        assert rc == 0 and (dump.chunk_size, dump.fps) == clock
+        written = ev.read_prediction_dump(out)
+        assert (written.chunk_size, written.fps) == clock
+    ckpt_out = os.path.join(os.path.dirname(manifest_path), "trained.trnc")
+    rc = cli.main(["train", "--manifest", manifest_path, "--out", ckpt_out, "--epochs", "1",
+                   "--hidden-size", "3", "--seq-len", "6", "--decoder-steps", "2",
+                   "--eval-every", "0"])
+    assert rc == (0 if all_agree else 1)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -622,13 +623,13 @@ def test_checkpoint_with_integer_fps_loads(tmp_path):
     path = tmp_path / "model.trnc"
     tr.save_checkpoint(str(path), params)
     blob = path.read_bytes()
-    magic, version, json_len = tr._CKPT_HEADER.unpack(blob[: tr._CKPT_HEADER.size])
-    at = tr._CKPT_HEADER.size
+    magic, version, json_len = dio.CONTAINER_HEADER.unpack(blob[: dio.CONTAINER_HEADER.size])
+    at = dio.CONTAINER_HEADER.size
     doc = json.loads(blob[at : at + json_len])
     assert doc["config"]["fps"] == 30.0
     doc["config"]["fps"] = 30
     index = json.dumps(doc, sort_keys=True).encode("utf-8")
-    path.write_bytes(tr._CKPT_HEADER.pack(magic, version, len(index)) + index
+    path.write_bytes(dio.CONTAINER_HEADER.pack(magic, version, len(index)) + index
                      + blob[at + json_len :])
     loaded, _, _ = tr.load_checkpoint(str(path))
     assert loaded.config.fps == 30.0 and isinstance(loaded.config.fps, float)
@@ -656,6 +657,45 @@ def test_checkpoint_deterministic_bytes(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+# sha256 of pinned_checkpoint's bytes, without and with Adam state, as
+# written by the checkpoint writer before it moved onto dataio's container
+PINNED_CHECKPOINT_SHA256 = {
+    False: "fee2953c5799146ed4a8d29772f965a13415e354f82150ec1a24a33f18d0a7f9",
+    True: "094b1619118d26a5016bd6d886e85f3672d065fe373f58faa1defc6fd6cdeaad",
+}
+
+
+@pytest.mark.parametrize("with_adam", [False, True])
+def test_checkpoint_bytes_are_pinned(tmp_path, with_adam):
+    cfg = tiny_model(fusion_variant=FusionVariant.FUSED_TWO_STREAM, pose_dim=5, fps=29.97)
+    params = TrnParams.init(cfg, np.random.default_rng(2024))
+    adam = tr.AdamState.init(params)
+    rng = np.random.default_rng(2025)
+    for _ in range(2):
+        grads = {k: rng.normal(size=t.data.shape) for k, t in params.named().items()}
+        tr.adam_step(params, grads, adam, tr.TrainConfig(seq_len=4))
+    path = tmp_path / "m.trnc"
+    tr.save_checkpoint(str(path), params, adam if with_adam else None,
+                       meta={"epochs": 2, "note": "pin"})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHECKPOINT_SHA256[with_adam]
+
+
+def test_checkpoint_writer_refuses_non_finite_values(tmp_path):
+    # the reader refuses non-finite payloads, so the writer must not make one
+    params = TrnParams.init(tiny_model(), np.random.default_rng(17))
+    path = tmp_path / "m.trnc"
+    params.named()["embed.w"].data[1, 2] = np.nan
+    with pytest.raises(ValidationError, match="embed.w holds a non-finite value"):
+        tr.save_checkpoint(str(path), params)
+    assert not path.exists()
+    params.named()["embed.w"].data[1, 2] = 0.0
+    adam = tr.AdamState.init(params)
+    adam.v["decoder.cls.b"][0] = np.inf
+    with pytest.raises(ValidationError, match="decoder.cls.b holds a non-finite value"):
+        tr.save_checkpoint(str(path), params, adam)
+    assert not path.exists()
+
+
 def test_checkpoint_corruption_errors(tmp_path):
     cfg = tiny_model()
     params = TrnParams.init(cfg, np.random.default_rng(15))
@@ -670,7 +710,12 @@ def test_checkpoint_corruption_errors(tmp_path):
     with pytest.raises(dio.TruncatedFileError):
         tr.load_checkpoint(str(path))
     path.write_bytes(blob + b"\x00")
-    with pytest.raises(dio.HeaderError):
+    with pytest.raises(dio.TrailingDataError):
+        tr.load_checkpoint(str(path))
+    magic, version, index_len = dio.CONTAINER_HEADER.unpack(blob[: dio.CONTAINER_HEADER.size])
+    path.write_bytes(dio.CONTAINER_HEADER.pack(magic, version, index_len + 2)
+                     + blob[dio.CONTAINER_HEADER.size :])
+    with pytest.raises(dio.HeaderError):  # the index runs into the payload
         tr.load_checkpoint(str(path))
 
 
