@@ -367,12 +367,12 @@ def _stream_video(params: TrnParams, streams: dict) -> tuple[np.ndarray, np.ndar
     """One video pushed chunk by chunk through a fresh detector; only each
     push's two distributions are kept."""
     cfg = params.config
-    sequence = md.chunk_sequence(cfg, streams)
-    present = np.empty((len(sequence), cfg.classes))
-    anticipated = np.empty((len(sequence), cfg.decoder_steps, cfg.classes))
+    t_len = md.check_streams(cfg, streams)
+    present = np.empty((t_len, cfg.classes))
+    anticipated = np.empty((t_len, cfg.decoder_steps, cfg.classes))
     det = OnlineDetector(params)
-    for t, chunk in enumerate(sequence):
-        out = det.push_chunk(chunk)
+    for t in range(t_len):
+        out = det.push_chunk(ChunkStreams(**{n: streams[n][t] for n in cfg.streams}))
         present[t], anticipated[t] = out.present, out.anticipated
     return present, anticipated
 
@@ -450,16 +450,20 @@ def cmd_gradcheck(args) -> int:
     for t in params.named().values():
         t.data = rng.uniform(-0.5, 0.5, size=t.data.shape)
     dims = {n: getattr(model_config, f"{n}_dim") for n in md.STREAM_NAMES}
-    sequence = [
-        ChunkStreams(**{n: rng.normal(size=d) for n, d in dims.items() if d is not None})
+    # drawn chunk by chunk: the draw order fixes which inputs a seed audits
+    chunks = [
+        {n: rng.normal(size=d) for n, d in dims.items() if d is not None}
         for _ in range(cfg["seq_len"])
     ]
+    streams = {n: np.stack([c[n] for c in chunks]) for n in chunks[0]}
     labels = rng.integers(0, model_config.classes, size=cfg["seq_len"])
-    corrupt = float(os.environ.get("TRN_GRADCHECK_CORRUPT", "0") or "0")
+    analytic = list(tr.sequence_loss(params, train_config, [streams], labels).grads().values())
+    # a deliberate offset on one coordinate shows the audit catches a wrong gradient
+    analytic[0].reshape(-1)[0] += float(os.environ.get("TRN_GRADCHECK_CORRUPT", "0") or "0")
     err = nm.grad_check(
-        lambda: tr.sequence_loss(params, train_config, sequence, labels),
-        list(params.named().values()),
-        _corrupt_analytic=corrupt,
+        lambda: tr.sequence_loss(params, train_config, [streams], labels).loss,
+        analytic,
+        [t.data for t in params.named().values()],
     )
     ok = err < cfg["tolerance"]
     print(f"max relative error {err:.3e} (tolerance {cfg['tolerance']:.1e})")

@@ -89,13 +89,11 @@ def write_features(path: str, data: np.ndarray) -> None:
         f.write(payload.tobytes(order="C"))
 
 
-def read_feature_header(path: str) -> tuple[int, int]:
-    """Return (T, D) from a TRNF header without loading the payload."""
-    with open(path, "rb") as f:
-        head = f.read(HEADER.size)
+def _feature_header(path: str, head: bytes) -> tuple[int, int]:
+    """(T, D) from the leading bytes of a TRNF file, checked."""
     if len(head) < HEADER.size:
         raise TruncatedFileError(f"{path}: file shorter than the {HEADER.size}-byte header")
-    magic, version, t, d = HEADER.unpack(head)
+    magic, version, t, d = HEADER.unpack(head[: HEADER.size])
     if magic != MAGIC:
         raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != FORMAT_VERSION:
@@ -105,19 +103,17 @@ def read_feature_header(path: str) -> tuple[int, int]:
     return t, d
 
 
+def read_feature_header(path: str) -> tuple[int, int]:
+    """Return (T, D) from a TRNF header without loading the payload."""
+    with open(path, "rb") as f:
+        return _feature_header(path, f.read(HEADER.size))
+
+
 def read_features(path: str) -> np.ndarray:
     """Load a TRNF file as a float64 (T, D) array."""
     with open(path, "rb") as f:
         blob = f.read()
-    if len(blob) < HEADER.size:
-        raise TruncatedFileError(f"{path}: file shorter than the {HEADER.size}-byte header")
-    magic, version, t, d = HEADER.unpack(blob[: HEADER.size])
-    if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise HeaderError(f"{path}: unsupported format version {version}")
-    if t < 1 or d < 1:
-        raise HeaderError(f"{path}: header declares empty shape ({t}, {d})")
+    t, d = _feature_header(path, blob)
     expected = t * d * 4
     actual = len(blob) - HEADER.size
     if actual < expected:

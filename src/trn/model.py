@@ -150,17 +150,22 @@ class Linear:
     w: Tensor
     b: Tensor
 
-    @staticmethod
-    def init(in_dim: int, out_dim: int, rng: np.random.Generator) -> "Linear":
-        bound = 1.0 / np.sqrt(in_dim)
-        return Linear(
-            nm.parameter(rng.uniform(-bound, bound, size=(out_dim, in_dim))),
-            nm.parameter(np.zeros(out_dim)),
-        )
 
-    @staticmethod
-    def zeros(in_dim: int, out_dim: int) -> "Linear":
-        return Linear(nm.parameter(np.zeros((out_dim, in_dim))), nm.parameter(np.zeros(out_dim)))
+def param_shapes(config: TrnConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter, in :meth:`TrnParams.named` order."""
+    h, k = config.hidden_size, config.classes
+    shapes = {}
+    if config.fusion_variant is not FusionVariant.ONE_STREAM:
+        shapes.update({"fusion.w": (h, config.concat_dim()), "fusion.b": (h,)})
+    shapes.update({
+        "embed.w": (h, config.embed_input_dim()), "embed.b": (h,),
+        "decoder.lstm.w": (4 * h, 2 * h), "decoder.lstm.b": (4 * h,),
+        "decoder.cls.w": (k, h), "decoder.cls.b": (k,),
+        "decoder.feat.w": (h, h), "decoder.feat.b": (h,),
+        "encoder.lstm.w": (4 * h, 3 * h), "encoder.lstm.b": (4 * h,),
+        "encoder.cls.w": (k, h), "encoder.cls.b": (k,),
+    })
+    return shapes
 
 
 @dataclass
@@ -178,36 +183,44 @@ class TrnParams:
 
     @staticmethod
     def init(config: TrnConfig, rng: np.random.Generator) -> "TrnParams":
+        """Weights uniform in +-1/sqrt(fan-in), drawn in :meth:`named`
+        order; biases zero except the LSTM forget gates, which start at 1."""
+        arrays = {}
+        for name, shape in param_shapes(config).items():
+            if len(shape) == 2:
+                bound = 1.0 / np.sqrt(shape[1])
+                arrays[name] = rng.uniform(-bound, bound, size=shape)
+            else:
+                arrays[name] = np.zeros(shape)
         h = config.hidden_size
-        fusion = None
-        if config.fusion_variant is not FusionVariant.ONE_STREAM:
-            fusion = Linear.init(config.concat_dim(), h, rng)
-        return TrnParams(
-            config=config,
-            fusion=fusion,
-            embed=Linear.init(config.embed_input_dim(), h, rng),
-            decoder_lstm=nm.LstmParams.init(h, h, rng),
-            decoder_cls=Linear.init(h, config.classes, rng),
-            decoder_feat=Linear.init(h, h, rng),
-            encoder_lstm=nm.LstmParams.init(2 * h, h, rng),
-            encoder_cls=Linear.init(h, config.classes, rng),
-        )
+        arrays["decoder.lstm.b"][h : 2 * h] = 1.0
+        arrays["encoder.lstm.b"][h : 2 * h] = 1.0
+        return TrnParams.from_arrays(config, arrays)
 
     @staticmethod
     def zeros(config: TrnConfig) -> "TrnParams":
+        shapes = param_shapes(config)
+        return TrnParams.from_arrays(config, {k: np.zeros(s) for k, s in shapes.items()})
+
+    @staticmethod
+    def from_arrays(config: TrnConfig, arrays: dict[str, np.ndarray]) -> "TrnParams":
+        """Parameters over ``arrays``, keyed as :meth:`named` (float64
+        arrays are used in place)."""
+        t = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
         h = config.hidden_size
-        fusion = None
-        if config.fusion_variant is not FusionVariant.ONE_STREAM:
-            fusion = Linear.zeros(config.concat_dim(), h)
+
+        def linear(name):
+            return Linear(t[f"{name}.w"], t[f"{name}.b"])
+
         return TrnParams(
             config=config,
-            fusion=fusion,
-            embed=Linear.zeros(config.embed_input_dim(), h),
-            decoder_lstm=nm.LstmParams.zeros(h, h),
-            decoder_cls=Linear.zeros(h, config.classes),
-            decoder_feat=Linear.zeros(h, h),
-            encoder_lstm=nm.LstmParams.zeros(2 * h, h),
-            encoder_cls=Linear.zeros(h, config.classes),
+            fusion=linear("fusion") if "fusion.w" in t else None,
+            embed=linear("embed"),
+            decoder_lstm=nm.LstmParams(t["decoder.lstm.w"], t["decoder.lstm.b"], h, h),
+            decoder_cls=linear("decoder.cls"),
+            decoder_feat=linear("decoder.feat"),
+            encoder_lstm=nm.LstmParams(t["encoder.lstm.w"], t["encoder.lstm.b"], 2 * h, h),
+            encoder_cls=linear("encoder.cls"),
         )
 
     def named(self) -> dict[str, Tensor]:
@@ -283,36 +296,44 @@ def fuse(params: TrnParams, streams: ChunkStreams) -> Tensor:
     return nm.relu(nm.linear(params.fusion.w, params.fusion.b, joined))
 
 
-def _consumed_streams(config: TrnConfig, streams: dict) -> tuple[dict, int]:
-    """The streams of one name -> (T, D) dict that the variant consumes,
-    and the chunk count T they share."""
+def check_streams(config: TrnConfig, streams: dict) -> int:
+    """Validate the streams of one name -> (T, D) dict that the variant
+    consumes and return the chunk count T they share.
+
+    A missing stream or T = 0 is a ValidationError; a stream that is not
+    2-D with its configured dim, or a disagreeing T, a DimensionError.
+    """
+    lengths = {}
     for name in config.streams:
         if name not in streams:
             raise ValidationError(
                 f"{config.fusion_variant.value} requires streams {list(config.streams)}, "
                 f"input lacks {name}"
             )
-    arrays = {n: streams[n] for n in config.streams}
-    lengths = {n: len(a) for n, a in arrays.items()}
+        shape, dim = np.shape(streams[name]), getattr(config, f"{name}_dim")
+        if len(shape) != 2 or shape[1] != dim:
+            raise DimensionError(f"{name} stream has shape {shape}, config requires (T, {dim})")
+        lengths[name] = shape[0]
     if len(set(lengths.values())) != 1:
         raise DimensionError(f"streams disagree on chunk count: {lengths}")
-    return arrays, lengths[config.streams[0]]
+    t_len = lengths[config.streams[0]]
+    if t_len == 0:
+        raise ValidationError("empty sequence")
+    return t_len
 
 
-def chunk_sequence(config: TrnConfig, streams) -> list[ChunkStreams]:
-    """Per-chunk inputs from name -> (T, D) arrays.
-
-    ``streams`` is one such dict, or a list of them that all hold T chunks;
-    a list becomes (D, B) column batches, one column per dict. Only the
-    streams the variant consumes are kept, and each must be present.
-    """
-    if isinstance(streams, dict):
-        arrays, t_len = _consumed_streams(config, streams)
-    else:
-        batch = [_consumed_streams(config, s)[0] for s in streams]
-        arrays = {n: np.stack([s[n] for s in batch], axis=2) for n in config.streams}
-        t_len = len(arrays[config.streams[0]])
-    return [ChunkStreams(**{n: a[t] for n, a in arrays.items()}) for t in range(t_len)]
+def stack_block(config: TrnConfig, videos: list[dict], t0: int, t1: int) -> np.ndarray:
+    """Chunks t0..t1-1 of B checked stream dicts as the (D, (t1-t0)*B)
+    float64 input of :func:`window_forward`: rows in fusion order,
+    columns t-major (column t*B + b), each column contiguous in memory."""
+    cols = np.empty((t1 - t0, len(videos), config.concat_dim()))
+    at = 0
+    for name in config.streams:
+        dim = getattr(config, f"{name}_dim")
+        for b, video in enumerate(videos):
+            cols[:, b, at : at + dim] = video[name][t0:t1]
+        at += dim
+    return cols.reshape(-1, cols.shape[2]).T
 
 
 def embed(params: TrnParams, fused: Tensor) -> Tensor:
@@ -593,18 +614,18 @@ def trn_forward(
     return outputs, TrnState(h, c)
 
 
-# chunks per block in multi-video inference: long enough to amortise the
-# hoisted GEMMs, short enough to keep the block's arrays small
+# multi-video inference runs up to GROUP_SIZE videos as the columns of
+# one group, in blocks of at most BLOCK_CHUNKS chunks: long enough to
+# amortise the hoisted GEMMs, short enough to keep the block's arrays small
+GROUP_SIZE = 16
 BLOCK_CHUNKS = 16
 
 
-def forward_videos(
-    params: TrnParams, videos: list[dict], group_size: int = 16
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def forward_videos(params: TrnParams, videos: list[dict]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Whole-sequence inference over many videos of any lengths.
 
     ``videos`` holds one name -> (T_i, D) stream dict per video. The videos
-    run longest first (a stable sort), ``group_size`` at a time, as the
+    run longest first (a stable sort), ``GROUP_SIZE`` at a time, as the
     columns of :func:`detect_block` calls. A group of one video runs in
     one-chunk blocks, as ``trn stream`` does, so its outputs are bitwise
     those of ``trn stream`` and ``trn_forward``. A wider group runs in
@@ -616,48 +637,35 @@ def forward_videos(
     Returns (present (T_i, classes), anticipated (T_i, steps, classes)) per
     video, in input order.
     """
-    if group_size < 1:
-        raise ValidationError(f"group_size must be >= 1, got {group_size}")
-    cfg = params.config
-    inputs = [_consumed_streams(cfg, v) for v in videos]
-    if any(t_len == 0 for _, t_len in inputs):
-        raise ValidationError("empty sequence")
-    for arrays, _ in inputs:
-        for name, a in arrays.items():
-            dim = getattr(cfg, f"{name}_dim")
-            if a.ndim != 2 or a.shape[1] != dim:
-                raise DimensionError(
-                    f"{name} stream has shape {a.shape}, config requires (T, {dim})"
-                )
-    order = sorted(range(len(inputs)), key=lambda i: -inputs[i][1])
-    out: list = [None] * len(inputs)
-    for at in range(0, len(order), group_size):
-        group = order[at : at + group_size]
+    lengths = [check_streams(params.config, v) for v in videos]
+    order = sorted(range(len(videos)), key=lambda i: -lengths[i])
+    out: list = [None] * len(videos)
+    for at in range(0, len(order), GROUP_SIZE):
+        group = order[at : at + GROUP_SIZE]
         block = BLOCK_CHUNKS if len(group) > 1 else 1
-        for i, result in zip(group, _forward_blocks(params, [inputs[i] for i in group], block)):
+        results = _forward_blocks(
+            params, [videos[i] for i in group], [lengths[i] for i in group], block
+        )
+        for i, result in zip(group, results):
             out[i] = result
     return out
 
 
-def _forward_blocks(params: TrnParams, group: list[tuple[dict, int]], block: int):
-    """``forward_videos`` over (streams, T) pairs sorted longest first, in
+def _forward_blocks(params: TrnParams, videos: list[dict], lengths: list[int], block: int):
+    """``forward_videos`` over checked videos sorted longest first, in
     blocks of at most ``block`` chunks."""
     cfg = params.config
     k, steps, hs = cfg.classes, cfg.decoder_steps, cfg.hidden_size
-    lengths = [t_len for _, t_len in group]
     present = [np.empty((t_len, k)) for t_len in lengths]
     anticipated = [np.empty((t_len, steps, k)) for t_len in lengths]
-    n = len(group)
+    n = len(videos)
     h, c = np.zeros((hs, n)), np.zeros((hs, n))
     t0 = 0
     while t0 < lengths[0]:
         while lengths[n - 1] <= t0:
             n -= 1
         t1 = min(t0 + block, lengths[n - 1])
-        # each stream as (T, n, D), then all as (D, T*n) with t-major columns
-        parts = [np.stack([s[name][t0:t1] for s, _ in group[:n]], axis=1) for name in cfg.streams]
-        raw = np.concatenate([a.reshape(-1, a.shape[2]).T for a in parts], dtype=np.float64)
-        p, run = detect_block(params, raw, h[:, :n], c[:, :n])
+        p, run = detect_block(params, stack_block(cfg, videos[:n], t0, t1), h[:, :n], c[:, :n])
         h, c = run.h, run.c
         cols = (t1 - t0) * n
         p_enc = p[:, :cols].reshape(k, t1 - t0, n)

@@ -8,9 +8,9 @@ gradient checking run in float64.
 
 Ops never mutate their inputs. Gradients accumulate additively into ``.grad``
 buffers when ``backward()`` is called on a scalar result, which is what makes
-backpropagation through time come out as a sum over steps. A kernel that
-computes its own gradients joins the tape as a single node through
-:func:`custom_op`.
+backpropagation through time come out as a sum over steps. The tape is the
+op-by-op reference the fused kernels are tested against; the training loss
+computes its own gradients without it.
 """
 
 from __future__ import annotations
@@ -157,26 +157,6 @@ def _result(data: np.ndarray, parents: tuple, backward) -> Tensor:
         out._parents = parents
         out._backward = backward
     return out
-
-
-def custom_op(
-    data, parents: Sequence[Tensor], vjp: Callable[[np.ndarray], Sequence]
-) -> Tensor:
-    """A node computed outside the tape, such as a fused kernel.
-
-    ``vjp(g)`` takes the upstream gradient and returns one gradient per
-    parent, or None for a parent it does not reach. It runs only when
-    ``backward()`` reaches the node; under ``no_grad()`` the node has no
-    backward closure at all.
-    """
-    parents = tuple(parents)
-
-    def backward(g):
-        for p, gp in zip(parents, vjp(g)):
-            if gp is not None and _wants_grad(p):
-                _accum(p, gp)
-
-    return _result(np.asarray(data, dtype=np.float64), parents, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -357,37 +337,13 @@ def cross_entropy(p: Tensor, label: int) -> Tensor:
 class LstmParams:
     """Packed LSTM weights: rows are the four gates [i, f, g, o].
 
-    ``w`` is (4H, D+H) acting on concat(x, h_prev); ``b`` is (4H,) with the
-    forget-gate block initialised to +1.
+    ``w`` is (4H, D+H) acting on concat(x, h_prev); ``b`` is (4H,).
     """
 
     w: Tensor
     b: Tensor
     input_dim: int
     hidden_size: int
-
-    @staticmethod
-    def init(input_dim: int, hidden_size: int, rng: np.random.Generator) -> "LstmParams":
-        h = hidden_size
-        w = parameter(_uniform_init(rng, (4 * h, input_dim + h)))
-        b0 = np.zeros(4 * h)
-        b0[h : 2 * h] = 1.0
-        return LstmParams(w, parameter(b0), input_dim, h)
-
-    @staticmethod
-    def zeros(input_dim: int, hidden_size: int) -> "LstmParams":
-        h = hidden_size
-        return LstmParams(
-            parameter(np.zeros((4 * h, input_dim + h))),
-            parameter(np.zeros(4 * h)),
-            input_dim,
-            h,
-        )
-
-
-def _uniform_init(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    bound = 1.0 / math.sqrt(shape[-1])
-    return rng.uniform(-bound, bound, size=shape)
 
 
 def lstm_forward(z: np.ndarray, c_prev: np.ndarray, hs: int):
@@ -455,43 +411,34 @@ def lstm_step(params: LstmParams, x: Tensor, h_prev: Tensor, c_prev: Tensor):
 
 
 def grad_check(
-    f: Callable[[], Tensor],
-    tensors: Sequence[Tensor],
+    f: Callable[[], float],
+    analytic: Sequence[np.ndarray],
+    arrays: Sequence[np.ndarray],
     h: float = 1e-5,
-    _corrupt_analytic: float = 0.0,
 ) -> float:
-    """Compare reverse-mode gradients of the scalar ``f()`` against central
-    differences over every coordinate of ``tensors``.
+    """Compare ``analytic``, one gradient per array, against central
+    differences of the scalar ``f()`` over every coordinate of ``arrays``.
 
-    Returns the max over coordinates of |analytic - numeric| /
-    max(1, |analytic|, |numeric|). ``_corrupt_analytic`` deliberately offsets
-    one analytic coordinate; it exists so the checker itself can be shown to
-    catch a wrong gradient.
+    Each coordinate is perturbed in place and restored; ``f`` runs forward
+    only, twice per coordinate. Returns the max over coordinates of
+    |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
-    for t in tensors:
-        t.zero_grad()
-    loss = f()
-    if not np.isfinite(loss.item()):
-        raise FloatingPointError("grad_check: loss is not finite")
-    loss.backward()
-    analytic = [
-        np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors
-    ]
-    if _corrupt_analytic:
-        analytic[0].reshape(-1)[0] += _corrupt_analytic
-
     worst = 0.0
     with no_grad():
-        for t, a in zip(tensors, analytic):
-            flat = t.data.reshape(-1)
-            aflat = a.reshape(-1)
+        for arr, a in zip(arrays, analytic, strict=True):
+            if np.shape(a) != arr.shape:
+                raise DimensionError(f"grad_check: gradient {np.shape(a)} for array {arr.shape}")
+            flat = arr.reshape(-1)
+            aflat = np.reshape(a, -1)
             for j in range(flat.size):
                 saved = flat[j]
                 flat[j] = saved + h
-                up = f().item()
+                up = float(f())
                 flat[j] = saved - h
-                down = f().item()
+                down = float(f())
                 flat[j] = saved
+                if not (math.isfinite(up) and math.isfinite(down)):
+                    raise FloatingPointError("grad_check: loss is not finite")
                 numeric = (up - down) / (2.0 * h)
                 denom = max(1.0, abs(aflat[j]), abs(numeric))
                 worst = max(worst, abs(aflat[j] - numeric) / denom)

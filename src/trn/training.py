@@ -20,10 +20,10 @@ by chunk. Its forward pass is ``model.window_forward``, the kernel every
 inference path runs too (``model.detect_block``): every product off the
 recurrence (fusion, embedding, the input projections of the two LSTMs)
 runs as one GEMM over all chunks of the window, and so does each
-classifier. The tests pin it to the tape's op-by-op ``model.chunk_step``. The gradient is a
-hand-derived backpropagation through time that runs only when backward()
-reaches the loss. To the tape the loss is a single node whose parents are
-the parameters.
+classifier. The tests pin it to the tape's op-by-op ``model.chunk_step``.
+The gradient is a hand-derived backpropagation through time that runs
+only when the loss's ``grads()`` is called; a training step is plain
+numpy from feature arrays to Adam.
 
 Batching packs same-length windows as columns of one matrix; per-sequence
 results are identical to running each window alone (up to float
@@ -43,8 +43,8 @@ from . import evaluate as ev
 from . import model as md
 from . import numeric as nm
 from .dataio import HeaderError
-from .model import ChunkStreams, FusionVariant, TrnConfig, TrnParams
-from .numeric import DimensionError, Tensor, ValidationError
+from .model import FusionVariant, TrnConfig, TrnParams
+from .numeric import DimensionError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -83,29 +83,31 @@ def decoder_target_pairs(seq_len: int, steps: int) -> list[tuple[int, int]]:
 def sequence_loss(
     params: TrnParams,
     config: TrainConfig,
-    sequence: list[ChunkStreams],
+    videos: list[dict],
     labels: np.ndarray,
     ambiguous: np.ndarray | None = None,
-) -> Tensor:
-    """Two-head training loss for one window (vectors or column batches).
+) -> "WindowLoss":
+    """Two-head training loss for one window of B columns.
 
-    labels: (T,) ints, or (T, B) when the sequence holds column batches.
-    ambiguous: an optional bool mask of the labels' shape. An ambiguous
-    chunk leaves the encoder head's mean, and a (t, i) pair whose target
-    t + i is ambiguous leaves the decoder head's mean; a head with nothing
-    left contributes 0.
+    videos: B name -> (T, D) stream dicts, as ``model.forward_videos``
+    takes, all of one length T. labels: (T, B) ints, or (T,) for one
+    window. ambiguous: an optional bool mask of the labels' shape. An
+    ambiguous chunk leaves the encoder head's mean, and a (t, i) pair whose
+    target t + i is ambiguous leaves the decoder head's mean; a head with
+    nothing left contributes 0.
 
-    The result is a single tape node whose parents are the parameters; its
-    gradients come from the hand-derived BPTT of :class:`_FusedWindow`,
-    which runs only when ``backward()`` reaches the node.
+    Returns the :class:`WindowLoss`: the loss as a float, and its
+    gradients from ``grads()``, which alone runs the backward pass.
     """
-    classes = params.config.classes
-    if not sequence:
-        raise ValidationError("empty sequence")
+    lengths = {md.check_streams(params.config, v) for v in videos}
+    if len(lengths) != 1:
+        raise DimensionError(f"a batch needs windows of one length, got lengths {sorted(lengths)}")
+    (t_len,) = lengths
     labels = np.asarray(labels)
-    t_len = len(sequence)
-    if labels.shape[0] != t_len:
-        raise ValidationError(f"got {labels.shape[0]} labels for {t_len} chunks")
+    want = (t_len,) if labels.ndim == 1 and len(videos) == 1 else (t_len, len(videos))
+    if labels.shape != want:
+        raise ValidationError(f"labels have shape {labels.shape}, expected {want}")
+    classes = params.config.classes
     if labels.min() < 0 or labels.max() >= classes:
         raise ValidationError(
             f"labels must lie in [0, {classes}), got range [{labels.min()}, {labels.max()}]"
@@ -117,36 +119,8 @@ def sequence_loss(
                 f"ambiguous mask has shape {ambiguous.shape}, labels {labels.shape}"
             )
         ambiguous = ambiguous.reshape(t_len, -1)
-    if labels.ndim == 1:
-        labels = labels.reshape(-1, 1)
-    window = _FusedWindow(params, config, sequence, labels.astype(np.int64), ambiguous)
-    named = params.named()
-    return nm.custom_op([window.loss], named.values(), lambda g: window.grads(g[0], named))
-
-
-def _stack_streams(cfg: TrnConfig, sequence: list[ChunkStreams], batch: int) -> np.ndarray:
-    """The consumed streams of a window as one (D, T*B) matrix.
-
-    Rows follow the fusion order, columns run t-major (column t*B + b).
-    """
-    rows = []
-    for name in cfg.streams:
-        dim = getattr(cfg, f"{name}_dim")
-        cols = []
-        for streams in sequence:
-            v = getattr(streams, name)
-            if v is None:
-                raise ValidationError(f"{cfg.fusion_variant.value} requires the {name} stream")
-            v = np.asarray(v, dtype=np.float64)
-            v = v.reshape(-1, 1) if v.ndim == 1 else v
-            if v.shape != (dim, batch):
-                raise DimensionError(
-                    f"{name} stream has shape {v.shape}, expected ({dim}, {batch}) "
-                    "for the config and labels"
-                )
-            cols.append(v)
-        rows.append(np.concatenate(cols, axis=1))
-    return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=0)
+    labels = labels.reshape(t_len, -1).astype(np.int64)
+    return WindowLoss(params, config, videos, labels, ambiguous)
 
 
 def _lstm_backward(trace, dh: np.ndarray, dc, hs: int, dz: np.ndarray) -> np.ndarray:
@@ -186,26 +160,29 @@ def _head_scale(weight: float, total: int, keep: np.ndarray | None) -> float:
     return weight / count if count else 0.0
 
 
-class _FusedWindow:
+class WindowLoss:
     """The two-head loss over one window, with its BPTT.
 
-    The forward pass is :func:`model.window_forward` from zero state, with
-    its gate traces kept for the backward pass; this class adds the heads,
-    each one GEMM over all its columns. The backward pass (:meth:`grads`)
-    stores the LSTM pre-activation gradients of every step and forms each
-    weight gradient as one GEMM over the stacked (gradient, input) columns.
+    ``loss`` is the loss as a float. The forward pass is
+    :func:`model.window_forward` from zero state, with its gate traces
+    kept for the backward pass; this class adds the heads, each one GEMM
+    over all its columns. The backward pass (:meth:`grads`) stores the
+    LSTM pre-activation gradients of every step and forms each weight
+    gradient as one GEMM over the stacked (gradient, input) columns.
     Gates are [i, f, g, o], the ReLU gradient is 0 at 0, and clamped
     cross-entropy columns carry no gradient.
     """
 
     def __init__(
-        self, params: TrnParams, config: TrainConfig, sequence, labels: np.ndarray, ambiguous
+        self, params: TrnParams, config: TrainConfig, videos, labels: np.ndarray, ambiguous
     ):
         cfg = params.config
         hs, steps = cfg.hidden_size, cfg.decoder_steps
         t_len, batch = labels.shape
         self.params, self.shape = params, (hs, t_len, steps, batch)
-        self.raw = _stack_streams(cfg, sequence, batch)
+        # row-major, as training has always run: a GEMM's last bits depend
+        # on its operands' layout, so this keeps same-seed checkpoints
+        self.raw = np.ascontiguousarray(md.stack_block(cfg, videos, 0, t_len))
         zero = np.zeros((hs, batch))
         self.run = run = md.window_forward(params, self.raw, zero, zero, trace=True)
 
@@ -216,7 +193,7 @@ class _FusedWindow:
         enc_cls = params.encoder_cls
         logits = enc_cls.w.data @ md.join_cols(run.enc_h) + enc_cls.b.data[:, None]
         enc_sum, self.g_enc = _softmax_xent(logits, labels.reshape(-1), keep)
-        self.loss = enc_sum * self.enc_scale
+        self.loss = float(enc_sum * self.enc_scale)
         self.pairs = np.zeros((t_len, steps), dtype=bool)
         self.g_dec = None
         pairs = decoder_target_pairs(t_len, steps)
@@ -229,23 +206,26 @@ class _FusedWindow:
             self.dec_hid = md.join_cols(run.dec_h[self.pairs])
             logits = params.decoder_cls.w.data @ self.dec_hid + params.decoder_cls.b.data[:, None]
             dec_sum, self.g_dec = _softmax_xent(logits, labels[target].reshape(-1), keep)
-            self.loss = self.loss + dec_sum * self.dec_scale
+            self.loss = float(self.loss + dec_sum * self.dec_scale)
 
-    def grads(self, g: float, named: dict[str, Tensor]) -> list[np.ndarray]:
-        """Gradients of g * loss for every parameter, in ``named`` order;
-        None for the decoder head when no (t, i) pair survives."""
+    def grads(self) -> dict[str, np.ndarray]:
+        """The gradient of the loss for every parameter, keyed and ordered
+        as ``TrnParams.named``."""
         p, run = self.params, self.run
         hs, t_len, steps, batch = self.shape
         out: dict[str, np.ndarray] = {}
 
         # heads
-        g_enc = self.g_enc * (g * self.enc_scale)
+        g_enc = self.g_enc * self.enc_scale
         out["encoder.cls.w"] = g_enc @ md.join_cols(run.enc_h).T
         out["encoder.cls.b"] = g_enc.sum(axis=1)
         d_enc_h = md.split_steps(p.encoder_cls.w.data.T @ g_enc, t_len)
         d_dec_h = np.zeros((t_len, steps, hs, batch))
-        if self.g_dec is not None:
-            g_dec = self.g_dec * (g * self.dec_scale)
+        if self.g_dec is None:  # no (t, i) pair inside the window
+            out["decoder.cls.w"] = np.zeros_like(p.decoder_cls.w.data)
+            out["decoder.cls.b"] = np.zeros_like(p.decoder_cls.b.data)
+        else:
+            g_dec = self.g_dec * self.dec_scale
             out["decoder.cls.w"] = g_dec @ self.dec_hid.T
             out["decoder.cls.b"] = g_dec.sum(axis=1)
             d_hid = (p.decoder_cls.w.data.T @ g_dec).reshape(hs, -1, batch)
@@ -309,7 +289,7 @@ class _FusedWindow:
             du *= run.fused > 0.0
             out["fusion.w"] = du @ self.raw.T
             out["fusion.b"] = du.sum(axis=1)
-        return [out.get(name) for name in named]
+        return {name: out[name] for name in p.named()}
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +451,6 @@ def train(
     if heldout and train_config.eval_every:
         heldout_gt = ev.GroundTruth(intervals=_read_intervals(manifest, heldout), cmap=cmap)
 
-    named = params.named()
     metrics: list[EpochMetrics] = []
     for epoch in range(1, train_config.epochs + 1):
         order = rng.permutation(len(windows))
@@ -490,16 +469,15 @@ def train(
 
         losses = []
         for batch in batches:
-            sequence = md.chunk_sequence(params.config, [w.streams for w in batch])
             labels = np.stack([w.labels for w in batch], axis=1)
             ambiguous = np.stack([w.ambiguous for w in batch], axis=1)
-            for p in named.values():
-                p.zero_grad()
-            loss = sequence_loss(params, train_config, sequence, labels, ambiguous)
-            loss.backward()
-            grads = {k: p.grad for k, p in named.items()}
+            loss = sequence_loss(params, train_config, [w.streams for w in batch], labels, ambiguous)
+            # bound, not a temporary: while the gradients live on into the
+            # next step, malloc keeps the heap that step's BPTT reuses rather
+            # than returning it to the OS and faulting it back in
+            grads = loss.grads()
             adam_step(params, grads, adam, train_config)
-            losses.append(loss.item())
+            losses.append(loss.loss)
         mean_loss = float(np.mean(losses))
 
         heldout_map = None
@@ -516,12 +494,10 @@ def train(
     return params, metrics
 
 
-def predict_manifest(
-    params: TrnParams, manifest: dio.Manifest, split: str, group_size: int = 16
-) -> ev.PredictionDump:
-    """Whole-sequence inference over a manifest split; up to ``group_size``
-    videos run at once as the columns of one ragged batch
-    (``model.forward_videos``)."""
+def predict_manifest(params: TrnParams, manifest: dio.Manifest, split: str) -> ev.PredictionDump:
+    """Whole-sequence inference over a manifest split; up to
+    ``model.GROUP_SIZE`` videos run at once as the columns of one ragged
+    batch (``model.forward_videos``)."""
     cfg = params.config
     videos = manifest.split(split)
     chunk_size, fps = dio.split_clock(videos, (cfg.chunk_size, cfg.fps))
@@ -529,9 +505,7 @@ def predict_manifest(
         chunk_size=chunk_size, fps=fps, decoder_steps=cfg.decoder_steps, classes=cfg.classes
     )
     streams = [dio.load_video_streams(manifest, video, cfg.streams) for video in videos]
-    for video, (present, anticipated) in zip(
-        videos, md.forward_videos(params, streams, group_size)
-    ):
+    for video, (present, anticipated) in zip(videos, md.forward_videos(params, streams)):
         dump.videos[video.video_id] = ev.VideoPredictions(present, anticipated)
     return dump
 
@@ -549,8 +523,8 @@ def config_from_dict(doc: dict) -> TrnConfig:
     return TrnConfig(**doc)
 
 
-def _tensor_index(params: TrnParams) -> list[dict]:
-    return [{"name": k, "shape": list(t.data.shape)} for k, t in params.named().items()]
+def _tensor_index(config: TrnConfig) -> list[dict]:
+    return [{"name": k, "shape": list(s)} for k, s in md.param_shapes(config).items()]
 
 
 def save_checkpoint(
@@ -566,7 +540,7 @@ def save_checkpoint(
     config = params.config
     doc = {
         "config": {**asdict(config), "fusion_variant": config.fusion_variant.value},
-        "tensors": _tensor_index(params),
+        "tensors": _tensor_index(config),
         "adam": None if adam is None else {"t": adam.t},
         "meta": meta or {},
     }
@@ -582,29 +556,29 @@ def save_checkpoint(
 
 def load_checkpoint(path: str) -> tuple[TrnParams, AdamState | None, dict]:
     """Read a checkpoint written by :func:`save_checkpoint`. An index that
-    does not describe this architecture raises HeaderError."""
-    params = None
+    does not describe this architecture raises HeaderError; the payload's
+    size is checked against the index before any tensor is allocated."""
 
     def layout(doc):
-        nonlocal params
-        params = TrnParams.zeros(config_from_dict(doc["config"]))
-        if doc["tensors"] != _tensor_index(params):
+        config = config_from_dict(doc["config"])
+        if doc["tensors"] != _tensor_index(config):
             raise HeaderError("tensor index does not match the architecture")
         adam = doc["adam"]
         if adam is not None and type(adam["t"]) is not int:
             raise HeaderError("the Adam step must be an integer")
         parts = ["tensor"] if adam is None else ["tensor", "adam m", "adam v"]
-        return [(f"{part} {k}", t.data.shape) for part in parts for k, t in params.named().items()]
+        shapes = md.param_shapes(config).items()
+        return [(f"{part} {k}", shape) for part in parts for k, shape in shapes]
 
     doc, arrays = dio.read_container(path, CKPT_MAGIC, layout)
-    named = params.named()
-    n = len(named)
-    for t, a in zip(named.values(), arrays):
-        t.data = a
+    config = config_from_dict(doc["config"])
+    names = list(md.param_shapes(config))
+    n = len(names)
+    params = TrnParams.from_arrays(config, dict(zip(names, arrays)))
     adam = None
     if doc["adam"] is not None:
         adam = AdamState(
-            m=dict(zip(named, arrays[n : 2 * n])), v=dict(zip(named, arrays[2 * n :])),
+            m=dict(zip(names, arrays[n : 2 * n])), v=dict(zip(names, arrays[2 * n :])),
             t=doc["adam"]["t"],
         )
     return params, adam, doc.get("meta", {})

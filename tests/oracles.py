@@ -2,8 +2,9 @@
 
 Everything here is written for clarity over speed: explicit counting at
 every rank, quadratic scans, no shared code with the package. The one
-exception is the inference reference, which steps the package's tape
-cell (``chunk_step``) op by op: no inference path runs it.
+exception is the tape: the inference reference steps the package's tape
+cell (``chunk_step``) op by op, and tape losses get their analytic
+gradients from its backward sweep. No production path runs either.
 """
 
 import numpy as np
@@ -12,6 +13,37 @@ from trn import dataio as dio
 from trn import evaluate as ev
 from trn import model as md
 from trn import numeric as nm
+from trn.model import ChunkStreams
+
+
+def tape_chunks(config, videos):
+    """Per-chunk tape inputs from name -> (T, D) stream arrays: one dict
+    gives (D,) vectors, a list of B equal-length dicts (D, B) column
+    batches. Only the streams the variant consumes are kept."""
+    if isinstance(videos, dict):
+        return [ChunkStreams(**{n: videos[n][t] for n in config.streams})
+                for t in range(len(videos[config.streams[0]]))]
+    arrays = {n: np.stack([v[n] for v in videos], axis=2) for n in config.streams}
+    return [ChunkStreams(**{n: a[t] for n, a in arrays.items()})
+            for t in range(len(arrays[config.streams[0]]))]
+
+
+def tape_grads(loss_fn, tensors):
+    """(loss, gradient per tensor) of a tape loss, from one backward sweep;
+    a tensor the loss does not reach gets zeros."""
+    for t in tensors:
+        t.zero_grad()
+    loss = loss_fn()
+    loss.backward()
+    return loss.item(), [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                         for t in tensors]
+
+
+def tape_grad_check(loss_fn, tensors, h=1e-5):
+    """``nm.grad_check`` of a tape loss over ``tensors``: backward-sweep
+    gradients against central differences."""
+    _, grads = tape_grads(loss_fn, tensors)
+    return nm.grad_check(lambda: loss_fn().item(), grads, [t.data for t in tensors], h=h)
 
 
 def tape_forward(params, sequence, state0=None):

@@ -84,9 +84,12 @@ def test_criterion_1_gradient_correctness():
         tc = tr.TrainConfig(seq_len=t, epochs=0, eval_every=0)
         rng = np.random.default_rng(1000 + count)
         params, sequence, labels = _random_setup(cfg, rng, generic=True)
+        window = [{n: np.stack([getattr(s, n) for s in sequence]) for n in cfg.streams}]
+        grads = tr.sequence_loss(params, tc, window, labels).grads()
         err = nm.grad_check(
-            lambda: tr.sequence_loss(params, tc, sequence, labels),
-            list(params.named().values()),
+            lambda: tr.sequence_loss(params, tc, window, labels).loss,
+            list(grads.values()),
+            [p.data for p in params.named().values()],
         )
         worst = max(worst, err)
         count += 1

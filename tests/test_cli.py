@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import tape_chunks
 from trn import cli
 from trn import dataio as dio
 from trn import evaluate as ev
@@ -399,20 +400,25 @@ def test_stream_keeps_only_the_distributions():
     assert peak < 2_000_000, peak
 
 
-def test_inference_paths_run_no_tape(dataset, tmp_path, monkeypatch):
+@pytest.fixture()
+def no_tape(monkeypatch):
+    """The tape's step, constructors and backward sweep patched to raise."""
+    def tape(*args, **kw):
+        raise AssertionError("a production path ran the tape")
+
+    monkeypatch.setattr(md, "chunk_step", tape)
+    monkeypatch.setattr(nm, "tensor", tape)
+    monkeypatch.setattr(nm, "_result", tape)
+    monkeypatch.setattr(nm.Tensor, "backward", tape)
+
+
+def test_inference_paths_run_no_tape(dataset, tmp_path, no_tape):
     ckpt, cfg = tiny_ckpt(tmp_path, appearance_dim=5, motion_dim=4)
     params, _, _ = tr.load_checkpoint(ckpt)
     manifest = dio.load_manifest(dataset)
     videos = [dio.load_video_streams(manifest, v, cfg.streams) for v in manifest.split("test")]
     assert len(videos) == 2
-
-    def tape(*args, **kw):
-        raise AssertionError("an inference path ran the tape")
-
-    monkeypatch.setattr(md, "chunk_step", tape)
-    monkeypatch.setattr(nm, "tensor", tape)
-    monkeypatch.setattr(nm, "_result", tape)
-    sequence = md.chunk_sequence(cfg, videos[0])
+    sequence = tape_chunks(cfg, videos[0])
     OnlineDetector(params).push_chunk(sequence[0])
     md.trn_forward(params, sequence)
     md.forward_videos(params, videos[:1])
@@ -421,6 +427,17 @@ def test_inference_paths_run_no_tape(dataset, tmp_path, monkeypatch):
     argv = ["--ckpt", ckpt, "--manifest", dataset, "--split", "test"]
     assert run(["stream", "--out", str(tmp_path / "s.trnd")] + argv) == 0
     assert run(["infer", "--batch", "--out", str(tmp_path / "b.trnd")] + argv) == 0
+
+
+def test_training_paths_run_no_tape(dataset, tmp_path, no_tape, capsys):
+    cfg = TrnConfig(appearance_dim=5, motion_dim=4, pose_dim=None, hidden_size=4,
+                    decoder_steps=2, num_actions=2)
+    _, metrics = tr.train(dio.load_manifest(dataset), cfg,
+                          tr.TrainConfig(seq_len=6, epochs=1, eval_every=1))
+    assert metrics[0].heldout_map is not None
+    assert run(train_argv(dataset, tmp_path / "m.trnc", eval_every=1)) == 0
+    assert run(["gradcheck"]) == 0
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_stream_mismatched_lengths_exits_1(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import tape_forward
+from oracles import tape_chunks, tape_forward, tape_grad_check
 from trn import model as md
 from trn import numeric as nm
 from trn.model import ChunkStreams, FusionVariant, TrnConfig, TrnParams, TrnState
@@ -107,7 +107,7 @@ def test_config_for_streams_sets_only_consumed_dims():
         TrnConfig.for_streams(FusionVariant.ONE_STREAM, dims, one_stream="flow")
 
 
-def test_chunk_sequence_keeps_consumed_streams_and_stacks_columns():
+def test_stack_block_keeps_consumed_streams_t_major():
     cfg = tiny_config()
     rng = np.random.default_rng(0)
     videos = [
@@ -115,14 +115,24 @@ def test_chunk_sequence_keeps_consumed_streams_and_stacks_columns():
          "pose": rng.normal(size=(4, 6))}
         for _ in range(2)
     ]
-    single = md.chunk_sequence(cfg, videos[0])
-    assert len(single) == 4 and single[1].pose is None
-    assert np.array_equal(single[1].motion, videos[0]["motion"][1])
-    batched = md.chunk_sequence(cfg, videos)
-    assert len(batched) == 4 and batched[2].appearance.shape == (3, 2)
-    assert np.array_equal(batched[2].appearance[:, 1], videos[1]["appearance"][2])
-    with pytest.raises(nm.ValidationError):
-        md.chunk_sequence(cfg, {"appearance": videos[0]["appearance"]})
+    assert [md.check_streams(cfg, v) for v in videos] == [4, 4]
+    raw = md.stack_block(cfg, videos, 1, 3)
+    assert raw.shape == (7, 4) and raw.dtype == np.float64
+    for t in (1, 2):
+        for b in range(2):
+            want = np.concatenate([videos[b]["appearance"][t], videos[b]["motion"][t]])
+            assert np.array_equal(raw[:, (t - 1) * 2 + b], want)
+    assert raw.T.flags.c_contiguous  # each chunk's column is contiguous
+    app, mot = videos[0]["appearance"], videos[0]["motion"]
+    with pytest.raises(nm.ValidationError, match="lacks motion"):
+        md.check_streams(cfg, {"appearance": app})
+    with pytest.raises(nm.DimensionError, match="disagree"):
+        md.check_streams(cfg, {"appearance": app, "motion": mot[:3]})
+    for bad in (mot[:, :3], mot[0]):
+        with pytest.raises(nm.DimensionError, match=r"config requires \(T, 4\)"):
+            md.check_streams(cfg, {"appearance": app, "motion": bad})
+    with pytest.raises(nm.ValidationError, match="empty"):
+        md.check_streams(cfg, {"appearance": app[:0], "motion": mot[:0]})
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +481,7 @@ def test_gradient_flows_through_whole_cell():
         total = nm.add(total, nm.cross_entropy(nm.softmax(dec[0][1]), 2))
         return total
 
-    err = nm.grad_check(loss, list(params.named().values()), h=1e-5)
+    err = tape_grad_check(loss, list(params.named().values()), h=1e-5)
     assert err < 1e-4
 
 
@@ -495,7 +505,7 @@ def random_video(rng, config, t_len):
 
 def reference_outputs(params, video):
     """Per-video (present, anticipated) arrays from the tape oracle."""
-    present, anticipated, _, _ = tape_forward(params, md.chunk_sequence(params.config, video))
+    present, anticipated, _, _ = tape_forward(params, tape_chunks(params.config, video))
     return present, anticipated
 
 
@@ -567,7 +577,7 @@ def test_forward_videos_one_video_bitwise_equals_trn_forward():
     params = TrnParams.init(cfg, np.random.default_rng(32))
     video = random_video(np.random.default_rng(33), cfg, 6)
     [(present, anticipated)] = md.forward_videos(params, [video])
-    outputs, _ = md.trn_forward(params, md.chunk_sequence(cfg, video))
+    outputs, _ = md.trn_forward(params, tape_chunks(cfg, video))
     assert np.array_equal(present, np.stack([o.present for o in outputs]))
     assert np.array_equal(anticipated, np.stack([np.stack(o.anticipated) for o in outputs]))
 
@@ -578,10 +588,12 @@ def test_forward_videos_group_size_caps_columns(monkeypatch):
     rng = np.random.default_rng(35)
     videos = [random_video(rng, cfg, t) for t in (3, 5, 2, 5, 1)]
     widths = record_widths(monkeypatch)
-    capped = md.forward_videos(params, videos, group_size=2)
+    monkeypatch.setattr(md, "GROUP_SIZE", 2)
+    capped = md.forward_videos(params, videos)
     # longest first: (5, 5) then (3, 2) then the single (1,)
     assert widths == [2] * 5 + [2, 2, 1] + [1]
     widths.clear()
+    monkeypatch.setattr(md, "GROUP_SIZE", 16)
     whole = md.forward_videos(params, videos)
     assert widths == [5, 4, 3, 2, 2]
     for (p1, a1), (p2, a2) in zip(capped, whole):
@@ -599,8 +611,6 @@ def test_forward_videos_rejects_bad_input():
         md.forward_videos(params, [{"appearance": rng.normal(size=(2, 3))}])
     with pytest.raises(nm.DimensionError):
         md.forward_videos(params, [random_video(rng, tiny_config(appearance_dim=2), 2)])
-    with pytest.raises(nm.ValidationError, match="group_size"):
-        md.forward_videos(params, [random_video(rng, cfg, 2)], group_size=0)
     videos = [random_video(rng, cfg, 3), random_video(rng, cfg, 2)]
     videos[1]["motion"][1, 0] = np.nan
     with pytest.raises(nm.ValidationError, match="motion stream holds a non-finite"):

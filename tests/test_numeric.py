@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import tape_grad_check, tape_grads
 from trn import model as md
 from trn import numeric as nm
 from trn import training as tr
@@ -85,15 +86,28 @@ def _scalar_lstm_reference(w, b, x, h_prev, c_prev):
     return np.array(h_out), np.array(c_out)
 
 
+def lstm_params(din, hs, rng=None):
+    """Zero LSTM weights, or with ``rng`` weights uniform in
+    +-1/sqrt(din + hs) and the forget-gate biases at 1."""
+    if rng is None:
+        return nm.LstmParams(nm.parameter(np.zeros((4 * hs, din + hs))),
+                             nm.parameter(np.zeros(4 * hs)), din, hs)
+    bound = 1.0 / math.sqrt(din + hs)
+    w = rng.uniform(-bound, bound, size=(4 * hs, din + hs))
+    b = np.zeros(4 * hs)
+    b[hs : 2 * hs] = 1.0
+    return nm.LstmParams(nm.parameter(w), nm.parameter(b), din, hs)
+
+
 def test_lstm_step_zero_everything():
-    p = nm.LstmParams.zeros(3, 2)
+    p = lstm_params(3, 2)
     h, c = nm.lstm_step(p, nm.tensor(np.zeros(3)), nm.tensor(np.zeros(2)), nm.tensor(np.zeros(2)))
     assert np.array_equal(h.data, np.zeros(2))
     assert np.array_equal(c.data, np.zeros(2))
 
 
 def test_lstm_step_zero_params_ones_cell():
-    p = nm.LstmParams.zeros(3, 2)
+    p = lstm_params(3, 2)
     h, c = nm.lstm_step(p, nm.tensor(np.zeros(3)), nm.tensor(np.zeros(2)), nm.tensor(np.ones(2)))
     assert np.allclose(c.data, 0.5, atol=1e-15)
     assert np.allclose(h.data, 0.5 * math.tanh(0.5), atol=1e-15)
@@ -120,7 +134,7 @@ def test_lstm_step_gates_equal_the_fused_kernel_gates(monkeypatch):
     # lstm_step equals lstm_forward bitwise, and the kernel calls it once
     # per decoder step and encoder step
     rng = np.random.default_rng(8)
-    p = nm.LstmParams.init(3, 4, rng)
+    p = lstm_params(3, 4, rng)
     for batch in ((), (5,)):
         x, h0, c0 = (rng.normal(size=(n, *batch)) for n in (3, 4, 4))
         h, c = nm.lstm_step(p, nm.tensor(x), nm.tensor(h0), nm.tensor(c0))
@@ -134,14 +148,13 @@ def test_lstm_step_gates_equal_the_fused_kernel_gates(monkeypatch):
     monkeypatch.setattr(nm, "lstm_forward", lambda *a: calls.append(1) or gates(*a))
     cfg = md.TrnConfig(appearance_dim=2, motion_dim=3, hidden_size=4, decoder_steps=3, num_actions=2)
     params = md.TrnParams.init(cfg, rng)
-    seq = md.chunk_sequence(cfg, {"appearance": rng.normal(size=(2, 2)),
-                                  "motion": rng.normal(size=(2, 3))})
-    tr.sequence_loss(params, tr.TrainConfig(), seq, np.array([0, 1]))
+    video = {"appearance": rng.normal(size=(2, 2)), "motion": rng.normal(size=(2, 3))}
+    tr.sequence_loss(params, tr.TrainConfig(), [video], np.array([0, 1]))
     assert len(calls) == 2 * (3 + 1)
 
 
 def test_lstm_step_dimension_mismatch():
-    p = nm.LstmParams.zeros(3, 2)
+    p = lstm_params(3, 2)
     with pytest.raises(nm.DimensionError):
         nm.lstm_step(p, nm.tensor(np.zeros(4)), nm.tensor(np.zeros(2)), nm.tensor(np.zeros(2)))
     with pytest.raises(nm.DimensionError):
@@ -149,11 +162,15 @@ def test_lstm_step_dimension_mismatch():
 
 
 def test_lstm_params_init_forget_bias():
-    p = nm.LstmParams.init(3, 4, np.random.default_rng(0))
-    assert np.array_equal(p.b.data[4:8], np.ones(4))
-    assert np.array_equal(p.b.data[:4], np.zeros(4))
-    assert np.array_equal(p.b.data[8:], np.zeros(8))
-    assert np.max(np.abs(p.w.data)) <= 1.0 / math.sqrt(7)
+    # both LSTMs of a fresh model: forget gates at +1, the other biases at
+    # 0, weights within 1/sqrt(fan-in)
+    cfg = md.TrnConfig(appearance_dim=2, motion_dim=3, hidden_size=4, decoder_steps=2, num_actions=2)
+    params = md.TrnParams.init(cfg, np.random.default_rng(0))
+    for p, fan_in in ((params.decoder_lstm, 8), (params.encoder_lstm, 12)):
+        assert np.array_equal(p.b.data[4:8], np.ones(4))
+        assert np.array_equal(p.b.data[:4], np.zeros(4))
+        assert np.array_equal(p.b.data[8:], np.zeros(8))
+        assert np.max(np.abs(p.w.data)) <= 1.0 / math.sqrt(fan_in)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +251,7 @@ def test_per_op_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
 
     def check(make_loss, params, tol=1e-4):
-        err = nm.grad_check(make_loss, params, h=1e-5)
+        err = tape_grad_check(make_loss, params, h=1e-5)
         assert err < tol, err
 
     for _ in range(6):
@@ -285,7 +302,7 @@ def test_lstm_step_gradient_matches_finite_differences():
         pc = nm.cross_entropy(nm.softmax(nm.linear(wcls, bcls, c)), 2)
         return nm.add(ph, pc)
 
-    err = nm.grad_check(loss, [p.w, p.b, x, h0, c0, wcls, bcls], h=1e-5)
+    err = tape_grad_check(loss, [p.w, p.b, x, h0, c0, wcls, bcls], h=1e-5)
     assert err < 1e-4
 
 
@@ -298,17 +315,17 @@ def test_grad_check_flags_corrupted_gradient():
     def loss():
         return nm.cross_entropy(nm.softmax(nm.linear(w, b, x)), 0)
 
-    clean = nm.grad_check(loss, [w, b, x])
-    corrupted = nm.grad_check(loss, [w, b, x], _corrupt_analytic=0.1)
+    _, grads = tape_grads(loss, [w, b, x])
+    arrays = [w.data, b.data, x.data]
+    clean = nm.grad_check(lambda: loss().item(), grads, arrays)
+    grads[0][0, 0] += 0.1
+    corrupted = nm.grad_check(lambda: loss().item(), grads, arrays)
     assert clean < 1e-4 < corrupted
 
 
 def test_grad_check_rejects_nonfinite_loss():
-    def loss():
-        return nm.Tensor(np.array([np.inf]))
-
     with pytest.raises(FloatingPointError):
-        nm.grad_check(loss, [nm.parameter([1.0])])
+        nm.grad_check(lambda: np.inf, [np.zeros(1)], [np.array([1.0])])
 
 
 def test_bptt_gradients_accumulate_across_steps():
@@ -332,7 +349,7 @@ def test_bptt_gradients_accumulate_across_steps():
             h, c = nm.lstm_step(p, x, h, c)
         return nm.cross_entropy(nm.softmax(nm.linear(wcls, bcls, h)), 1)
 
-    err = nm.grad_check(loss, [p.w, p.b, wcls, bcls] + xs)
+    err = tape_grad_check(loss, [p.w, p.b, wcls, bcls] + xs)
     assert err < 1e-4
 
 

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import tape_forward
+from oracles import tape_chunks, tape_forward, tape_grads
+from trn import cli
 from trn import dataio as dio
 from trn import evaluate as ev
 from trn import model as md
@@ -40,14 +41,12 @@ def tiny_train(**kw):
     return tr.TrainConfig(**base)
 
 
-def random_sequence(rng, cfg, t):
-    return [
-        ChunkStreams(
-            appearance=rng.normal(size=cfg.appearance_dim),
-            motion=rng.normal(size=cfg.motion_dim),
-        )
-        for _ in range(t)
-    ]
+def random_windows(rng, cfg, t, batch=1):
+    """``batch`` windows of ``t`` chunks as stream dicts, drawn chunk by
+    chunk as one (D, batch) block per stream."""
+    draws = [{n: rng.normal(size=(getattr(cfg, f"{n}_dim"), batch)) for n in cfg.streams}
+             for _ in range(t)]
+    return [{n: np.array([d[n][:, b] for d in draws]) for n in cfg.streams} for b in range(batch)]
 
 
 # ---------------------------------------------------------------------------
@@ -72,10 +71,10 @@ def test_sequence_loss_uniform_is_two_log_classes():
     cfg = tiny_model(num_actions=20)
     params = TrnParams.zeros(cfg)
     rng = np.random.default_rng(0)
-    seq = random_sequence(rng, cfg, 4)
+    window = random_windows(rng, cfg, 4)
     labels = rng.integers(0, 21, size=4)
-    loss = tr.sequence_loss(params, tiny_train(), seq, labels)
-    assert abs(loss.item() - 2.0 * math.log(21)) < 1e-12
+    loss = tr.sequence_loss(params, tiny_train(), window, labels)
+    assert abs(loss.loss - 2.0 * math.log(21)) < 1e-12
 
 
 def test_sequence_loss_nonnegative_random():
@@ -83,27 +82,44 @@ def test_sequence_loss_nonnegative_random():
     params = TrnParams.init(cfg, np.random.default_rng(1))
     rng = np.random.default_rng(2)
     for t in (1, 2, 5):
-        seq = random_sequence(rng, cfg, t)
+        window = random_windows(rng, cfg, t)
         labels = rng.integers(0, 3, size=t)
-        assert tr.sequence_loss(params, tiny_train(), seq, labels).item() >= 0.0
+        assert tr.sequence_loss(params, tiny_train(), window, labels).loss >= 0.0
 
 
 def test_sequence_loss_single_chunk_has_no_decoder_term():
     cfg = tiny_model(num_actions=20)
     params = TrnParams.zeros(cfg)
-    seq = random_sequence(np.random.default_rng(3), cfg, 1)
-    loss = tr.sequence_loss(params, tiny_train(), seq, np.array([5]))
-    assert abs(loss.item() - math.log(21)) < 1e-12  # encoder head only
+    window = random_windows(np.random.default_rng(3), cfg, 1)
+    loss = tr.sequence_loss(params, tiny_train(), window, np.array([5]))
+    assert abs(loss.loss - math.log(21)) < 1e-12  # encoder head only
 
 
 def test_sequence_loss_label_out_of_range():
     cfg = tiny_model()
     params = TrnParams.zeros(cfg)
-    seq = random_sequence(np.random.default_rng(4), cfg, 2)
+    window = random_windows(np.random.default_rng(4), cfg, 2)
     with pytest.raises(ValidationError):
-        tr.sequence_loss(params, tiny_train(), seq, np.array([0, 3]))
+        tr.sequence_loss(params, tiny_train(), window, np.array([0, 3]))
     with pytest.raises(ValidationError):
-        tr.sequence_loss(params, tiny_train(), seq, np.array([-1, 0]))
+        tr.sequence_loss(params, tiny_train(), window, np.array([-1, 0]))
+
+
+def test_sequence_loss_rejects_misshapen_batches():
+    cfg = tiny_model()
+    params = TrnParams.zeros(cfg)
+    rng = np.random.default_rng(5)
+    windows = random_windows(rng, cfg, 3, batch=2)
+    with pytest.raises(ValidationError, match=r"shape \(3,\), expected \(3, 2\)"):
+        tr.sequence_loss(params, tiny_train(), windows, np.zeros(3, int))
+    with pytest.raises(ValidationError, match=r"shape \(2, 2\), expected \(3, 2\)"):
+        tr.sequence_loss(params, tiny_train(), windows, np.zeros((2, 2), int))
+    with pytest.raises(nm.DimensionError, match="one length"):
+        tr.sequence_loss(params, tiny_train(), [windows[0]] + random_windows(rng, cfg, 2),
+                         np.zeros((3, 2), int))
+    with pytest.raises(ValidationError, match="lacks motion"):
+        tr.sequence_loss(params, tiny_train(), [{"appearance": windows[0]["appearance"]}],
+                         np.zeros(3, int))
 
 
 def test_sequence_loss_batch_equals_mean_of_singles():
@@ -111,19 +127,12 @@ def test_sequence_loss_batch_equals_mean_of_singles():
     params = TrnParams.init(cfg, np.random.default_rng(6))
     rng = np.random.default_rng(7)
     t, b = 4, 3
-    singles = [random_sequence(rng, cfg, t) for _ in range(b)]
+    singles = [random_windows(rng, cfg, t)[0] for _ in range(b)]
     labels = rng.integers(0, 3, size=(t, b))
-    batched = [
-        ChunkStreams(
-            appearance=np.stack([singles[j][tt].appearance for j in range(b)], axis=1),
-            motion=np.stack([singles[j][tt].motion for j in range(b)], axis=1),
-        )
-        for tt in range(t)
-    ]
     tc = tiny_train()
-    batch_loss = tr.sequence_loss(params, tc, batched, labels).item()
+    batch_loss = tr.sequence_loss(params, tc, singles, labels).loss
     single_losses = [
-        tr.sequence_loss(params, tc, singles[j], labels[:, j]).item() for j in range(b)
+        tr.sequence_loss(params, tc, [singles[j]], labels[:, j]).loss for j in range(b)
     ]
     assert abs(batch_loss - np.mean(single_losses)) < 1e-12
 
@@ -132,11 +141,15 @@ def test_sequence_loss_gradient_matches_finite_differences():
     cfg = tiny_model()
     params = TrnParams.init(cfg, np.random.default_rng(8))
     rng = np.random.default_rng(9)
-    seq = random_sequence(rng, cfg, 3)
+    window = random_windows(rng, cfg, 3)
     labels = rng.integers(0, 3, size=3)
     tc = tiny_train()
+    grads = tr.sequence_loss(params, tc, window, labels).grads()
+    assert list(grads) == list(params.named())
     err = nm.grad_check(
-        lambda: tr.sequence_loss(params, tc, seq, labels), list(params.named().values())
+        lambda: tr.sequence_loss(params, tc, window, labels).loss,
+        list(grads.values()),
+        [t.data for t in params.named().values()],
     )
     assert err < 1e-4
 
@@ -145,12 +158,10 @@ def test_sequence_loss_lambda_weights():
     cfg = tiny_model(num_actions=20)
     params = TrnParams.zeros(cfg)
     rng = np.random.default_rng(10)
-    seq = random_sequence(rng, cfg, 4)
+    window = random_windows(rng, cfg, 4)
     labels = rng.integers(0, 21, size=4)
-    loss = tr.sequence_loss(
-        params, tiny_train(lambda_enc=2.0, lambda_dec=0.5), seq, labels
-    )
-    assert abs(loss.item() - 2.5 * math.log(21)) < 1e-12
+    loss = tr.sequence_loss(params, tiny_train(lambda_enc=2.0, lambda_dec=0.5), window, labels)
+    assert abs(loss.loss - 2.5 * math.log(21)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +175,11 @@ STREAM_DIMS = {
 }
 
 
-def tape_loss(params, tc, sequence, labels, ambiguous=None):
+def tape_loss(params, tc, videos, labels, ambiguous=None):
     """The two-head window loss built op by op on the tape, through the
     inference cell: the reference the fused kernel must reproduce.
     Columns that ``ambiguous`` marks leave the head means."""
-    def as_cols(v):
-        return None if v is None else np.asarray(v).reshape(len(v), -1)
-
-    sequence = [
-        ChunkStreams(appearance=as_cols(s.appearance), motion=as_cols(s.motion),
-                     pose=as_cols(s.pose))
-        for s in sequence
-    ]
+    sequence = tape_chunks(params.config, videos)
     labels = np.asarray(labels).reshape(len(sequence), -1)
     t_len, batch = labels.shape
     ignored = np.zeros(labels.shape, dtype=bool)
@@ -209,57 +213,47 @@ def tape_loss(params, tc, sequence, labels, ambiguous=None):
     return loss
 
 
-def loss_and_grads(loss_fn, params):
-    named = params.named()
-    for t in named.values():
-        t.zero_grad()
-    loss = loss_fn()
-    loss.backward()
-    return loss.item(), {
-        k: np.zeros_like(t.data) if t.grad is None else t.grad.copy() for k, t in named.items()
-    }
+def fused_loss(params, tc, videos, labels, ambiguous=None):
+    """(loss, gradient per parameter name) of the fused window loss."""
+    loss = tr.sequence_loss(params, tc, videos, labels, ambiguous)
+    return loss.loss, loss.grads()
 
 
-def assert_matches_tape(params, tc, sequence, labels, ambiguous=None):
-    fused, fused_grads = loss_and_grads(
-        lambda: tr.sequence_loss(params, tc, sequence, labels, ambiguous), params
-    )
-    tape, tape_grads = loss_and_grads(
-        lambda: tape_loss(params, tc, sequence, labels, ambiguous), params
+def assert_matches_tape(params, tc, videos, labels, ambiguous=None):
+    fused, fused_grads = fused_loss(params, tc, videos, labels, ambiguous)
+    tape, tape_grad_list = tape_grads(
+        lambda: tape_loss(params, tc, videos, labels, ambiguous), list(params.named().values())
     )
     assert abs(fused - tape) <= 1e-12
-    for name, want in tape_grads.items():
+    for name, want in zip(params.named(), tape_grad_list):
         err = np.abs(fused_grads[name] - want).max()
         assert err <= 1e-10 * np.abs(want).max(), (name, err)
     return fused_grads
 
 
 def fused_setup(variant, batch, t_len, steps, seed):
+    """Params off the ReLU kinks, ``batch`` random windows of ``t_len``
+    chunks, and labels ((t_len,) for one window)."""
     cfg = TrnConfig(
         fusion_variant=variant, hidden_size=4, decoder_steps=steps, num_actions=2,
         **STREAM_DIMS[variant],
     )
     rng = np.random.default_rng(seed)
     params = TrnParams.init(cfg, rng)
-    for t in params.named().values():  # off the ReLU kinks of a fresh init
+    for t in params.named().values():
         t.data = rng.uniform(-0.5, 0.5, size=t.data.shape)
-    shape = () if batch == 1 else (batch,)
-    sequence = [
-        ChunkStreams(**{n: rng.normal(size=(getattr(cfg, f"{n}_dim"),) + shape)
-                        for n in cfg.streams})
-        for _ in range(t_len)
-    ]
-    labels = rng.integers(0, cfg.classes, size=(t_len,) + shape)
+    videos = random_windows(rng, cfg, t_len, batch)
+    labels = rng.integers(0, cfg.classes, size=(t_len,) if batch == 1 else (t_len, batch))
     tc = tiny_train(lambda_enc=1.5, lambda_dec=0.75)
-    return params, tc, sequence, labels
+    return params, tc, videos, labels
 
 
 def test_fused_loss_matches_tape():
     for n, (variant, batch, t_len, steps) in enumerate(
         itertools.product(FusionVariant, (1, 3), (1, 5), (1, 3))
     ):
-        params, tc, sequence, labels = fused_setup(variant, batch, t_len, steps, 100 + n)
-        grads = assert_matches_tape(params, tc, sequence, labels)
+        params, tc, videos, labels = fused_setup(variant, batch, t_len, steps, 100 + n)
+        grads = assert_matches_tape(params, tc, videos, labels)
         if steps == 1:  # the last predicted feature feeds nothing
             assert not grads["decoder.feat.w"].any() and not grads["decoder.feat.b"].any()
         if t_len == 1:  # no (t, i) pair stays inside the window
@@ -267,71 +261,67 @@ def test_fused_loss_matches_tape():
 
 
 def test_fused_loss_clamped_columns_match_tape():
-    params, tc, sequence, labels = fused_setup(FusionVariant.TWO_STREAM, 3, 5, 3, 7)
+    params, tc, videos, labels = fused_setup(FusionVariant.TWO_STREAM, 3, 5, 3, 7)
     # background (label 0) is pushed below the 1e-12 clamp in both heads
     params.encoder_cls.b.data[0] = -40.0
     params.decoder_cls.b.data[0] = -40.0
     labels[:, 0] = 0
-    assert_matches_tape(params, tc, sequence, labels)
+    assert_matches_tape(params, tc, videos, labels)
 
 
 def test_fused_loss_ambiguous_columns_match_tape():
     for n, (variant, batch) in enumerate(itertools.product(FusionVariant, (1, 3))):
-        params, tc, sequence, labels = fused_setup(variant, batch, 6, 3, 200 + n)
+        params, tc, videos, labels = fused_setup(variant, batch, 6, 3, 200 + n)
         rng = np.random.default_rng(300 + n)
         ambiguous = rng.random(labels.shape) < 0.4
         ambiguous[0] = True  # a chunk no pair targets
         ambiguous[-1] = True  # the target of the last chunks' step-1 pairs
-        assert_matches_tape(params, tc, sequence, labels, ambiguous)
+        assert_matches_tape(params, tc, videos, labels, ambiguous)
 
 
 def test_fused_loss_head_with_every_column_ambiguous_contributes_zero():
-    params, tc, sequence, labels = fused_setup(FusionVariant.TWO_STREAM, 3, 4, 2, 9)
+    params, tc, videos, labels = fused_setup(FusionVariant.TWO_STREAM, 3, 4, 2, 9)
     # chunk 0 is no pair's target, so the decoder head keeps its pairs
     ambiguous = np.zeros(labels.shape, dtype=bool)
     ambiguous[1:] = True
     enc_only = dataclasses.replace(tc, lambda_dec=0.0)
-    want, _ = loss_and_grads(
-        lambda: tr.sequence_loss(params, enc_only, sequence, labels, ambiguous), params
-    )
+    want, _ = fused_loss(params, enc_only, videos, labels, ambiguous)
     dec_only = dataclasses.replace(tc, lambda_enc=0.0)
-    loss, grads = loss_and_grads(
-        lambda: tr.sequence_loss(params, dec_only, sequence, labels, ambiguous), params
-    )
+    loss, grads = fused_loss(params, dec_only, videos, labels, ambiguous)
     assert loss == 0.0 and not any(g.any() for g in grads.values())
     assert want > 0.0  # the encoder head still scores chunk 0
-    loss, grads = loss_and_grads(
-        lambda: tr.sequence_loss(params, tc, sequence, labels, np.ones(labels.shape, bool)), params
-    )
+    loss, grads = fused_loss(params, tc, videos, labels, np.ones(labels.shape, bool))
     assert loss == 0.0 and not any(g.any() for g in grads.values())
 
 
 def test_fused_loss_without_ambiguous_chunks_is_bitwise_unmasked():
-    params, tc, sequence, labels = fused_setup(FusionVariant.FUSED_TWO_STREAM, 3, 5, 3, 10)
-    want, want_grads = loss_and_grads(lambda: tr.sequence_loss(params, tc, sequence, labels), params)
-    got, got_grads = loss_and_grads(
-        lambda: tr.sequence_loss(params, tc, sequence, labels, np.zeros(labels.shape, bool)), params
-    )
+    params, tc, videos, labels = fused_setup(FusionVariant.FUSED_TWO_STREAM, 3, 5, 3, 10)
+    want, want_grads = fused_loss(params, tc, videos, labels)
+    got, got_grads = fused_loss(params, tc, videos, labels, np.zeros(labels.shape, bool))
     assert got == want
     for name, g in want_grads.items():
         assert np.array_equal(got_grads[name], g), name
 
 
 def test_sequence_loss_rejects_misshapen_ambiguous_mask():
-    params, tc, sequence, labels = fused_setup(FusionVariant.TWO_STREAM, 3, 5, 3, 11)
+    params, tc, videos, labels = fused_setup(FusionVariant.TWO_STREAM, 3, 5, 3, 11)
     with pytest.raises(ValidationError, match="ambiguous"):
-        tr.sequence_loss(params, tc, sequence, labels, np.zeros(labels.shape[0], bool))
+        tr.sequence_loss(params, tc, videos, labels, np.zeros(labels.shape[0], bool))
 
 
-def test_fused_loss_under_no_grad_has_no_backward():
-    params, tc, sequence, labels = fused_setup(FusionVariant.TWO_STREAM, 3, 5, 3, 8)
-    with nm.no_grad():
-        loss = tr.sequence_loss(params, tc, sequence, labels)
-    assert loss._backward is None and loss._parents == ()
-    # with gradients on, the whole window is one node over the parameters
-    loss = tr.sequence_loss(params, tc, sequence, labels)
-    assert loss._backward is not None
-    assert list(loss._parents) == list(params.named().values())
+def test_sequence_loss_runs_bptt_only_in_grads(monkeypatch):
+    # grad_check evaluates the loss 2N times; none of them may pay for BPTT
+    params, tc, videos, labels = fused_setup(FusionVariant.TWO_STREAM, 3, 5, 3, 8)
+    calls = []
+    backward = tr._lstm_backward
+    monkeypatch.setattr(tr, "_lstm_backward", lambda *a: calls.append(1) or backward(*a))
+    loss = tr.sequence_loss(params, tc, videos, labels)
+    assert isinstance(loss.loss, float) and not calls
+    grads = loss.grads()
+    assert len(calls) == 5 * (3 + 1)  # every encoder and decoder step of the window
+    assert list(grads) == list(params.named())
+    for name, t in params.named().items():
+        assert grads[name].shape == t.data.shape, name
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +574,7 @@ def test_predict_manifest_ragged_split_keeps_order_and_column_cap(tmp_path, monk
     monkeypatch.setattr(md, "window_forward", window)
     for video in test_videos:
         streams = dio.load_video_streams(split, video, mc.streams)
-        present, anticipated, _, _ = tape_forward(params, md.chunk_sequence(mc, streams))
+        present, anticipated, _, _ = tape_forward(params, tape_chunks(mc, streams))
         pred = dump.videos[video.video_id]
         assert pred.num_chunks == video.num_chunks
         assert np.abs(pred.present - present).max() <= 1e-12
@@ -617,20 +607,30 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(adam2.v[k], adam.v[k])
 
 
+def rewrite_index(path, edit):
+    """Apply ``edit`` to a container's JSON index in place; the payload
+    bytes stay as they are."""
+    blob = path.read_bytes()
+    magic, version, json_len = dio.CONTAINER_HEADER.unpack(blob[: dio.CONTAINER_HEADER.size])
+    at = dio.CONTAINER_HEADER.size
+    doc = json.loads(blob[at : at + json_len])
+    edit(doc)
+    index = json.dumps(doc, sort_keys=True).encode("utf-8")
+    path.write_bytes(dio.CONTAINER_HEADER.pack(magic, version, len(index)) + index
+                     + blob[at + json_len :])
+
+
 def test_checkpoint_with_integer_fps_loads(tmp_path):
     # checkpoints written while fps was an int store e.g. "fps": 30
     params = TrnParams.init(tiny_model(), np.random.default_rng(3))
     path = tmp_path / "model.trnc"
     tr.save_checkpoint(str(path), params)
-    blob = path.read_bytes()
-    magic, version, json_len = dio.CONTAINER_HEADER.unpack(blob[: dio.CONTAINER_HEADER.size])
-    at = dio.CONTAINER_HEADER.size
-    doc = json.loads(blob[at : at + json_len])
-    assert doc["config"]["fps"] == 30.0
-    doc["config"]["fps"] = 30
-    index = json.dumps(doc, sort_keys=True).encode("utf-8")
-    path.write_bytes(dio.CONTAINER_HEADER.pack(magic, version, len(index)) + index
-                     + blob[at + json_len :])
+
+    def int_fps(doc):
+        assert doc["config"]["fps"] == 30.0
+        doc["config"]["fps"] = 30
+
+    rewrite_index(path, int_fps)
     loaded, _, _ = tr.load_checkpoint(str(path))
     assert loaded.config.fps == 30.0 and isinstance(loaded.config.fps, float)
     for k, t in params.named().items():
@@ -717,6 +717,33 @@ def test_checkpoint_corruption_errors(tmp_path):
                      + blob[dio.CONTAINER_HEADER.size :])
     with pytest.raises(dio.HeaderError):  # the index runs into the payload
         tr.load_checkpoint(str(path))
+
+
+def test_checkpoint_declaring_a_huge_model_is_a_format_error(tmp_path, capsys):
+    # the index of a hidden-4 checkpoint claims a model of 10^6 hidden
+    # units (terabytes of float64); nothing of that size may be allocated
+    params = TrnParams.init(tiny_model(), np.random.default_rng(18))
+    path = tmp_path / "m.trnc"
+    huge = dataclasses.replace(params.config, hidden_size=10**6)
+
+    def claim_config(doc):
+        doc["config"]["hidden_size"] = huge.hidden_size
+
+    def claim_tensors(doc):
+        doc["tensors"] = [{"name": k, "shape": list(s)} for k, s in md.param_shapes(huge).items()]
+
+    for edits, error in (([claim_config], dio.HeaderError),
+                         ([claim_config, claim_tensors], dio.TruncatedFileError)):
+        tr.save_checkpoint(str(path), params)
+        for edit in edits:
+            rewrite_index(path, edit)
+        with pytest.raises(error):
+            tr.load_checkpoint(str(path))
+        features = tmp_path / "appearance.trnf"
+        dio.write_features(str(features), np.zeros((2, 3)))
+        assert cli.main(["stream", "--ckpt", str(path), "--out", str(tmp_path / "d.trnd"),
+                         "--features", f"appearance={features}", f"motion={features}"]) == 2
+    capsys.readouterr()
 
 
 def test_checkpoint_preserves_predictions(tmp_path):
