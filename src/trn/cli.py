@@ -16,6 +16,7 @@ format error. TRN_LOG_LEVEL controls verbosity (default INFO).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -88,29 +89,43 @@ class Opt:
         return self.typ(value)
 
 
+def _defaults(cls) -> dict:
+    """The default of every field of the dataclass ``cls``."""
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
+def _field_options(defaults: dict, helps: dict[str, str]) -> dict[str, Opt]:
+    """One option per ``helps`` key, typed by and defaulting to its entry in
+    ``defaults``, so that each default has its one home in a dataclass."""
+    return {name: Opt(type(defaults[name]), defaults[name], text) for name, text in helps.items()}
+
+
 def _train_options():
-    return {
+    model = _defaults(TrnConfig)
+    out = {
         "manifest": Opt(str, None, "dataset manifest JSON"),
         "out": Opt(str, None, "checkpoint file to write"),
         "metrics_out": Opt(str, None, "optional JSON file for per-epoch metrics"),
-        "variant": Opt(_variant, "two_stream", "fusion variant"),
+        "variant": Opt(_variant, model["fusion_variant"].value, "fusion variant"),
         "one_stream": Opt(str, "appearance", "stream consumed by the one_stream variant"),
-        "hidden_size": Opt(int, 512, "recurrent state width"),
-        "learning_rate": Opt(float, 5e-4, "Adam learning rate"),
-        "weight_decay": Opt(float, 5e-4, "decoupled weight decay"),
-        "batch_size": Opt(int, 2, "windows per optimizer step"),
-        "seq_len": Opt(int, 64, "training window length in chunks"),
-        "decoder_steps": Opt(int, 8, "anticipation rollout length"),
-        "epochs": Opt(int, 10, "training epochs"),
-        "seed": Opt(int, 0, "rng seed for init and shuffling"),
-        "lambda_enc": Opt(float, 1.0, "weight of the present-chunk loss head"),
-        "lambda_dec": Opt(float, 1.0, "weight of the anticipation loss head"),
-        "eval_every": Opt(int, 1, "held-out mAP cadence in epochs, 0 disables"),
     }
+    helps = {
+        "hidden_size": "recurrent state width",
+        "learning_rate": "Adam learning rate",
+        "weight_decay": "decoupled weight decay",
+        "batch_size": "windows per optimizer step",
+        "seq_len": "training window length in chunks",
+        "decoder_steps": "anticipation rollout length",
+        "epochs": "training epochs",
+        "seed": "rng seed for init and shuffling",
+        "lambda_enc": "weight of the present-chunk loss head",
+        "lambda_dec": "weight of the anticipation loss head",
+        "eval_every": "held-out mAP cadence in epochs, 0 disables",
+    }
+    return out | _field_options(model | _defaults(tr.TrainConfig), helps)
 
 
 def _synth_options():
-    spec = dio.SyntheticSpec()
     out = {"out": Opt(str, None, "output dataset directory")}
     helps = {
         "num_classes": "action classes (background is added on top)",
@@ -126,10 +141,7 @@ def _synth_options():
         "fps": "frames per second",
         "seed": "rng seed",
     }
-    for name, text in helps.items():
-        default = getattr(spec, name)
-        out[name] = Opt(type(default), default, text)
-    return out
+    return out | _field_options(_defaults(dio.SyntheticSpec), helps)
 
 
 def _io_options(batch_flag: bool):
@@ -285,17 +297,7 @@ def cmd_train(args) -> int:
     manifest = dio.load_manifest(cfg["manifest"])
     cmap = dio.read_class_map(manifest.resolve(manifest.class_map))
     model_config = _model_config_from_manifest(manifest, cmap, cfg)
-    train_config = tr.TrainConfig(
-        learning_rate=cfg["learning_rate"],
-        weight_decay=cfg["weight_decay"],
-        batch_size=cfg["batch_size"],
-        seq_len=cfg["seq_len"],
-        epochs=cfg["epochs"],
-        seed=cfg["seed"],
-        lambda_enc=cfg["lambda_enc"],
-        lambda_dec=cfg["lambda_dec"],
-        eval_every=cfg["eval_every"],
-    )
+    train_config = tr.TrainConfig(**{k: cfg[k] for k in _defaults(tr.TrainConfig)})
     params, metrics = tr.train(manifest, model_config, train_config)
     last = metrics[-1] if metrics else None
     meta = {
@@ -412,13 +414,6 @@ def cmd_eval(args) -> int:
         ev.anticipation_map(dump, gt, step=i, expand_to_frames=expand, labels=labels)
         for i in range(1, dump.decoder_steps + 1)
     ]
-    for name, res in [("encoder", encoder)] + [
-        (f"step {i + 1}", r) for i, r in enumerate(steps)
-    ]:
-        for cls, ap in sorted(res.per_class.items()):
-            log.debug("%s AP[%s] = %.6f", name, cls, ap)
-        for cls in res.skipped:
-            log.info("%s: class %s has no positives, skipped", name, cls)
     table = ev.render_report(
         encoder.mean_ap,
         [r.mean_ap for r in steps],
@@ -458,8 +453,6 @@ def cmd_gradcheck(args) -> int:
     streams = {n: np.stack([c[n] for c in chunks]) for n in chunks[0]}
     labels = rng.integers(0, model_config.classes, size=cfg["seq_len"])
     analytic = list(tr.sequence_loss(params, train_config, [streams], labels).grads().values())
-    # a deliberate offset on one coordinate shows the audit catches a wrong gradient
-    analytic[0].reshape(-1)[0] += float(os.environ.get("TRN_GRADCHECK_CORRUPT", "0") or "0")
     err = nm.grad_check(
         lambda: tr.sequence_loss(params, train_config, [streams], labels).loss,
         analytic,

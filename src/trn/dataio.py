@@ -422,7 +422,8 @@ def load_manifest(path: str) -> Manifest:
     Every referenced feature file must exist with a header matching the
     declared dimension. Streams of one video must agree on chunk count;
     an off-by-one tail is tolerated (effective count = minimum, with a
-    warning), anything worse is an error.
+    warning), anything worse is an error. An entry that lacks a key or
+    holds a value of the wrong kind is a FormatError naming it.
     """
     root = os.path.dirname(os.path.abspath(path))
     try:
@@ -430,42 +431,48 @@ def load_manifest(path: str) -> Manifest:
             doc = json.load(f)
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: malformed manifest JSON: {e}") from e
-    if not isinstance(doc, dict) or "videos" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("videos"), list):
         raise FormatError(f"{path}: manifest must be an object with a 'videos' list")
     videos = []
-    for entry in doc["videos"]:
-        streams = {}
-        counts = {}
-        for name, ref in entry["streams"].items():
-            full = os.path.join(root, ref["path"])
-            t, d = read_feature_header(full)
-            if d != ref["dim"]:
-                raise ValidationError(
-                    f"{entry['id']}/{name}: file dim {d} != declared dim {ref['dim']}"
-                )
-            streams[name] = StreamRef(ref["path"], int(ref["dim"]))
-            counts[name] = t
-        if not counts:
-            raise ValidationError(f"{entry['id']}: no streams")
-        lo, hi = min(counts.values()), max(counts.values())
-        if hi - lo > 1:
-            raise ValidationError(
-                f"{entry['id']}: stream chunk counts disagree by more than one: {counts}"
-            )
-        if hi != lo:
-            log.warning("%s: stream chunk counts %s truncated to %d", entry["id"], counts, lo)
-        videos.append(
-            VideoEntry(
-                video_id=entry["id"],
-                fps=float(entry["fps"]),
-                chunk_size=int(entry["chunk_size"]),
-                split=entry["split"],
-                streams=streams,
-                annotations=entry["annotations"],
-                num_chunks=lo,
-            )
-        )
+    for i, entry in enumerate(doc["videos"]):
+        try:
+            videos.append(_video_entry(root, entry))
+        except (KeyError, TypeError, AttributeError) as e:
+            raise FormatError(f"{path}: videos[{i}] is malformed: {type(e).__name__} {e}") from e
     return Manifest(root=root, class_map=doc.get("class_map", ""), videos=videos)
+
+
+def _video_entry(root: str, entry: dict) -> VideoEntry:
+    """One manifest entry, its feature headers checked against its dims."""
+    streams = {}
+    counts = {}
+    for name, ref in entry["streams"].items():
+        full = os.path.join(root, ref["path"])
+        t, d = read_feature_header(full)
+        if d != ref["dim"]:
+            raise ValidationError(
+                f"{entry['id']}/{name}: file dim {d} != declared dim {ref['dim']}"
+            )
+        streams[name] = StreamRef(ref["path"], int(ref["dim"]))
+        counts[name] = t
+    if not counts:
+        raise ValidationError(f"{entry['id']}: no streams")
+    lo, hi = min(counts.values()), max(counts.values())
+    if hi - lo > 1:
+        raise ValidationError(
+            f"{entry['id']}: stream chunk counts disagree by more than one: {counts}"
+        )
+    if hi != lo:
+        log.warning("%s: stream chunk counts %s truncated to %d", entry["id"], counts, lo)
+    return VideoEntry(
+        video_id=entry["id"],
+        fps=float(entry["fps"]),
+        chunk_size=int(entry["chunk_size"]),
+        split=entry["split"],
+        streams=streams,
+        annotations=entry["annotations"],
+        num_chunks=lo,
+    )
 
 
 def load_video_streams(
@@ -480,14 +487,6 @@ def load_video_streams(
         data = read_features(manifest.resolve(video.streams[name].path))
         out[name] = data[: video.num_chunks]
     return out
-
-
-def load_video_labels(
-    manifest: Manifest, video: VideoEntry, cmap: ClassMap
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-chunk labels and an ambiguous-chunk mask for one video."""
-    rows = read_annotations(manifest.resolve(video.annotations)).get(video.video_id, [])
-    return labels_from_intervals(rows, cmap, video.fps, video.chunk_size, video.num_chunks)
 
 
 def split_clock(videos: list[VideoEntry], default: tuple[int, float]) -> tuple[int, float]:

@@ -140,6 +140,7 @@ def _pooled_map(
     if expand_to_frames:
         all_scores = np.repeat(all_scores, dump.chunk_size, axis=0)
         all_labels = np.repeat(all_labels, dump.chunk_size, axis=0)
+    head = "encoder" if step is None else f"step {step}"
     per_class: dict[str, float] = {}
     skipped: list[str] = []
     for cls in range(1, len(gt.cmap.names)):
@@ -147,9 +148,10 @@ def _pooled_map(
         positives = all_labels == cls
         if not positives.any():
             skipped.append(name)
-            log.warning("class %s has no positive samples; skipped", name)
+            log.warning("%s: class %s has no positive samples; skipped", head, name)
             continue
         per_class[name] = average_precision(all_scores[:, cls], positives)
+        log.debug("%s AP[%s] = %.6f", head, name, per_class[name])
     mean = float(np.mean(list(per_class.values()))) if per_class else 0.0
     return EvalResult(mean_ap=mean, per_class=per_class, skipped=skipped)
 

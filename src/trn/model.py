@@ -22,6 +22,11 @@ and `trn_forward` as one-chunk blocks, `forward_videos` as blocks of many
 videos. `chunk_step` runs the same stages op by op on `numeric` tensors;
 it is the test oracle that the window kernel is pinned to, and no
 inference path calls it.
+
+The parameters are one table, `TrnParams`, keyed and ordered by
+`param_shapes` ("embed.w", "decoder.lstm.b", ...). The kernel, the tape
+stages, the training BPTT, Adam and checkpoints all address a weight
+under that one name.
 """
 
 from __future__ import annotations
@@ -138,27 +143,22 @@ class TrnConfig:
         """Width of the stream concatenation entering the fusion layer."""
         return sum(getattr(self, f"{n}_dim") for n in self.streams)
 
-    def embed_input_dim(self) -> int:
-        # one-stream skips the fusion layer and embeds the raw features
-        if self.fusion_variant is FusionVariant.ONE_STREAM:
-            return self.concat_dim()
-        return self.hidden_size
-
-
-@dataclass
-class Linear:
-    w: Tensor
-    b: Tensor
+    @property
+    def has_fusion_layer(self) -> bool:
+        """One-stream skips the fusion layer and embeds the raw features."""
+        return self.fusion_variant is not FusionVariant.ONE_STREAM
 
 
 def param_shapes(config: TrnConfig) -> dict[str, tuple[int, ...]]:
-    """The shape of every parameter, in :meth:`TrnParams.named` order."""
+    """The name and shape of every parameter, in the one order that
+    :class:`TrnParams`, gradients, Adam and checkpoints share."""
     h, k = config.hidden_size, config.classes
-    shapes = {}
-    if config.fusion_variant is not FusionVariant.ONE_STREAM:
-        shapes.update({"fusion.w": (h, config.concat_dim()), "fusion.b": (h,)})
+    shapes, embed_in = {}, config.concat_dim()
+    if config.has_fusion_layer:
+        shapes.update({"fusion.w": (h, embed_in), "fusion.b": (h,)})
+        embed_in = h
     shapes.update({
-        "embed.w": (h, config.embed_input_dim()), "embed.b": (h,),
+        "embed.w": (h, embed_in), "embed.b": (h,),
         "decoder.lstm.w": (4 * h, 2 * h), "decoder.lstm.b": (4 * h,),
         "decoder.cls.w": (k, h), "decoder.cls.b": (k,),
         "decoder.feat.w": (h, h), "decoder.feat.b": (h,),
@@ -170,20 +170,16 @@ def param_shapes(config: TrnConfig) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class TrnParams:
-    """All learnable tensors, addressable by stable dotted names."""
+    """The config plus one table of every learnable tensor, keyed and
+    ordered by :func:`param_shapes`. Every layer reads a weight under the
+    name its gradient, Adam state and checkpoint entry use."""
 
     config: TrnConfig
-    fusion: Linear | None
-    embed: Linear
-    decoder_lstm: nm.LstmParams
-    decoder_cls: Linear
-    decoder_feat: Linear
-    encoder_lstm: nm.LstmParams
-    encoder_cls: Linear
+    tensors: dict[str, Tensor]
 
     @staticmethod
     def init(config: TrnConfig, rng: np.random.Generator) -> "TrnParams":
-        """Weights uniform in +-1/sqrt(fan-in), drawn in :meth:`named`
+        """Weights uniform in +-1/sqrt(fan-in), drawn in :func:`param_shapes`
         order; biases zero except the LSTM forget gates, which start at 1."""
         arrays = {}
         for name, shape in param_shapes(config).items():
@@ -204,47 +200,18 @@ class TrnParams:
 
     @staticmethod
     def from_arrays(config: TrnConfig, arrays: dict[str, np.ndarray]) -> "TrnParams":
-        """Parameters over ``arrays``, keyed as :meth:`named` (float64
-        arrays are used in place)."""
-        t = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
-        h = config.hidden_size
-
-        def linear(name):
-            return Linear(t[f"{name}.w"], t[f"{name}.b"])
-
-        return TrnParams(
-            config=config,
-            fusion=linear("fusion") if "fusion.w" in t else None,
-            embed=linear("embed"),
-            decoder_lstm=nm.LstmParams(t["decoder.lstm.w"], t["decoder.lstm.b"], h, h),
-            decoder_cls=linear("decoder.cls"),
-            decoder_feat=linear("decoder.feat"),
-            encoder_lstm=nm.LstmParams(t["encoder.lstm.w"], t["encoder.lstm.b"], 2 * h, h),
-            encoder_cls=linear("encoder.cls"),
-        )
+        """Parameters over ``arrays``, one per :func:`param_shapes` name
+        (float64 arrays are used in place)."""
+        names = param_shapes(config)
+        return TrnParams(config, {k: Tensor(arrays[k], requires_grad=True) for k in names})
 
     def named(self) -> dict[str, Tensor]:
-        """Parameter registry in a fixed order (checkpoints, optimizer)."""
-        out: dict[str, Tensor] = {}
-        if self.fusion is not None:
-            out["fusion.w"] = self.fusion.w
-            out["fusion.b"] = self.fusion.b
-        out["embed.w"] = self.embed.w
-        out["embed.b"] = self.embed.b
-        out["decoder.lstm.w"] = self.decoder_lstm.w
-        out["decoder.lstm.b"] = self.decoder_lstm.b
-        out["decoder.cls.w"] = self.decoder_cls.w
-        out["decoder.cls.b"] = self.decoder_cls.b
-        out["decoder.feat.w"] = self.decoder_feat.w
-        out["decoder.feat.b"] = self.decoder_feat.b
-        out["encoder.lstm.w"] = self.encoder_lstm.w
-        out["encoder.lstm.b"] = self.encoder_lstm.b
-        out["encoder.cls.w"] = self.encoder_cls.w
-        out["encoder.cls.b"] = self.encoder_cls.b
-        return out
+        """The parameter table, in :func:`param_shapes` order."""
+        return self.tensors
 
-    def count(self) -> int:
-        return sum(t.data.size for t in self.named().values())
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every parameter's value, keyed as :meth:`named`."""
+        return {name: t.data for name, t in self.tensors.items()}
 
 
 @dataclass
@@ -291,9 +258,10 @@ def fuse(params: TrnParams, streams: ChunkStreams) -> Tensor:
     features through unchanged.
     """
     joined = nm.concat([nm.tensor(v) for v in _chunk_parts(params.config, streams)])
-    if params.fusion is None:
+    if not params.config.has_fusion_layer:
         return joined
-    return nm.relu(nm.linear(params.fusion.w, params.fusion.b, joined))
+    t = params.named()
+    return nm.relu(nm.linear(t["fusion.w"], t["fusion.b"], joined))
 
 
 def check_streams(config: TrnConfig, streams: dict) -> int:
@@ -337,7 +305,8 @@ def stack_block(config: TrnConfig, videos: list[dict], t0: int, t1: int) -> np.n
 
 
 def embed(params: TrnParams, fused: Tensor) -> Tensor:
-    return nm.relu(nm.linear(params.embed.w, params.embed.b, fused))
+    t = params.named()
+    return nm.relu(nm.linear(t["embed.w"], t["embed.b"], fused))
 
 
 def decoder_rollout(
@@ -354,12 +323,12 @@ def decoder_rollout(
     hiddens: list[Tensor] = []
     logits: list[Tensor] = []
     feats: list[Tensor] = []
-    x = x_embed
+    x, t = x_embed, params.named()
     for _ in range(steps):
-        h, c = nm.lstm_step(params.decoder_lstm, x, h, c)
+        h, c = nm.lstm_step(t["decoder.lstm.w"], t["decoder.lstm.b"], x, h, c)
         hiddens.append(h)
-        logits.append(nm.linear(params.decoder_cls.w, params.decoder_cls.b, h))
-        x = nm.relu(nm.linear(params.decoder_feat.w, params.decoder_feat.b, h))
+        logits.append(nm.linear(t["decoder.cls.w"], t["decoder.cls.b"], h))
+        x = nm.relu(nm.linear(t["decoder.feat.w"], t["decoder.feat.b"], h))
         feats.append(x)
     return hiddens, logits, feats
 
@@ -378,9 +347,9 @@ def encoder_step(
 
     Returns (new h, new c, present logits).
     """
-    joined = nm.concat([x_embed, future_ctx])
-    h, c = nm.lstm_step(params.encoder_lstm, joined, h, c)
-    logits = nm.linear(params.encoder_cls.w, params.encoder_cls.b, h)
+    joined, t = nm.concat([x_embed, future_ctx]), params.named()
+    h, c = nm.lstm_step(t["encoder.lstm.w"], t["encoder.lstm.b"], joined, h, c)
+    logits = nm.linear(t["encoder.cls.w"], t["encoder.cls.b"], h)
     return h, c, logits
 
 
@@ -483,22 +452,22 @@ def window_forward(
     runs, up to float reassociation. ``trace`` keeps the gate traces a
     backward pass reads.
     """
-    cfg = params.config
+    cfg, p = params.config, params.arrays()
     hs, steps = cfg.hidden_size, cfg.decoder_steps
     # decoder columns act on (input; h_prev), encoder ones on (x; ctx; h_prev)
-    wd, we = params.decoder_lstm.w.data, params.encoder_lstm.w.data
+    wd, we = p["decoder.lstm.w"], p["encoder.lstm.w"]
     w_dx, w_dh = wd[:, :hs], wd[:, hs:]
     w_ctx, w_eh = we[:, hs : 2 * hs], we[:, 2 * hs :]
-    w_feat = params.decoder_feat.w.data
-    bd, be = params.decoder_lstm.b.data[:, None], params.encoder_lstm.b.data[:, None]
-    bf = params.decoder_feat.b.data[:, None]
+    w_feat = p["decoder.feat.w"]
+    bd, be = p["decoder.lstm.b"][:, None], p["encoder.lstm.b"][:, None]
+    bf = p["decoder.feat.b"][:, None]
     batch = h.shape[1]
     t_len = raw.shape[1] // batch
 
     fused = raw
-    if params.fusion is not None:
-        fused = np.maximum(params.fusion.w.data @ raw + params.fusion.b.data[:, None], 0.0)
-    x = np.maximum(params.embed.w.data @ fused + params.embed.b.data[:, None], 0.0)
+    if cfg.has_fusion_layer:
+        fused = np.maximum(p["fusion.w"] @ raw + p["fusion.b"][:, None], 0.0)
+    x = np.maximum(p["embed.w"] @ fused + p["embed.b"][:, None], 0.0)
     # the input halves of decoder step 1 and of the encoder
     x_dec = split_steps(w_dx @ x + bd, t_len)
     x_enc = split_steps(we[:, :hs] @ x + be, t_len)
@@ -557,10 +526,10 @@ def detect_block(
     """
     _check_finite(params.config, raw)
     run = window_forward(params, raw, h, c)
-    enc_cls, dec_cls = params.encoder_cls, params.decoder_cls
+    p = params.arrays()
     logits = np.concatenate([
-        enc_cls.w.data @ join_cols(run.enc_h) + enc_cls.b.data[:, None],
-        dec_cls.w.data @ join_cols(run.dec_h) + dec_cls.b.data[:, None],
+        p["encoder.cls.w"] @ join_cols(run.enc_h) + p["encoder.cls.b"][:, None],
+        p["decoder.cls.w"] @ join_cols(run.dec_h) + p["decoder.cls.b"][:, None],
     ], axis=1)
     return nm.softmax_array(logits), run
 
@@ -589,8 +558,8 @@ def detect_chunk(
     feats = np.empty((cfg.decoder_steps, hs))
     feats[:-1] = run.feat[0, :, :, 0]
     # the last step's feature feeds no further step, so the kernel skips it
-    w, b = params.decoder_feat.w.data, params.decoder_feat.b.data
-    feats[-1] = np.maximum(w @ run.dec_h[0, -1, :, 0] + b, 0.0)
+    p = params.arrays()
+    feats[-1] = np.maximum(p["decoder.feat.w"] @ run.dec_h[0, -1, :, 0] + p["decoder.feat.b"], 0.0)
     out = DetectionOutput(dists[0], list(dists[1:]), list(feats))
     return out, run.h[:, 0], run.c[:, 0]
 

@@ -10,14 +10,15 @@ Ops never mutate their inputs. Gradients accumulate additively into ``.grad``
 buffers when ``backward()`` is called on a scalar result, which is what makes
 backpropagation through time come out as a sum over steps. The tape is the
 op-by-op reference the fused kernels are tested against; the training loss
-computes its own gradients without it.
+computes its own gradients without it. Ops take their weights as plain
+tensors (the LSTM step its packed weight and bias), so the model keeps
+every parameter under its own name.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +33,6 @@ class DimensionError(ValidationError):
 
 
 _GRAD_ENABLED = True
-_FINITE_CHECKS = False
 
 
 @contextmanager
@@ -45,12 +45,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = saved
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Debug assertion: when on, every op output is checked for NaN/Inf."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
 
 
 class Tensor:
@@ -149,8 +143,6 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _result(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    if _FINITE_CHECKS and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite value produced by an operation")
     out = Tensor(data)
     if _GRAD_ENABLED and any(_wants_grad(p) for p in parents):
         out.requires_grad = True
@@ -333,19 +325,6 @@ def cross_entropy(p: Tensor, label: int) -> Tensor:
 # LSTM cell
 
 
-@dataclass
-class LstmParams:
-    """Packed LSTM weights: rows are the four gates [i, f, g, o].
-
-    ``w`` is (4H, D+H) acting on concat(x, h_prev); ``b`` is (4H,).
-    """
-
-    w: Tensor
-    b: Tensor
-    input_dim: int
-    hidden_size: int
-
-
 def lstm_forward(z: np.ndarray, c_prev: np.ndarray, hs: int):
     """Gates [i, f, g, o] from pre-activations z; returns (h, c, trace).
 
@@ -361,25 +340,28 @@ def lstm_forward(z: np.ndarray, c_prev: np.ndarray, hs: int):
     return a[3 * hs :] * tc, c, (a, c_prev, tc)
 
 
-def lstm_step(params: LstmParams, x: Tensor, h_prev: Tensor, c_prev: Tensor):
+def lstm_step(w: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_prev: Tensor):
     """One LSTM step: returns (h, c).
 
-    i, f, o = sigmoid of their pre-activations, g = tanh, then
+    ``w`` is (4H, D+H) acting on concat(x, h_prev) and ``b`` is (4H,),
+    their rows the four gates [i, f, g, o]; H comes from ``b`` and D from
+    ``w``. i, f, o = sigmoid of their pre-activations, g = tanh, then
     c = f*c_prev + i*g and h = o*tanh(c). The backward closures are
     written out here rather than shared with the fused training kernel,
     so the tape stays an independent reference for that kernel.
     """
-    hs = params.hidden_size
-    if x.data.shape[0] != params.input_dim:
+    hs = b.data.shape[0] // 4
+    input_dim = w.data.shape[1] - hs
+    if x.data.shape[0] != input_dim:
         raise DimensionError(
-            f"lstm_step: input {x.data.shape} but cell expects dim {params.input_dim}"
+            f"lstm_step: input {x.data.shape} but cell expects dim {input_dim}"
         )
     for name, t in (("h_prev", h_prev), ("c_prev", c_prev)):
         if t.data.shape[0] != hs:
             raise DimensionError(
                 f"lstm_step: {name} {t.data.shape} but hidden size is {hs}"
             )
-    z = linear(params.w, params.b, concat([x, h_prev]))
+    z = linear(w, b, concat([x, h_prev]))
     h_data, c_data, (a, _, tc) = lstm_forward(z.data, c_prev.data, hs)
     i, f, g, o = a[0:hs], a[hs : 2 * hs], a[2 * hs : 3 * hs], a[3 * hs :]
 

@@ -190,8 +190,8 @@ class WindowLoss:
         # target t + i lies inside the window, in pair order
         keep = None if ambiguous is None else ~ambiguous.reshape(-1)
         self.enc_scale = _head_scale(config.lambda_enc, t_len * batch, keep)
-        enc_cls = params.encoder_cls
-        logits = enc_cls.w.data @ md.join_cols(run.enc_h) + enc_cls.b.data[:, None]
+        p = params.arrays()
+        logits = p["encoder.cls.w"] @ md.join_cols(run.enc_h) + p["encoder.cls.b"][:, None]
         enc_sum, self.g_enc = _softmax_xent(logits, labels.reshape(-1), keep)
         self.loss = float(enc_sum * self.enc_scale)
         self.pairs = np.zeros((t_len, steps), dtype=bool)
@@ -204,14 +204,14 @@ class WindowLoss:
             keep = None if ambiguous is None else ~ambiguous[target].reshape(-1)
             self.dec_scale = _head_scale(config.lambda_dec, len(pairs) * batch, keep)
             self.dec_hid = md.join_cols(run.dec_h[self.pairs])
-            logits = params.decoder_cls.w.data @ self.dec_hid + params.decoder_cls.b.data[:, None]
+            logits = p["decoder.cls.w"] @ self.dec_hid + p["decoder.cls.b"][:, None]
             dec_sum, self.g_dec = _softmax_xent(logits, labels[target].reshape(-1), keep)
             self.loss = float(self.loss + dec_sum * self.dec_scale)
 
     def grads(self) -> dict[str, np.ndarray]:
         """The gradient of the loss for every parameter, keyed and ordered
         as ``TrnParams.named``."""
-        p, run = self.params, self.run
+        p, run = self.params.arrays(), self.run
         hs, t_len, steps, batch = self.shape
         out: dict[str, np.ndarray] = {}
 
@@ -219,24 +219,24 @@ class WindowLoss:
         g_enc = self.g_enc * self.enc_scale
         out["encoder.cls.w"] = g_enc @ md.join_cols(run.enc_h).T
         out["encoder.cls.b"] = g_enc.sum(axis=1)
-        d_enc_h = md.split_steps(p.encoder_cls.w.data.T @ g_enc, t_len)
+        d_enc_h = md.split_steps(p["encoder.cls.w"].T @ g_enc, t_len)
         d_dec_h = np.zeros((t_len, steps, hs, batch))
         if self.g_dec is None:  # no (t, i) pair inside the window
-            out["decoder.cls.w"] = np.zeros_like(p.decoder_cls.w.data)
-            out["decoder.cls.b"] = np.zeros_like(p.decoder_cls.b.data)
+            out["decoder.cls.w"] = np.zeros_like(p["decoder.cls.w"])
+            out["decoder.cls.b"] = np.zeros_like(p["decoder.cls.b"])
         else:
             g_dec = self.g_dec * self.dec_scale
             out["decoder.cls.w"] = g_dec @ self.dec_hid.T
             out["decoder.cls.b"] = g_dec.sum(axis=1)
-            d_hid = (p.decoder_cls.w.data.T @ g_dec).reshape(hs, -1, batch)
+            d_hid = (p["decoder.cls.w"].T @ g_dec).reshape(hs, -1, batch)
             d_dec_h[self.pairs] = d_hid.transpose(1, 0, 2)
 
         # BPTT, newest chunk first; within a chunk the encoder step comes
         # before the decoder rollout that produced its future context
-        wd, we = p.decoder_lstm.w.data, p.encoder_lstm.w.data
+        wd, we = p["decoder.lstm.w"], p["encoder.lstm.w"]
         wd_t = wd.T.copy()
         w_rec_t = we[:, hs:].T.copy()  # encoder (ctx; h_prev) columns
-        wf_t = p.decoder_feat.w.data.T.copy()
+        wf_t = p["decoder.feat.w"].T.copy()
         dz_dec = np.empty((t_len, steps, 4 * hs, batch))
         dz_enc = np.empty((t_len, 4 * hs, batch))
         d_feat = np.empty((t_len, steps - 1, hs, batch))
@@ -284,12 +284,12 @@ class WindowLoss:
         dx *= run.x > 0.0
         out["embed.w"] = dx @ run.fused.T
         out["embed.b"] = dx.sum(axis=1)
-        if p.fusion is not None:
-            du = p.embed.w.data.T @ dx
+        if self.params.config.has_fusion_layer:
+            du = p["embed.w"].T @ dx
             du *= run.fused > 0.0
             out["fusion.w"] = du @ self.raw.T
             out["fusion.b"] = du.sum(axis=1)
-        return {name: out[name] for name in p.named()}
+        return {name: out[name] for name in p}
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +322,16 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> None:
-    """One in-place Adam update with decoupled weight decay."""
+    """One in-place Adam update with decoupled weight decay; ``grads``
+    must hold every parameter's gradient, under the parameter's name."""
+    missing = [name for name in params.named() if name not in grads]
+    if missing:
+        raise ValidationError(f"no gradient for parameter {', '.join(missing)}")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
     for name, tensor in params.named().items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(tensor.data)
+        g = grads[name]
         if not np.all(np.isfinite(g)):
             raise ValidationError(f"non-finite gradient for parameter {name}")
         if g.shape != tensor.data.shape:

@@ -241,6 +241,25 @@ def test_train_missing_manifest_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_malformed_manifest_is_a_format_error(tmp_path):
+    # an entry without its streams, videos given as an object, and a stream
+    # ref given as a bare path: each names the file, none is a traceback
+    entry = {"id": "v", "fps": 30, "chunk_size": 6, "split": "train", "annotations": "a.tsv"}
+    docs = [
+        {"videos": [{"id": "v"}]},
+        {"videos": {"id": "v"}},
+        {"videos": [dict(entry, streams={"appearance": "a.trnf"})]},
+    ]
+    for n, doc in enumerate(docs):
+        path = tmp_path / f"manifest{n}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(dio.FormatError) as exc:
+            dio.load_manifest(str(path))
+        assert str(path) in str(exc.value)
+    rc = run(["train", "--manifest", str(tmp_path / "manifest2.json"), "--out", str(tmp_path / "m")])
+    assert rc == 2
+
+
 def test_train_fused_variant_uses_pose_stream(dataset, tmp_path):
     ckpt = tmp_path / "m.trnc"
     rc = run(train_argv(dataset, ckpt, variant="fused_two_stream"))
@@ -486,8 +505,11 @@ def test_eval_perfect_dump_scores_100(dataset, tmp_path, capsys):
         chunk_size=videos[0].chunk_size, fps=videos[0].fps, decoder_steps=steps, classes=classes
     )
     eye = np.eye(classes)
+    rows = dio.read_annotations(manifest.resolve(videos[0].annotations))
     for video in videos:
-        labels, _ = dio.load_video_labels(manifest, video, cmap)
+        labels, _ = dio.labels_from_intervals(
+            rows.get(video.video_id, []), cmap, video.fps, video.chunk_size, video.num_chunks
+        )
         t_len = len(labels)
         present = eye[labels]
         anticipated = np.zeros((t_len, steps, classes))
@@ -523,8 +545,11 @@ def test_synth_then_eval_logs_no_clip_warning(tmp_path, capsys, caplog, monkeypa
     cmap = dio.read_class_map(manifest.resolve(manifest.class_map))
     # the written annotations label every chunk as the generator drew it
     assert len(drawn) == len(manifest.videos)
+    rows = dio.read_annotations(manifest.resolve("annotations.tsv"))
     for video, want in zip(manifest.videos, drawn):
-        labels, ambiguous = dio.load_video_labels(manifest, video, cmap)
+        labels, ambiguous = dio.labels_from_intervals(
+            rows.get(video.video_id, []), cmap, video.fps, video.chunk_size, video.num_chunks
+        )
         assert np.array_equal(labels, want) and not ambiguous.any()
     ckpt, _ = tiny_ckpt(tmp_path, appearance_dim=8, motion_dim=8)
     dump = str(tmp_path / "dump.trnd")
@@ -553,6 +578,24 @@ def test_eval_labels_each_video_once(dataset, tmp_path, monkeypatch):
     monkeypatch.setattr(dio, "labels_from_intervals", lambda *a: calls.append(a) or label(*a))
     assert run(argv) == 0
     assert len(calls) == 3  # one per video, shared by the encoder and all 3 steps
+
+
+def test_eval_logs_each_skipped_class_once_per_head(tmp_path, caplog):
+    # "kick" never occurs: the encoder and both steps skip it, and each of
+    # the three facts is logged once, naming its head
+    gt, classmap = tmp_path / "gt.tsv", tmp_path / "classes.tsv"
+    dio.write_annotations(str(gt), {"v": [dio.Interval("jump", 0.0, 0.4)]})
+    dio.write_class_map(str(classmap), dio.ClassMap(["Background", "jump", "kick"]))
+    scores = np.random.default_rng(0).dirichlet(np.ones(3), size=(6, 3))
+    dump = ev.PredictionDump(chunk_size=6, fps=30.0, decoder_steps=2, classes=3)
+    dump.videos["v"] = ev.VideoPredictions(scores[:, 0], scores[:, 1:])
+    ev.write_prediction_dump(str(tmp_path / "dump.trnd"), dump)
+    caplog.set_level("DEBUG")
+    assert run(["eval", "--dump", str(tmp_path / "dump.trnd"), "--gt", str(gt),
+                "--classmap", str(classmap)]) == 0
+    skips = [r.getMessage() for r in caplog.records if "kick" in r.getMessage()
+             and "AP[" not in r.getMessage()]
+    assert sorted(m.split(":")[0] for m in skips) == ["encoder", "step 1", "step 2"], skips
 
 
 def test_eval_missing_dump_exits_2(tmp_path):
@@ -595,7 +638,15 @@ def test_gradcheck_other_variants_pass(capsys):
 
 
 def test_gradcheck_corrupted_gradient_fails(monkeypatch, capsys):
-    monkeypatch.setenv("TRN_GRADCHECK_CORRUPT", "0.01")
+    # offset one analytic coordinate: the audit must catch a wrong gradient
+    grads = tr.WindowLoss.grads
+
+    def corrupted(self):
+        out = grads(self)
+        next(iter(out.values())).reshape(-1)[0] += 0.01
+        return out
+
+    monkeypatch.setattr(tr.WindowLoss, "grads", corrupted)
     rc = run(["gradcheck"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out

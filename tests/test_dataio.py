@@ -264,6 +264,19 @@ def build_dataset(tmp_path, t_app=6, t_mot=6):
     return path
 
 
+def manifest_labels(m, cmap):
+    """video id -> (labels, ambiguous mask), over one read of the
+    manifest's annotation file."""
+    (path,) = {v.annotations for v in m.videos}
+    rows = dio.read_annotations(m.resolve(path))
+    return {
+        v.video_id: dio.labels_from_intervals(
+            rows.get(v.video_id, []), cmap, v.fps, v.chunk_size, v.num_chunks
+        )
+        for v in m.videos
+    }
+
+
 def test_manifest_roundtrip(tmp_path):
     path = build_dataset(tmp_path)
     m = dio.load_manifest(path)
@@ -274,7 +287,7 @@ def test_manifest_roundtrip(tmp_path):
     streams = dio.load_video_streams(m, v)
     assert streams["appearance"].shape == (6, 3)
     cmap = dio.read_class_map(m.resolve(m.class_map))
-    labels, mask = dio.load_video_labels(m, v, cmap)
+    labels, mask = manifest_labels(m, cmap)["v"]
     assert labels.tolist() == [1, 1, 0, 0, 0, 0]
     assert not mask.any()
 
@@ -323,7 +336,7 @@ def test_ambiguous_intervals_masked(tmp_path):
     )
     m = dio.load_manifest(path)
     cmap = dio.read_class_map(m.resolve(m.class_map))
-    labels, mask = dio.load_video_labels(m, m.videos[0], cmap)
+    labels, mask = manifest_labels(m, cmap)["v"]
     assert labels.tolist() == [1, 1, 0, 0, 0, 0]
     assert mask.tolist() == [False, False, True, True, False, False]
 
@@ -388,8 +401,7 @@ def test_synthetic_all_background(tmp_path):
     ann = dio.read_annotations(m.resolve("annotations.tsv"))
     assert all(len(v) == 0 for v in ann.values()) or not ann
     cmap = dio.read_class_map(m.resolve(m.class_map))
-    for v in m.videos:
-        labels, _ = dio.load_video_labels(m, v, cmap)
+    for labels, _ in manifest_labels(m, cmap).values():
         assert not labels.any()
 
 
@@ -400,9 +412,10 @@ def test_synthetic_relabeling_matches_and_separable(tmp_path):
     m = dio.load_manifest(path)
     cmap = dio.read_class_map(m.resolve(m.class_map))
     feats, labels = [], []
+    by_video = manifest_labels(m, cmap)
     for v in m.videos:
         streams = dio.load_video_streams(m, v)
-        lab, _ = dio.load_video_labels(m, v, cmap)
+        lab, _ = by_video[v.video_id]
         feats.append(np.concatenate([streams["appearance"], streams["motion"]], axis=1))
         labels.append(lab)
     x = np.concatenate(feats)
@@ -420,9 +433,10 @@ def test_synthetic_pose_carries_class_signal(tmp_path):
     m = dio.load_manifest(path)
     cmap = dio.read_class_map(m.resolve(m.class_map))
     feats, labels = [], []
+    by_video = manifest_labels(m, cmap)
     for v in m.videos:
         feats.append(dio.load_video_streams(m, v)["pose"])
-        labels.append(dio.load_video_labels(m, v, cmap)[0])
+        labels.append(by_video[v.video_id][0])
     x = np.concatenate(feats)
     y = np.concatenate(labels)
     means = np.stack([x[y == c].mean(axis=0) for c in range(4)])

@@ -79,8 +79,11 @@ def test_fused_concat_dim_arithmetic():
 def test_param_count_pure_function_of_config():
     cfg = tiny_config()
     rng = np.random.default_rng(0)
-    a = TrnParams.init(cfg, rng).count()
-    b = TrnParams.init(cfg, np.random.default_rng(99)).count()
+    def count(params):
+        return sum(t.data.size for t in params.named().values())
+
+    a = count(TrnParams.init(cfg, rng))
+    b = count(TrnParams.init(cfg, np.random.default_rng(99)))
     assert a == b
     h, cat, cls = 5, 7, 3
     expected = (
@@ -150,7 +153,7 @@ def test_fuse_one_stream_passthrough():
     v = np.random.default_rng(0).normal(size=4096)
     out = md.fuse(params, ChunkStreams(appearance=v))
     assert np.array_equal(out.data, v)
-    assert params.fusion is None
+    assert not cfg.has_fusion_layer and "fusion.w" not in params.named()
 
 
 def test_fuse_two_stream_zero_weights():
@@ -184,7 +187,7 @@ def test_fuse_fused_two_stream_orders_appearance_pose_motion():
     taps = [0, 3, 3 + 6]  # first entry of appearance, pose, motion blocks
     for row, col in enumerate(taps):
         w[row, col] = 1.0
-    params.fusion.w.data[:] = w
+    params.named()["fusion.w"].data[:] = w
     s = ChunkStreams(
         appearance=np.full(3, 2.0), motion=np.full(4, 5.0), pose=np.full(6, 3.0)
     )
@@ -225,11 +228,12 @@ def test_rollout_autoregressive_self_consistency():
     x = nm.tensor(rng.normal(size=5))
     hid, logits, feats = md.decoder_rollout(params, h0, c0, x, 3)
     # replay step 2 by hand from step 1's state and emitted feature
-    h1, c1 = nm.lstm_step(params.decoder_lstm, x, h0, c0)
+    t = params.named()
+    h1, c1 = nm.lstm_step(t["decoder.lstm.w"], t["decoder.lstm.b"], x, h0, c0)
     assert np.array_equal(h1.data, hid[0].data)
-    f1 = nm.relu(nm.linear(params.decoder_feat.w, params.decoder_feat.b, h1))
+    f1 = nm.relu(nm.linear(t["decoder.feat.w"], t["decoder.feat.b"], h1))
     assert np.array_equal(f1.data, feats[0].data)
-    h2, _ = nm.lstm_step(params.decoder_lstm, f1, h1, c1)
+    h2, _ = nm.lstm_step(t["decoder.lstm.w"], t["decoder.lstm.b"], f1, h1, c1)
     assert np.array_equal(h2.data, hid[1].data)
 
 

@@ -87,28 +87,27 @@ def _scalar_lstm_reference(w, b, x, h_prev, c_prev):
 
 
 def lstm_params(din, hs, rng=None):
-    """Zero LSTM weights, or with ``rng`` weights uniform in
+    """(w, b) of a cell: zero, or with ``rng`` weights uniform in
     +-1/sqrt(din + hs) and the forget-gate biases at 1."""
     if rng is None:
-        return nm.LstmParams(nm.parameter(np.zeros((4 * hs, din + hs))),
-                             nm.parameter(np.zeros(4 * hs)), din, hs)
+        return nm.parameter(np.zeros((4 * hs, din + hs))), nm.parameter(np.zeros(4 * hs))
     bound = 1.0 / math.sqrt(din + hs)
     w = rng.uniform(-bound, bound, size=(4 * hs, din + hs))
     b = np.zeros(4 * hs)
     b[hs : 2 * hs] = 1.0
-    return nm.LstmParams(nm.parameter(w), nm.parameter(b), din, hs)
+    return nm.parameter(w), nm.parameter(b)
 
 
 def test_lstm_step_zero_everything():
     p = lstm_params(3, 2)
-    h, c = nm.lstm_step(p, nm.tensor(np.zeros(3)), nm.tensor(np.zeros(2)), nm.tensor(np.zeros(2)))
+    h, c = nm.lstm_step(*p, nm.tensor(np.zeros(3)), nm.tensor(np.zeros(2)), nm.tensor(np.zeros(2)))
     assert np.array_equal(h.data, np.zeros(2))
     assert np.array_equal(c.data, np.zeros(2))
 
 
 def test_lstm_step_zero_params_ones_cell():
     p = lstm_params(3, 2)
-    h, c = nm.lstm_step(p, nm.tensor(np.zeros(3)), nm.tensor(np.zeros(2)), nm.tensor(np.ones(2)))
+    h, c = nm.lstm_step(*p, nm.tensor(np.zeros(3)), nm.tensor(np.zeros(2)), nm.tensor(np.ones(2)))
     assert np.allclose(c.data, 0.5, atol=1e-15)
     assert np.allclose(h.data, 0.5 * math.tanh(0.5), atol=1e-15)
 
@@ -119,11 +118,12 @@ def test_lstm_step_matches_scalar_reference():
         din, hs = rng.integers(1, 5), rng.integers(1, 5)
         w = rng.normal(size=(4 * hs, din + hs))
         b = rng.normal(size=4 * hs)
-        p = nm.LstmParams(nm.parameter(w), nm.parameter(b), int(din), int(hs))
         x = rng.normal(size=din)
         h0 = rng.normal(size=hs)
         c0 = rng.normal(size=hs)
-        h, c = nm.lstm_step(p, nm.tensor(x), nm.tensor(h0), nm.tensor(c0))
+        h, c = nm.lstm_step(
+            nm.parameter(w), nm.parameter(b), nm.tensor(x), nm.tensor(h0), nm.tensor(c0)
+        )
         h_ref, c_ref = _scalar_lstm_reference(w, b, x, h0, c0)
         assert np.max(np.abs(h.data - h_ref)) < 1e-12
         assert np.max(np.abs(c.data - c_ref)) < 1e-12
@@ -134,12 +134,12 @@ def test_lstm_step_gates_equal_the_fused_kernel_gates(monkeypatch):
     # lstm_step equals lstm_forward bitwise, and the kernel calls it once
     # per decoder step and encoder step
     rng = np.random.default_rng(8)
-    p = lstm_params(3, 4, rng)
+    w, b = lstm_params(3, 4, rng)
     for batch in ((), (5,)):
         x, h0, c0 = (rng.normal(size=(n, *batch)) for n in (3, 4, 4))
-        h, c = nm.lstm_step(p, nm.tensor(x), nm.tensor(h0), nm.tensor(c0))
-        bias = p.b.data.reshape(-1, *[1] * len(batch))
-        z = p.w.data @ np.concatenate([x, h0]) + bias
+        h, c = nm.lstm_step(w, b, nm.tensor(x), nm.tensor(h0), nm.tensor(c0))
+        bias = b.data.reshape(-1, *[1] * len(batch))
+        z = w.data @ np.concatenate([x, h0]) + bias
         h_ref, c_ref, _ = nm.lstm_forward(z, c0, 4)
         assert np.array_equal(h.data, h_ref) and np.array_equal(c.data, c_ref)
 
@@ -156,9 +156,11 @@ def test_lstm_step_gates_equal_the_fused_kernel_gates(monkeypatch):
 def test_lstm_step_dimension_mismatch():
     p = lstm_params(3, 2)
     with pytest.raises(nm.DimensionError):
-        nm.lstm_step(p, nm.tensor(np.zeros(4)), nm.tensor(np.zeros(2)), nm.tensor(np.zeros(2)))
+        nm.lstm_step(*p, nm.tensor(np.zeros(4)), nm.tensor(np.zeros(2)), nm.tensor(np.zeros(2)))
     with pytest.raises(nm.DimensionError):
-        nm.lstm_step(p, nm.tensor(np.zeros(3)), nm.tensor(np.zeros(1)), nm.tensor(np.zeros(2)))
+        nm.lstm_step(*p, nm.tensor(np.zeros(3)), nm.tensor(np.zeros(1)), nm.tensor(np.zeros(2)))
+    with pytest.raises(nm.DimensionError):
+        nm.lstm_step(*p, nm.tensor(np.zeros(3)), nm.tensor(np.zeros(2)), nm.tensor(np.zeros(3)))
 
 
 def test_lstm_params_init_forget_bias():
@@ -166,11 +168,13 @@ def test_lstm_params_init_forget_bias():
     # 0, weights within 1/sqrt(fan-in)
     cfg = md.TrnConfig(appearance_dim=2, motion_dim=3, hidden_size=4, decoder_steps=2, num_actions=2)
     params = md.TrnParams.init(cfg, np.random.default_rng(0))
-    for p, fan_in in ((params.decoder_lstm, 8), (params.encoder_lstm, 12)):
-        assert np.array_equal(p.b.data[4:8], np.ones(4))
-        assert np.array_equal(p.b.data[:4], np.zeros(4))
-        assert np.array_equal(p.b.data[8:], np.zeros(8))
-        assert np.max(np.abs(p.w.data)) <= 1.0 / math.sqrt(fan_in)
+    t = params.named()
+    for layer, fan_in in (("decoder.lstm", 8), ("encoder.lstm", 12)):
+        w, b = t[f"{layer}.w"].data, t[f"{layer}.b"].data
+        assert np.array_equal(b[4:8], np.ones(4))
+        assert np.array_equal(b[:4], np.zeros(4))
+        assert np.array_equal(b[8:], np.zeros(8))
+        assert np.max(np.abs(w)) <= 1.0 / math.sqrt(fan_in)
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +287,8 @@ def test_per_op_gradients_match_finite_differences():
 def test_lstm_step_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
     din, hs = 3, 4
-    p = nm.LstmParams(
-        nm.parameter(rng.normal(size=(4 * hs, din + hs))),
-        nm.parameter(rng.normal(size=4 * hs)),
-        din,
-        hs,
-    )
+    w = nm.parameter(rng.normal(size=(4 * hs, din + hs)))
+    b = nm.parameter(rng.normal(size=4 * hs))
     x = nm.parameter(rng.normal(size=din))
     h0 = nm.parameter(rng.normal(size=hs))
     c0 = nm.parameter(rng.normal(size=hs))
@@ -297,12 +297,12 @@ def test_lstm_step_gradient_matches_finite_differences():
 
     def loss():
         # route both h and c into the scalar so both outputs get checked
-        h, c = nm.lstm_step(p, x, h0, c0)
+        h, c = nm.lstm_step(w, b, x, h0, c0)
         ph = nm.cross_entropy(nm.softmax(nm.linear(wcls, bcls, h)), 1)
         pc = nm.cross_entropy(nm.softmax(nm.linear(wcls, bcls, c)), 2)
         return nm.add(ph, pc)
 
-    err = tape_grad_check(loss, [p.w, p.b, x, h0, c0, wcls, bcls], h=1e-5)
+    err = tape_grad_check(loss, [w, b, x, h0, c0, wcls, bcls], h=1e-5)
     assert err < 1e-4
 
 
@@ -332,12 +332,8 @@ def test_bptt_gradients_accumulate_across_steps():
     # two steps reusing the same cell: parameter grads must be the sum of
     # per-step contributions, which finite differences verify implicitly
     rng = np.random.default_rng(9)
-    p = nm.LstmParams(
-        nm.parameter(rng.normal(size=(8, 4))),
-        nm.parameter(rng.normal(size=8)),
-        2,
-        2,
-    )
+    w = nm.parameter(rng.normal(size=(8, 4)))
+    b = nm.parameter(rng.normal(size=8))
     xs = [nm.parameter(rng.normal(size=2)) for _ in range(3)]
     wcls = nm.parameter(rng.normal(size=(2, 2)))
     bcls = nm.parameter(rng.normal(size=2))
@@ -346,10 +342,10 @@ def test_bptt_gradients_accumulate_across_steps():
         h = nm.tensor(np.zeros(2))
         c = nm.tensor(np.zeros(2))
         for x in xs:
-            h, c = nm.lstm_step(p, x, h, c)
+            h, c = nm.lstm_step(w, b, x, h, c)
         return nm.cross_entropy(nm.softmax(nm.linear(wcls, bcls, h)), 1)
 
-    err = tape_grad_check(loss, [p.w, p.b, wcls, bcls] + xs)
+    err = tape_grad_check(loss, [w, b, wcls, bcls] + xs)
     assert err < 1e-4
 
 
@@ -359,13 +355,3 @@ def test_no_grad_blocks_graph():
     with nm.no_grad():
         y = nm.linear(w, b, nm.tensor([1.0, 2.0]))
     assert y._backward is None and not y.requires_grad
-
-
-def test_finite_check_mode():
-    nm.set_finite_checks(True)
-    try:
-        with pytest.raises(FloatingPointError):
-            nm.relu(nm.tensor([np.nan]))
-        nm.relu(nm.tensor([0.0]))
-    finally:
-        nm.set_finite_checks(False)

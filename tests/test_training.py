@@ -263,8 +263,8 @@ def test_fused_loss_matches_tape():
 def test_fused_loss_clamped_columns_match_tape():
     params, tc, videos, labels = fused_setup(FusionVariant.TWO_STREAM, 3, 5, 3, 7)
     # background (label 0) is pushed below the 1e-12 clamp in both heads
-    params.encoder_cls.b.data[0] = -40.0
-    params.decoder_cls.b.data[0] = -40.0
+    params.named()["encoder.cls.b"].data[0] = -40.0
+    params.named()["decoder.cls.b"].data[0] = -40.0
     labels[:, 0] = 0
     assert_matches_tape(params, tc, videos, labels)
 
@@ -331,8 +331,12 @@ def test_sequence_loss_runs_bptt_only_in_grads(monkeypatch):
 def one_param_setup(theta):
     cfg = tiny_model(hidden_size=1, appearance_dim=1, motion_dim=1, num_actions=1, decoder_steps=1)
     params = TrnParams.zeros(cfg)
-    params.embed.b.data[:] = theta
+    params.named()["embed.b"].data[:] = theta
     return params
+
+
+def embed_b(params):
+    return params.named()["embed.b"].data[0]
 
 
 def test_adam_zero_grad_zero_decay_is_identity():
@@ -354,7 +358,7 @@ def test_adam_single_step_hand_example():
     grads["embed.b"] = np.array([1.0])
     tc = tiny_train(learning_rate=0.1, weight_decay=0.0)
     tr.adam_step(params, grads, state, tc)
-    theta = params.embed.b.data[0]
+    theta = embed_b(params)
     assert abs(theta - 0.9) < 1e-6
     assert state.t == 1
 
@@ -368,7 +372,7 @@ def test_adam_first_update_magnitude_is_lr_for_any_scale():
         tr.adam_step(
             params, grads, state, tiny_train(learning_rate=0.01, weight_decay=0.0)
         )
-        assert abs(abs(params.embed.b.data[0]) - 0.01) < 1e-4
+        assert abs(abs(embed_b(params)) - 0.01) < 1e-4
 
 
 def test_adam_nonfinite_gradient_names_parameter():
@@ -381,15 +385,30 @@ def test_adam_nonfinite_gradient_names_parameter():
     assert "decoder.cls.b" in str(exc.value)
 
 
+def test_adam_missing_gradient_names_parameter():
+    # a missing gradient is an error, not a zero gradient: Adam would still
+    # move the weight by its momentum and decay
+    params = one_param_setup(1.0)
+    state = tr.AdamState.init(params)
+    grads = {k: np.zeros_like(t.data) for k, t in params.named().items()}
+    del grads["encoder.lstm.w"]
+    before = {k: t.data.copy() for k, t in params.named().items()}
+    with pytest.raises(ValidationError, match="encoder.lstm.w"):
+        tr.adam_step(params, grads, state, tiny_train())
+    assert state.t == 0
+    for k, t in params.named().items():
+        assert np.array_equal(t.data, before[k])
+
+
 def test_adam_decay_only_shrinks_monotonically():
     params = one_param_setup(1.0)
     state = tr.AdamState.init(params)
     zeros = {k: np.zeros_like(t.data) for k, t in params.named().items()}
     tc = tiny_train(learning_rate=0.1, weight_decay=0.5)
-    norms = [abs(params.embed.b.data[0])]
+    norms = [abs(embed_b(params))]
     for _ in range(5):
         tr.adam_step(params, zeros, state, tc)
-        norms.append(abs(params.embed.b.data[0]))
+        norms.append(abs(embed_b(params)))
     assert all(b < a for a, b in zip(norms, norms[1:]))
     assert norms[1] == pytest.approx(1.0 - 0.1 * 0.5)
 
@@ -436,7 +455,13 @@ def test_load_split_reads_shared_annotation_file_once(tmp_path, monkeypatch):
     videos = manifest.split("train")
     assert len(videos) == 3 and len({v.annotations for v in videos}) == 1
     cmap = dio.read_class_map(manifest.resolve(manifest.class_map))
-    want = [dio.load_video_labels(manifest, v, cmap)[0] for v in videos]
+    rows = dio.read_annotations(manifest.resolve(videos[0].annotations))
+    want = [
+        dio.labels_from_intervals(
+            rows.get(v.video_id, []), cmap, v.fps, v.chunk_size, v.num_chunks
+        )[0]
+        for v in videos
+    ]
     calls = []
     read = dio.read_annotations
     monkeypatch.setattr(dio, "read_annotations", lambda path: calls.append(path) or read(path))
