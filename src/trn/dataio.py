@@ -422,8 +422,10 @@ def load_manifest(path: str) -> Manifest:
     Every referenced feature file must exist with a header matching the
     declared dimension. Streams of one video must agree on chunk count;
     an off-by-one tail is tolerated (effective count = minimum, with a
-    warning), anything worse is an error. An entry that lacks a key or
-    holds a value of the wrong kind is a FormatError naming it.
+    warning), anything worse is an error. A missing ``class_map``, or an
+    entry that lacks a key, holds a value of the wrong kind or a clock
+    that is not a positive fps and chunk_size (an integer), is a
+    FormatError naming the file and the entry.
     """
     root = os.path.dirname(os.path.abspath(path))
     try:
@@ -433,17 +435,27 @@ def load_manifest(path: str) -> Manifest:
         raise FormatError(f"{path}: malformed manifest JSON: {e}") from e
     if not isinstance(doc, dict) or not isinstance(doc.get("videos"), list):
         raise FormatError(f"{path}: manifest must be an object with a 'videos' list")
+    if not (isinstance(doc.get("class_map"), str) and doc["class_map"]):
+        raise FormatError(f"{path}: manifest lacks a 'class_map' path")
     videos = []
     for i, entry in enumerate(doc["videos"]):
+        where = f"{path}: videos[{i}]"
         try:
-            videos.append(_video_entry(root, entry))
+            videos.append(_video_entry(root, entry, where))
         except (KeyError, TypeError, AttributeError) as e:
-            raise FormatError(f"{path}: videos[{i}] is malformed: {type(e).__name__} {e}") from e
-    return Manifest(root=root, class_map=doc.get("class_map", ""), videos=videos)
+            raise FormatError(f"{where} is malformed: {type(e).__name__} {e}") from e
+    return Manifest(root=root, class_map=doc["class_map"], videos=videos)
 
 
-def _video_entry(root: str, entry: dict) -> VideoEntry:
-    """One manifest entry, its feature headers checked against its dims."""
+def _video_entry(root: str, entry: dict, where: str) -> VideoEntry:
+    """One manifest entry, its clock and its feature headers checked."""
+    try:
+        fps, size = float(entry["fps"]), float(entry["chunk_size"])
+    except (ValueError, OverflowError) as e:
+        raise FormatError(f"{where}: fps and chunk_size must be numbers: {e}") from e
+    if not (math.isfinite(fps) and fps > 0 and size.is_integer() and size >= 1):
+        raise FormatError(f"{where}: fps must be a finite positive number and chunk_size "
+                          f"a positive integer, got {entry['fps']!r} and {entry['chunk_size']!r}")
     streams = {}
     counts = {}
     for name, ref in entry["streams"].items():
@@ -466,8 +478,8 @@ def _video_entry(root: str, entry: dict) -> VideoEntry:
         log.warning("%s: stream chunk counts %s truncated to %d", entry["id"], counts, lo)
     return VideoEntry(
         video_id=entry["id"],
-        fps=float(entry["fps"]),
-        chunk_size=int(entry["chunk_size"]),
+        fps=fps,
+        chunk_size=int(size),
         split=entry["split"],
         streams=streams,
         annotations=entry["annotations"],

@@ -15,8 +15,10 @@ Per chunk the cell runs four stages:
                    present-chunk logits
 
 `window_forward` runs the cell over a block of chunks at once (columns
-of a matrix are independent sequences), with every product off the
-recurrence hoisted out of the time loop. The training loss runs it, and
+of a matrix are independent sequences): every product off the recurrence
+is hoisted out of the time loop, and each step in it is one GEMM of an
+LSTM weight as stored on the stacked (input; h) operand the step before
+wrote. The training loss runs it, and
 so does every inference path through one step, `detect_block`: streaming
 and `trn_forward` as one-chunk blocks, `forward_videos` as blocks of many
 videos. `chunk_step` runs the same stages op by op on `numeric` tensors;
@@ -406,35 +408,35 @@ def forward_sequence_logits(
 # window forward: the cell over a block of chunks
 
 
-def split_steps(m: np.ndarray, t_len: int) -> np.ndarray:
-    """A (R, T*B) matrix with t-major columns as contiguous (T, R, B)."""
-    return np.ascontiguousarray(m.reshape(len(m), t_len, -1).transpose(1, 0, 2))
-
-
-def join_cols(a: np.ndarray) -> np.ndarray:
-    """Per-step (..., R, B) arrays as one (R, N) matrix, columns in
-    (step..., b) order."""
-    return np.moveaxis(a, -2, 0).reshape(a.shape[-2], -1)
-
-
 @dataclass
 class WindowPass:
     """What :func:`window_forward` computed over T chunks of B columns.
 
-    Per-step arrays are laid out (t, step, rows, b), so that every step
-    reads and writes contiguous memory.
+    ``dec_in`` and ``enc_in`` keep each LSTM step's stacked operand as the
+    (rows, B) block ``[:, :, t, step]`` of a Fortran-order array, and
+    :func:`cols` reads the blocks of every step of a kind as one (rows, N)
+    matrix, columns (step, t, b): the operand of its weight GEMM.
     """
 
     fused: np.ndarray  # fusion output (raw streams without a fusion layer), (., T*B)
-    x: np.ndarray  # embedded input, (H, T*B)
-    dec_h: np.ndarray  # decoder hiddens, (T, steps, H, B)
-    feat: np.ndarray  # predicted features feeding steps 2.., (T, steps - 1, H, B)
-    ctx: np.ndarray  # future contexts, (T, H, B)
-    enc_h: np.ndarray  # encoder hiddens, (T, H, B)
+    x: np.ndarray  # embedded input, (H, T*B); a view of dec_in
+    dec_h: np.ndarray  # decoder hiddens, (H, steps*T*B); a view of dec_in
+    enc_h: np.ndarray  # encoder hiddens, (H, T*B); a view of enc_in
+    # (2H, B, T, steps + 1): decoder step k's (input; h_prev), x the input
+    # at k = 0; block steps holds the last step's h (input rows unused)
+    dec_in: np.ndarray
+    enc_in: np.ndarray  # (2H, B, T + 1): the encoder's (ctx; h_prev), then the final h
     h: np.ndarray  # state after the last chunk, (H, B)
     c: np.ndarray
-    dec_trace: list | None  # numeric.lstm_forward traces, t-major; None unless asked
-    enc_trace: list | None
+    # (T, steps + 1, 6H, B) when traced: per step its gates [i, f, g, o],
+    # tanh(c) and c_prev, the encoder's step last
+    lstm: np.ndarray | None
+
+
+def cols(a: np.ndarray) -> np.ndarray:
+    """A (rows, B, T, ...) Fortran-order array, or a slice of one along its
+    last axes, as the (rows, N) matrix over the same memory."""
+    return a.reshape(len(a), -1, order="F")
 
 
 def window_forward(
@@ -446,56 +448,63 @@ def window_forward(
     (D, T*B) matrix: rows in fusion order, columns t-major (column
     t*B + b). (h, c) is the (H, B) state entering the block. Every GEMM
     off the recurrence runs once over all T*B columns: fusion, embedding
-    and the input projections of decoder step 1 and of the encoder. The
-    time loop keeps only the recurrent products, each on a view of its
-    slice of the LSTM weights. The arithmetic is the one ``chunk_step``
-    runs, up to float reassociation. ``trace`` keeps the gate traces a
-    backward pass reads.
+    and the input projections of decoder step 1 and of the encoder. In
+    the time loop every later step is one GEMM, on the stacked operand the
+    step before wrote, of its weight as stored (a view of the encoder's
+    (ctx; h) columns). The arithmetic is the one ``chunk_step`` runs, up
+    to float reassociation. ``trace`` keeps the gates, tanh(c) and c_prev
+    a backward pass reads.
     """
     cfg, p = params.config, params.arrays()
     hs, steps = cfg.hidden_size, cfg.decoder_steps
-    # decoder columns act on (input; h_prev), encoder ones on (x; ctx; h_prev)
     wd, we = p["decoder.lstm.w"], p["encoder.lstm.w"]
-    w_dx, w_dh = wd[:, :hs], wd[:, hs:]
-    w_ctx, w_eh = we[:, hs : 2 * hs], we[:, 2 * hs :]
-    w_feat = p["decoder.feat.w"]
-    bd, be = p["decoder.lstm.b"][:, None], p["encoder.lstm.b"][:, None]
-    bf = p["decoder.feat.b"][:, None]
+    w_dh, w_rec = wd[:, hs:], we[:, hs:]  # decoder h, encoder (ctx; h) columns
+    bd, bf = p["decoder.lstm.b"][:, None], p["decoder.feat.b"][:, None]
     batch = h.shape[1]
     t_len = raw.shape[1] // batch
 
     fused = raw
     if cfg.has_fusion_layer:
         fused = np.maximum(p["fusion.w"] @ raw + p["fusion.b"][:, None], 0.0)
-    x = np.maximum(p["embed.w"] @ fused + p["embed.b"][:, None], 0.0)
+    dec_in = np.empty((2 * hs, batch, t_len, steps + 1), order="F")
+    enc_in = np.empty((2 * hs, batch, t_len + 1), order="F")
+    x = cols(dec_in[:hs, :, :, 0])
+    x[...] = np.maximum(p["embed.w"] @ fused + p["embed.b"][:, None], 0.0)
     # the input halves of decoder step 1 and of the encoder
-    x_dec = split_steps(w_dx @ x + bd, t_len)
-    x_enc = split_steps(we[:, :hs] @ x + be, t_len)
+    x_dec = (wd[:, :hs] @ x + bd).reshape(4 * hs, t_len, batch)
+    x_enc = (we[:, :hs] @ x + p["encoder.lstm.b"][:, None]).reshape(4 * hs, t_len, batch)
 
-    dec_h = np.empty((t_len, steps, hs, batch))
-    feat = np.empty((t_len, steps - 1, hs, batch))
-    ctx = np.empty((t_len, hs, batch))
-    enc_h = np.empty((t_len, hs, batch))
-    dec_trace = [] if trace else None
-    enc_trace = [] if trace else None
+    # each step runs on contiguous (rows, B) operands, then leaves a copy in
+    # dec_in or enc_in; untraced, every chunk reuses the one lstm slot
+    lstm = np.empty((t_len if trace else 1, steps + 1, 6 * hs, batch))
+    z, c_last = np.empty((4 * hs, batch)), np.empty((hs, batch))  # c_last feeds nothing
+    s, e = np.empty((2 * hs, batch)), np.empty((2 * hs, batch))  # (input; h), (ctx; h)
+    e[hs:], c = h, np.array(c)  # the encoder's state, updated in place
     for t in range(t_len):
-        z = x_dec[t] + w_dh @ h
-        h_dec, c_dec = h, c
+        col = lstm[t if trace else 0]
+        dec_in[hs:, :, t, 0] = e[hs:]
+        col[0, 5 * hs :] = col[steps, 5 * hs :] = c
+        np.matmul(w_dh, e[hs:], z)
+        z += x_dec[:, t]
         for k in range(steps):
-            h_dec, c_dec, gates = nm.lstm_forward(z, c_dec, hs)
-            if trace:
-                dec_trace.append(gates)
-            dec_h[t, k] = h_dec
+            if k:
+                np.matmul(wd, s, z)
+                z += bd
+            step = col[k]
+            c_out = col[k + 1, 5 * hs :] if k + 1 < steps else c_last
+            nm.lstm_forward(z, step[5 * hs :], hs, step[: 4 * hs], c_out, step[4 * hs : 5 * hs], s[hs:])
             if k + 1 < steps:
-                f = feat[t, k] = np.maximum(w_feat @ h_dec + bf, 0.0)
-                z = w_dx @ f + w_dh @ h_dec + bd
-        ctx[t] = dec_h[t].mean(axis=0)
-        z = x_enc[t] + w_ctx @ ctx[t] + w_eh @ h
-        h, c, gates = nm.lstm_forward(z, c, hs)
-        if trace:
-            enc_trace.append(gates)
-        enc_h[t] = h
-    return WindowPass(fused, x, dec_h, feat, ctx, enc_h, h, c, dec_trace, enc_trace)
+                np.maximum(p["decoder.feat.w"] @ s[hs:] + bf, 0.0, out=s[:hs])
+            dec_in[:, :, t, k + 1] = s
+        np.mean(dec_in[hs:, :, t, 1:], axis=2, out=e[:hs])
+        enc_in[:, :, t] = e
+        np.matmul(w_rec, e, z)
+        z += x_enc[:, t]
+        step = col[steps]
+        nm.lstm_forward(z, step[5 * hs :], hs, step[: 4 * hs], c, step[4 * hs : 5 * hs], e[hs:])
+    enc_in[hs:, :, t_len] = e[hs:]
+    return WindowPass(fused, x, cols(dec_in[hs:, :, :, 1:]), cols(enc_in[hs:, :, 1:]), dec_in,
+                      enc_in, enc_in[hs:, :, t_len], c, lstm if trace else None)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +529,7 @@ def detect_block(
 
     Takes what ``window_forward`` takes. Returns the distributions as one
     (classes, T*B*(1 + steps)) matrix, the encoder head's columns (t, b)
-    first, then the decoder head's (t, step, b); and the pass, whose
+    first, then the decoder head's (step, t, b); and the pass, whose
     (h, c) is the state after the block. Non-finite input raises
     ValidationError naming the stream.
     """
@@ -528,8 +537,8 @@ def detect_block(
     run = window_forward(params, raw, h, c)
     p = params.arrays()
     logits = np.concatenate([
-        p["encoder.cls.w"] @ join_cols(run.enc_h) + p["encoder.cls.b"][:, None],
-        p["decoder.cls.w"] @ join_cols(run.dec_h) + p["decoder.cls.b"][:, None],
+        p["encoder.cls.w"] @ run.enc_h + p["encoder.cls.b"][:, None],
+        p["decoder.cls.w"] @ run.dec_h + p["decoder.cls.b"][:, None],
     ], axis=1)
     return nm.softmax_array(logits), run
 
@@ -556,10 +565,10 @@ def detect_chunk(
     p, run = detect_block(params, raw, h[:, None], c[:, None])
     dists = p.T.copy()  # present, then one row per decoder step
     feats = np.empty((cfg.decoder_steps, hs))
-    feats[:-1] = run.feat[0, :, :, 0]
+    feats[:-1] = run.dec_in[:hs, 0, 0, 1:-1].T
     # the last step's feature feeds no further step, so the kernel skips it
     p = params.arrays()
-    feats[-1] = np.maximum(p["decoder.feat.w"] @ run.dec_h[0, -1, :, 0] + p["decoder.feat.b"], 0.0)
+    feats[-1] = np.maximum(p["decoder.feat.w"] @ run.dec_in[hs:, 0, 0, -1] + p["decoder.feat.b"], 0.0)
     out = DetectionOutput(dists[0], list(dists[1:]), list(feats))
     return out, run.h[:, 0], run.c[:, 0]
 
@@ -638,9 +647,9 @@ def _forward_blocks(params: TrnParams, videos: list[dict], lengths: list[int], b
         h, c = run.h, run.c
         cols = (t1 - t0) * n
         p_enc = p[:, :cols].reshape(k, t1 - t0, n)
-        p_dec = p[:, cols:].reshape(k, t1 - t0, steps, n)
+        p_dec = p[:, cols:].reshape(k, steps, t1 - t0, n)
         for j in range(n):
             present[j][t0:t1] = p_enc[:, :, j].T
-            anticipated[j][t0:t1] = p_dec[:, :, :, j].transpose(1, 2, 0)
+            anticipated[j][t0:t1] = p_dec[:, :, :, j].transpose(2, 1, 0)
         t0 = t1
     return list(zip(present, anticipated))

@@ -325,19 +325,25 @@ def cross_entropy(p: Tensor, label: int) -> Tensor:
 # LSTM cell
 
 
-def lstm_forward(z: np.ndarray, c_prev: np.ndarray, hs: int):
+def lstm_forward(z, c_prev, hs: int, a=None, c=None, tc=None, h=None):
     """Gates [i, f, g, o] from pre-activations z; returns (h, c, trace).
 
     One sigmoid runs over all of z and tanh then overwrites the g block.
     The trace holds the gate activations (g in its tanh form), c_prev and
-    tanh(c), which a backward pass needs. Both the tape's :func:`lstm_step`
-    and the fused training kernel run their gates through here.
+    tanh(c), which a backward pass needs. Given, ``a`` (z's shape) and
+    ``c``, ``tc``, ``h`` (c_prev's; ``c`` may be ``c_prev``) receive the
+    gates, c, tanh(c) and h in place. Both the tape's :func:`lstm_step` and
+    the fused kernel run their gates through here.
     """
-    a = 1.0 / (1.0 + np.exp(-z))
-    a[2 * hs : 3 * hs] = np.tanh(z[2 * hs : 3 * hs])
-    c = a[hs : 2 * hs] * c_prev + a[:hs] * a[2 * hs : 3 * hs]
-    tc = np.tanh(c)
-    return a[3 * hs :] * tc, c, (a, c_prev, tc)
+    if a is None:
+        a, c, tc, h = (np.empty_like(v) for v in (z, c_prev, c_prev, c_prev))
+    np.exp(np.negative(z, a), a)
+    np.divide(1.0, np.add(a, 1.0, a), a)
+    np.tanh(z[2 * hs : 3 * hs], a[2 * hs : 3 * hs])
+    np.multiply(a[hs : 2 * hs], c_prev, c)
+    c += a[:hs] * a[2 * hs : 3 * hs]
+    np.multiply(a[3 * hs :], np.tanh(c, tc), h)
+    return h, c, (a, c_prev, tc)
 
 
 def lstm_step(w: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_prev: Tensor):

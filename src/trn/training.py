@@ -22,8 +22,9 @@ recurrence (fusion, embedding, the input projections of the two LSTMs)
 runs as one GEMM over all chunks of the window, and so does each
 classifier. The tests pin it to the tape's op-by-op ``model.chunk_step``.
 The gradient is a hand-derived backpropagation through time that runs
-only when the loss's ``grads()`` is called; a training step is plain
-numpy from feature arrays to Adam.
+only when the loss's ``grads()`` is called, and writes each step's
+gradient where the weight GEMMs read it. A training step is plain numpy
+from feature arrays to Adam, which updates in place.
 
 Batching packs same-length windows as columns of one matrix; per-sequence
 results are identical to running each window alone (up to float
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -123,54 +124,59 @@ def sequence_loss(
     return WindowLoss(params, config, videos, labels, ambiguous)
 
 
-def _lstm_backward(trace, dh: np.ndarray, dc, hs: int, dz: np.ndarray) -> np.ndarray:
-    """Write d(loss)/dz into ``dz`` given the gradients reaching h and c;
-    returns the gradient for c_prev. ``trace`` is the third result of
-    :func:`numeric.lstm_forward`."""
-    a, c_prev, tc = trace
-    i, f, g, o = a[:hs], a[hs : 2 * hs], a[2 * hs : 3 * hs], a[3 * hs :]
-    dc = dc + dh * o * (1.0 - tc * tc)
-    dz[:hs] = dc * g * i * (1.0 - i)
-    dz[hs : 2 * hs] = dc * c_prev * f * (1.0 - f)
-    dz[2 * hs : 3 * hs] = dc * i * (1.0 - g * g)
-    dz[3 * hs :] = dh * tc * o * (1.0 - o)
-    return dc * f
+def _lstm_factors(lstm: np.ndarray) -> None:
+    """Turn a (., 6, H, B) trace of gates [i, f, g, o], tanh(c) and c_prev in
+    place into the factors g i (1-i), c_prev f (1-f), i (1-g^2),
+    tanh(c) o (1-o), o (1-tanh(c)^2) and f that :func:`_lstm_backward` reads."""
+    i, f, g, o, tc, cp = (lstm[:, n] for n in range(6))
+    u, v = np.empty_like(i), np.empty_like(i)
+    np.multiply(np.subtract(1.0, np.multiply(g, g, out=u), out=u), i, out=u)
+    i *= np.subtract(1.0, i, out=v)
+    i *= g
+    g[...] = u
+    np.multiply(np.multiply(np.subtract(1.0, f, out=v), f, out=v), cp, out=v)
+    cp[...] = f
+    f[...] = v
+    np.multiply(np.subtract(1.0, np.multiply(tc, tc, out=u), out=u), o, out=u)
+    o *= np.subtract(1.0, o, out=v)
+    o *= tc
+    tc[...] = u
 
 
-def _softmax_xent(logits: np.ndarray, labels: np.ndarray, keep: np.ndarray | None = None):
-    """Summed -log softmax(logits)[label] over the kept columns (all when
-    ``keep`` is None), with the tape's 1e-12 clamp; returns (sum,
-    d sum / d logits)."""
+def _lstm_backward(fac: np.ndarray, dh: np.ndarray, dc, dz: np.ndarray) -> np.ndarray:
+    """Write d(loss)/dz into the (4, H, B) ``dz`` from the step's (6, H, B)
+    :func:`_lstm_factors` and the gradients reaching h and c; returns d c_prev."""
+    dc = dc + dh * fac[4]
+    np.multiply(fac[:3], dc, dz[:3])
+    np.multiply(fac[3], dh, dz[3])
+    return dc * fac[5]
+
+
+def _head(logits: np.ndarray, labels: np.ndarray, keep: np.ndarray, weight: float):
+    """``weight`` times the mean of -log softmax(logits)[label] over the
+    kept columns (0 when none is kept), with the tape's 1e-12 clamp;
+    returns (loss, d loss / d logits)."""
     p = nm.softmax_array(logits)
     cols = np.arange(labels.size)
     picked = p[labels, cols]
     logs = np.log(np.maximum(picked, nm.CE_CLAMP))
     p[labels, cols] -= 1.0
-    p[:, picked < nm.CE_CLAMP] = 0.0  # clamped columns carry no gradient
-    if keep is not None:
-        logs = logs[keep]
-        p[:, ~keep] = 0.0
-    return -logs.sum(), p
-
-
-def _head_scale(weight: float, total: int, keep: np.ndarray | None) -> float:
-    """The factor that turns a head's summed loss into ``weight`` times its
-    mean over the kept columns; 0 when no column is kept."""
-    count = total if keep is None else int(keep.sum())
-    return weight / count if count else 0.0
+    p[:, (picked < nm.CE_CLAMP) | ~keep] = 0.0  # clamped and dropped columns carry none
+    count = int(keep.sum())
+    scale = weight / count if count else 0.0
+    return -logs[keep].sum() * scale, p * scale
 
 
 class WindowLoss:
     """The two-head loss over one window, with its BPTT.
 
     ``loss`` is the loss as a float. The forward pass is
-    :func:`model.window_forward` from zero state, with its gate traces
-    kept for the backward pass; this class adds the heads, each one GEMM
-    over all its columns. The backward pass (:meth:`grads`) stores the
-    LSTM pre-activation gradients of every step and forms each weight
-    gradient as one GEMM over the stacked (gradient, input) columns.
-    Gates are [i, f, g, o], the ReLU gradient is 0 at 0, and clamped
-    cross-entropy columns carry no gradient.
+    :func:`model.window_forward` from zero state, its trace kept for the
+    backward pass; this class adds the heads, each one GEMM over all its
+    columns. The backward pass (:meth:`grads`) puts every step's LSTM
+    pre-activation gradient in the forward's operand layout, so each
+    weight gradient is one GEMM. Gates are [i, f, g, o], the ReLU gradient
+    is 0 at 0, and clamped cross-entropy columns carry no gradient.
     """
 
     def __init__(
@@ -180,33 +186,25 @@ class WindowLoss:
         hs, steps = cfg.hidden_size, cfg.decoder_steps
         t_len, batch = labels.shape
         self.params, self.shape = params, (hs, t_len, steps, batch)
-        # row-major, as training has always run: a GEMM's last bits depend
-        # on its operands' layout, so this keeps same-seed checkpoints
-        self.raw = np.ascontiguousarray(md.stack_block(cfg, videos, 0, t_len))
+        self.raw = md.stack_block(cfg, videos, 0, t_len)
         zero = np.zeros((hs, batch))
         self.run = run = md.window_forward(params, self.raw, zero, zero, trace=True)
+        self.factored = False  # grads() turns the trace into its factors once
 
-        # heads: encoder over all T, decoder over the (t, i) pairs whose
-        # target t + i lies inside the window, in pair order
-        keep = None if ambiguous is None else ~ambiguous.reshape(-1)
-        self.enc_scale = _head_scale(config.lambda_enc, t_len * batch, keep)
+        # heads; the decoder keeps the (step, t, b) whose target t + step is in the window
+        keep = np.ones(t_len * batch, dtype=bool) if ambiguous is None else ~ambiguous.reshape(-1)
         p = params.arrays()
-        logits = p["encoder.cls.w"] @ md.join_cols(run.enc_h) + p["encoder.cls.b"][:, None]
-        enc_sum, self.g_enc = _softmax_xent(logits, labels.reshape(-1), keep)
-        self.loss = float(enc_sum * self.enc_scale)
-        self.pairs = np.zeros((t_len, steps), dtype=bool)
-        self.g_dec = None
-        pairs = decoder_target_pairs(t_len, steps)
-        if pairs:
-            t_idx, i_idx = np.array(pairs).T
-            self.pairs[t_idx, i_idx - 1] = True
-            target = t_idx + i_idx
-            keep = None if ambiguous is None else ~ambiguous[target].reshape(-1)
-            self.dec_scale = _head_scale(config.lambda_dec, len(pairs) * batch, keep)
-            self.dec_hid = md.join_cols(run.dec_h[self.pairs])
-            logits = p["decoder.cls.w"] @ self.dec_hid + p["decoder.cls.b"][:, None]
-            dec_sum, self.g_dec = _softmax_xent(logits, labels[target].reshape(-1), keep)
-            self.loss = float(self.loss + dec_sum * self.dec_scale)
+        logits = p["encoder.cls.w"] @ run.enc_h + p["encoder.cls.b"][:, None]
+        self.loss, self.g_enc = _head(logits, labels.reshape(-1), keep, config.lambda_enc)
+        keep = np.zeros((steps, t_len, batch), dtype=bool)
+        t_idx, i_idx = np.array(decoder_target_pairs(t_len, steps), dtype=int).reshape(-1, 2).T
+        keep[i_idx - 1, t_idx] = True
+        target = np.minimum(np.arange(1, steps + 1)[:, None] + np.arange(t_len), t_len - 1)
+        if ambiguous is not None:
+            keep &= ~ambiguous[target]
+        logits = p["decoder.cls.w"] @ run.dec_h + p["decoder.cls.b"][:, None]
+        dec, self.g_dec = _head(logits, labels[target].reshape(-1), keep.reshape(-1), config.lambda_dec)
+        self.loss = float(self.loss + dec)
 
     def grads(self) -> dict[str, np.ndarray]:
         """The gradient of the loss for every parameter, keyed and ordered
@@ -216,72 +214,69 @@ class WindowLoss:
         out: dict[str, np.ndarray] = {}
 
         # heads
-        g_enc = self.g_enc * self.enc_scale
-        out["encoder.cls.w"] = g_enc @ md.join_cols(run.enc_h).T
+        g_enc, g_dec = self.g_enc, self.g_dec
+        out["encoder.cls.w"] = g_enc @ run.enc_h.T
         out["encoder.cls.b"] = g_enc.sum(axis=1)
-        d_enc_h = md.split_steps(p["encoder.cls.w"].T @ g_enc, t_len)
-        d_dec_h = np.zeros((t_len, steps, hs, batch))
-        if self.g_dec is None:  # no (t, i) pair inside the window
-            out["decoder.cls.w"] = np.zeros_like(p["decoder.cls.w"])
-            out["decoder.cls.b"] = np.zeros_like(p["decoder.cls.b"])
-        else:
-            g_dec = self.g_dec * self.dec_scale
-            out["decoder.cls.w"] = g_dec @ self.dec_hid.T
-            out["decoder.cls.b"] = g_dec.sum(axis=1)
-            d_hid = (p["decoder.cls.w"].T @ g_dec).reshape(hs, -1, batch)
-            d_dec_h[self.pairs] = d_hid.transpose(1, 0, 2)
+        # the gradients reaching the hiddens, as contiguous (H, B) blocks
+        d_enc_h = (p["encoder.cls.w"].T @ g_enc).reshape(hs, t_len, batch).transpose(1, 0, 2).copy()
+        out["decoder.cls.w"] = g_dec @ run.dec_h.T
+        out["decoder.cls.b"] = g_dec.sum(axis=1)
+        d_dec_h = (p["decoder.cls.w"].T @ g_dec).reshape(hs, steps, t_len, batch)
+        d_dec_h = d_dec_h.transpose(2, 1, 0, 3).copy()
+        feat_on = (run.dec_in[:hs, :, :, 1:steps] > 0.0).transpose(2, 3, 0, 1).copy()
 
         # BPTT, newest chunk first; within a chunk the encoder step comes
-        # before the decoder rollout that produced its future context
+        # before the decoder rollout that produced its future context. A
+        # step's pointwise math runs on contiguous blocks, then its dz and
+        # d_feat go where the weight GEMMs below read them.
         wd, we = p["decoder.lstm.w"], p["encoder.lstm.w"]
-        wd_t = wd.T.copy()
-        w_rec_t = we[:, hs:].T.copy()  # encoder (ctx; h_prev) columns
-        wf_t = p["decoder.feat.w"].T.copy()
-        dz_dec = np.empty((t_len, steps, 4 * hs, batch))
-        dz_enc = np.empty((t_len, 4 * hs, batch))
-        d_feat = np.empty((t_len, steps - 1, hs, batch))
-        dh_next = np.zeros((hs, batch))
-        dc_next = np.zeros((hs, batch))
+        wd_t, w_dh_t, w_rec_t, wf_t = wd.T, wd[:, hs:].T, we[:, hs:].T, p["decoder.feat.w"].T
+        if not self.factored:  # a cache-sized block of chunks at a time
+            for block in np.array_split(run.lstm, -(-run.lstm.nbytes // 2**20)):
+                _lstm_factors(block.reshape(-1, 6, hs, batch))
+            self.factored = True
+        fac = run.lstm.reshape(t_len, steps + 1, 6, hs, batch)
+        dz = np.empty((4 * hs, batch, t_len, steps + 1), order="F")
+        d_feat = np.empty((hs, batch, t_len, steps - 1), order="F")
+        dz_step, d = np.empty((4, hs, batch)), np.empty((hs, batch))
+        dz_rows = dz_step.reshape(4 * hs, batch)
+        r_dec, r_enc = np.empty((2 * hs, batch)), np.empty((2 * hs, batch))
+        dh_next, dc_next = np.zeros((hs, batch)), np.zeros((hs, batch))
         for t in reversed(range(t_len)):
             dh = d_enc_h[t] + dh_next
-            dc_prev = _lstm_backward(run.enc_trace[t], dh, dc_next, hs, dz_enc[t])
-            r = w_rec_t @ dz_enc[t]
-            dh_prev = r[hs:]
-            d_dec_h[t] += r[:hs] / steps
+            dc_prev = _lstm_backward(fac[t, steps], dh, dc_next, dz_step)
+            dz[:, :, t, steps] = dz_rows
+            np.matmul(w_rec_t, dz_rows, out=r_enc)  # (d ctx; d h_prev)
+            d_dec_h[t] += r_enc[:hs] / steps
             dh, dc = d_dec_h[t, steps - 1], 0.0
             for k in reversed(range(steps)):
-                dc = _lstm_backward(run.dec_trace[t * steps + k], dh, dc, hs, dz_dec[t, k])
-                r = wd_t @ dz_dec[t, k]
+                dc = _lstm_backward(fac[t, k], dh, dc, dz_step)
+                dz[:, :, t, k] = dz_rows
                 if k:
-                    d = r[:hs] * (run.feat[t, k - 1] > 0.0)
-                    d_feat[t, k - 1] = d
-                    dh = d_dec_h[t, k - 1] + r[hs:] + wf_t @ d
-            dh_next = dh_prev + r[hs:]
+                    np.matmul(wd_t, dz_rows, out=r_dec)  # (d feature; d h_prev)
+                    np.multiply(r_dec[:hs], feat_on[t, k - 1], out=d)
+                    d_feat[:, :, t, k - 1] = d
+                    dh = d_dec_h[t, k - 1] + r_dec[hs:] + wf_t @ d
+            # step 1's input half acts on x, whose gradient is one GEMM below
+            dh_next = r_enc[hs:] + w_dh_t @ dz_rows
             dc_next = dc_prev + dc
 
-        # the LSTM inputs of every step: (input; h_prev) for the decoder,
-        # (x; ctx; h_prev) for the encoder, h_prev the state entering chunk t
-        x_steps = md.split_steps(run.x, t_len)
-        h_prev = np.concatenate([np.zeros((1, hs, batch)), run.enc_h[:-1]])
-        dec_in = np.concatenate([
-            np.concatenate([x_steps[:, None], run.feat], axis=1),
-            np.concatenate([h_prev[:, None], run.dec_h[:, :-1]], axis=1),
-        ], axis=2)
-        enc_in = np.concatenate([x_steps, run.ctx, h_prev], axis=1)
-
-        # weight gradients: one GEMM each over the stacked columns
-        cols = md.join_cols
-        dz_dec_cols, dz_enc_cols, d_feat_cols = cols(dz_dec), cols(dz_enc), cols(d_feat)
-        out["decoder.lstm.w"] = dz_dec_cols @ cols(dec_in).T
-        out["decoder.lstm.b"] = dz_dec_cols.sum(axis=1)
-        out["encoder.lstm.w"] = dz_enc_cols @ cols(enc_in).T
-        out["encoder.lstm.b"] = dz_enc_cols.sum(axis=1)
-        out["decoder.feat.w"] = d_feat_cols @ cols(run.dec_h[:, :-1]).T
-        out["decoder.feat.b"] = d_feat_cols.sum(axis=1)
+        # weight gradients: one GEMM each (the encoder's in two halves) over the forward's operands
+        cols = md.cols
+        dz_dec, dz_enc, x = cols(dz[..., :steps]), cols(dz[..., steps]), run.x
+        out["decoder.lstm.w"] = dz_dec @ cols(run.dec_in[..., :steps]).T
+        out["decoder.lstm.b"] = dz_dec.sum(axis=1)
+        w_enc = out["encoder.lstm.w"] = np.empty_like(we)
+        np.matmul(dz_enc, x.T, out=w_enc[:, :hs])
+        np.matmul(dz_enc, cols(run.enc_in[..., :t_len]).T, out=w_enc[:, hs:])
+        out["encoder.lstm.b"] = dz_enc.sum(axis=1)
+        d_feat = cols(d_feat)
+        out["decoder.feat.w"] = d_feat @ cols(run.dec_in[hs:, ..., 1:steps]).T
+        out["decoder.feat.b"] = d_feat.sum(axis=1)
 
         # input stages: both step-1 projections of x, then embed and fusion
-        dx = wd[:, :hs].T @ cols(dz_dec[:, 0]) + we[:, :hs].T @ dz_enc_cols
-        dx *= run.x > 0.0
+        dx = wd[:, :hs].T @ cols(dz[..., 0]) + we[:, :hs].T @ dz_enc
+        dx *= x > 0.0
         out["embed.w"] = dx @ run.fused.T
         out["embed.b"] = dx.sum(axis=1)
         if self.params.config.has_fusion_layer:
@@ -301,6 +296,8 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
+    # (2, largest parameter size) working memory of adam_step; not saved
+    scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def init(params: TrnParams) -> "AdamState":
@@ -330,24 +327,29 @@ def adam_step(
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
+    # in place, in the textbook's operation order (so to the bit); two scratch rows serve all
+    lr, size = config.learning_rate, max(t.data.size for t in params.named().values())
+    if state.scratch is None or state.scratch.shape[1] < size:
+        state.scratch = np.empty((2, size))
     for name, tensor in params.named().items():
-        g = grads[name]
+        g, w = grads[name], tensor.data
         if not np.all(np.isfinite(g)):
             raise ValidationError(f"non-finite gradient for parameter {name}")
-        if g.shape != tensor.data.shape:
+        if g.shape != w.shape:
             raise ValidationError(
-                f"gradient shape {g.shape} does not match parameter {name} {tensor.data.shape}"
+                f"gradient shape {g.shape} does not match parameter {name} {w.shape}"
             )
-        m = state.m[name]
-        v = state.v[name]
+        m, v = state.m[name], state.v[name]
+        s1, s2 = (s[: w.size].reshape(w.shape) for s in state.scratch)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=s1)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        tensor.data -= config.learning_rate * update
+        v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=s1), g, out=s1)
+        np.sqrt(np.divide(v, bc2, out=s1), out=s1)
+        s1 += ADAM_EPS
+        w -= np.multiply(np.divide(np.divide(m, bc1, out=s2), s1, out=s2), lr, out=s2)
         if config.weight_decay:
-            tensor.data -= config.learning_rate * config.weight_decay * tensor.data
+            w -= np.multiply(lr * config.weight_decay, w, out=s2)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,19 @@ def tape_forward(params, sequence, state0=None):
     return np.array(present), np.array(anticipated), np.array(features), (h.data, c.data)
 
 
+def adam_oracle(w, g, m, v, t, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam step ``t`` (1-based) with bias correction and decoupled weight
+    decay, out of place and operation by operation as the textbook writes
+    it; returns the new (w, m, v)."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g * g
+    update = (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    w = w - lr * update
+    if weight_decay:
+        w = w - lr * weight_decay * w
+    return w, m, v
+
+
 def brute_force_ap(scores, positives):
     """Average precision by explicit counting at every rank."""
     n = len(scores)

@@ -260,6 +260,18 @@ def test_malformed_manifest_is_a_format_error(tmp_path):
     assert rc == 2
 
 
+def test_train_on_a_non_finite_fps_exits_2(dataset, tmp_path, caplog):
+    # NaN is valid JSON; training on it used to exit 0 with held-out mAP 0
+    with open(dataset) as f:
+        doc = json.load(f)
+    doc["videos"][1]["fps"] = float("nan")
+    with open(dataset, "w") as f:
+        json.dump(doc, f)
+    rc = run(train_argv(dataset, tmp_path / "m.trnc", eval_every=1))
+    assert rc == 2
+    assert "videos[1]: fps must be a finite positive number" in caplog.text
+
+
 def test_train_fused_variant_uses_pose_stream(dataset, tmp_path):
     ckpt = tmp_path / "m.trnc"
     rc = run(train_argv(dataset, ckpt, variant="fused_two_stream"))

@@ -1,4 +1,5 @@
 import filecmp
+import json
 import logging
 import os
 import struct
@@ -298,6 +299,47 @@ def test_manifest_dim_mismatch_rejected(tmp_path):
     open(path, "w").write(text)
     with pytest.raises(ValidationError):
         dio.load_manifest(path)
+
+
+def rewrite_manifest(path, edit):
+    """Apply ``edit`` to the manifest document at ``path``, in place."""
+    with open(path) as f:
+        doc = json.load(f)
+    edit(doc)
+    with open(path, "w") as f:
+        json.dump(doc, f)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("fps", float("nan")),  # valid JSON (NaN): every chunk centre would be NaN
+    ("fps", float("inf")),
+    ("fps", "thirty"),
+    ("fps", 0),
+    ("fps", -30),
+    ("chunk_size", 6.5),  # int() would silently make it 6
+])
+def test_manifest_clock_values_are_format_errors(tmp_path, key, value):
+    path = build_dataset(tmp_path)
+    rewrite_manifest(path, lambda doc: doc["videos"][0].update({key: value}))
+    with pytest.raises(dio.FormatError, match=r"videos\[0\]") as exc:
+        dio.load_manifest(path)
+    assert path in str(exc.value) and key in str(exc.value)
+
+
+def test_manifest_integral_clock_values_load(tmp_path):
+    # a whole-number chunk_size written as a float is still that integer
+    path = build_dataset(tmp_path)
+    rewrite_manifest(path, lambda doc: doc["videos"][0].update({"chunk_size": 6.0, "fps": 29.97}))
+    (video,) = dio.load_manifest(path).videos
+    assert video.chunk_size == 6 and type(video.chunk_size) is int and video.fps == 29.97
+
+
+def test_manifest_without_class_map_is_a_format_error(tmp_path):
+    path = build_dataset(tmp_path)
+    rewrite_manifest(path, lambda doc: doc.pop("class_map"))
+    with pytest.raises(dio.FormatError, match="class_map") as exc:
+        dio.load_manifest(path)
+    assert path in str(exc.value)
 
 
 def test_manifest_missing_file_is_io_error(tmp_path):

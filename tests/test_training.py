@@ -3,11 +3,12 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import tape_chunks, tape_forward, tape_grads
+from oracles import adam_oracle, tape_chunks, tape_forward, tape_grads
 from trn import cli
 from trn import dataio as dio
 from trn import evaluate as ev
@@ -324,6 +325,30 @@ def test_sequence_loss_runs_bptt_only_in_grads(monkeypatch):
         assert grads[name].shape == t.data.shape, name
 
 
+def test_bptt_peak_memory_stays_within_its_blocks():
+    # grads() writes dz where the weight GEMMs read it; a column copy of
+    # dz (4H rows over the decoder's steps) crosses the budget
+    hs, t_len, batch, steps = 16, 12, 2, 3
+    cfg = tiny_model(hidden_size=hs, decoder_steps=steps, num_actions=3)
+    params = TrnParams.init(cfg, np.random.default_rng(42))
+    videos = random_windows(np.random.default_rng(43), cfg, t_len, batch)
+    labels = np.random.default_rng(44).integers(0, cfg.classes, size=(t_len, batch))
+    loss = tr.sequence_loss(params, tiny_train(), videos, labels)
+    loss.grads()  # leave numpy's first-call allocations out of the measure
+    tracemalloc.start()
+    try:
+        grads = loss.grads()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = hs * (steps + 1) * t_len * batch * 8  # H rows over every step's columns
+    dz = 4 * block
+    # slack: the head gradients reaching the hiddens (held twice while
+    # reordered by step), d_feat, the feature ReLU mask and per-step scratch
+    budget = dz + sum(g.nbytes for g in grads.values()) + 5 * block
+    assert peak <= budget, (peak, budget)
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -373,6 +398,29 @@ def test_adam_first_update_magnitude_is_lr_for_any_scale():
             params, grads, state, tiny_train(learning_rate=0.01, weight_decay=0.0)
         )
         assert abs(abs(embed_b(params)) - 0.01) < 1e-4
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+def test_adam_step_equals_the_out_of_place_oracle_bitwise(weight_decay):
+    # the in-place update keeps the textbook's operation order, so every
+    # weight and moment matches the oracle to the bit, step after step
+    cfg = tiny_model(fusion_variant=FusionVariant.FUSED_TWO_STREAM, pose_dim=5)
+    params = TrnParams.init(cfg, np.random.default_rng(40))
+    state = tr.AdamState.init(params)
+    ref = {k: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data))
+           for k, t in params.named().items()}
+    tc = tiny_train(learning_rate=3e-3, weight_decay=weight_decay)
+    rng = np.random.default_rng(41)
+    for step in range(1, 5):
+        grads = {k: rng.normal(scale=10.0**-step, size=t.data.shape)
+                 for k, t in params.named().items()}
+        tr.adam_step(params, grads, state, tc)
+        for k, t in params.named().items():
+            w, m, v = ref[k]
+            ref[k] = w, m, v = adam_oracle(w, grads[k], m, v, step, tc.learning_rate,
+                                           tc.weight_decay)
+            assert np.array_equal(t.data, w) and np.array_equal(state.m[k], m), k
+            assert np.array_equal(state.v[k], v), k
 
 
 def test_adam_nonfinite_gradient_names_parameter():
