@@ -327,12 +327,8 @@ def _load_feature_inputs(cfg: dict, config: TrnConfig):
     if cfg.get("features") and cfg.get("manifest"):
         raise ValidationError("pass either --features or --manifest, not both")
     if cfg.get("features"):
-        streams = {}
-        lengths = {}
-        for name, path in cfg["features"].items():
-            arr = dio.read_features(path)
-            streams[name] = arr
-            lengths[name] = arr.shape[0]
+        streams = {name: dio.read_features(path) for name, path in cfg["features"].items()}
+        lengths = {name: len(arr) for name, arr in streams.items()}
         if len(set(lengths.values())) > 1:
             raise ValidationError(f"feature files disagree on chunk count: {lengths}")
         return [(cfg["video_id"], streams)], (config.chunk_size, config.fps)
@@ -387,9 +383,7 @@ def _cmd_inference(args, batch_flag: bool) -> int:
     dump = _run_inference(params, inputs, clock, batch=bool(cfg.get("batch")))
     ev.write_prediction_dump(cfg["out"], dump)
     chunks = sum(v.num_chunks for v in dump.videos.values())
-    log.info(
-        "wrote %d videos (%d chunks) to %s", len(inputs), chunks, cfg["out"]
-    )
+    log.info("wrote %d videos (%d chunks) to %s", len(dump.videos), chunks, cfg["out"])
     print(cfg["out"])
     return EXIT_OK
 
@@ -414,12 +408,8 @@ def cmd_eval(args) -> int:
         ev.anticipation_map(dump, gt, step=i, expand_to_frames=expand, labels=labels)
         for i in range(1, dump.decoder_steps + 1)
     ]
-    table = ev.render_report(
-        encoder.mean_ap,
-        [r.mean_ap for r in steps],
-        chunk_size=dump.chunk_size,
-        fps=dump.fps,
-    )
+    table = ev.render_report(encoder.mean_ap, [r.mean_ap for r in steps],
+                             chunk_size=dump.chunk_size, fps=dump.fps)
     sys.stdout.write(table)
     return EXIT_OK
 

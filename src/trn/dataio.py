@@ -43,6 +43,7 @@ FORMAT_VERSION = 1
 HEADER = struct.Struct("<4sIII")
 
 AMBIGUOUS = "Ambiguous"
+AMBIGUOUS_LABEL = -1  # the class index an "Ambiguous" row is read as
 BACKGROUND_NAME = "Background"
 
 
@@ -211,12 +212,6 @@ class ClassMap:
     def num_actions(self) -> int:
         return len(self.names) - 1
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ValidationError(f"unknown class name {name!r}") from None
-
 
 def write_class_map(path: str, cmap: ClassMap) -> None:
     with open(path, "w", encoding="utf-8") as f:
@@ -258,8 +253,13 @@ def write_annotations(path: str, rows: dict[str, list[Interval]]) -> None:
                 f.write(f"{video_id}\t{iv.class_name}\t{iv.start!r}\t{iv.end!r}\n")
 
 
-def read_annotations(path: str) -> dict[str, list[Interval]]:
-    out: dict[str, list[Interval]] = {}
+def read_annotations(path: str, cmap: ClassMap) -> dict[str, list[tuple[int, float, float]]]:
+    """An annotation file's rows per video id, in file order, as (class
+    index, start, end), each name resolved against ``cmap`` as it is read
+    ("Ambiguous" to AMBIGUOUS_LABEL). A row that is not four fields, an
+    unknown name or a span not start < end is a FormatError at path:line."""
+    index = {name: i for i, name in enumerate(cmap.names)} | {AMBIGUOUS: AMBIGUOUS_LABEL}
+    out: dict[str, list[tuple[int, float, float]]] = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
@@ -269,11 +269,13 @@ def read_annotations(path: str) -> dict[str, list[Interval]]:
             if len(parts) != 4:
                 raise FormatError(f"{path}:{lineno}: expected 4 tab-separated fields")
             video_id, name, start_s, end_s = parts
+            if name not in index:
+                raise FormatError(f"{path}:{lineno}: unknown class name {name!r}")
             try:
                 iv = Interval(name, float(start_s), float(end_s))
             except ValueError as e:
                 raise FormatError(f"{path}:{lineno}: {e}") from e
-            out.setdefault(video_id, []).append(iv)
+            out.setdefault(video_id, []).append((index[name], iv.start, iv.end))
     return out
 
 
@@ -343,17 +345,13 @@ def _center_spans(starts, ends, fps: float, chunk_size: int, num_chunks: int):
 
 
 def labels_from_intervals(
-    rows: list[Interval], cmap: ClassMap, fps: float, chunk_size: int, num_chunks: int
+    rows: list[tuple[int, float, float]], fps: float, chunk_size: int, num_chunks: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-chunk labels and the ambiguous-chunk mask from one video's
-    annotation rows: "Ambiguous" rows mark chunks to ignore, every other
-    row labels chunks with its class index."""
-    actions = [
-        (cmap.index_of(iv.class_name), iv.start, iv.end)
-        for iv in rows
-        if iv.class_name != AMBIGUOUS
-    ]
-    ambiguous = [(iv.start, iv.end) for iv in rows if iv.class_name == AMBIGUOUS]
+    """Per-chunk labels and the ambiguous-chunk mask from one video's rows
+    as :func:`read_annotations` gives them: AMBIGUOUS_LABEL rows mark chunks
+    to ignore, every other row labels chunks with its class index."""
+    actions = [row for row in rows if row[0] != AMBIGUOUS_LABEL]
+    ambiguous = [(start, end) for label, start, end in rows if label == AMBIGUOUS_LABEL]
     labels = chunk_labels(actions, fps, chunk_size, num_chunks)
     mask = interval_chunk_mask(ambiguous, fps, chunk_size, num_chunks)
     return labels, mask
@@ -425,7 +423,7 @@ def load_manifest(path: str) -> Manifest:
     warning), anything worse is an error. A missing ``class_map``, or an
     entry that lacks a key, holds a value of the wrong kind or a clock
     that is not a positive fps and chunk_size (an integer), is a
-    FormatError naming the file and the entry.
+    FormatError naming the file and the entry, as is a repeated id.
     """
     root = os.path.dirname(os.path.abspath(path))
     try:
@@ -438,12 +436,16 @@ def load_manifest(path: str) -> Manifest:
     if not (isinstance(doc.get("class_map"), str) and doc["class_map"]):
         raise FormatError(f"{path}: manifest lacks a 'class_map' path")
     videos = []
+    first: dict[str, int] = {}
     for i, entry in enumerate(doc["videos"]):
         where = f"{path}: videos[{i}]"
         try:
             videos.append(_video_entry(root, entry, where))
         except (KeyError, TypeError, AttributeError) as e:
             raise FormatError(f"{where} is malformed: {type(e).__name__} {e}") from e
+        if (j := first.setdefault(videos[-1].video_id, i)) != i:
+            raise FormatError(f"{path}: videos[{j}] and videos[{i}] share the id "
+                              f"{videos[-1].video_id!r}")
     return Manifest(root=root, class_map=doc["class_map"], videos=videos)
 
 
@@ -498,6 +500,22 @@ def load_video_streams(
             raise ValidationError(f"{video.video_id} lacks the {name} stream")
         data = read_features(manifest.resolve(video.streams[name].path))
         out[name] = data[: video.num_chunks]
+    return out
+
+
+def video_rows(manifest: Manifest, cmap: ClassMap, videos: list[VideoEntry]) -> dict[str, list]:
+    """:func:`read_annotations` rows per video id, a video's only from its
+    own file, each file read once. Rows whose id no entry pairs with their
+    file are not applied; a file holding some logs one WARNING with their count."""
+    out = {}
+    for path in dict.fromkeys(v.annotations for v in videos):
+        rows = read_annotations(manifest.resolve(path), cmap)
+        paired = {v.video_id for v in manifest.videos if v.annotations == path}
+        orphans = sum(len(r) for video_id, r in rows.items() if video_id not in paired)
+        if orphans:
+            log.warning("%s: %d rows name no video the manifest pairs with this file; "
+                        "not applied", path, orphans)
+        out |= {video_id: rows.get(video_id, []) for video_id in paired}
     return out
 
 

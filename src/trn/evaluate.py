@@ -76,7 +76,9 @@ class PredictionDump:
 
 @dataclass
 class GroundTruth:
-    intervals: dict[str, list[dio.Interval]]
+    """Annotation rows per video id (``dio.read_annotations``), and their class map."""
+
+    intervals: dict[str, list[tuple[int, float, float]]]
     cmap: dio.ClassMap
 
 
@@ -94,7 +96,7 @@ def video_labels(dump: PredictionDump, gt: GroundTruth) -> VideoLabels:
     """(labels, ambiguous mask) per video of the dump, on the dump's clock."""
     return {
         video_id: dio.labels_from_intervals(
-            gt.intervals.get(video_id, []), gt.cmap, dump.fps, dump.chunk_size, pred.num_chunks
+            gt.intervals.get(video_id, []), dump.fps, dump.chunk_size, pred.num_chunks
         )
         for video_id, pred in dump.videos.items()
     }
@@ -299,7 +301,6 @@ def _dump_header(doc: dict) -> PredictionDump:
 
 
 def ground_truth_from_files(annotations_path: str, class_map_path: str) -> GroundTruth:
-    return GroundTruth(
-        intervals=dio.read_annotations(annotations_path),
-        cmap=dio.read_class_map(class_map_path),
-    )
+    """Every row of the annotation file, read against the class map."""
+    cmap = dio.read_class_map(class_map_path)
+    return GroundTruth(dio.read_annotations(annotations_path, cmap), cmap)

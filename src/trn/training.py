@@ -374,16 +374,19 @@ def load_split(
     cmap: dio.ClassMap,
     split: str,
     streams: tuple[str, ...] | None = None,
+    rows: dict[str, list[tuple[int, float, float]]] | None = None,
 ) -> list[tuple[str, dict[str, np.ndarray], np.ndarray, np.ndarray]]:
     """(video id, stream arrays, labels, ambiguous mask) per video of the
-    split; only the named streams are read (all by default)."""
+    split; only the named streams are read (all by default). ``rows`` is
+    ``dio.video_rows`` over at least the split, read here by default."""
     videos = manifest.split(split)
-    intervals = _read_intervals(manifest, videos)
+    if rows is None:
+        rows = dio.video_rows(manifest, cmap, videos)
     out = []
     for video in videos:
         arrays = dio.load_video_streams(manifest, video, streams)
         labels, ambiguous = dio.labels_from_intervals(
-            intervals.get(video.video_id, []), cmap, video.fps, video.chunk_size, video.num_chunks
+            rows[video.video_id], video.fps, video.chunk_size, video.num_chunks
         )
         out.append((video.video_id, arrays, labels, ambiguous))
     return out
@@ -403,18 +406,6 @@ def make_windows(videos, seq_len: int) -> list[Window]:
                 )
             )
     return windows
-
-
-def _read_intervals(
-    manifest: dio.Manifest, videos: list[dio.VideoEntry]
-) -> dict[str, list[dio.Interval]]:
-    """Annotations of the videos, merged over their files; each file is
-    read once."""
-    merged: dict[str, list[dio.Interval]] = {}
-    for path in dict.fromkeys(v.annotations for v in videos):
-        for video_id, rows in dio.read_annotations(manifest.resolve(path)).items():
-            merged.setdefault(video_id, []).extend(rows)
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +437,14 @@ def train(
         params = TrnParams.init(model_config, rng)
     adam = AdamState.init(params)
 
-    train_videos = load_split(manifest, cmap, "train", params.config.streams)
+    # every annotation file either split needs is read, and checked, before the first step
+    heldout = manifest.split(heldout_split) if train_config.eval_every else []
+    rows = dio.video_rows(manifest, cmap, manifest.split("train") + heldout)
+    train_videos = load_split(manifest, cmap, "train", params.config.streams, rows)
     if not train_videos:
         raise ValidationError("manifest has no train videos")
     windows = make_windows(train_videos, train_config.seq_len)
-    heldout = manifest.split(heldout_split)
-    heldout_gt = None
-    if heldout and train_config.eval_every:
-        heldout_gt = ev.GroundTruth(intervals=_read_intervals(manifest, heldout), cmap=cmap)
+    heldout_gt = ev.GroundTruth(rows, cmap) if heldout else None
 
     metrics: list[EpochMetrics] = []
     for epoch in range(1, train_config.epochs + 1):

@@ -107,6 +107,18 @@ def labels_to_intervals(labels, chunk_duration, cmap):
     return out
 
 
+def ground_truth(intervals, cmap):
+    """``ev.GroundTruth`` from name-keyed ``dio.Interval`` rows per video.
+    Each name is looked up here by a scan of the class map ("Ambiguous" as
+    ``dio.AMBIGUOUS_LABEL``), not by the package's reader."""
+    def label(name):
+        return dio.AMBIGUOUS_LABEL if name == dio.AMBIGUOUS else cmap.names.index(name)
+
+    rows = {vid: [(label(iv.class_name), iv.start, iv.end) for iv in ivs]
+            for vid, ivs in intervals.items()}
+    return ev.GroundTruth(intervals=rows, cmap=cmap)
+
+
 def brute_force_chunk_labels(intervals, fps, chunk_size, num_chunks):
     """Label per chunk by scanning every (cls, start, end) interval at every
     chunk center. Among the intervals covering a center, the one whose
@@ -149,17 +161,17 @@ def brute_force_map(dump, gt, step=None):
             center = (t + 0.5) * duration
             label = 0
             best_start = None
-            for iv in rows:
-                if iv.class_name == dio.AMBIGUOUS:
+            for cls, start, end in rows:
+                if cls == dio.AMBIGUOUS_LABEL:
                     continue
-                if iv.start <= center < iv.end and (best_start is None or iv.start < best_start):
-                    label = gt.cmap.index_of(iv.class_name)
-                    best_start = iv.start
+                if start <= center < end and (best_start is None or start < best_start):
+                    label = cls
+                    best_start = start
             labels.append(label)
             excluded.append(
                 any(
-                    iv.class_name == dio.AMBIGUOUS and iv.start <= center < iv.end
-                    for iv in rows
+                    cls == dio.AMBIGUOUS_LABEL and start <= center < end
+                    for cls, start, end in rows
                 )
             )
         for t in range(t_total):
@@ -207,4 +219,4 @@ def random_instance(rng):
         present = np.round(rng.random((t, classes)), 1)
         anticipated = np.round(rng.random((t, steps, classes)), 1)
         dump.videos[vid] = ev.VideoPredictions(present=present, anticipated=anticipated)
-    return dump, ev.GroundTruth(intervals=intervals, cmap=cmap)
+    return dump, ground_truth(intervals, cmap)

@@ -260,6 +260,30 @@ def test_malformed_manifest_is_a_format_error(tmp_path):
     assert rc == 2
 
 
+def test_repeated_video_id_exits_2(dataset, tmp_path, caplog):
+    # a second synth_0000 entry on synth_0003's features trained on
+    # synth_0000's labels and exited 0; a dump keyed by id kept one of the two
+    with open(dataset) as f:
+        doc = json.load(f)
+    doc["videos"][3]["id"] = doc["videos"][0]["id"]
+    with open(dataset, "w") as f:
+        json.dump(doc, f)
+    with pytest.raises(dio.FormatError, match=r"videos\[0\] and videos\[3\] share the id "
+                                              r"'synth_0000'") as exc:
+        dio.load_manifest(dataset)
+    assert dataset in str(exc.value)
+    ckpt, _ = tiny_ckpt(tmp_path, appearance_dim=5, motion_dim=4)
+    for argv in (train_argv(dataset, tmp_path / "m.trnc"),
+                 ["infer", "--batch", "--ckpt", ckpt, "--manifest", dataset,
+                  "--out", str(tmp_path / "i.trnd")],
+                 ["stream", "--ckpt", ckpt, "--manifest", dataset,
+                  "--out", str(tmp_path / "s.trnd")]):
+        caplog.clear()
+        assert run(argv) == 2, argv[0]
+        assert "share the id" in caplog.text
+    assert sorted(p.name for p in tmp_path.glob("*.trn?")) == ["model.trnc"]
+
+
 def test_train_on_a_non_finite_fps_exits_2(dataset, tmp_path, caplog):
     # NaN is valid JSON; training on it used to exit 0 with held-out mAP 0
     with open(dataset) as f:
@@ -517,10 +541,10 @@ def test_eval_perfect_dump_scores_100(dataset, tmp_path, capsys):
         chunk_size=videos[0].chunk_size, fps=videos[0].fps, decoder_steps=steps, classes=classes
     )
     eye = np.eye(classes)
-    rows = dio.read_annotations(manifest.resolve(videos[0].annotations))
+    rows = dio.read_annotations(manifest.resolve(videos[0].annotations), cmap)
     for video in videos:
         labels, _ = dio.labels_from_intervals(
-            rows.get(video.video_id, []), cmap, video.fps, video.chunk_size, video.num_chunks
+            rows.get(video.video_id, []), video.fps, video.chunk_size, video.num_chunks
         )
         t_len = len(labels)
         present = eye[labels]
@@ -557,10 +581,10 @@ def test_synth_then_eval_logs_no_clip_warning(tmp_path, capsys, caplog, monkeypa
     cmap = dio.read_class_map(manifest.resolve(manifest.class_map))
     # the written annotations label every chunk as the generator drew it
     assert len(drawn) == len(manifest.videos)
-    rows = dio.read_annotations(manifest.resolve("annotations.tsv"))
+    rows = dio.read_annotations(manifest.resolve("annotations.tsv"), cmap)
     for video, want in zip(manifest.videos, drawn):
         labels, ambiguous = dio.labels_from_intervals(
-            rows.get(video.video_id, []), cmap, video.fps, video.chunk_size, video.num_chunks
+            rows.get(video.video_id, []), video.fps, video.chunk_size, video.num_chunks
         )
         assert np.array_equal(labels, want) and not ambiguous.any()
     ckpt, _ = tiny_ckpt(tmp_path, appearance_dim=8, motion_dim=8)
@@ -608,6 +632,49 @@ def test_eval_logs_each_skipped_class_once_per_head(tmp_path, caplog):
     skips = [r.getMessage() for r in caplog.records if "kick" in r.getMessage()
              and "AP[" not in r.getMessage()]
     assert sorted(m.split(":")[0] for m in skips) == ["encoder", "step 1", "step 2"], skips
+
+
+def misspell_a_row(src, dst, video_ids):
+    """Copy the annotation file ``src`` to ``dst`` with the class name of
+    the first row of one of ``video_ids`` misspelled; returns its line."""
+    lines = open(src).read().splitlines(keepends=True)
+    line = next(n for n, row in enumerate(lines, 1) if row.split("\t")[0] in video_ids)
+    video_id, _, start, end = lines[line - 1].split("\t")
+    lines[line - 1] = "\t".join([video_id, "class_nope", start, end])
+    with open(dst, "w") as f:
+        f.writelines(lines)
+    return line
+
+
+@pytest.mark.parametrize("split", ["test", "train"])
+def test_eval_unknown_class_name_exits_2(dataset, tmp_path, caplog, split):
+    # the dump holds the test split: a misspelled row of one of its videos
+    # exited 1 without naming the file, one of a train video exited 0
+    manifest = dio.load_manifest(dataset)
+    ckpt, _ = tiny_ckpt(tmp_path, appearance_dim=5, motion_dim=4)
+    dump = str(tmp_path / "dump.trnd")
+    assert run(["infer", "--batch", "--ckpt", ckpt, "--manifest", dataset, "--out", dump]) == 0
+    gt = str(tmp_path / "gt.tsv")
+    line = misspell_a_row(manifest.resolve("annotations.tsv"), gt,
+                          {v.video_id for v in manifest.split(split)})
+    rc = run(["eval", "--dump", dump, "--gt", gt,
+              "--classmap", manifest.resolve(manifest.class_map)])
+    assert rc == 2
+    assert f"{gt}:{line}: unknown class name 'class_nope'" in caplog.text
+
+
+def test_train_unknown_class_name_exits_2_before_training(dataset, tmp_path, caplog, monkeypatch):
+    # in a held-out video's row, the name was looked up only for the first
+    # held-out score, after an epoch of training, and exited 1
+    manifest = dio.load_manifest(dataset)
+    path = manifest.resolve("annotations.tsv")
+    line = misspell_a_row(path, path, {v.video_id for v in manifest.split("test")})
+    steps = []
+    adam_step = tr.adam_step
+    monkeypatch.setattr(tr, "adam_step", lambda *a: steps.append(a) or adam_step(*a))
+    assert run(train_argv(dataset, tmp_path / "m.trnc", eval_every=1)) == 2
+    assert not steps and not (tmp_path / "m.trnc").exists()
+    assert f"{path}:{line}: unknown class name 'class_nope'" in caplog.text
 
 
 def test_eval_missing_dump_exits_2(tmp_path):

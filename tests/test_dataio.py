@@ -2,6 +2,7 @@ import filecmp
 import json
 import logging
 import os
+import re
 import struct
 
 import numpy as np
@@ -147,9 +148,6 @@ def test_class_map_roundtrip(tmp_path):
     back = dio.read_class_map(path)
     assert back.names == cmap.names
     assert back.num_actions == 2
-    assert back.index_of("run") == 2
-    with pytest.raises(ValidationError):
-        back.index_of("swim")
 
 
 def test_class_map_validation(tmp_path):
@@ -170,8 +168,11 @@ def test_annotations_roundtrip(tmp_path):
     }
     path = str(tmp_path / "ann.tsv")
     dio.write_annotations(path, rows)
-    back = dio.read_annotations(path)
-    assert back == rows
+    back = dio.read_annotations(path, dio.ClassMap(["Background", "jump", "run"]))
+    assert back == {
+        "vid_a": [(1, 0.0, 1.5), (dio.AMBIGUOUS_LABEL, 2.0, 2.5)],
+        "vid_b": [(2, 0.4, 9.25)],
+    }
 
 
 def test_interval_validation():
@@ -182,13 +183,19 @@ def test_interval_validation():
 
 
 def test_annotations_reject_malformed(tmp_path):
+    # each fault is a FormatError naming path:line, wherever in the file it sits
+    cmap = dio.ClassMap(["Background", "jump", "run"])
     bad = tmp_path / "ann.tsv"
-    bad.write_text("vid\tjump\t1.0\n")
-    with pytest.raises(dio.FormatError):
-        dio.read_annotations(str(bad))
-    bad.write_text("vid\tjump\tx\t2.0\n")
-    with pytest.raises(dio.FormatError):
-        dio.read_annotations(str(bad))
+    for row in [
+        "vid\tjump\t1.0",  # three fields
+        "vid\tjump\tx\t2.0",  # a start that is no number
+        "vid\tjump\t2.0\t1.0",  # a span that ends before it starts
+        "vid\tjmup\t1.0\t2.0",  # a class name the class map lacks
+        "vid\tambiguous\t1.0\t2.0",  # names match exactly
+    ]:
+        bad.write_text(f"vid\tjump\t0.0\t1.0\n\nother\trun\t0.0\t1.0\n{row}\n")
+        with pytest.raises(dio.FormatError, match=f"^{re.escape(str(bad))}:4: "):
+            dio.read_annotations(str(bad), cmap)
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +276,10 @@ def manifest_labels(m, cmap):
     """video id -> (labels, ambiguous mask), over one read of the
     manifest's annotation file."""
     (path,) = {v.annotations for v in m.videos}
-    rows = dio.read_annotations(m.resolve(path))
+    rows = dio.read_annotations(m.resolve(path), cmap)
     return {
         v.video_id: dio.labels_from_intervals(
-            rows.get(v.video_id, []), cmap, v.fps, v.chunk_size, v.num_chunks
+            rows.get(v.video_id, []), v.fps, v.chunk_size, v.num_chunks
         )
         for v in m.videos
     }
@@ -440,9 +447,9 @@ def test_synthetic_structure(tmp_path):
 def test_synthetic_all_background(tmp_path):
     path = dio.generate_synthetic(small_spec(background_prior=1.0), str(tmp_path))
     m = dio.load_manifest(path)
-    ann = dio.read_annotations(m.resolve("annotations.tsv"))
-    assert all(len(v) == 0 for v in ann.values()) or not ann
     cmap = dio.read_class_map(m.resolve(m.class_map))
+    ann = dio.read_annotations(m.resolve("annotations.tsv"), cmap)
+    assert all(len(v) == 0 for v in ann.values()) or not ann
     for labels, _ in manifest_labels(m, cmap).values():
         assert not labels.any()
 

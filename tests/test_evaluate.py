@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_ap, brute_force_map, labels_to_intervals, random_instance
+from oracles import (
+    brute_force_ap, brute_force_map, ground_truth, labels_to_intervals, random_instance,
+)
 from trn import dataio as dio
 from trn import evaluate as ev
 from trn.numeric import ValidationError
@@ -81,10 +83,7 @@ def test_per_frame_map_perfect_predictions():
     labels = {"a": [0, 1, 1, 0, 2], "b": [2, 2, 0, 1, 0]}
     dump = one_hot_dump(labels, classes=3)
     duration = dump.chunk_size / dump.fps
-    gt = ev.GroundTruth(
-        intervals={v: labels_to_intervals(l, duration, cmap) for v, l in labels.items()},
-        cmap=cmap,
-    )
+    gt = ground_truth({v: labels_to_intervals(l, duration, cmap) for v, l in labels.items()}, cmap)
     result = ev.per_frame_map(dump, gt)
     assert result.mean_ap == 1.0
     assert result.per_class == {"class_1": 1.0, "class_2": 1.0}
@@ -96,10 +95,7 @@ def test_anticipation_map_perfect_predictions():
     labels = {"a": [0, 1, 1, 0, 2], "b": [2, 2, 0, 1, 0]}
     dump = one_hot_dump(labels, classes=3)
     duration = dump.chunk_size / dump.fps
-    gt = ev.GroundTruth(
-        intervals={v: labels_to_intervals(l, duration, cmap) for v, l in labels.items()},
-        cmap=cmap,
-    )
+    gt = ground_truth({v: labels_to_intervals(l, duration, cmap) for v, l in labels.items()}, cmap)
     for step in (1, 2):
         assert ev.anticipation_map(dump, gt, step).mean_ap == 1.0
 
@@ -110,9 +106,7 @@ def test_anticipation_single_chunk_video_contributes_nothing():
     dump.videos["solo"] = ev.VideoPredictions(
         present=np.array([[0.2, 0.8]]), anticipated=np.full((1, 2, 2), 0.5)
     )
-    gt = ev.GroundTruth(
-        intervals={"solo": [dio.Interval("class_1", 0.0, 0.2)]}, cmap=cmap
-    )
+    gt = ground_truth({"solo": [dio.Interval("class_1", 0.0, 0.2)]}, cmap)
     result = ev.anticipation_map(dump, gt, 1)
     assert result.per_class == {}
     assert result.skipped == ["class_1"]
@@ -164,11 +158,11 @@ def test_anticipation_equals_per_frame_on_shifted_data():
                 anticipated=pred.anticipated[: t - step],
             )
             moved = []
-            for iv in gt.intervals.get(vid, []):
-                start = iv.start - step * duration
-                end = iv.end - step * duration
+            for cls, start, end in gt.intervals.get(vid, []):
+                start -= step * duration
+                end -= step * duration
                 if end > 0:
-                    moved.append(dio.Interval(iv.class_name, max(start, 0.0), end))
+                    moved.append((cls, max(start, 0.0), end))
             shifted_intervals[vid] = moved
         if not aligned.videos:
             continue
@@ -187,12 +181,12 @@ def test_ambiguous_chunks_excluded():
         present=present, anticipated=np.full((3, 1, 2), 0.5)
     )
     base_iv = [dio.Interval("class_1", 0.0, 0.2)]
-    gt = ev.GroundTruth(intervals={"v": base_iv}, cmap=cmap)
+    gt = ground_truth({"v": base_iv}, cmap)
     base = ev.per_frame_map(dump, gt).mean_ap
     # marking chunk 1 ambiguous removes a negative; perturbing its
     # prediction must no longer matter
     amb = base_iv + [dio.Interval(dio.AMBIGUOUS, 0.2, 0.4)]
-    gt_amb = ev.GroundTruth(intervals={"v": amb}, cmap=cmap)
+    gt_amb = ground_truth({"v": amb}, cmap)
     with_amb = ev.per_frame_map(dump, gt_amb).mean_ap
     dump.videos["v"].present[1] = [0.5, 0.5]
     assert ev.per_frame_map(dump, gt_amb).mean_ap == with_amb
@@ -205,11 +199,11 @@ def test_expand_to_frames():
     dump.videos["v"] = ev.VideoPredictions(
         present=np.array([[0.1, 0.9], [0.9, 0.1]]), anticipated=np.full((2, 1, 2), 0.5)
     )
-    gt = ev.GroundTruth(intervals={"v": [dio.Interval("class_1", 0.0, 0.1)]}, cmap=cmap)
+    gt = ground_truth({"v": [dio.Interval("class_1", 0.0, 0.1)]}, cmap)
     assert ev.per_frame_map(dump, gt, expand_to_frames=True).mean_ap == 1.0
     # a mis-ranked pool changes value under replication, by pool-size math
     dump.videos["v"].present = np.array([[0.1, 0.9], [0.9, 0.1]])
-    gt2 = ev.GroundTruth(intervals={"v": [dio.Interval("class_1", 0.1, 0.2)]}, cmap=cmap)
+    gt2 = ground_truth({"v": [dio.Interval("class_1", 0.1, 0.2)]}, cmap)
     plain = ev.per_frame_map(dump, gt2).mean_ap
     expanded = ev.per_frame_map(dump, gt2, expand_to_frames=True).mean_ap
     assert plain == 0.5
@@ -395,8 +389,9 @@ def test_write_rejects_misshapen_distributions(tmp_path):
 def test_ground_truth_from_files(tmp_path):
     ann = tmp_path / "ann.tsv"
     cm = tmp_path / "classes.tsv"
-    dio.write_annotations(str(ann), {"v": [dio.Interval("jump", 0.0, 1.0)]})
+    dio.write_annotations(str(ann), {"v": [dio.Interval("jump", 0.0, 1.0)],
+                                     "w": [dio.Interval(dio.AMBIGUOUS, 0.5, 2.0)]})
     dio.write_class_map(str(cm), dio.ClassMap(["Background", "jump"]))
     gt = ev.ground_truth_from_files(str(ann), str(cm))
-    assert gt.cmap.index_of("jump") == 1
-    assert gt.intervals["v"][0].end == 1.0
+    assert gt.cmap.names == ["Background", "jump"]
+    assert gt.intervals == {"v": [(1, 0.0, 1.0)], "w": [(dio.AMBIGUOUS_LABEL, 0.5, 2.0)]}

@@ -72,6 +72,66 @@ def test_interval_chunk_mask_matches_brute_force(case):
     assert np.array_equal(got, brute_force_interval_mask(spans, fps, chunk_size, num_chunks))
 
 
+@pytest.fixture(scope="module")
+def rows_dataset(tmp_path_factory):
+    """A directory with a class map and one feature file per video, and
+    the videos' chunk counts."""
+    root = tmp_path_factory.mktemp("rows")
+    dio.write_class_map(str(root / "classes.tsv"), dio.ClassMap(["Background", "jump", "run"]))
+    lengths = {"a": 5, "b": 9, "c": 1}
+    for video_id, t in lengths.items():
+        dio.write_features(str(root / f"{video_id}.trnf"), np.ones((t, 2)))
+    return root, lengths
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_training_and_eval_label_a_video_alike(rows_dataset, data):
+    """Random rows, "Ambiguous" ones and rows of no video included, over one
+    or two annotation files, and random clocks: per video, the labels and
+    mask of ``tr.load_split`` equal those of ``ev.video_labels`` for a dump
+    on the video's clock, the ground truth read by ``ground_truth_from_files``
+    from the video's own file."""
+    root, lengths = rows_dataset
+    files = ["ann0.tsv", "ann1.tsv"][: data.draw(st.integers(1, 2))]
+    rows = {path: {} for path in files}
+    for _ in range(data.draw(st.integers(0, 12))):
+        video_id = data.draw(st.sampled_from([*lengths, "stray"]))
+        name = data.draw(st.sampled_from(["Background", "jump", "run", dio.AMBIGUOUS]))
+        a, b = data.draw(st.floats(-0.5, 3.0)), data.draw(st.floats(-0.5, 3.0))
+        if a == b:
+            b = a + 0.1
+        row = dio.Interval(name, min(a, b), max(a, b))
+        rows[data.draw(st.sampled_from(files))].setdefault(video_id, []).append(row)
+    for path in files:
+        dio.write_annotations(str(root / path), rows[path])
+    videos = []
+    for video_id, t in lengths.items():
+        chunk_size = data.draw(st.integers(1, 8))
+        fps = data.draw(st.sampled_from([30.0, 29.97, 25.0]) | st.floats(0.5, 60.0))
+        videos.append(dio.VideoEntry(
+            video_id=video_id, fps=fps, chunk_size=chunk_size, split="train",
+            streams={"appearance": dio.StreamRef(f"{video_id}.trnf", 2)},
+            annotations=data.draw(st.sampled_from(files)), num_chunks=t,
+        ))
+    manifest = dio.Manifest(root=str(root), class_map="classes.tsv", videos=videos)
+    cmap = dio.read_class_map(manifest.resolve(manifest.class_map))
+    logging.disable(logging.WARNING)  # clipped spans and rows of no video warn by design
+    try:
+        split = tr.load_split(manifest, cmap, "train")
+        got = {video_id: (labels, mask) for video_id, _, labels, mask in split}
+        for v in videos:
+            gt = ev.ground_truth_from_files(manifest.resolve(v.annotations),
+                                            manifest.resolve(manifest.class_map))
+            dump = ev.PredictionDump(v.chunk_size, v.fps, 1, len(cmap.names))
+            dump.videos[v.video_id] = ev.VideoPredictions(np.zeros((v.num_chunks, 3)), None)
+            labels, mask = ev.video_labels(dump, gt)[v.video_id]
+            assert np.array_equal(got[v.video_id][0], labels)
+            assert np.array_equal(got[v.video_id][1], mask)
+    finally:
+        logging.disable(logging.NOTSET)
+
+
 # ---------------------------------------------------------------------------
 # prediction dumps
 

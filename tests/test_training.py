@@ -503,16 +503,14 @@ def test_load_split_reads_shared_annotation_file_once(tmp_path, monkeypatch):
     videos = manifest.split("train")
     assert len(videos) == 3 and len({v.annotations for v in videos}) == 1
     cmap = dio.read_class_map(manifest.resolve(manifest.class_map))
-    rows = dio.read_annotations(manifest.resolve(videos[0].annotations))
+    rows = dio.read_annotations(manifest.resolve(videos[0].annotations), cmap)
     want = [
-        dio.labels_from_intervals(
-            rows.get(v.video_id, []), cmap, v.fps, v.chunk_size, v.num_chunks
-        )[0]
+        dio.labels_from_intervals(rows.get(v.video_id, []), v.fps, v.chunk_size, v.num_chunks)[0]
         for v in videos
     ]
     calls = []
     read = dio.read_annotations
-    monkeypatch.setattr(dio, "read_annotations", lambda path: calls.append(path) or read(path))
+    monkeypatch.setattr(dio, "read_annotations", lambda *a: calls.append(a) or read(*a))
     got = tr.load_split(manifest, cmap, "train")
     assert len(calls) == 1
     assert [vid for vid, *_ in got] == [v.video_id for v in videos]
@@ -523,12 +521,10 @@ def test_load_split_reads_shared_annotation_file_once(tmp_path, monkeypatch):
 def test_load_split_carries_the_ambiguous_mask_into_windows(tmp_path):
     manifest = synth_manifest(tmp_path, num_videos=2, train_fraction=1.0)
     video = manifest.split("train")[0]
-    path = manifest.resolve(video.annotations)
-    rows = dio.read_annotations(path)
     chunk_s = video.chunk_size / video.fps
     # chunks 2 and 3 of the first video become ambiguous
-    rows[video.video_id].append(dio.Interval(dio.AMBIGUOUS, 2 * chunk_s, 4 * chunk_s))
-    dio.write_annotations(path, rows)
+    with open(manifest.resolve(video.annotations), "a") as f:
+        f.write(f"{video.video_id}\t{dio.AMBIGUOUS}\t{2 * chunk_s!r}\t{4 * chunk_s!r}\n")
     cmap = dio.read_class_map(manifest.resolve(manifest.class_map))
     videos = tr.load_split(manifest, cmap, "train")
     _, _, labels, ambiguous = videos[0]
@@ -537,6 +533,40 @@ def test_load_split_carries_the_ambiguous_mask_into_windows(tmp_path):
     assert not videos[1][3].any()
     windows = tr.make_windows(videos, 3)
     assert [w.ambiguous.tolist() for w in windows[:2]] == [[False, False, True], [True, False, False]]
+
+
+@pytest.mark.parametrize("other_split", ["train", "test"])
+def test_load_split_reads_each_video_from_its_own_file_only(tmp_path, caplog, other_split):
+    # synth_0001 moves to other.tsv, which also holds a synth_0000 row: that
+    # row merged into synth_0000's labels (all class 2) whenever both files
+    # were read, and rows no entry paired with their file went without a word
+    manifest = synth_manifest(tmp_path, num_videos=4, video_len=12, train_fraction=0.5)
+    cmap = dio.read_class_map(manifest.resolve(manifest.class_map))
+    first, second = manifest.videos[:2]
+    own = ev.ground_truth_from_files(manifest.resolve("annotations.tsv"),
+                                     manifest.resolve(manifest.class_map))
+    span = first.num_chunks * first.chunk_size / first.fps
+    dio.write_annotations(manifest.resolve("other.tsv"), {
+        first.video_id: [dio.Interval("class_2", 0.0, span)],
+        second.video_id: [dio.Interval("class_1", 0.0, span)],
+    })
+    videos = [first, dataclasses.replace(second, split=other_split, annotations="other.tsv")]
+    manifest = dataclasses.replace(manifest, videos=videos + manifest.videos[2:])
+    with caplog.at_level("WARNING", logger="trn.dataio"):
+        got = {vid: labels for vid, _, labels, _ in tr.load_split(manifest, cmap, "train")}
+    dump = ev.PredictionDump(first.chunk_size, first.fps, 1, cmap.num_actions + 1)
+    dump.videos[first.video_id] = ev.VideoPredictions(np.zeros((first.num_chunks, 1)), None)
+    want = ev.video_labels(dump, own)[first.video_id][0]
+    assert len(set(want.tolist())) > 1 and np.array_equal(got[first.video_id], want)
+    if other_split == "train":
+        assert got[second.video_id].tolist() == [1] * second.num_chunks
+    orphans = {"annotations.tsv": len(own.intervals[second.video_id])}
+    if other_split == "train":
+        orphans["other.tsv"] = 1
+    assert sorted(r.getMessage() for r in caplog.records) == [
+        f"{path}: {n} rows name no video the manifest pairs with this file; not applied"
+        for path, n in sorted(orphans.items())
+    ]
 
 
 def test_train_loss_decreases(tmp_path):
@@ -573,21 +603,22 @@ def test_train_heldout_map_reads_every_annotation_file(tmp_path):
     # one annotation file per video: every held-out video must be scored
     # against its own file, not the first video's
     manifest = synth_manifest(tmp_path, num_videos=6, video_len=16)
-    intervals = dio.read_annotations(manifest.resolve(manifest.videos[0].annotations))
+    shared = manifest.resolve(manifest.videos[0].annotations)
+    with open(shared) as f:
+        lines = f.readlines()
     videos = []
     for video in manifest.videos:
         name = f"annotations-{video.video_id}.tsv"
-        dio.write_annotations(
-            manifest.resolve(name), {video.video_id: intervals.get(video.video_id, [])}
-        )
+        with open(manifest.resolve(name), "w") as f:
+            f.writelines(row for row in lines if row.split("\t")[0] == video.video_id)
         videos.append(dataclasses.replace(video, annotations=name))
     split = dataclasses.replace(manifest, videos=videos)
     assert len(split.split("test")) == 3
     mc = tiny_model(appearance_dim=5, motion_dim=4, hidden_size=6, decoder_steps=2)
     params, metrics = tr.train(split, mc, tiny_train(seq_len=6, epochs=1, eval_every=1))
-    cmap = dio.read_class_map(split.resolve(split.class_map))
     dump = tr.predict_manifest(params, split, "test")
-    expected = ev.per_frame_map(dump, ev.GroundTruth(intervals=intervals, cmap=cmap)).mean_ap
+    gt = ev.ground_truth_from_files(shared, split.resolve(split.class_map))
+    expected = ev.per_frame_map(dump, gt).mean_ap
     assert metrics[0].heldout_map == expected
 
 
