@@ -402,6 +402,10 @@ def cmd_eval(args) -> int:
     dump = ev.read_prediction_dump(cfg["dump"])
     gt = ev.ground_truth_from_files(cfg["gt"], cfg["classmap"])
     expand = bool(cfg["expand_to_frames"])
+    unannotated = sum(video_id not in gt.intervals for video_id in dump.videos)
+    if unannotated:
+        log.warning("%d of %d dumped videos have no row in %s; they score as all background",
+                    unannotated, len(dump.videos), cfg["gt"])
     labels = ev.video_labels(dump, gt)  # once per video, shared by every head
     encoder = ev.per_frame_map(dump, gt, expand_to_frames=expand, labels=labels)
     steps = [

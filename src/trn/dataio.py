@@ -17,9 +17,8 @@ from a separate tab-separated class map with background at index 0.
 
 The synthetic generator builds alternating background/action segments
 with geometric lengths, Gaussian per-class feature means for the
-appearance/motion streams, and synthetic skeletons (a fixed template
-deformed per class) rendered through the real pose-normalization pipeline
-for the pose stream.
+appearance/motion streams, and per-class gestures for the pose stream,
+whose skeletons ``trn.skeleton`` renders and normalizes.
 """
 
 from __future__ import annotations
@@ -220,7 +219,7 @@ def write_class_map(path: str, cmap: ClassMap) -> None:
 
 
 def read_class_map(path: str) -> ClassMap:
-    names = []
+    seen: dict[str, int] = {}  # name -> its line
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f):
             line = line.rstrip("\n")
@@ -229,8 +228,11 @@ def read_class_map(path: str) -> ClassMap:
             parts = line.split("\t")
             if len(parts) != 2 or parts[0] != str(lineno):
                 raise FormatError(f"{path}:{lineno + 1}: expected '<index>\\t<name>' rows in order")
-            names.append(parts[1])
-    return ClassMap(names)
+            if parts[1] in seen:
+                raise FormatError(f"{path}:{lineno + 1}: class name {parts[1]!r} repeats "
+                                  f"line {seen[parts[1]]}")
+            seen[parts[1]] = lineno + 1
+    return ClassMap(list(seen))
 
 
 @dataclass(frozen=True)
@@ -614,78 +616,6 @@ def _labels_to_intervals(labels: np.ndarray, chunk_size: int, fps: float) -> lis
     return out
 
 
-_POSE_ANCHORS = {
-    # plausible standing-person template, pixel units (BODY_25 indices)
-    0: (320, 110),  # nose
-    1: (320, 160),  # neck
-    2: (285, 165),  # r shoulder
-    3: (270, 215),  # r elbow
-    4: (262, 262),  # r wrist
-    5: (355, 165),  # l shoulder
-    6: (370, 215),  # l elbow
-    7: (378, 262),  # l wrist
-    8: (320, 300),  # mid hip
-    9: (300, 302),  # r hip
-    10: (298, 380),  # r knee
-    11: (296, 455),  # r ankle
-    12: (340, 302),  # l hip
-    13: (342, 380),  # l knee
-    14: (344, 455),  # l ankle
-    15: (312, 102),  # r eye
-    16: (328, 102),  # l eye
-    17: (303, 112),  # r ear
-    18: (337, 112),  # l ear
-    19: (350, 470),  # l big toe
-    20: (354, 472),  # l small toe
-    21: (340, 468),  # l heel
-    22: (290, 470),  # r big toe
-    23: (286, 472),  # r small toe
-    24: (300, 468),  # r heel
-}
-
-
-def _pose_template() -> np.ndarray:
-    """Fixed 67-keypoint template: BODY_25 anchors plus hand clusters."""
-    kp = np.zeros((sk.TOTAL_POINTS, 2))
-    for idx, (x, y) in _POSE_ANCHORS.items():
-        kp[idx] = (x, y)
-    # hands fan out around the wrists on a small fixed grid
-    grid = np.stack(
-        [np.repeat(np.arange(-3, 4), 3)[:21], np.tile(np.arange(-1, 2), 7)[:21]], axis=1
-    )
-    kp[sk.BODY_POINTS : sk.BODY_POINTS + sk.HAND_POINTS] = kp[7] + 2.5 * grid
-    kp[sk.BODY_POINTS + sk.HAND_POINTS :] = kp[4] + 2.5 * grid
-    return kp
-
-
-# keypoints a class gesture displaces: elbows, wrists, both hands
-_GESTURE_POINTS = np.concatenate([[3, 4, 6, 7], np.arange(sk.BODY_POINTS, sk.TOTAL_POINTS)])
-
-
-def _synthetic_pose_frames(
-    labels: np.ndarray,
-    chunk_size: int,
-    gestures: np.ndarray,
-    sigma: float,
-    rng: np.random.Generator,
-) -> list[sk.PoseFrame]:
-    """One skeleton per frame: template + class gesture + noise, under a
-    random per-video translation and zoom (which normalization removes)."""
-    template = _pose_template()
-    shift = rng.uniform(-80, 80, size=2)
-    zoom = rng.uniform(0.6, 1.6)
-    frames = []
-    for label in labels:
-        for _ in range(chunk_size):
-            kp = template + rng.normal(scale=sigma, size=template.shape)
-            kp[_GESTURE_POINTS] += gestures[label]
-            xy = (kp + shift) * zoom
-            person = np.ones((sk.TOTAL_POINTS, 3))
-            person[:, :2] = xy
-            frames.append(sk.PoseFrame([sk.Person(person)]))
-    return frames
-
-
 def generate_synthetic(spec: SyntheticSpec, out_dir: str) -> str:
     """Write a synthetic dataset under out_dir; returns the manifest path.
 
@@ -728,7 +658,7 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str) -> str:
         t = spec.video_len
         app = app_means[labels] + rng.normal(scale=spec.sigma_ratio, size=(t, spec.appearance_dim))
         mot = mot_means[labels] + rng.normal(scale=spec.sigma_ratio, size=(t, spec.motion_dim))
-        frames = _synthetic_pose_frames(labels, spec.chunk_size, gestures, pose_sigma, rng)
+        frames = sk.synthetic_pose_frames(labels, spec.chunk_size, gestures, pose_sigma, rng)
         pose = sk.pose_chunk_matrix(frames, spec.chunk_size, t)
 
         streams = {}

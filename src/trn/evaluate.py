@@ -130,6 +130,9 @@ def _pooled_map(
     expand_to_frames: bool,
     labels: VideoLabels | None,
 ) -> EvalResult:
+    if len(gt.cmap.names) != dump.classes:
+        raise ValidationError(f"class map has {len(gt.cmap.names)} classes, "
+                              f"the dump scores {dump.classes}")
     if labels is None:
         labels = video_labels(dump, gt)
     pools = list(_video_pools(dump, labels, step))

@@ -1,17 +1,17 @@
-"""2D skeleton ingestion and normalization for the pose feature stream.
+"""2D skeleton normalization for the pose feature stream, and the
+synthetic skeletons ``trn synth`` renders through it.
 
 Keypoint layout is BODY_25 plus two 21-point hands: 25 + 21 + 21 = 67
 keypoints per person, emitted as a 134-dim vector of normalized (x, y)
 pairs. Coordinates are re-expressed relative to the pelvis (MidHip) and
 scaled by the pelvis-to-shoulder-midpoint distance, which cancels camera
 translation and zoom. Confidence values gate which keypoints count as
-detected but are not part of the feature.
+detected but are not part of the feature. This is the one module that
+knows which keypoint index is which joint.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,14 +97,6 @@ def normalize_pose(person: Person) -> np.ndarray | None:
     return out.reshape(-1)
 
 
-def pose_feature_or_zero(person: Person | None) -> np.ndarray:
-    if person is not None:
-        feat = normalize_pose(person)
-        if feat is not None:
-            return feat
-    return np.zeros(FEATURE_DIM)
-
-
 def pose_chunk_feature(frames: list[PoseFrame]) -> np.ndarray:
     """Per-chunk pose vector: the center frame's normalized pose.
 
@@ -141,81 +133,75 @@ def pose_chunk_matrix(frames: list[PoseFrame], chunk_size: int, num_chunks: int)
 
 
 # ---------------------------------------------------------------------------
-# per-frame keypoint files (OpenPose-style JSON)
+# synthetic skeletons for `trn synth`
+
+_POSE_ANCHORS = {
+    # plausible standing-person template, pixel units (BODY_25 indices)
+    0: (320, 110),  # nose
+    1: (320, 160),  # neck
+    2: (285, 165),  # r shoulder
+    3: (270, 215),  # r elbow
+    4: (262, 262),  # r wrist
+    5: (355, 165),  # l shoulder
+    6: (370, 215),  # l elbow
+    7: (378, 262),  # l wrist
+    8: (320, 300),  # mid hip
+    9: (300, 302),  # r hip
+    10: (298, 380),  # r knee
+    11: (296, 455),  # r ankle
+    12: (340, 302),  # l hip
+    13: (342, 380),  # l knee
+    14: (344, 455),  # l ankle
+    15: (312, 102),  # r eye
+    16: (328, 102),  # l eye
+    17: (303, 112),  # r ear
+    18: (337, 112),  # l ear
+    19: (350, 470),  # l big toe
+    20: (354, 472),  # l small toe
+    21: (340, 468),  # l heel
+    22: (290, 470),  # r big toe
+    23: (286, 472),  # r small toe
+    24: (300, 468),  # r heel
+}
 
 
-def _person_from_flat(pose, left, right) -> Person:
-    parts = []
-    for name, flat, n in (
-        ("pose_keypoints_2d", pose, BODY_POINTS),
-        ("hand_left_keypoints_2d", left, HAND_POINTS),
-        ("hand_right_keypoints_2d", right, HAND_POINTS),
-    ):
-        arr = np.asarray(flat, dtype=np.float64)
-        if arr.shape != (3 * n,):
-            raise ValidationError(f"{name} must hold {3 * n} numbers, got {arr.size}")
-        parts.append(arr.reshape(n, 3))
-    return Person(np.concatenate(parts, axis=0))
+def _pose_template() -> np.ndarray:
+    """Fixed 67-keypoint template: BODY_25 anchors plus hand clusters."""
+    kp = np.zeros((TOTAL_POINTS, 2))
+    for idx, (x, y) in _POSE_ANCHORS.items():
+        kp[idx] = (x, y)
+    # hands fan out around the wrists on a small fixed grid
+    grid = np.stack(
+        [np.repeat(np.arange(-3, 4), 3)[:21], np.tile(np.arange(-1, 2), 7)[:21]], axis=1
+    )
+    kp[BODY_POINTS : BODY_POINTS + HAND_POINTS] = kp[7] + 2.5 * grid
+    kp[BODY_POINTS + HAND_POINTS :] = kp[4] + 2.5 * grid
+    return kp
 
 
-def person_to_dict(person: Person) -> dict:
-    kp = person.keypoints
-    return {
-        "pose_keypoints_2d": kp[:BODY_POINTS].reshape(-1).tolist(),
-        "hand_left_keypoints_2d": kp[BODY_POINTS : BODY_POINTS + HAND_POINTS].reshape(-1).tolist(),
-        "hand_right_keypoints_2d": kp[BODY_POINTS + HAND_POINTS :].reshape(-1).tolist(),
-    }
+# keypoints a class gesture displaces: elbows, wrists, both hands
+_GESTURE_POINTS = np.concatenate([[3, 4, 6, 7], np.arange(BODY_POINTS, TOTAL_POINTS)])
 
 
-def frame_from_dict(doc: dict) -> PoseFrame:
-    people = doc.get("people")
-    if not isinstance(people, list):
-        raise ValidationError("keypoint document must hold a 'people' list")
-    out = []
-    for entry in people:
-        out.append(
-            _person_from_flat(
-                entry.get("pose_keypoints_2d", []),
-                entry.get("hand_left_keypoints_2d", []),
-                entry.get("hand_right_keypoints_2d", []),
-            )
-        )
-    return PoseFrame(out)
-
-
-def frame_to_dict(frame: PoseFrame) -> dict:
-    return {"people": [person_to_dict(p) for p in frame.people]}
-
-
-def keypoint_filename(video_id: str, frame_index: int) -> str:
-    return f"{video_id}_{frame_index:012d}_keypoints.json"
-
-
-def read_pose_frame(path: str) -> PoseFrame:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"malformed keypoint file {path}: {e}") from e
-    return frame_from_dict(doc)
-
-
-def write_pose_frame(path: str, frame: PoseFrame) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(frame_to_dict(frame), f)
-
-
-def read_video_poses(directory: str, video_id: str) -> list[PoseFrame]:
-    """Load all `<video_id>_<frame 12 digits>_keypoints.json` files in order.
-
-    Frame indices must start at 0 and be contiguous.
-    """
+def synthetic_pose_frames(
+    labels: np.ndarray,
+    chunk_size: int,
+    gestures: np.ndarray,
+    sigma: float,
+    rng: np.random.Generator,
+) -> list[PoseFrame]:
+    """One skeleton per frame: template + class gesture + noise, under a
+    random per-video translation and zoom (which normalization removes)."""
+    template = _pose_template()
+    shift = rng.uniform(-80, 80, size=2)
+    zoom = rng.uniform(0.6, 1.6)
     frames = []
-    idx = 0
-    while True:
-        path = os.path.join(directory, keypoint_filename(video_id, idx))
-        if not os.path.exists(path):
-            break
-        frames.append(read_pose_frame(path))
-        idx += 1
+    for label in labels:
+        for _ in range(chunk_size):
+            kp = template + rng.normal(scale=sigma, size=template.shape)
+            kp[_GESTURE_POINTS] += gestures[label]
+            xy = (kp + shift) * zoom
+            person = np.ones((TOTAL_POINTS, 3))
+            person[:, :2] = xy
+            frames.append(PoseFrame([Person(person)]))
     return frames

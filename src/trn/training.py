@@ -423,22 +423,20 @@ def train(
     manifest: dio.Manifest,
     model_config: TrnConfig,
     train_config: TrainConfig,
-    params: TrnParams | None = None,
-    heldout_split: str = "test",
 ) -> tuple[TrnParams, list[EpochMetrics]]:
-    """Train on the manifest's train split; deterministic given the seed."""
+    """Train fresh parameters on the manifest's train split, scoring the
+    ``test`` split every ``eval_every`` epochs; deterministic given the seed."""
     rng = np.random.default_rng(train_config.seed)
     cmap = dio.read_class_map(manifest.resolve(manifest.class_map))
     if cmap.num_actions != model_config.num_actions:
         raise ValidationError(
             f"class map has {cmap.num_actions} actions, model expects {model_config.num_actions}"
         )
-    if params is None:
-        params = TrnParams.init(model_config, rng)
+    params = TrnParams.init(model_config, rng)
     adam = AdamState.init(params)
 
     # every annotation file either split needs is read, and checked, before the first step
-    heldout = manifest.split(heldout_split) if train_config.eval_every else []
+    heldout = manifest.split("test") if train_config.eval_every else []
     rows = dio.video_rows(manifest, cmap, manifest.split("train") + heldout)
     train_videos = load_split(manifest, cmap, "train", params.config.streams, rows)
     if not train_videos:
@@ -477,7 +475,7 @@ def train(
 
         heldout_map = None
         if heldout_gt is not None and epoch % train_config.eval_every == 0:
-            dump = predict_manifest(params, manifest, heldout_split)
+            dump = predict_manifest(params, manifest, "test")
             heldout_map = ev.per_frame_map(dump, heldout_gt).mean_ap
         metrics.append(EpochMetrics(epoch=epoch, mean_loss=mean_loss, heldout_map=heldout_map))
         log.info(

@@ -677,6 +677,72 @@ def test_train_unknown_class_name_exits_2_before_training(dataset, tmp_path, cap
     assert f"{path}:{line}: unknown class name 'class_nope'" in caplog.text
 
 
+def test_repeated_class_name_exits_2(dataset, tmp_path, caplog):
+    # ClassMap's own duplicate check exited 1, naming neither file nor line
+    manifest = dio.load_manifest(dataset)
+    classmap = manifest.resolve(manifest.class_map)
+    with open(classmap, "a") as f:
+        f.write("3\tclass_1\n")
+    dump = ev.PredictionDump(chunk_size=6, fps=30.0, decoder_steps=1, classes=4)
+    dump.videos["v"] = ev.VideoPredictions(np.full((2, 4), 0.25), np.full((2, 1, 4), 0.25))
+    ev.write_prediction_dump(str(tmp_path / "dump.trnd"), dump)
+    assert run(["eval", "--dump", str(tmp_path / "dump.trnd"),
+                "--gt", manifest.resolve("annotations.tsv"), "--classmap", classmap]) == 2
+    assert run(train_argv(dataset, tmp_path / "m.trnc")) == 2
+    assert caplog.text.count(f"{classmap}:4: class name 'class_1' repeats line 2") == 2
+
+
+@pytest.mark.parametrize("names", [["Background", "class_1", "class_2", "class_3"],
+                                   ["Background", "class_1"]], ids=["wider", "narrower"])
+def test_eval_class_map_must_match_the_dump(dataset, tmp_path, caplog, monkeypatch, names):
+    # a wider map ended in an IndexError traceback (the rows of class_2 are
+    # read as class_3 here), a narrower one left the dump's last column
+    # unscored and exited 0
+    manifest = dio.load_manifest(dataset)
+    ckpt, _ = tiny_ckpt(tmp_path, appearance_dim=5, motion_dim=4)
+    dump = str(tmp_path / "dump.trnd")
+    assert run(["infer", "--batch", "--ckpt", ckpt, "--manifest", dataset, "--out", dump]) == 0
+    gt, classmap = str(tmp_path / "gt.tsv"), str(tmp_path / "classes.tsv")
+    with open(manifest.resolve("annotations.tsv")) as src, open(gt, "w") as dst:
+        for row in src:
+            video_id, name, start, end = row.split("\t")
+            name = {"class_2": "class_3"}.get(name, name)
+            if name in names:
+                dst.write("\t".join([video_id, name, start, end]))
+    dio.write_class_map(classmap, dio.ClassMap(names))
+    scored = []
+    ap = ev.average_precision
+    monkeypatch.setattr(ev, "average_precision", lambda *a: scored.append(a) or ap(*a))
+    assert run(["eval", "--dump", dump, "--gt", gt, "--classmap", classmap]) == 1
+    assert not scored
+    assert f"class map has {len(names)} classes, the dump scores 3" in caplog.text
+
+
+def test_eval_warns_once_of_dumped_videos_without_rows(tmp_path, capsys, caplog):
+    # a --gt that matched no dumped video scored a table of zeros without a word
+    readme = dict(num_videos=8, video_len=48, appearance_dim=8, motion_dim=8, seed=7,
+                  train_fraction=0.8)
+    assert run(synth_args(tmp_path / "data", **readme)) == 0
+    manifest = dio.load_manifest(capsys.readouterr().out.strip())
+    ckpt, _ = tiny_ckpt(tmp_path, appearance_dim=8, motion_dim=8)
+    dump = str(tmp_path / "dump.trnd")
+    assert run(["infer", "--batch", "--ckpt", ckpt, "--manifest", manifest.resolve("manifest.json"),
+                "--out", dump]) == 0
+    foreign = str(tmp_path / "foreign.tsv")
+    dio.write_annotations(foreign, {"other": [dio.Interval("class_1", 0.0, 1.0)]})
+
+    def unannotated(gt):
+        caplog.clear()
+        assert run(["eval", "--dump", dump, "--gt", gt,
+                    "--classmap", manifest.resolve(manifest.class_map)]) == 0
+        return [r.getMessage() for r in caplog.records if "no row" in r.getMessage()]
+
+    assert unannotated(manifest.resolve("annotations.tsv")) == []
+    assert unannotated(foreign) == [
+        f"2 of 2 dumped videos have no row in {foreign}; they score as all background"
+    ]
+
+
 def test_eval_missing_dump_exits_2(tmp_path):
     rc = run(["eval", "--dump", str(tmp_path / "nope.trnd"), "--gt", "x", "--classmap", "y"])
     assert rc == 2

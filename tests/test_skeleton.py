@@ -127,7 +127,7 @@ def test_normalize_pose_degenerate_cases():
     # shoulders collapsed onto the pelvis
     p = make_person({sk.MIDHIP: (5, 5), sk.RSHOULDER: (5, 5), sk.LSHOULDER: (5, 5)})
     assert sk.normalize_pose(p) is None
-    assert np.array_equal(sk.pose_feature_or_zero(p), np.zeros(134))
+    assert np.array_equal(sk.pose_chunk_feature([sk.PoseFrame([p])]), np.zeros(134))
 
 
 def test_normalize_pose_single_shoulder_fallback():
@@ -207,45 +207,3 @@ def test_pose_chunk_matrix_shape_and_padding():
     assert mat.shape == (4, 134)
     assert np.any(mat[2] != 0)  # chunk 2 holds frame 6 only
     assert np.array_equal(mat[3], np.zeros(134))  # past the end
-
-
-# ---------------------------------------------------------------------------
-# keypoint files
-
-
-def test_keypoint_filename():
-    assert sk.keypoint_filename("video_test_0001", 42) == "video_test_0001_000000000042_keypoints.json"
-
-
-def test_pose_frame_json_roundtrip(tmp_path):
-    rng = np.random.default_rng(6)
-    frame = sk.PoseFrame([full_random_person(rng), sk.Person(blank_person())])
-    path = str(tmp_path / sk.keypoint_filename("v", 0))
-    sk.write_pose_frame(path, frame)
-    back = sk.read_pose_frame(path)
-    assert len(back.people) == 2
-    assert np.allclose(back.people[0].keypoints, frame.people[0].keypoints, atol=0)
-
-
-def test_read_pose_frame_rejects_malformed(tmp_path):
-    bad = tmp_path / "x.json"
-    bad.write_text("{not json")
-    with pytest.raises(ValidationError):
-        sk.read_pose_frame(str(bad))
-    bad.write_text('{"people": 3}')
-    with pytest.raises(ValidationError):
-        sk.read_pose_frame(str(bad))
-    bad.write_text('{"people": [{"pose_keypoints_2d": [1, 2]}]}')
-    with pytest.raises(ValidationError):
-        sk.read_pose_frame(str(bad))
-
-
-def test_read_video_poses_contiguous(tmp_path):
-    rng = np.random.default_rng(7)
-    frames = [valid_frame(rng) for _ in range(3)]
-    for i, f in enumerate(frames):
-        sk.write_pose_frame(str(tmp_path / sk.keypoint_filename("vid", i)), f)
-    back = sk.read_video_poses(str(tmp_path), "vid")
-    assert len(back) == 3
-    for orig, got in zip(frames, back):
-        assert np.allclose(got.people[0].keypoints, orig.people[0].keypoints, atol=0)
