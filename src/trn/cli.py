@@ -39,6 +39,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
 
 def _variant(value: str) -> str:
     try:
@@ -492,6 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("TRN_LOG_LEVEL", "INFO").upper()
+    if level not in LOG_LEVELS:
+        print(f"trn: TRN_LOG_LEVEL must be one of {', '.join(LOG_LEVELS)}, got "
+              f"{os.environ['TRN_LOG_LEVEL']!r}", file=sys.stderr)
+        return EXIT_VALIDATION
     logging.basicConfig(
         level=level, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
     )

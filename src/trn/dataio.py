@@ -219,19 +219,28 @@ def write_class_map(path: str, cmap: ClassMap) -> None:
 
 
 def read_class_map(path: str) -> ClassMap:
+    """'<index>\\t<name>' rows numbered 0, 1, 2, ... in order, so a row's
+    index is the count of rows before it; blank lines may only end the
+    file. A skipped index, a gap or a repeated name is a FormatError at
+    path:line."""
     seen: dict[str, int] = {}  # name -> its line
+    blank = 0  # the first blank line, which only more blank lines may follow
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f):
+        for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
+                blank = blank or lineno
                 continue
+            if blank:
+                raise FormatError(f"{path}:{blank}: blank line between class rows")
             parts = line.split("\t")
-            if len(parts) != 2 or parts[0] != str(lineno):
-                raise FormatError(f"{path}:{lineno + 1}: expected '<index>\\t<name>' rows in order")
+            if len(parts) != 2 or parts[0] != str(len(seen)):
+                raise FormatError(f"{path}:{lineno}: expected '<index>\\t<name>' rows in "
+                                  f"order, index {len(seen)} here")
             if parts[1] in seen:
-                raise FormatError(f"{path}:{lineno + 1}: class name {parts[1]!r} repeats "
+                raise FormatError(f"{path}:{lineno}: class name {parts[1]!r} repeats "
                                   f"line {seen[parts[1]]}")
-            seen[parts[1]] = lineno + 1
+            seen[parts[1]] = lineno
     return ClassMap(list(seen))
 
 

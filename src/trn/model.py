@@ -439,8 +439,39 @@ def cols(a: np.ndarray) -> np.ndarray:
     return a.reshape(len(a), -1, order="F")
 
 
+class Workspace:
+    """The large per-window arrays of training, reused from window to window.
+
+    Each role (the trace "lstm", the operands "dec_in" and "enc_in", and
+    BPTT's "dz" and "d_feat") is one flat float64 buffer that grows to the
+    largest request it has served; :meth:`take` views its head in the shape
+    and order asked for, so a shorter window or a smaller batch allocates
+    nothing. ``forwards`` counts the traced forwards served: a view taken
+    before the latest one holds another window's values.
+    """
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+        self.forwards = 0
+
+    def take(self, role: str, shape: tuple[int, ...], order: str = "C") -> np.ndarray:
+        size = int(np.prod(shape))
+        buf = self.buffers.get(role)
+        if buf is None or buf.size < size:
+            buf = self.buffers[role] = np.empty(size)
+        return buf[:size].reshape(shape, order=order)
+
+
+def _buffer(workspace: Workspace | None, role: str, shape: tuple[int, ...], order: str = "C"):
+    """A fresh array without a workspace, else a view of its ``role`` buffer."""
+    if workspace is None:
+        return np.empty(shape, order=order)
+    return workspace.take(role, shape, order)
+
+
 def window_forward(
-    params: TrnParams, raw: np.ndarray, h: np.ndarray, c: np.ndarray, trace: bool = False
+    params: TrnParams, raw: np.ndarray, h: np.ndarray, c: np.ndarray,
+    workspace: Workspace | None = None,
 ) -> WindowPass:
     """The cell over an equal-length block of columns.
 
@@ -452,8 +483,10 @@ def window_forward(
     the time loop every later step is one GEMM, on the stacked operand the
     step before wrote, of its weight as stored (a view of the encoder's
     (ctx; h) columns). The arithmetic is the one ``chunk_step`` runs, up
-    to float reassociation. ``trace`` keeps the gates, tanh(c) and c_prev
-    a backward pass reads.
+    to float reassociation. With a ``workspace`` the pass is traced: it
+    keeps the gates, tanh(c) and c_prev a backward pass reads, and its
+    operands and trace are views of the workspace, valid until its next
+    forward. Without one (inference) every array is fresh and untraced.
     """
     cfg, p = params.config, params.arrays()
     hs, steps = cfg.hidden_size, cfg.decoder_steps
@@ -466,8 +499,11 @@ def window_forward(
     fused = raw
     if cfg.has_fusion_layer:
         fused = np.maximum(p["fusion.w"] @ raw + p["fusion.b"][:, None], 0.0)
-    dec_in = np.empty((2 * hs, batch, t_len, steps + 1), order="F")
-    enc_in = np.empty((2 * hs, batch, t_len + 1), order="F")
+    trace = workspace is not None
+    if trace:
+        workspace.forwards += 1
+    dec_in = _buffer(workspace, "dec_in", (2 * hs, batch, t_len, steps + 1), "F")
+    enc_in = _buffer(workspace, "enc_in", (2 * hs, batch, t_len + 1), "F")
     x = cols(dec_in[:hs, :, :, 0])
     x[...] = np.maximum(p["embed.w"] @ fused + p["embed.b"][:, None], 0.0)
     # the input halves of decoder step 1 and of the encoder
@@ -476,7 +512,7 @@ def window_forward(
 
     # each step runs on contiguous (rows, B) operands, then leaves a copy in
     # dec_in or enc_in; untraced, every chunk reuses the one lstm slot
-    lstm = np.empty((t_len if trace else 1, steps + 1, 6 * hs, batch))
+    lstm = _buffer(workspace, "lstm", (t_len if trace else 1, steps + 1, 6 * hs, batch))
     z, c_last = np.empty((4 * hs, batch)), np.empty((hs, batch))  # c_last feeds nothing
     s, e = np.empty((2 * hs, batch)), np.empty((2 * hs, batch))  # (input; h), (ctx; h)
     e[hs:], c = h, np.array(c)  # the encoder's state, updated in place

@@ -24,7 +24,9 @@ classifier. The tests pin it to the tape's op-by-op ``model.chunk_step``.
 The gradient is a hand-derived backpropagation through time that runs
 only when the loss's ``grads()`` is called, and writes each step's
 gradient where the weight GEMMs read it. A training step is plain numpy
-from feature arrays to Adam, which updates in place.
+from feature arrays to Adam, which updates in place. One ``train`` call
+runs every window in one ``model.Workspace``, so the trace, the stacked
+operands and BPTT's arrays are allocated once, not once per step.
 
 Batching packs same-length windows as columns of one matrix; per-sequence
 results are identical to running each window alone (up to float
@@ -87,6 +89,7 @@ def sequence_loss(
     videos: list[dict],
     labels: np.ndarray,
     ambiguous: np.ndarray | None = None,
+    workspace: md.Workspace | None = None,
 ) -> "WindowLoss":
     """Two-head training loss for one window of B columns.
 
@@ -95,7 +98,9 @@ def sequence_loss(
     window. ambiguous: an optional bool mask of the labels' shape. An
     ambiguous chunk leaves the encoder head's mean, and a (t, i) pair whose
     target t + i is ambiguous leaves the decoder head's mean; a head with
-    nothing left contributes 0.
+    nothing left contributes 0. The pass's large arrays come from
+    ``workspace``, a fresh one by default; a caller that runs many windows
+    passes one :class:`model.Workspace` to them all.
 
     Returns the :class:`WindowLoss`: the loss as a float, and its
     gradients from ``grads()``, which alone runs the backward pass.
@@ -121,7 +126,9 @@ def sequence_loss(
             )
         ambiguous = ambiguous.reshape(t_len, -1)
     labels = labels.reshape(t_len, -1).astype(np.int64)
-    return WindowLoss(params, config, videos, labels, ambiguous)
+    if workspace is None:
+        workspace = md.Workspace()
+    return WindowLoss(params, config, videos, labels, ambiguous, workspace)
 
 
 def _lstm_factors(lstm: np.ndarray) -> None:
@@ -177,10 +184,15 @@ class WindowLoss:
     pre-activation gradient in the forward's operand layout, so each
     weight gradient is one GEMM. Gates are [i, f, g, o], the ReLU gradient
     is 0 at 0, and clamped cross-entropy columns carry no gradient.
+
+    The trace, the operands and the backward pass's dz and d_feat live in
+    the workspace, so ``grads()`` holds only until the workspace serves
+    another forward; after that it raises ValidationError.
     """
 
     def __init__(
-        self, params: TrnParams, config: TrainConfig, videos, labels: np.ndarray, ambiguous
+        self, params: TrnParams, config: TrainConfig, videos, labels: np.ndarray, ambiguous,
+        workspace: md.Workspace,
     ):
         cfg = params.config
         hs, steps = cfg.hidden_size, cfg.decoder_steps
@@ -188,7 +200,8 @@ class WindowLoss:
         self.params, self.shape = params, (hs, t_len, steps, batch)
         self.raw = md.stack_block(cfg, videos, 0, t_len)
         zero = np.zeros((hs, batch))
-        self.run = run = md.window_forward(params, self.raw, zero, zero, trace=True)
+        self.run = run = md.window_forward(params, self.raw, zero, zero, workspace)
+        self.workspace, self.forward_id = workspace, workspace.forwards
         self.factored = False  # grads() turns the trace into its factors once
 
         # heads; the decoder keeps the (step, t, b) whose target t + step is in the window
@@ -209,7 +222,9 @@ class WindowLoss:
     def grads(self) -> dict[str, np.ndarray]:
         """The gradient of the loss for every parameter, keyed and ordered
         as ``TrnParams.named``."""
-        p, run = self.params.arrays(), self.run
+        if self.workspace.forwards != self.forward_id:
+            raise ValidationError("stale loss: its workspace has since run another window")
+        p, run, ws = self.params.arrays(), self.run, self.workspace
         hs, t_len, steps, batch = self.shape
         out: dict[str, np.ndarray] = {}
 
@@ -236,8 +251,8 @@ class WindowLoss:
                 _lstm_factors(block.reshape(-1, 6, hs, batch))
             self.factored = True
         fac = run.lstm.reshape(t_len, steps + 1, 6, hs, batch)
-        dz = np.empty((4 * hs, batch, t_len, steps + 1), order="F")
-        d_feat = np.empty((hs, batch, t_len, steps - 1), order="F")
+        dz = ws.take("dz", (4 * hs, batch, t_len, steps + 1), "F")
+        d_feat = ws.take("d_feat", (hs, batch, t_len, steps - 1), "F")
         dz_step, d = np.empty((4, hs, batch)), np.empty((hs, batch))
         dz_rows = dz_step.reshape(4 * hs, batch)
         r_dec, r_enc = np.empty((2 * hs, batch)), np.empty((2 * hs, batch))
@@ -434,6 +449,7 @@ def train(
         )
     params = TrnParams.init(model_config, rng)
     adam = AdamState.init(params)
+    workspace = md.Workspace()  # every step's forward and BPTT run in it
 
     # every annotation file either split needs is read, and checked, before the first step
     heldout = manifest.split("test") if train_config.eval_every else []
@@ -464,12 +480,9 @@ def train(
         for batch in batches:
             labels = np.stack([w.labels for w in batch], axis=1)
             ambiguous = np.stack([w.ambiguous for w in batch], axis=1)
-            loss = sequence_loss(params, train_config, [w.streams for w in batch], labels, ambiguous)
-            # bound, not a temporary: while the gradients live on into the
-            # next step, malloc keeps the heap that step's BPTT reuses rather
-            # than returning it to the OS and faulting it back in
-            grads = loss.grads()
-            adam_step(params, grads, adam, train_config)
+            loss = sequence_loss(params, train_config, [w.streams for w in batch], labels,
+                                 ambiguous, workspace)
+            adam_step(params, loss.grads(), adam, train_config)
             losses.append(loss.loss)
         mean_loss = float(np.mean(losses))
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -113,6 +114,20 @@ def test_log_level_env_silences_echo(monkeypatch, caplog):
     rc = run(["train"])
     assert rc == 1
     assert "learning_rate" not in caplog.text
+
+
+def test_unknown_log_level_exits_1_without_traceback(tmp_path):
+    env = {**os.environ, "TRN_LOG_LEVEL": "loud"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "trn.cli", "eval", "--dump", str(tmp_path / "x.trnd"),
+         "--gt", str(tmp_path / "gt.tsv"), "--classmap", str(tmp_path / "classes.tsv")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert "TRN_LOG_LEVEL" in line and "'loud'" in line
+    assert all(level in line for level in ("DEBUG", "INFO", "WARNING", "ERROR"))
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,24 @@ def test_class_map_validation(tmp_path):
         dio.read_class_map(str(bad))
 
 
+@pytest.mark.parametrize("text", [
+    "0\tBackground\n\n2\tjump\n3\trun\n",  # jump and run loaded as 1 and 2
+    "0\tBackground\n\n1\tjump\n",  # the indices agree, but the gap is not a row
+    "0\tBackground\n2\tjump\n",  # a skipped index
+], ids=["gap-hides-skipped-index", "gap", "skipped-index"])
+def test_class_map_index_is_the_row_count(tmp_path, text):
+    path = tmp_path / "classes.tsv"
+    path.write_text(text)
+    with pytest.raises(dio.FormatError, match="classes.tsv:2:"):
+        dio.read_class_map(str(path))
+
+
+def test_class_map_trailing_blank_lines_are_accepted(tmp_path):
+    path = tmp_path / "classes.tsv"
+    path.write_text("0\tBackground\n1\tjump\n\n\n")
+    assert dio.read_class_map(str(path)).names == ["Background", "jump"]
+
+
 def test_annotations_roundtrip(tmp_path):
     rows = {
         "vid_a": [dio.Interval("jump", 0.0, 1.5), dio.Interval("Ambiguous", 2.0, 2.5)],

@@ -349,6 +349,71 @@ def test_bptt_peak_memory_stays_within_its_blocks():
     assert peak <= budget, (peak, budget)
 
 
+def workspace_setup(hs=16, steps=3, seed=45):
+    cfg = tiny_model(hidden_size=hs, decoder_steps=steps, num_actions=3)
+    return TrnParams.init(cfg, np.random.default_rng(seed)), np.random.default_rng(seed + 1)
+
+
+def test_workspace_steps_are_bitwise_fresh_ones():
+    # consecutive steps, then a ragged window, then a smaller batch: each
+    # matches a loss on its own fresh workspace to the bit, though every
+    # buffer is poisoned in between and none is reallocated after the first
+    params, rng = workspace_setup()
+    tc = tiny_train()
+    ws = md.Workspace()
+    buffers = None
+    for t_len, batch in [(64, 3), (64, 3), (40, 3), (40, 2)]:
+        videos = random_windows(rng, params.config, t_len, batch)
+        labels = rng.integers(0, params.config.classes, size=(t_len, batch))
+        ambiguous = rng.random((t_len, batch)) < 0.1
+        loss = tr.sequence_loss(params, tc, videos, labels, ambiguous, ws)
+        got = loss.grads()
+        fresh = tr.sequence_loss(params, tc, videos, labels, ambiguous)
+        assert loss.loss == fresh.loss
+        for name, g in fresh.grads().items():
+            assert np.array_equal(got[name], g), (t_len, batch, name)
+        if buffers is None:
+            buffers = dict(ws.buffers)
+        assert ws.buffers.keys() == buffers.keys() == {"lstm", "dec_in", "enc_in", "dz", "d_feat"}
+        assert all(ws.buffers[k] is b for k, b in buffers.items())
+        for b in buffers.values():
+            b.fill(np.nan)
+
+
+def test_stale_loss_grads_raise():
+    params, rng = workspace_setup()
+    tc, ws = tiny_train(), md.Workspace()
+    windows = [random_windows(rng, params.config, 5, 2) for _ in range(2)]
+    labels = np.zeros((5, 2), int)
+    first = tr.sequence_loss(params, tc, windows[0], labels, workspace=ws)
+    first.grads()  # current: its workspace has run nothing since
+    second = tr.sequence_loss(params, tc, windows[1], labels, workspace=ws)
+    with pytest.raises(ValidationError, match="stale loss"):
+        first.grads()
+    want = tr.sequence_loss(params, tc, windows[1], labels).grads()
+    assert all(np.array_equal(g, want[k]) for k, g in second.grads().items())
+
+
+def test_warm_workspace_step_allocates_no_trace_or_dz():
+    # measured at this shape: about 3.4 blocks besides the gradients on a
+    # warm workspace; a fresh dz (4 blocks) or trace (6) crosses the budget
+    hs, t_len, batch, steps = 16, 12, 2, 3
+    params, rng = workspace_setup(hs, steps)
+    tc, ws = tiny_train(), md.Workspace()
+    windows = [random_windows(rng, params.config, t_len, batch) for _ in range(2)]
+    labels = rng.integers(0, params.config.classes, size=(t_len, batch))
+    tr.sequence_loss(params, tc, windows[0], labels, workspace=ws).grads()
+    tracemalloc.start()
+    try:
+        grads = tr.sequence_loss(params, tc, windows[1], labels, workspace=ws).grads()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    trace = 6 * hs * (steps + 1) * t_len * batch * 8
+    budget = trace + sum(g.nbytes for g in grads.values())
+    assert peak < budget, (peak, budget)
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 
