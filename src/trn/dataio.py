@@ -2,8 +2,9 @@
 
 Feature files are a small binary container (magic "TRNF"): header of four
 little-endian u32 fields (magic, version, chunk count T, dimension D)
-followed by T*D float32 values, row-major. Values are widened to float64
-on load; widening is lossless so write-then-read is bit-exact.
+followed by T*D float32 values, row-major. They load as float32, at their
+stored precision; the model widens each block it runs to float64, which
+is exact.
 
 Checkpoints ("TRNC") and prediction dumps ("TRND") share one indexed
 container: magic, u32 version and u64 index length, a sorted-key JSON
@@ -110,24 +111,30 @@ def read_feature_header(path: str) -> tuple[int, int]:
 
 
 def read_features(path: str) -> np.ndarray:
-    """Load a TRNF file as a float64 (T, D) array."""
+    """Load a TRNF file as a writable float32 (T, D) array, at its stored
+    precision; the kernel widens it to float64 block by block
+    (``model.stack_block``). The payload size is checked against the header
+    before anything is allocated, then read straight into the array."""
     with open(path, "rb") as f:
-        blob = f.read()
-    t, d = _feature_header(path, blob)
-    expected = t * d * 4
-    actual = len(blob) - HEADER.size
-    if actual < expected:
-        raise TruncatedFileError(
-            f"{path}: payload holds {actual} bytes, header declares {expected}"
-        )
-    if actual > expected:
-        raise TrailingDataError(
-            f"{path}: {actual - expected} bytes of trailing data after the payload"
-        )
-    values = np.frombuffer(blob, dtype="<f4", offset=HEADER.size).reshape(t, d)
-    if not np.all(np.isfinite(values)):
+        t, d = _feature_header(path, f.read(HEADER.size))
+        expected = t * d * 4
+        actual = os.fstat(f.fileno()).st_size - HEADER.size
+        if actual < expected:
+            raise TruncatedFileError(
+                f"{path}: payload holds {actual} bytes, header declares {expected}"
+            )
+        if actual > expected:
+            raise TrailingDataError(
+                f"{path}: {actual - expected} bytes of trailing data after the payload"
+            )
+        values = np.empty((t, d), dtype="<f4")
+        if f.readinto(values) != values.nbytes:
+            raise TruncatedFileError(f"{path}: payload ends early")
+    # min and max propagate NaN and reach any infinity, so both are finite
+    # only when every value is (and neither allocates a mask)
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise NonFiniteValueError(f"{path}: payload contains non-finite values")
-    return values.astype(np.float64)
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -174,10 +174,12 @@ def param_shapes(config: TrnConfig) -> dict[str, tuple[int, ...]]:
 class TrnParams:
     """The config plus one table of every learnable tensor, keyed and
     ordered by :func:`param_shapes`. Every layer reads a weight under the
-    name its gradient, Adam state and checkpoint entry use."""
+    name its gradient, Adam state and checkpoint entry use. ``updates``
+    counts the optimizer steps applied in place (``training.adam_step``)."""
 
     config: TrnConfig
     tensors: dict[str, Tensor]
+    updates: int = field(default=0, compare=False, repr=False)
 
     @staticmethod
     def init(config: TrnConfig, rng: np.random.Generator) -> "TrnParams":
@@ -236,7 +238,8 @@ class DetectionOutput:
 
 
 def _chunk_parts(config: TrnConfig, streams: ChunkStreams) -> list[np.ndarray]:
-    """The consumed streams of one chunk as float64 arrays, in fusion order;
+    """The consumed streams of one chunk as float64 arrays, in fusion order
+    (a float32 stream, as ``dio.read_features`` loads it, is widened here);
     a missing stream is a ValidationError, a wrong dim a DimensionError."""
     parts = []
     for name in config.streams:
@@ -295,7 +298,9 @@ def check_streams(config: TrnConfig, streams: dict) -> int:
 def stack_block(config: TrnConfig, videos: list[dict], t0: int, t1: int) -> np.ndarray:
     """Chunks t0..t1-1 of B checked stream dicts as the (D, (t1-t0)*B)
     float64 input of :func:`window_forward`: rows in fusion order,
-    columns t-major (column t*B + b), each column contiguous in memory."""
+    columns t-major (column t*B + b), each column contiguous in memory.
+    Streams may be float32, as ``dio.read_features`` loads them: this copy
+    is where a block of them is widened."""
     cols = np.empty((t1 - t0, len(videos), config.concat_dim()))
     at = 0
     for name in config.streams:
@@ -648,6 +653,11 @@ def forward_videos(params: TrnParams, videos: list[dict]) -> list[tuple[np.ndarr
     outputs may differ from single-video ones in the last bits (a wider
     GEMM may sum in another order).
 
+    The streams may be float32 (as ``dio.read_features`` loads them) or
+    float64: :func:`stack_block` widens one block at a time, so a float32
+    video and its float64 widening give the same bits. Only one block's
+    arrays are alive at a time, beside the outputs and the carried state.
+
     Returns (present (T_i, classes), anticipated (T_i, steps, classes)) per
     video, in input order.
     """
@@ -680,12 +690,14 @@ def _forward_blocks(params: TrnParams, videos: list[dict], lengths: list[int], b
             n -= 1
         t1 = min(t0 + block, lengths[n - 1])
         p, run = detect_block(params, stack_block(cfg, videos[:n], t0, t1), h[:, :n], c[:, :n])
-        h, c = run.h, run.c
-        cols = (t1 - t0) * n
-        p_enc = p[:, :cols].reshape(k, t1 - t0, n)
-        p_dec = p[:, cols:].reshape(k, steps, t1 - t0, n)
+        # the encoder head's columns (t, b), then the decoder head's (step, t, b)
+        p = p.reshape(k, 1 + steps, t1 - t0, n)
         for j in range(n):
-            present[j][t0:t1] = p_enc[:, :, j].T
-            anticipated[j][t0:t1] = p_dec[:, :, :, j].transpose(2, 1, 0)
+            present[j][t0:t1] = p[:, 0, :, j].T
+            anticipated[j][t0:t1] = p[:, 1:, :, j].transpose(2, 1, 0)
+        # run.h views the pass's operands: copied, it lets the block's
+        # arrays go before the next block allocates its own
+        h, c = run.h.copy(), run.c
+        del p, run
         t0 = t1
     return list(zip(present, anticipated))

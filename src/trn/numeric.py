@@ -97,11 +97,6 @@ class Tensor:
                 node._backward(node.grad)
 
 
-def parameter(data) -> Tensor:
-    """Leaf tensor that collects gradients."""
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
-
-
 def tensor(data) -> Tensor:
     """Leaf tensor treated as constant input."""
     return Tensor(data)
@@ -182,31 +177,6 @@ def linear(w: Tensor, b: Tensor, x: Tensor) -> Tensor:
             _accum(x, w.data.T @ g)
 
     return _result(y, (w, b, x), backward)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
-    y = a.data + b.data
-
-    def backward(g):
-        if _wants_grad(a):
-            _accum(a, g)
-        if _wants_grad(b):
-            _accum(b, g)
-
-    return _result(y, (a, b), backward)
-
-
-def scale(x: Tensor, s: float) -> Tensor:
-    s = float(s)
-    y = x.data * s
-
-    def backward(g):
-        if _wants_grad(x):
-            _accum(x, g * s)
-
-    return _result(y, (x,), backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -290,35 +260,9 @@ def softmax(z: Tensor) -> Tensor:
     return _result(y, (z,), backward)
 
 
+# the loss heads clamp the picked probability at this value before the
+# log; a column below it carries no gradient
 CE_CLAMP = 1e-12
-
-
-def cross_entropy(p: Tensor, label: int) -> Tensor:
-    """Negative log-likelihood -log p[label] of a probability vector.
-
-    The picked probability is clamped at 1e-12 before the log; below the
-    clamp the gradient is zero.
-    """
-    if p.data.ndim != 1:
-        raise DimensionError(
-            f"cross_entropy: expected a probability vector, got {p.data.shape}"
-        )
-    label = int(label)
-    k = p.data.shape[0]
-    if not 0 <= label < k:
-        raise ValidationError(f"cross_entropy: label {label} out of range [0, {k})")
-    picked = p.data[label]
-    clamped = max(picked, CE_CLAMP)
-    y = np.array([-math.log(clamped)])
-
-    def backward(g):
-        if _wants_grad(p):
-            gp = np.zeros_like(p.data)
-            if picked >= CE_CLAMP:
-                gp[label] = -g[0] / picked
-            _accum(p, gp)
-
-    return _result(y, (p,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,8 @@ class WindowLoss:
 
     The trace, the operands and the backward pass's dz and d_feat live in
     the workspace, so ``grads()`` holds only until the workspace serves
-    another forward; after that it raises ValidationError.
+    another forward; after that it raises ValidationError. It raises too
+    once ``adam_step`` has moved the weights its forward ran with.
     """
 
     def __init__(
@@ -202,6 +203,7 @@ class WindowLoss:
         zero = np.zeros((hs, batch))
         self.run = run = md.window_forward(params, self.raw, zero, zero, workspace)
         self.workspace, self.forward_id = workspace, workspace.forwards
+        self.updates = params.updates
         self.factored = False  # grads() turns the trace into its factors once
 
         # heads; the decoder keeps the (step, t, b) whose target t + step is in the window
@@ -224,6 +226,8 @@ class WindowLoss:
         as ``TrnParams.named``."""
         if self.workspace.forwards != self.forward_id:
             raise ValidationError("stale loss: its workspace has since run another window")
+        if self.params.updates != self.updates:
+            raise ValidationError("stale loss: its parameters have since been updated")
         p, run, ws = self.params.arrays(), self.run, self.workspace
         hs, t_len, steps, batch = self.shape
         out: dict[str, np.ndarray] = {}
@@ -340,6 +344,7 @@ def adam_step(
     if missing:
         raise ValidationError(f"no gradient for parameter {', '.join(missing)}")
     state.t += 1
+    params.updates += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
     # in place, in the textbook's operation order (so to the bit); two scratch rows serve all

@@ -4,8 +4,12 @@ Everything here is written for clarity over speed: explicit counting at
 every rank, quadratic scans, no shared code with the package. The one
 exception is the tape: the inference reference steps the package's tape
 cell (``chunk_step``) op by op, and tape losses get their analytic
-gradients from its backward sweep. No production path runs either.
+gradients from its backward sweep. No production path runs either. The
+tape ops only the tests use (``parameter``, ``add``, ``scale`` and
+``cross_entropy``) live here, on the package's graph nodes.
 """
+
+import math
 
 import numpy as np
 
@@ -62,6 +66,64 @@ def tape_forward(params, sequence, state0=None):
             anticipated.append([nm.softmax(z).data for z in dec_logits])
             features.append([f.data for f in dec_feats])
     return np.array(present), np.array(anticipated), np.array(features), (h.data, c.data)
+
+
+# tape ops only the tests build graphs with: a scalar loss from the
+# package's tape ops, and parameter leaves
+
+
+def parameter(data):
+    """Leaf tensor that collects gradients."""
+    return nm.Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+
+
+def add(a, b):
+    if a.data.shape != b.data.shape:
+        raise nm.DimensionError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
+
+    def backward(g):
+        if nm._wants_grad(a):
+            nm._accum(a, g)
+        if nm._wants_grad(b):
+            nm._accum(b, g)
+
+    return nm._result(a.data + b.data, (a, b), backward)
+
+
+def scale(x, s):
+    s = float(s)
+
+    def backward(g):
+        if nm._wants_grad(x):
+            nm._accum(x, g * s)
+
+    return nm._result(x.data * s, (x,), backward)
+
+
+def cross_entropy(p, label):
+    """Negative log-likelihood -log p[label] of a probability vector.
+
+    The picked probability is clamped at ``nm.CE_CLAMP`` before the log;
+    below the clamp the gradient is zero.
+    """
+    if p.data.ndim != 1:
+        raise nm.DimensionError(
+            f"cross_entropy: expected a probability vector, got {p.data.shape}"
+        )
+    label = int(label)
+    k = p.data.shape[0]
+    if not 0 <= label < k:
+        raise nm.ValidationError(f"cross_entropy: label {label} out of range [0, {k})")
+    picked = p.data[label]
+
+    def backward(g):
+        if nm._wants_grad(p):
+            gp = np.zeros_like(p.data)
+            if picked >= nm.CE_CLAMP:
+                gp[label] = -g[0] / picked
+            nm._accum(p, gp)
+
+    return nm._result(np.array([-math.log(max(picked, nm.CE_CLAMP))]), (p,), backward)
 
 
 def adam_oracle(w, g, m, v, t, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):

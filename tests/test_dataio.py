@@ -4,6 +4,7 @@ import logging
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ def test_feature_roundtrip_bit_exact(tmp_path):
     path = tmp_path / "a.trnf"
     data = write_valid(path, t=5, d=7)
     back = dio.read_features(str(path))
-    assert back.dtype == np.float64
+    assert back.dtype == np.float32 and back.flags.writeable
     assert np.array_equal(back, data)
 
 
@@ -98,6 +99,24 @@ def test_read_rejects_header_claiming_more_than_payload(tmp_path):
         dio.read_features(str(path))
 
 
+def test_header_claiming_more_rows_allocates_nothing_large(tmp_path):
+    # the size check comes before any buffer: a header claiming a 1 GB
+    # payload over 64 KB of data raises with less than the file in memory
+    path = tmp_path / "x.trnf"
+    write_valid(path, t=64, d=256)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 8, 1_000_000)  # T
+    path.write_bytes(bytes(blob))
+    tracemalloc.start()
+    try:
+        with pytest.raises(dio.TruncatedFileError, match="header declares 1024000000"):
+            dio.read_features(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(blob), (peak, len(blob))
+
+
 def test_read_rejects_trailing_data(tmp_path):
     path = tmp_path / "x.trnf"
     write_valid(path)
@@ -124,6 +143,19 @@ def test_read_rejects_nonfinite_payload(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(dio.NonFiniteValueError):
         dio.read_features(str(path))
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf, np.inf])
+def test_read_rejects_each_nonfinite_value_anywhere(tmp_path, value):
+    path = tmp_path / "x.trnf"
+    write_valid(path, t=3, d=5)
+    for at in (0, 7, 14):
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, 16 + 4 * at, value)
+        bad = tmp_path / f"bad{at}.trnf"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(dio.NonFiniteValueError, match="non-finite"):
+            dio.read_features(str(bad))
 
 
 def test_error_taxonomy_is_format_error():

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import tape_chunks, tape_forward, tape_grad_check
+from oracles import add, cross_entropy, tape_chunks, tape_forward, tape_grad_check
 from trn import model as md
 from trn import numeric as nm
 from trn.model import ChunkStreams, FusionVariant, TrnConfig, TrnParams, TrnState
+from trn.streaming import OnlineDetector
 
 
 def tiny_config(variant=FusionVariant.TWO_STREAM, **kw):
@@ -480,9 +482,9 @@ def test_gradient_flows_through_whole_cell():
 
     def loss():
         enc, dec, _, _ = md.forward_sequence_logits(params, seq)
-        total = nm.cross_entropy(nm.softmax(enc[0]), 1)
-        total = nm.add(total, nm.cross_entropy(nm.softmax(enc[1]), 0))
-        total = nm.add(total, nm.cross_entropy(nm.softmax(dec[0][1]), 2))
+        total = cross_entropy(nm.softmax(enc[0]), 1)
+        total = add(total, cross_entropy(nm.softmax(enc[1]), 0))
+        total = add(total, cross_entropy(nm.softmax(dec[0][1]), 2))
         return total
 
     err = tape_grad_check(loss, list(params.named().values()), h=1e-5)
@@ -619,3 +621,59 @@ def test_forward_videos_rejects_bad_input():
     videos[1]["motion"][1, 0] = np.nan
     with pytest.raises(nm.ValidationError, match="motion stream holds a non-finite"):
         md.forward_videos(params, videos)
+
+
+def as_float32(video):
+    """The video at feature-file precision, and that cast widened back."""
+    narrow = {n: a.astype(np.float32) for n, a in video.items()}
+    return narrow, {n: a.astype(np.float64) for n, a in narrow.items()}
+
+
+@pytest.mark.parametrize("variant", list(FusionVariant))
+def test_float32_streams_run_bitwise_as_their_float64_widening(variant):
+    # feature files load as float32 and the kernel widens each block, so a
+    # float32 video gives the bits of the same values held as float64:
+    # ragged multi-video blocks, one-video groups and streaming pushes
+    cfg = tiny_config(variant, decoder_steps=3, num_actions=4)
+    params = TrnParams.init(cfg, np.random.default_rng(40))
+    rng = np.random.default_rng(41)
+    pairs = [as_float32(random_video(rng, cfg, t)) for t in (20, 3, 17)]
+    for group in (pairs, pairs[:1]):
+        narrow = md.forward_videos(params, [v32 for v32, _ in group])
+        wide = md.forward_videos(params, [v64 for _, v64 in group])
+        for (p32, a32), (p64, a64) in zip(narrow, wide):
+            assert np.array_equal(p32, p64) and np.array_equal(a32, a64)
+    v32, v64 = pairs[1]
+    dets = OnlineDetector(params), OnlineDetector(params)
+    for t in range(3):
+        outs = [det.push_chunk(ChunkStreams(**{n: v[n][t] for n in cfg.streams}))
+                for det, v in zip(dets, (v32, v64))]
+        assert np.array_equal(outs[0].present, outs[1].present)
+        assert all(np.array_equal(x, y) for x, y in zip(outs[0].anticipated, outs[1].anticipated))
+    assert np.array_equal(dets[0].state.h, dets[1].state.h)
+    assert np.array_equal(dets[0].state.c, dets[1].state.c)
+
+
+def test_forward_videos_holds_one_block_at_a_time():
+    # four ragged videos whose first two blocks are both full (4 columns by
+    # 16 chunks): the peak stays within the outputs plus one block's own
+    # peak, so a block's pass and distributions are gone before the next
+    # block runs (kept alive, they add about 40% of a block)
+    cfg = tiny_config(appearance_dim=16, motion_dim=16, hidden_size=32, decoder_steps=3)
+    params = TrnParams.init(cfg, np.random.default_rng(42))
+    rng = np.random.default_rng(43)
+    videos = [as_float32(random_video(rng, cfg, t))[0] for t in (50, 40, 36, 33)]
+    zero = np.zeros((cfg.hidden_size, 4))
+    md.forward_videos(params, videos)  # leave numpy's first-call allocations out
+    tracemalloc.start()
+    try:
+        md.detect_block(params, md.stack_block(cfg, videos, 0, md.BLOCK_CHUNKS), zero, zero)
+        _, block = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        results = md.forward_videos(params, videos)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    outputs = sum(p.nbytes + a.nbytes for p, a in results)
+    assert peak <= outputs + block * 1.1, (peak, outputs, block)

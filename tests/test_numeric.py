@@ -3,36 +3,36 @@ import math
 import numpy as np
 import pytest
 
-from oracles import tape_grad_check, tape_grads
+from oracles import add, cross_entropy, parameter, scale, tape_grad_check, tape_grads
 from trn import model as md
 from trn import numeric as nm
 from trn import training as tr
 
 
 def test_linear_identity():
-    w = nm.parameter(np.eye(2))
-    b = nm.parameter(np.zeros(2))
+    w = parameter(np.eye(2))
+    b = parameter(np.zeros(2))
     x = nm.tensor([3.0, -1.0])
     assert np.array_equal(nm.linear(w, b, x).data, [3.0, -1.0])
 
 
 def test_linear_zero_weights():
-    w = nm.parameter(np.zeros((2, 3)))
-    b = nm.parameter([5.0, 5.0])
+    w = parameter(np.zeros((2, 3)))
+    b = parameter([5.0, 5.0])
     x = nm.tensor([7.0, -2.0, 0.5])
     assert np.array_equal(nm.linear(w, b, x).data, [5.0, 5.0])
 
 
 def test_linear_hand_arithmetic():
-    w = nm.parameter([[1.0, 2.0], [3.0, 4.0]])
-    b = nm.parameter([1.0, 0.0])
+    w = parameter([[1.0, 2.0], [3.0, 4.0]])
+    b = parameter([1.0, 0.0])
     x = nm.tensor([1.0, 1.0])
     assert np.allclose(nm.linear(w, b, x).data, [4.0, 7.0], atol=0)
 
 
 def test_linear_dimension_mismatch_reports_both_shapes():
-    w = nm.parameter(np.zeros((2, 3)))
-    b = nm.parameter(np.zeros(2))
+    w = parameter(np.zeros((2, 3)))
+    b = parameter(np.zeros(2))
     x = nm.tensor(np.zeros(4))
     with pytest.raises(nm.DimensionError) as exc:
         nm.linear(w, b, x)
@@ -41,9 +41,9 @@ def test_linear_dimension_mismatch_reports_both_shapes():
 
 def test_linear_additive_in_x():
     rng = np.random.default_rng(0)
-    w = nm.parameter(rng.normal(size=(4, 6)))
-    b = nm.parameter(rng.normal(size=4))
-    zero = nm.parameter(np.zeros(4))
+    w = parameter(rng.normal(size=(4, 6)))
+    b = parameter(rng.normal(size=4))
+    zero = parameter(np.zeros(4))
     x1 = rng.normal(size=6)
     x2 = rng.normal(size=6)
     lhs = nm.linear(w, b, nm.tensor(x1 + x2)).data
@@ -53,8 +53,8 @@ def test_linear_additive_in_x():
 
 def test_linear_batch_matches_columns():
     rng = np.random.default_rng(1)
-    w = nm.parameter(rng.normal(size=(3, 5)))
-    b = nm.parameter(rng.normal(size=3))
+    w = parameter(rng.normal(size=(3, 5)))
+    b = parameter(rng.normal(size=3))
     xb = rng.normal(size=(5, 4))
     out = nm.linear(w, b, nm.tensor(xb)).data
     for j in range(4):
@@ -90,12 +90,12 @@ def lstm_params(din, hs, rng=None):
     """(w, b) of a cell: zero, or with ``rng`` weights uniform in
     +-1/sqrt(din + hs) and the forget-gate biases at 1."""
     if rng is None:
-        return nm.parameter(np.zeros((4 * hs, din + hs))), nm.parameter(np.zeros(4 * hs))
+        return parameter(np.zeros((4 * hs, din + hs))), parameter(np.zeros(4 * hs))
     bound = 1.0 / math.sqrt(din + hs)
     w = rng.uniform(-bound, bound, size=(4 * hs, din + hs))
     b = np.zeros(4 * hs)
     b[hs : 2 * hs] = 1.0
-    return nm.parameter(w), nm.parameter(b)
+    return parameter(w), parameter(b)
 
 
 def test_lstm_step_zero_everything():
@@ -122,7 +122,7 @@ def test_lstm_step_matches_scalar_reference():
         h0 = rng.normal(size=hs)
         c0 = rng.normal(size=hs)
         h, c = nm.lstm_step(
-            nm.parameter(w), nm.parameter(b), nm.tensor(x), nm.tensor(h0), nm.tensor(c0)
+            parameter(w), parameter(b), nm.tensor(x), nm.tensor(h0), nm.tensor(c0)
         )
         h_ref, c_ref = _scalar_lstm_reference(w, b, x, h0, c0)
         assert np.max(np.abs(h.data - h_ref)) < 1e-12
@@ -211,26 +211,26 @@ def test_softmax_sums_and_shift_invariance():
 
 def test_cross_entropy_one_hot_is_zero():
     p = nm.tensor([0.0, 1.0, 0.0])
-    assert nm.cross_entropy(p, 1).item() == 0.0
+    assert cross_entropy(p, 1).item() == 0.0
 
 
 def test_cross_entropy_uniform_four():
     p = nm.tensor([0.25] * 4)
     for label in range(4):
-        assert abs(nm.cross_entropy(p, label).item() - math.log(4)) < 1e-12
+        assert abs(cross_entropy(p, label).item() - math.log(4)) < 1e-12
 
 
 def test_cross_entropy_hand_arithmetic():
-    loss = nm.cross_entropy(nm.tensor([0.25, 0.75]), 1).item()
+    loss = cross_entropy(nm.tensor([0.25, 0.75]), 1).item()
     assert abs(loss - 0.2876820724517809) < 1e-12
 
 
 def test_cross_entropy_label_out_of_range():
     p = nm.tensor([0.5, 0.5])
     with pytest.raises(nm.ValidationError):
-        nm.cross_entropy(p, 2)
+        cross_entropy(p, 2)
     with pytest.raises(nm.ValidationError):
-        nm.cross_entropy(p, -1)
+        cross_entropy(p, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +240,10 @@ def test_cross_entropy_label_out_of_range():
 def test_backward_known_analytic_gradient():
     # loss = -log softmax(Wx + b)[label]; gradient wrt preactivation is
     # (p - onehot), so with W = I, b = 0 the x gradient equals p - onehot.
-    w = nm.parameter(np.eye(3))
-    b = nm.parameter(np.zeros(3))
-    x = nm.parameter([0.2, -0.4, 1.1])
-    loss = nm.cross_entropy(nm.softmax(nm.linear(w, b, x)), 2)
+    w = parameter(np.eye(3))
+    b = parameter(np.zeros(3))
+    x = parameter([0.2, -0.4, 1.1])
+    loss = cross_entropy(nm.softmax(nm.linear(w, b, x)), 2)
     loss.backward()
     p = np.exp(x.data) / np.exp(x.data).sum()
     expected = p.copy()
@@ -260,26 +260,26 @@ def test_per_op_gradients_match_finite_differences():
 
     for _ in range(6):
         m, n = rng.integers(2, 6), rng.integers(2, 6)
-        w = nm.parameter(rng.normal(size=(m, n)))
-        b = nm.parameter(rng.normal(size=m))
-        x = nm.parameter(rng.normal(size=n))
+        w = parameter(rng.normal(size=(m, n)))
+        b = parameter(rng.normal(size=m))
+        x = parameter(rng.normal(size=n))
         labels = int(rng.integers(0, m))
 
-        check(lambda: nm.cross_entropy(nm.softmax(nm.linear(w, b, x)), labels), [w, b, x])
-        check(lambda: nm.cross_entropy(nm.softmax(nm.relu(nm.linear(w, b, x))), labels), [w, b, x])
+        check(lambda: cross_entropy(nm.softmax(nm.linear(w, b, x)), labels), [w, b, x])
+        check(lambda: cross_entropy(nm.softmax(nm.relu(nm.linear(w, b, x))), labels), [w, b, x])
 
     # concat + mean_stack + add + scale through a scalar head
-    a = nm.parameter(rng.normal(size=3))
-    c = nm.parameter(rng.normal(size=2))
-    w2 = nm.parameter(rng.normal(size=(3, 5)))
-    b2 = nm.parameter(rng.normal(size=3))
+    a = parameter(rng.normal(size=3))
+    c = parameter(rng.normal(size=2))
+    w2 = parameter(rng.normal(size=(3, 5)))
+    b2 = parameter(rng.normal(size=3))
 
     def composite():
         joined = nm.concat([a, c])
         lifted = nm.linear(w2, b2, joined)
-        avg = nm.mean_stack([lifted, nm.relu(lifted), nm.scale(lifted, -0.5)])
+        avg = nm.mean_stack([lifted, nm.relu(lifted), scale(lifted, -0.5)])
         p = nm.softmax(avg)
-        return nm.add(nm.scale(nm.cross_entropy(p, 0), 0.25), nm.cross_entropy(p, 2))
+        return add(scale(cross_entropy(p, 0), 0.25), cross_entropy(p, 2))
 
     check(composite, [a, c, w2, b2])
 
@@ -287,20 +287,20 @@ def test_per_op_gradients_match_finite_differences():
 def test_lstm_step_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
     din, hs = 3, 4
-    w = nm.parameter(rng.normal(size=(4 * hs, din + hs)))
-    b = nm.parameter(rng.normal(size=4 * hs))
-    x = nm.parameter(rng.normal(size=din))
-    h0 = nm.parameter(rng.normal(size=hs))
-    c0 = nm.parameter(rng.normal(size=hs))
-    wcls = nm.parameter(rng.normal(size=(3, hs)))
-    bcls = nm.parameter(rng.normal(size=3))
+    w = parameter(rng.normal(size=(4 * hs, din + hs)))
+    b = parameter(rng.normal(size=4 * hs))
+    x = parameter(rng.normal(size=din))
+    h0 = parameter(rng.normal(size=hs))
+    c0 = parameter(rng.normal(size=hs))
+    wcls = parameter(rng.normal(size=(3, hs)))
+    bcls = parameter(rng.normal(size=3))
 
     def loss():
         # route both h and c into the scalar so both outputs get checked
         h, c = nm.lstm_step(w, b, x, h0, c0)
-        ph = nm.cross_entropy(nm.softmax(nm.linear(wcls, bcls, h)), 1)
-        pc = nm.cross_entropy(nm.softmax(nm.linear(wcls, bcls, c)), 2)
-        return nm.add(ph, pc)
+        ph = cross_entropy(nm.softmax(nm.linear(wcls, bcls, h)), 1)
+        pc = cross_entropy(nm.softmax(nm.linear(wcls, bcls, c)), 2)
+        return add(ph, pc)
 
     err = tape_grad_check(loss, [w, b, x, h0, c0, wcls, bcls], h=1e-5)
     assert err < 1e-4
@@ -308,12 +308,12 @@ def test_lstm_step_gradient_matches_finite_differences():
 
 def test_grad_check_flags_corrupted_gradient():
     rng = np.random.default_rng(5)
-    w = nm.parameter(rng.normal(size=(3, 3)))
-    b = nm.parameter(rng.normal(size=3))
-    x = nm.parameter(rng.normal(size=3))
+    w = parameter(rng.normal(size=(3, 3)))
+    b = parameter(rng.normal(size=3))
+    x = parameter(rng.normal(size=3))
 
     def loss():
-        return nm.cross_entropy(nm.softmax(nm.linear(w, b, x)), 0)
+        return cross_entropy(nm.softmax(nm.linear(w, b, x)), 0)
 
     _, grads = tape_grads(loss, [w, b, x])
     arrays = [w.data, b.data, x.data]
@@ -332,26 +332,26 @@ def test_bptt_gradients_accumulate_across_steps():
     # two steps reusing the same cell: parameter grads must be the sum of
     # per-step contributions, which finite differences verify implicitly
     rng = np.random.default_rng(9)
-    w = nm.parameter(rng.normal(size=(8, 4)))
-    b = nm.parameter(rng.normal(size=8))
-    xs = [nm.parameter(rng.normal(size=2)) for _ in range(3)]
-    wcls = nm.parameter(rng.normal(size=(2, 2)))
-    bcls = nm.parameter(rng.normal(size=2))
+    w = parameter(rng.normal(size=(8, 4)))
+    b = parameter(rng.normal(size=8))
+    xs = [parameter(rng.normal(size=2)) for _ in range(3)]
+    wcls = parameter(rng.normal(size=(2, 2)))
+    bcls = parameter(rng.normal(size=2))
 
     def loss():
         h = nm.tensor(np.zeros(2))
         c = nm.tensor(np.zeros(2))
         for x in xs:
             h, c = nm.lstm_step(w, b, x, h, c)
-        return nm.cross_entropy(nm.softmax(nm.linear(wcls, bcls, h)), 1)
+        return cross_entropy(nm.softmax(nm.linear(wcls, bcls, h)), 1)
 
     err = tape_grad_check(loss, [w, b, wcls, bcls] + xs)
     assert err < 1e-4
 
 
 def test_no_grad_blocks_graph():
-    w = nm.parameter(np.eye(2))
-    b = nm.parameter(np.zeros(2))
+    w = parameter(np.eye(2))
+    b = parameter(np.zeros(2))
     with nm.no_grad():
         y = nm.linear(w, b, nm.tensor([1.0, 2.0]))
     assert y._backward is None and not y.requires_grad

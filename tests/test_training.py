@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import adam_oracle, tape_chunks, tape_forward, tape_grads
+from oracles import adam_oracle, add, cross_entropy, scale, tape_chunks, tape_forward, tape_grads
 from trn import cli
 from trn import dataio as dio
 from trn import evaluate as ev
@@ -201,16 +201,16 @@ def tape_loss(params, tc, videos, labels, ambiguous=None):
             for j in range(batch):
                 if skip[j]:
                     continue
-                ce = nm.cross_entropy(column(p, j), row[j])
-                total = ce if total is None else nm.add(total, ce)
+                ce = cross_entropy(column(p, j), row[j])
+                total = ce if total is None else add(total, ce)
                 count += 1
-        return None if total is None else nm.scale(total, weight / count)
+        return None if total is None else scale(total, weight / count)
 
     loss = mean(tc.lambda_enc, zip(enc, labels, ignored))
     pairs = tr.decoder_target_pairs(t_len, params.config.decoder_steps)
     dec_mean = mean(tc.lambda_dec, ((dec[t][i - 1], labels[t + i], ignored[t + i]) for t, i in pairs))
     if dec_mean is not None:
-        loss = dec_mean if loss is None else nm.add(loss, dec_mean)
+        loss = dec_mean if loss is None else add(loss, dec_mean)
     return loss
 
 
@@ -392,6 +392,43 @@ def test_stale_loss_grads_raise():
         first.grads()
     want = tr.sequence_loss(params, tc, windows[1], labels).grads()
     assert all(np.array_equal(g, want[k]) for k, g in second.grads().items())
+
+
+def test_loss_grads_raise_once_adam_has_moved_its_weights():
+    # the trace holds the forward's activations, not its weights: a
+    # grads() after adam_step would mix the old trace with the new weights
+    params, rng = workspace_setup(hs=4)
+    tc = tiny_train()
+    videos = random_windows(rng, params.config, 6, 2)
+    labels = rng.integers(0, params.config.classes, size=(6, 2))
+    loss = tr.sequence_loss(params, tc, videos, labels)
+    first = loss.grads()
+    assert all(np.array_equal(g, first[k]) for k, g in loss.grads().items())  # no step between
+    tr.adam_step(params, first, tr.AdamState.init(params), tc)
+    with pytest.raises(ValidationError, match="stale loss: its parameters have since been updated"):
+        loss.grads()
+    fresh = tr.sequence_loss(params, tc, videos, labels)
+    assert list(fresh.grads()) == list(first)
+
+
+def test_float32_windows_give_the_loss_and_grads_of_their_widening():
+    # stack_block widens the window's streams, so the loss and every
+    # gradient (fusion.w reads the stacked input) match to the bit
+    dims = {"appearance": 3, "motion": 2, "pose": 5}
+    for variant in FusionVariant:
+        cfg = TrnConfig.for_streams(variant, dims, hidden_size=6, decoder_steps=3, num_actions=2)
+        params = TrnParams.init(cfg, np.random.default_rng(46))
+        rng = np.random.default_rng(47)
+        narrow = [{n: a.astype(np.float32) for n, a in v.items()}
+                  for v in random_windows(rng, cfg, 7, 2)]
+        wide = [{n: a.astype(np.float64) for n, a in v.items()} for v in narrow]
+        labels = rng.integers(0, cfg.classes, size=(7, 2))
+        ambiguous = rng.random((7, 2)) < 0.2
+        got = tr.sequence_loss(params, tiny_train(), narrow, labels, ambiguous)
+        want = tr.sequence_loss(params, tiny_train(), wide, labels, ambiguous)
+        assert got.loss == want.loss
+        for name, g in want.grads().items():
+            assert np.array_equal(got.grads()[name], g), (variant, name)
 
 
 def test_warm_workspace_step_allocates_no_trace_or_dz():
