@@ -433,8 +433,10 @@ class WindowPass:
     enc_in: np.ndarray  # (2H, B, T + 1): the encoder's (ctx; h_prev), then the final h
     h: np.ndarray  # state after the last chunk, (H, B)
     c: np.ndarray
-    # (T, steps + 1, 6H, B) when traced: per step its gates [i, f, g, o],
-    # tanh(c) and c_prev, the encoder's step last
+    # (6H, B, T, steps + 1), Fortran order, when traced: per step its gates
+    # [i, f, g, o], tanh(c) and c_prev as one column-major (6H, B) block,
+    # the encoder's step last. Row slices of it are :func:`cols` operands,
+    # so BPTT writes each step's gradients into the block it consumed
     lstm: np.ndarray | None
 
 
@@ -447,12 +449,14 @@ def cols(a: np.ndarray) -> np.ndarray:
 class Workspace:
     """The large per-window arrays of training, reused from window to window.
 
-    Each role (the trace "lstm", the operands "dec_in" and "enc_in", and
-    BPTT's "dz" and "d_feat") is one flat float64 buffer that grows to the
-    largest request it has served; :meth:`take` views its head in the shape
-    and order asked for, so a shorter window or a smaller batch allocates
-    nothing. ``forwards`` counts the traced forwards served: a view taken
-    before the latest one holds another window's values.
+    Each role (the trace "lstm" and the operands "dec_in" and "enc_in") is
+    one flat float64 buffer that grows to the largest request it has
+    served; :meth:`take` views its head in the shape and order asked for,
+    so a shorter window or a smaller batch allocates nothing. BPTT needs
+    no buffer of its own: it writes each step's gradients into the trace
+    block it has just read. ``forwards`` counts the traced forwards
+    served: a view taken before the latest one holds another window's
+    values.
     """
 
     def __init__(self):
@@ -495,7 +499,7 @@ def window_forward(
     """
     cfg, p = params.config, params.arrays()
     hs, steps = cfg.hidden_size, cfg.decoder_steps
-    wd, we = p["decoder.lstm.w"], p["encoder.lstm.w"]
+    wd, we, wf = p["decoder.lstm.w"], p["encoder.lstm.w"], p["decoder.feat.w"]
     w_dh, w_rec = wd[:, hs:], we[:, hs:]  # decoder h, encoder (ctx; h) columns
     bd, bf = p["decoder.lstm.b"][:, None], p["decoder.feat.b"][:, None]
     batch = h.shape[1]
@@ -515,37 +519,50 @@ def window_forward(
     x_dec = (wd[:, :hs] @ x + bd).reshape(4 * hs, t_len, batch)
     x_enc = (we[:, :hs] @ x + p["encoder.lstm.b"][:, None]).reshape(4 * hs, t_len, batch)
 
-    # each step runs on contiguous (rows, B) operands, then leaves a copy in
-    # dec_in or enc_in; untraced, every chunk reuses the one lstm slot
-    lstm = _buffer(workspace, "lstm", (t_len if trace else 1, steps + 1, 6 * hs, batch))
-    z, c_last = np.empty((4 * hs, batch)), np.empty((hs, batch))  # c_last feeds nothing
-    s, e = np.empty((2 * hs, batch)), np.empty((2 * hs, batch))  # (input; h), (ctx; h)
-    e[hs:], c = h, np.array(c)  # the encoder's state, updated in place
+    # a chunk's steps run on contiguous (rows, B) blocks, reused by every
+    # chunk; traced, each chunk's trace then goes to its column-major block
+    col = np.empty((steps + 1, 6 * hs, batch))  # per step: gates, tanh(c), c_prev
+    # decoder step k's (feature; h) out, step k + 1's operand; the last step's
+    # feature rows stay 0, since its feature feeds nothing
+    ops = np.zeros((steps, 2 * hs, batch))
+    lstm = _buffer(workspace, "lstm", (6 * hs, batch, t_len, steps + 1), "F") if trace else None
+    c_last = np.empty((hs, batch))  # the last decoder step's c feeds nothing
+    per_step = [  # its gates, c_prev, c out, tanh(c), h out and feature out
+        (col[k, : 4 * hs], col[k, 5 * hs :], col[k + 1, 5 * hs :] if k + 1 < steps else c_last,
+         col[k, 4 * hs : 5 * hs], ops[k, hs:], ops[k, :hs])
+        for k in range(steps)
+    ]
+    z, e = np.empty((4 * hs, batch)), np.empty((2 * hs, batch))  # e: the encoder's (ctx; h)
+    e_ctx, e_h = e[:hs], e[hs:]
+    e_h[...], c = h, np.array(c)  # the encoder's state, updated in place
+    enc_gates, enc_cp, enc_tc = col[steps, : 4 * hs], col[steps, 5 * hs :], col[steps, 4 * hs : 5 * hs]
     for t in range(t_len):
-        col = lstm[t if trace else 0]
-        dec_in[hs:, :, t, 0] = e[hs:]
-        col[0, 5 * hs :] = col[steps, 5 * hs :] = c
-        np.matmul(w_dh, e[hs:], z)
+        dec_in[hs:, :, t, 0] = e_h
+        col[0, 5 * hs :] = enc_cp[...] = c
+        np.matmul(w_dh, e_h, z)
         z += x_dec[:, t]
-        for k in range(steps):
+        for k, (gates, c_prev, c_out, tanh_c, h_out, feat) in enumerate(per_step):
             if k:
-                np.matmul(wd, s, z)
+                np.matmul(wd, ops[k - 1], z)
                 z += bd
-            step = col[k]
-            c_out = col[k + 1, 5 * hs :] if k + 1 < steps else c_last
-            nm.lstm_forward(z, step[5 * hs :], hs, step[: 4 * hs], c_out, step[4 * hs : 5 * hs], s[hs:])
-            if k + 1 < steps:
-                np.maximum(p["decoder.feat.w"] @ s[hs:] + bf, 0.0, out=s[:hs])
-            dec_in[:, :, t, k + 1] = s
-        np.mean(dec_in[hs:, :, t, 1:], axis=2, out=e[:hs])
+            nm.lstm_forward(z, c_prev, hs, gates, c_out, tanh_c, h_out)
+            if k + 1 < steps:  # the feature head; the last step's feeds nothing
+                np.matmul(wf, h_out, feat)
+                feat += bf
+                np.maximum(feat, 0.0, out=feat)
+        dec_in[:, :, t, 1:].transpose(2, 0, 1)[...] = ops
+        # the future context: the mean of the decoder hiddens, as np.mean sums it
+        np.add.reduce(ops[:, hs:], axis=0, out=e_ctx)
+        np.true_divide(e_ctx, steps, e_ctx)
         enc_in[:, :, t] = e
         np.matmul(w_rec, e, z)
         z += x_enc[:, t]
-        step = col[steps]
-        nm.lstm_forward(z, step[5 * hs :], hs, step[: 4 * hs], c, step[4 * hs : 5 * hs], e[hs:])
-    enc_in[hs:, :, t_len] = e[hs:]
+        nm.lstm_forward(z, enc_cp, hs, enc_gates, c, enc_tc, e_h)
+        if trace:
+            lstm[:, :, t].transpose(2, 0, 1)[...] = col
+    enc_in[hs:, :, t_len] = e_h
     return WindowPass(fused, x, cols(dec_in[hs:, :, :, 1:]), cols(enc_in[hs:, :, 1:]), dec_in,
-                      enc_in, enc_in[hs:, :, t_len], c, lstm if trace else None)
+                      enc_in, enc_in[hs:, :, t_len], c, lstm)
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,11 @@ runs as one GEMM over all chunks of the window, and so does each
 classifier. The tests pin it to the tape's op-by-op ``model.chunk_step``.
 The gradient is a hand-derived backpropagation through time that runs
 only when the loss's ``grads()`` is called, and writes each step's
-gradient where the weight GEMMs read it. A training step is plain numpy
-from feature arrays to Adam, which updates in place. One ``train`` call
-runs every window in one ``model.Workspace``, so the trace, the stacked
-operands and BPTT's arrays are allocated once, not once per step.
+gradient into the trace block it has just read, where the weight GEMMs
+read it. A training step is plain numpy from feature arrays to Adam,
+which updates in place. One ``train`` call runs every window in one
+``model.Workspace``, so the trace and the stacked operands are allocated
+once, not once per step.
 
 Batching packs same-length windows as columns of one matrix; per-sequence
 results are identical to running each window alone (up to float
@@ -132,10 +133,10 @@ def sequence_loss(
 
 
 def _lstm_factors(lstm: np.ndarray) -> None:
-    """Turn a (., 6, H, B) trace of gates [i, f, g, o], tanh(c) and c_prev in
-    place into the factors g i (1-i), c_prev f (1-f), i (1-g^2),
+    """Turn (6H, N) trace columns of gates [i, f, g, o], tanh(c) and c_prev
+    in place into the factors g i (1-i), c_prev f (1-f), i (1-g^2),
     tanh(c) o (1-o), o (1-tanh(c)^2) and f that :func:`_lstm_backward` reads."""
-    i, f, g, o, tc, cp = (lstm[:, n] for n in range(6))
+    i, f, g, o, tc, cp = np.split(lstm, 6)
     u, v = np.empty_like(i), np.empty_like(i)
     np.multiply(np.subtract(1.0, np.multiply(g, g, out=u), out=u), i, out=u)
     i *= np.subtract(1.0, i, out=v)
@@ -152,11 +153,71 @@ def _lstm_factors(lstm: np.ndarray) -> None:
 
 def _lstm_backward(fac: np.ndarray, dh: np.ndarray, dc, dz: np.ndarray) -> np.ndarray:
     """Write d(loss)/dz into the (4, H, B) ``dz`` from the step's (6, H, B)
-    :func:`_lstm_factors` and the gradients reaching h and c; returns d c_prev."""
+    :func:`_lstm_factors` and the gradients reaching h and c; returns d c_prev.
+    ``dz`` may be ``fac[:4]`` itself: each factor row is read before its
+    dz row is written, and rows 4 and 5 are never written."""
     dc = dc + dh * fac[4]
     np.multiply(fac[:3], dc, dz[:3])
     np.multiply(fac[3], dh, dz[3])
     return dc * fac[5]
+
+
+def _bptt(p: dict, run: md.WindowPass, shape: tuple, g_enc: np.ndarray, g_dec: np.ndarray) -> None:
+    """Backpropagate the heads' logit gradients through a traced window and
+    leave every step's dz (rows :4H) and decoder step k's d_feat (rows
+    4H:5H, k >= 1) in that step's block of ``run.lstm``.
+
+    The trace first turns into its factors in place. Then BPTT runs
+    newest chunk first; within a chunk the encoder step comes before the
+    decoder rollout that produced its future context. A chunk's factors
+    are copied into contiguous (6, H, B) blocks, a step writes its dz and
+    d_feat over the factors it has just read, and the chunk's blocks then
+    go back to its trace columns. The working arrays die when it returns,
+    before the weight GEMMs run.
+    """
+    hs, t_len, steps, batch = shape
+    # the gradients reaching the hiddens, as contiguous (H, B) blocks
+    d_enc_h = (p["encoder.cls.w"].T @ g_enc).reshape(hs, t_len, batch).transpose(1, 0, 2).copy()
+    d_dec_h = (p["decoder.cls.w"].T @ g_dec).reshape(hs, steps, t_len, batch)
+    d_dec_h = d_dec_h.transpose(2, 1, 0, 3).copy()
+    feat_on = (run.dec_in[:hs, :, :, 1:steps] > 0.0).transpose(2, 3, 0, 1).copy()
+
+    wd, we = p["decoder.lstm.w"], p["encoder.lstm.w"]
+    wd_t, w_dh_t, w_rec_t, wf_t = wd.T, wd[:, hs:].T, we[:, hs:].T, p["decoder.feat.w"].T
+    trace = md.cols(run.lstm)  # (6H, N), a cache-sized block of columns at a time
+    for block in np.array_split(trace, -(-trace.nbytes // 2**20), axis=1):
+        _lstm_factors(block)
+    fac = np.empty((steps + 1, 6, hs, batch))
+    fac_rows = fac.reshape(steps + 1, 6 * hs, batch)
+    # per decoder step, newest first: its factors, its dz as (4, H, B) and
+    # as (4H, B), and its d_feat
+    per_step = [(k, fac[k], fac[k, :4], fac_rows[k, : 4 * hs], fac[k, 4])
+                for k in reversed(range(steps))]
+    enc_fac, enc_dz, enc_dz_rows = fac[steps], fac[steps, :4], fac_rows[steps, : 4 * hs]
+    r_dec, r_enc = np.empty((2 * hs, batch)), np.empty((2 * hs, batch))
+    d_ctx, dh_feat, dh_dec = np.empty((hs, batch)), np.empty((hs, batch)), np.empty((hs, batch))
+    dh_next, dc_next = np.zeros((hs, batch)), np.zeros((hs, batch))
+    for t in reversed(range(t_len)):
+        chunk = run.lstm[:, :, t]  # (6H, B, steps + 1)
+        for b in range(batch):  # column by column: each copy runs along H
+            fac_rows[:, :, b] = chunk[:, b].T
+        d_dec_t, feat_on_t = d_dec_h[t], feat_on[t]
+        dh = d_enc_h[t] + dh_next
+        dc_prev = _lstm_backward(enc_fac, dh, dc_next, enc_dz)
+        np.matmul(w_rec_t, enc_dz_rows, out=r_enc)  # (d ctx; d h_prev)
+        d_dec_t += np.true_divide(r_enc[:hs], steps, out=d_ctx)
+        dh, dc = d_dec_t[steps - 1], 0.0
+        for k, step, dz, dz_rows, d_feat in per_step:
+            dc = _lstm_backward(step, dh, dc, dz)
+            if k:
+                np.matmul(wd_t, dz_rows, out=r_dec)  # (d feature; d h_prev)
+                np.multiply(r_dec[:hs], feat_on_t[k - 1], out=d_feat)
+                dh = np.add(d_dec_t[k - 1], r_dec[hs:], out=dh_dec)
+                dh += np.matmul(wf_t, d_feat, out=dh_feat)
+        # step 1's input half acts on x, whose gradient is one GEMM in grads()
+        dh_next = r_enc[hs:] + w_dh_t @ dz_rows
+        dc_next = dc_prev + dc
+        chunk[: 5 * hs].transpose(2, 0, 1)[...] = fac_rows[:, : 5 * hs]
 
 
 def _head(logits: np.ndarray, labels: np.ndarray, keep: np.ndarray, weight: float):
@@ -185,10 +246,13 @@ class WindowLoss:
     weight gradient is one GEMM. Gates are [i, f, g, o], the ReLU gradient
     is 0 at 0, and clamped cross-entropy columns carry no gradient.
 
-    The trace, the operands and the backward pass's dz and d_feat live in
-    the workspace, so ``grads()`` holds only until the workspace serves
-    another forward; after that it raises ValidationError. It raises too
-    once ``adam_step`` has moved the weights its forward ran with.
+    The trace and the operands live in the workspace, and the backward
+    pass writes each step's dz and d_feat into the trace block it has just
+    read, where the weight GEMMs read them. So ``grads()`` holds only until
+    the workspace serves another forward; after that it raises
+    ValidationError. It raises too once ``adam_step`` has moved the
+    weights its forward ran with. A second call reruns the forward, since
+    the first one has spent its trace.
     """
 
     def __init__(
@@ -200,11 +264,8 @@ class WindowLoss:
         t_len, batch = labels.shape
         self.params, self.shape = params, (hs, t_len, steps, batch)
         self.raw = md.stack_block(cfg, videos, 0, t_len)
-        zero = np.zeros((hs, batch))
-        self.run = run = md.window_forward(params, self.raw, zero, zero, workspace)
-        self.workspace, self.forward_id = workspace, workspace.forwards
-        self.updates = params.updates
-        self.factored = False  # grads() turns the trace into its factors once
+        self.workspace, self.updates = workspace, params.updates
+        run = self._forward()
 
         # heads; the decoder keeps the (step, t, b) whose target t + step is in the window
         keep = np.ones(t_len * batch, dtype=bool) if ambiguous is None else ~ambiguous.reshape(-1)
@@ -221,6 +282,13 @@ class WindowLoss:
         dec, self.g_dec = _head(logits, labels[target].reshape(-1), keep.reshape(-1), config.lambda_dec)
         self.loss = float(self.loss + dec)
 
+    def _forward(self) -> md.WindowPass:
+        """Run the traced forward into the workspace, from zero state."""
+        zero = np.zeros((self.shape[0], self.shape[3]))
+        self.run = md.window_forward(self.params, self.raw, zero, zero, self.workspace)
+        self.forward_id, self.spent = self.workspace.forwards, False
+        return self.run
+
     def grads(self) -> dict[str, np.ndarray]:
         """The gradient of the loss for every parameter, keyed and ordered
         as ``TrnParams.named``."""
@@ -228,73 +296,37 @@ class WindowLoss:
             raise ValidationError("stale loss: its workspace has since run another window")
         if self.params.updates != self.updates:
             raise ValidationError("stale loss: its parameters have since been updated")
-        p, run, ws = self.params.arrays(), self.run, self.workspace
+        if self.spent:  # an earlier call wrote its gradients over the trace
+            self._forward()
+        self.spent = True
+        p, run = self.params.arrays(), self.run
         hs, t_len, steps, batch = self.shape
         out: dict[str, np.ndarray] = {}
 
-        # heads
+        # heads, then BPTT, which writes every step's dz and d_feat into the trace
         g_enc, g_dec = self.g_enc, self.g_dec
         out["encoder.cls.w"] = g_enc @ run.enc_h.T
         out["encoder.cls.b"] = g_enc.sum(axis=1)
-        # the gradients reaching the hiddens, as contiguous (H, B) blocks
-        d_enc_h = (p["encoder.cls.w"].T @ g_enc).reshape(hs, t_len, batch).transpose(1, 0, 2).copy()
         out["decoder.cls.w"] = g_dec @ run.dec_h.T
         out["decoder.cls.b"] = g_dec.sum(axis=1)
-        d_dec_h = (p["decoder.cls.w"].T @ g_dec).reshape(hs, steps, t_len, batch)
-        d_dec_h = d_dec_h.transpose(2, 1, 0, 3).copy()
-        feat_on = (run.dec_in[:hs, :, :, 1:steps] > 0.0).transpose(2, 3, 0, 1).copy()
+        _bptt(p, run, self.shape, g_enc, g_dec)
 
-        # BPTT, newest chunk first; within a chunk the encoder step comes
-        # before the decoder rollout that produced its future context. A
-        # step's pointwise math runs on contiguous blocks, then its dz and
-        # d_feat go where the weight GEMMs below read them.
-        wd, we = p["decoder.lstm.w"], p["encoder.lstm.w"]
-        wd_t, w_dh_t, w_rec_t, wf_t = wd.T, wd[:, hs:].T, we[:, hs:].T, p["decoder.feat.w"].T
-        if not self.factored:  # a cache-sized block of chunks at a time
-            for block in np.array_split(run.lstm, -(-run.lstm.nbytes // 2**20)):
-                _lstm_factors(block.reshape(-1, 6, hs, batch))
-            self.factored = True
-        fac = run.lstm.reshape(t_len, steps + 1, 6, hs, batch)
-        dz = ws.take("dz", (4 * hs, batch, t_len, steps + 1), "F")
-        d_feat = ws.take("d_feat", (hs, batch, t_len, steps - 1), "F")
-        dz_step, d = np.empty((4, hs, batch)), np.empty((hs, batch))
-        dz_rows = dz_step.reshape(4 * hs, batch)
-        r_dec, r_enc = np.empty((2 * hs, batch)), np.empty((2 * hs, batch))
-        dh_next, dc_next = np.zeros((hs, batch)), np.zeros((hs, batch))
-        for t in reversed(range(t_len)):
-            dh = d_enc_h[t] + dh_next
-            dc_prev = _lstm_backward(fac[t, steps], dh, dc_next, dz_step)
-            dz[:, :, t, steps] = dz_rows
-            np.matmul(w_rec_t, dz_rows, out=r_enc)  # (d ctx; d h_prev)
-            d_dec_h[t] += r_enc[:hs] / steps
-            dh, dc = d_dec_h[t, steps - 1], 0.0
-            for k in reversed(range(steps)):
-                dc = _lstm_backward(fac[t, k], dh, dc, dz_step)
-                dz[:, :, t, k] = dz_rows
-                if k:
-                    np.matmul(wd_t, dz_rows, out=r_dec)  # (d feature; d h_prev)
-                    np.multiply(r_dec[:hs], feat_on[t, k - 1], out=d)
-                    d_feat[:, :, t, k - 1] = d
-                    dh = d_dec_h[t, k - 1] + r_dec[hs:] + wf_t @ d
-            # step 1's input half acts on x, whose gradient is one GEMM below
-            dh_next = r_enc[hs:] + w_dh_t @ dz_rows
-            dc_next = dc_prev + dc
-
-        # weight gradients: one GEMM each (the encoder's in two halves) over the forward's operands
-        cols = md.cols
-        dz_dec, dz_enc, x = cols(dz[..., :steps]), cols(dz[..., steps]), run.x
+        # weight gradients: one GEMM each (the encoder's in two halves) over
+        # the forward's operands and the gradients now in the trace
+        cols, lstm, wd, we = md.cols, run.lstm, p["decoder.lstm.w"], p["encoder.lstm.w"]
+        dz_dec, dz_enc, x = cols(lstm[: 4 * hs, ..., :steps]), cols(lstm[: 4 * hs, ..., steps]), run.x
         out["decoder.lstm.w"] = dz_dec @ cols(run.dec_in[..., :steps]).T
         out["decoder.lstm.b"] = dz_dec.sum(axis=1)
         w_enc = out["encoder.lstm.w"] = np.empty_like(we)
         np.matmul(dz_enc, x.T, out=w_enc[:, :hs])
         np.matmul(dz_enc, cols(run.enc_in[..., :t_len]).T, out=w_enc[:, hs:])
         out["encoder.lstm.b"] = dz_enc.sum(axis=1)
-        d_feat = cols(d_feat)
+        d_feat = cols(lstm[4 * hs : 5 * hs, ..., 1:steps])
         out["decoder.feat.w"] = d_feat @ cols(run.dec_in[hs:, ..., 1:steps]).T
         out["decoder.feat.b"] = d_feat.sum(axis=1)
 
         # input stages: both step-1 projections of x, then embed and fusion
-        dx = wd[:, :hs].T @ cols(dz[..., 0]) + we[:, :hs].T @ dz_enc
+        dx = wd[:, :hs].T @ cols(lstm[: 4 * hs, ..., 0]) + we[:, :hs].T @ dz_enc
         dx *= x > 0.0
         out["embed.w"] = dx @ run.fused.T
         out["embed.b"] = dx.sum(axis=1)
@@ -339,10 +371,21 @@ def adam_step(
     config: TrainConfig,
 ) -> None:
     """One in-place Adam update with decoupled weight decay; ``grads``
-    must hold every parameter's gradient, under the parameter's name."""
+    must hold every parameter's gradient, under the parameter's name.
+    Every gradient is checked before anything moves: a missing, misshapen
+    or non-finite one raises ValidationError with the weights, the moments
+    and the step counts untouched."""
     missing = [name for name in params.named() if name not in grads]
     if missing:
         raise ValidationError(f"no gradient for parameter {', '.join(missing)}")
+    for name, tensor in params.named().items():
+        g = grads[name]
+        if not np.all(np.isfinite(g)):
+            raise ValidationError(f"non-finite gradient for parameter {name}")
+        if g.shape != tensor.data.shape:
+            raise ValidationError(
+                f"gradient shape {g.shape} does not match parameter {name} {tensor.data.shape}"
+            )
     state.t += 1
     params.updates += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
@@ -353,12 +396,6 @@ def adam_step(
         state.scratch = np.empty((2, size))
     for name, tensor in params.named().items():
         g, w = grads[name], tensor.data
-        if not np.all(np.isfinite(g)):
-            raise ValidationError(f"non-finite gradient for parameter {name}")
-        if g.shape != w.shape:
-            raise ValidationError(
-                f"gradient shape {g.shape} does not match parameter {name} {w.shape}"
-            )
         m, v = state.m[name], state.v[name]
         s1, s2 = (s[: w.size].reshape(w.shape) for s in state.scratch)
         m *= ADAM_BETA1

@@ -326,15 +326,19 @@ def test_sequence_loss_runs_bptt_only_in_grads(monkeypatch):
 
 
 def test_bptt_peak_memory_stays_within_its_blocks():
-    # grads() writes dz where the weight GEMMs read it; a column copy of
-    # dz (4H rows over the decoder's steps) crosses the budget
+    # grads() writes dz and d_feat into the trace it consumes; a dz buffer
+    # (4 blocks), a column copy of the decoder's dz (3) or of d_feat (0.5)
+    # crosses the budget. Measured at this shape: 2.58 blocks beside the
+    # gradients, the most of it while the trace turns into its factors
     hs, t_len, batch, steps = 16, 12, 2, 3
     cfg = tiny_model(hidden_size=hs, decoder_steps=steps, num_actions=3)
     params = TrnParams.init(cfg, np.random.default_rng(42))
     videos = random_windows(np.random.default_rng(43), cfg, t_len, batch)
     labels = np.random.default_rng(44).integers(0, cfg.classes, size=(t_len, batch))
-    loss = tr.sequence_loss(params, tiny_train(), videos, labels)
-    loss.grads()  # leave numpy's first-call allocations out of the measure
+    ws = md.Workspace()
+    # leave numpy's first-call allocations and the workspace's own out of the measure
+    tr.sequence_loss(params, tiny_train(), videos, labels, workspace=ws).grads()
+    loss = tr.sequence_loss(params, tiny_train(), videos, labels, workspace=ws)
     tracemalloc.start()
     try:
         grads = loss.grads()
@@ -342,11 +346,53 @@ def test_bptt_peak_memory_stays_within_its_blocks():
     finally:
         tracemalloc.stop()
     block = hs * (steps + 1) * t_len * batch * 8  # H rows over every step's columns
-    dz = 4 * block
-    # slack: the head gradients reaching the hiddens (held twice while
-    # reordered by step), d_feat, the feature ReLU mask and per-step scratch
-    budget = dz + sum(g.nbytes for g in grads.values()) + 5 * block
+    budget = sum(g.nbytes for g in grads.values()) + 3 * block
     assert peak <= budget, (peak, budget)
+
+
+def test_workspace_holds_the_trace_and_the_two_operands():
+    # BPTT keeps no buffer of its own: after a step the workspace is the
+    # (6H) trace plus the (2H) operands of the decoder and the encoder
+    hs, t_len, batch, steps = 8, 7, 3, 3
+    params, rng = workspace_setup(hs, steps)
+    ws = md.Workspace()
+    videos = random_windows(rng, params.config, t_len, batch)
+    labels = rng.integers(0, params.config.classes, size=(t_len, batch))
+    tr.sequence_loss(params, tiny_train(), videos, labels, workspace=ws).grads()
+    step_cols = batch * t_len * (steps + 1)
+    want = (6 * hs * step_cols + 2 * hs * step_cols + 2 * hs * batch * (t_len + 1)) * 8
+    assert sum(b.nbytes for b in ws.buffers.values()) == want
+
+
+def test_bptt_gemm_operands_are_views_of_the_trace(monkeypatch):
+    # the weight GEMMs read dz and d_feat where BPTT left them: md.cols must
+    # view the trace (a copying reshape fails here), with its columns at a
+    # leading dimension BLAS takes, and a GEMM on such a strided operand
+    # gives the bits of the same GEMM on a contiguous copy
+    hs, t_len, batch, steps = 8, 5, 3, 3
+    params, rng = workspace_setup(hs, steps)
+    videos = random_windows(rng, params.config, t_len, batch)
+    labels = rng.integers(0, params.config.classes, size=(t_len, batch))
+    loss = tr.sequence_loss(params, tiny_train(), videos, labels)
+    seen, cols = [], md.cols
+    monkeypatch.setattr(md, "cols", lambda a: seen.append((a, cols(a))) or seen[-1][1])
+    grads = loss.grads()
+    monkeypatch.undo()
+    run = loss.run
+    assert all(np.shares_memory(m, a) for a, m in seen)
+    on_trace = [m for _, m in seen if np.shares_memory(m, run.lstm)]
+    # the factor pass, the dz of the decoder and of the encoder, the
+    # decoder's d_feat, then the dz of decoder step 1
+    assert [len(m) for m in on_trace] == [6 * hs, 4 * hs, 4 * hs, hs, 4 * hs]
+    for m in on_trace:
+        assert m.strides[0] == m.itemsize and m.strides[1] == 6 * hs * m.itemsize
+    dz_dec, d_feat = on_trace[1], on_trace[3]
+    assert np.array_equal(
+        grads["decoder.lstm.w"], np.ascontiguousarray(dz_dec) @ cols(run.dec_in[..., :steps]).T
+    )
+    assert np.array_equal(
+        grads["decoder.feat.w"], np.ascontiguousarray(d_feat) @ cols(run.dec_in[hs:, ..., 1:steps]).T
+    )
 
 
 def workspace_setup(hs=16, steps=3, seed=45):
@@ -374,7 +420,7 @@ def test_workspace_steps_are_bitwise_fresh_ones():
             assert np.array_equal(got[name], g), (t_len, batch, name)
         if buffers is None:
             buffers = dict(ws.buffers)
-        assert ws.buffers.keys() == buffers.keys() == {"lstm", "dec_in", "enc_in", "dz", "d_feat"}
+        assert ws.buffers.keys() == buffers.keys() == {"lstm", "dec_in", "enc_in"}
         assert all(ws.buffers[k] is b for k, b in buffers.items())
         for b in buffers.values():
             b.fill(np.nan)
@@ -548,6 +594,30 @@ def test_adam_missing_gradient_names_parameter():
     assert state.t == 0
     for k, t in params.named().items():
         assert np.array_equal(t.data, before[k])
+
+
+@pytest.mark.parametrize("bad", ["nan", "shape"])
+def test_adam_bad_last_gradient_moves_nothing(bad):
+    # every gradient is checked before the first weight moves: a bad one in
+    # the last parameter leaves every weight, moment and count as it was
+    params = TrnParams.init(tiny_model(), np.random.default_rng(48))
+    state, tc = tr.AdamState.init(params), tiny_train()
+    rng = np.random.default_rng(49)
+    tr.adam_step(params, {k: rng.normal(size=t.data.shape) for k, t in params.named().items()},
+                 state, tc)  # nonzero moments, t = 1
+    grads = {k: rng.normal(size=t.data.shape) for k, t in params.named().items()}
+    last = list(params.named())[-1]
+    assert last == "encoder.cls.b"
+    grads[last] = np.full(grads[last].shape, np.nan) if bad == "nan" else grads[last][:-1]
+    before = {k: (t.data.copy(), state.m[k].copy(), state.v[k].copy())
+              for k, t in params.named().items()}
+    with pytest.raises(ValidationError, match=last):
+        tr.adam_step(params, grads, state, tc)
+    assert state.t == 1 and params.updates == 1
+    for k, t in params.named().items():
+        w, m, v = before[k]
+        assert np.array_equal(t.data, w) and np.array_equal(state.m[k], m), k
+        assert np.array_equal(state.v[k], v), k
 
 
 def test_adam_decay_only_shrinks_monotonically():
