@@ -182,8 +182,12 @@ def _bptt(p: dict, run: md.WindowPass, shape: tuple, g_enc: np.ndarray, g_dec: n
     d_dec_h = d_dec_h.transpose(2, 1, 0, 3).copy()
     feat_on = (run.dec_in[:hs, :, :, 1:steps] > 0.0).transpose(2, 3, 0, 1).copy()
 
-    wd, we = p["decoder.lstm.w"], p["encoder.lstm.w"]
-    wd_t, w_dh_t, w_rec_t, wf_t = wd.T, wd[:, hs:].T, we[:, hs:].T, p["decoder.feat.w"].T
+    # the transposed weights as contiguous copies, made once per window:
+    # a GEMM per step on a transposed view costs more (the weights change
+    # with every Adam step, so no copy outlives the window)
+    wd_t, w_rec_t, wf_t = (np.ascontiguousarray(p[name][:, cut:].T) for name, cut in (
+        ("decoder.lstm.w", 0), ("encoder.lstm.w", hs), ("decoder.feat.w", 0)))
+    w_dh_t = wd_t[hs:]  # the decoder's h columns
     trace = md.cols(run.lstm)  # (6H, N), a cache-sized block of columns at a time
     for block in np.array_split(trace, -(-trace.nbytes // 2**20), axis=1):
         _lstm_factors(block)
