@@ -380,7 +380,7 @@ def _stream_video(params: TrnParams, streams: dict) -> tuple[np.ndarray, np.ndar
 def _cmd_inference(args, batch_flag: bool) -> int:
     cfg = _effective_config(args, _io_options(batch_flag))
     _require(cfg, "ckpt", "out")
-    params, _, _ = tr.load_checkpoint(cfg["ckpt"])
+    params, _ = tr.load_checkpoint(cfg["ckpt"])
     inputs, clock = _load_feature_inputs(cfg, params.config)
     dump = _run_inference(params, inputs, clock, batch=bool(cfg.get("batch")))
     ev.write_prediction_dump(cfg["out"], dump)

@@ -34,6 +34,7 @@ under that one name.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -96,8 +97,8 @@ class TrnConfig:
             raise ValidationError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.seq_len < 1:
             raise ValidationError(f"seq_len must be >= 1, got {self.seq_len}")
-        if self.fps <= 0:
-            raise ValidationError(f"fps must be positive, got {self.fps}")
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise ValidationError(f"fps must be a finite positive number, got {self.fps}")
         # an integer fps (older checkpoints store one) is kept as a float, so
         # every checkpoint and dump header carries the same type
         object.__setattr__(self, "fps", float(self.fps))

@@ -25,7 +25,7 @@ The gradient is a hand-derived backpropagation through time that runs
 only when the loss's ``grads()`` is called, and writes each step's
 gradient into the trace block it has just read, where the weight GEMMs
 read it. A training step is plain numpy from feature arrays to Adam,
-which updates in place. One ``train`` call runs every window in one
+which updates in place, a cache-sized slice at a time. One ``train`` call runs every window in one
 ``model.Workspace``, so the trace and the stacked operands are allocated
 once, not once per step.
 
@@ -36,8 +36,8 @@ reassociation in the gemm).
 
 from __future__ import annotations
 
-import itertools
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -66,6 +66,9 @@ class TrainConfig:
     eval_every: int = 1  # held-out mAP cadence in epochs; 0 disables
 
     def __post_init__(self):
+        for name in ("learning_rate", "weight_decay", "lambda_enc", "lambda_dec"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0 or self.weight_decay < 0:
             raise ValidationError("learning_rate must be > 0 and weight_decay >= 0")
         if self.batch_size < 1 or self.seq_len < 1:
@@ -162,6 +165,32 @@ def _lstm_backward(fac: np.ndarray, dh: np.ndarray, dc, dz: np.ndarray) -> np.nd
     return dc * fac[5]
 
 
+HEAD_BLOCK_BYTES = 2**16  # BPTT's per-block hidden-state gradients, about this size
+
+
+def _chunk_blocks(t_len: int, chunk_bytes: int) -> list[tuple[int, int]]:
+    """The window's chunks as [t0, t1) blocks of about ``HEAD_BLOCK_BYTES``
+    (``chunk_bytes`` a chunk), newest block first. A block holds at least
+    two chunks unless the window has one: a head GEMM over a single
+    column would run as a gemv, which sums in another order than the
+    window GEMM's gemm."""
+    per_block = max(2, HEAD_BLOCK_BYTES // chunk_bytes)
+    bounds = np.linspace(0, t_len, max(1, t_len // per_block) + 1).round().astype(int)
+    return list(zip(bounds[-2::-1].tolist(), bounds[:0:-1].tolist()))
+
+
+def _head_grads(w: np.ndarray, g: np.ndarray, shape: tuple, t0: int, t1: int) -> np.ndarray:
+    """d(loss)/d hidden of chunks t0..t1-1 through a classifier ``w``, as a
+    (t1 - t0, K, H, B) view: per step k one GEMM of ``w.T`` over the
+    block's columns of the (classes, K*T*B) logit gradient ``g``, whose
+    columns run (k, t, b). Each GEMM spans at least two columns whenever
+    the window's does, so the blocks are bitwise the window GEMM's."""
+    hs, t_len, batch = shape
+    g = g.reshape(len(g), -1, t_len * batch)[:, :, t0 * batch : t1 * batch]
+    prod = np.matmul(w.T, g.transpose(1, 0, 2))  # (K, H, n*B)
+    return prod.reshape(len(prod), hs, t1 - t0, batch).transpose(2, 0, 1, 3)
+
+
 def _bptt(p: dict, run: md.WindowPass, shape: tuple, g_enc: np.ndarray, g_dec: np.ndarray) -> None:
     """Backpropagate the heads' logit gradients through a traced window and
     leave every step's dz (rows :4H) and decoder step k's d_feat (rows
@@ -169,28 +198,32 @@ def _bptt(p: dict, run: md.WindowPass, shape: tuple, g_enc: np.ndarray, g_dec: n
 
     The trace first turns into its factors in place. Then BPTT runs
     newest chunk first; within a chunk the encoder step comes before the
-    decoder rollout that produced its future context. A chunk's factors
-    are copied into contiguous (6, H, B) blocks, a step writes its dz and
-    d_feat over the factors it has just read, and the chunk's blocks then
-    go back to its trace columns. The working arrays die when it returns,
-    before the weight GEMMs run.
+    decoder rollout that produced its future context. The gradients the
+    heads send to the hiddens, and the feature head's ReLU mask, are made
+    for a few chunks at a time (:func:`_chunk_blocks`) as contiguous
+    (H, B) blocks, so no array of the window's size is made here. A
+    chunk's factors are copied into contiguous (6, H, B) blocks, a step
+    writes its dz and d_feat over the factors it has just read, and the
+    chunk's blocks then go back to its trace columns. The working arrays
+    die when it returns, before the weight GEMMs run.
     """
     hs, t_len, steps, batch = shape
-    # the gradients reaching the hiddens, as contiguous (H, B) blocks
-    d_enc_h = (p["encoder.cls.w"].T @ g_enc).reshape(hs, t_len, batch).transpose(1, 0, 2).copy()
-    d_dec_h = (p["decoder.cls.w"].T @ g_dec).reshape(hs, steps, t_len, batch)
-    d_dec_h = d_dec_h.transpose(2, 1, 0, 3).copy()
-    feat_on = (run.dec_in[:hs, :, :, 1:steps] > 0.0).transpose(2, 3, 0, 1).copy()
-
+    trace = md.cols(run.lstm)  # (6H, N), a cache-sized block of columns at a time
+    for block in np.array_split(trace, -(-trace.nbytes // 2**20), axis=1):
+        _lstm_factors(block)
     # the transposed weights as contiguous copies, made once per window:
     # a GEMM per step on a transposed view costs more (the weights change
     # with every Adam step, so no copy outlives the window)
     wd_t, w_rec_t, wf_t = (np.ascontiguousarray(p[name][:, cut:].T) for name, cut in (
         ("decoder.lstm.w", 0), ("encoder.lstm.w", hs), ("decoder.feat.w", 0)))
     w_dh_t = wd_t[hs:]  # the decoder's h columns
-    trace = md.cols(run.lstm)  # (6H, N), a cache-sized block of columns at a time
-    for block in np.array_split(trace, -(-trace.nbytes // 2**20), axis=1):
-        _lstm_factors(block)
+
+    blocks = _chunk_blocks(t_len, (steps + 1) * hs * batch * 8)
+    most = max(t1 - t0 for t0, t1 in blocks)
+    # per chunk of a block: the gradients reaching the encoder's and the
+    # decoder steps' hiddens from the heads, and where the feature ReLU passed
+    d_enc_h, d_dec_h = np.empty((most, hs, batch)), np.empty((most, steps, hs, batch))
+    feat_on = np.empty((most, steps - 1, hs, batch), dtype=bool)
     fac = np.empty((steps + 1, 6, hs, batch))
     fac_rows = fac.reshape(steps + 1, 6 * hs, batch)
     # per decoder step, newest first: its factors, its dz as (4, H, B) and
@@ -201,27 +234,33 @@ def _bptt(p: dict, run: md.WindowPass, shape: tuple, g_enc: np.ndarray, g_dec: n
     r_dec, r_enc = np.empty((2 * hs, batch)), np.empty((2 * hs, batch))
     d_ctx, dh_feat, dh_dec = np.empty((hs, batch)), np.empty((hs, batch)), np.empty((hs, batch))
     dh_next, dc_next = np.zeros((hs, batch)), np.zeros((hs, batch))
-    for t in reversed(range(t_len)):
-        chunk = run.lstm[:, :, t]  # (6H, B, steps + 1)
-        for b in range(batch):  # column by column: each copy runs along H
-            fac_rows[:, :, b] = chunk[:, b].T
-        d_dec_t, feat_on_t = d_dec_h[t], feat_on[t]
-        dh = d_enc_h[t] + dh_next
-        dc_prev = _lstm_backward(enc_fac, dh, dc_next, enc_dz)
-        np.matmul(w_rec_t, enc_dz_rows, out=r_enc)  # (d ctx; d h_prev)
-        d_dec_t += np.true_divide(r_enc[:hs], steps, out=d_ctx)
-        dh, dc = d_dec_t[steps - 1], 0.0
-        for k, step, dz, dz_rows, d_feat in per_step:
-            dc = _lstm_backward(step, dh, dc, dz)
-            if k:
-                np.matmul(wd_t, dz_rows, out=r_dec)  # (d feature; d h_prev)
-                np.multiply(r_dec[:hs], feat_on_t[k - 1], out=d_feat)
-                dh = np.add(d_dec_t[k - 1], r_dec[hs:], out=dh_dec)
-                dh += np.matmul(wf_t, d_feat, out=dh_feat)
-        # step 1's input half acts on x, whose gradient is one GEMM in grads()
-        dh_next = r_enc[hs:] + w_dh_t @ dz_rows
-        dc_next = dc_prev + dc
-        chunk[: 5 * hs].transpose(2, 0, 1)[...] = fac_rows[:, : 5 * hs]
+    head_shape = (hs, t_len, batch)
+    for t0, t1 in blocks:
+        n = t1 - t0
+        d_enc_h[:n] = _head_grads(p["encoder.cls.w"], g_enc, head_shape, t0, t1)[:, 0]
+        d_dec_h[:n] = _head_grads(p["decoder.cls.w"], g_dec, head_shape, t0, t1)
+        np.greater(run.dec_in[:hs, :, t0:t1, 1:steps], 0.0, out=feat_on[:n].transpose(2, 3, 0, 1))
+        for t in reversed(range(t0, t1)):
+            chunk = run.lstm[:, :, t]  # (6H, B, steps + 1)
+            for b in range(batch):  # column by column: each copy runs along H
+                fac_rows[:, :, b] = chunk[:, b].T
+            d_dec_t, feat_on_t = d_dec_h[t - t0], feat_on[t - t0]
+            dh = d_enc_h[t - t0] + dh_next
+            dc_prev = _lstm_backward(enc_fac, dh, dc_next, enc_dz)
+            np.matmul(w_rec_t, enc_dz_rows, out=r_enc)  # (d ctx; d h_prev)
+            d_dec_t += np.true_divide(r_enc[:hs], steps, out=d_ctx)
+            dh, dc = d_dec_t[steps - 1], 0.0
+            for k, step, dz, dz_rows, d_feat in per_step:
+                dc = _lstm_backward(step, dh, dc, dz)
+                if k:
+                    np.matmul(wd_t, dz_rows, out=r_dec)  # (d feature; d h_prev)
+                    np.multiply(r_dec[:hs], feat_on_t[k - 1], out=d_feat)
+                    dh = np.add(d_dec_t[k - 1], r_dec[hs:], out=dh_dec)
+                    dh += np.matmul(wf_t, d_feat, out=dh_feat)
+            # step 1's input half acts on x, whose gradient is one GEMM in grads()
+            dh_next = r_enc[hs:] + w_dh_t @ dz_rows
+            dc_next = dc_prev + dc
+            chunk[: 5 * hs].transpose(2, 0, 1)[...] = fac_rows[:, : 5 * hs]
 
 
 def _head(logits: np.ndarray, labels: np.ndarray, keep: np.ndarray, weight: float):
@@ -346,12 +385,18 @@ class WindowLoss:
 # optimizer
 
 
+ADAM_SLICE = 16384  # elements per Adam slice: one 128 KB scratch row, resident in L2
+
+
 @dataclass
 class AdamState:
+    """Adam's moments, one pair per parameter, and the step count.
+    ``scratch`` is adam_step's (2, ADAM_SLICE) working memory, the same
+    size for every model; it is not saved."""
+
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    # (2, largest parameter size) working memory of adam_step; not saved
     scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
@@ -368,6 +413,14 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def _flat_view(a: np.ndarray, what: str) -> np.ndarray:
+    """``a`` as one flat view; the update writes through it, so a layout
+    that would need a copy raises ValidationError instead."""
+    if not a.flags.c_contiguous:
+        raise ValidationError(f"{what} is not C-contiguous; adam_step updates it in place")
+    return a.reshape(-1)
+
+
 def adam_step(
     params: TrnParams,
     grads: dict[str, np.ndarray],
@@ -378,39 +431,50 @@ def adam_step(
     must hold every parameter's gradient, under the parameter's name.
     Every gradient is checked before anything moves: a missing, misshapen
     or non-finite one raises ValidationError with the weights, the moments
-    and the step counts untouched."""
+    and the step counts untouched.
+
+    Each parameter is updated over its flat view one ``ADAM_SLICE`` at a
+    time, so every pass of the update reads a slice still in cache and
+    the two scratch rows are one slice long whatever the model's size.
+    The operations are elementwise, so slicing moves no bit."""
     missing = [name for name in params.named() if name not in grads]
     if missing:
         raise ValidationError(f"no gradient for parameter {', '.join(missing)}")
+    flats = []
     for name, tensor in params.named().items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
+        # min and max carry any NaN or infinity, without a mask of g's size
+        if g.size and not (np.isfinite(g.min()) and np.isfinite(g.max())):
             raise ValidationError(f"non-finite gradient for parameter {name}")
         if g.shape != tensor.data.shape:
             raise ValidationError(
                 f"gradient shape {g.shape} does not match parameter {name} {tensor.data.shape}"
             )
+        flats.append((np.reshape(g, -1), _flat_view(tensor.data, f"parameter {name}"),
+                      _flat_view(state.m[name], f"Adam m of {name}"),
+                      _flat_view(state.v[name], f"Adam v of {name}")))
     state.t += 1
     params.updates += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
-    # in place, in the textbook's operation order (so to the bit); two scratch rows serve all
-    lr, size = config.learning_rate, max(t.data.size for t in params.named().values())
-    if state.scratch is None or state.scratch.shape[1] < size:
-        state.scratch = np.empty((2, size))
-    for name, tensor in params.named().items():
-        g, w = grads[name], tensor.data
-        m, v = state.m[name], state.v[name]
-        s1, s2 = (s[: w.size].reshape(w.shape) for s in state.scratch)
-        m *= ADAM_BETA1
-        m += np.multiply(1.0 - ADAM_BETA1, g, out=s1)
-        v *= ADAM_BETA2
-        v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=s1), g, out=s1)
-        np.sqrt(np.divide(v, bc2, out=s1), out=s1)
-        s1 += ADAM_EPS
-        w -= np.multiply(np.divide(np.divide(m, bc1, out=s2), s1, out=s2), lr, out=s2)
-        if config.weight_decay:
-            w -= np.multiply(lr * config.weight_decay, w, out=s2)
+    lr, decay = config.learning_rate, config.learning_rate * config.weight_decay
+    if state.scratch is None or state.scratch.shape != (2, ADAM_SLICE):
+        state.scratch = np.empty((2, ADAM_SLICE))
+    # in place, in the textbook's operation order (so to the bit), a slice at a time
+    for g_all, w_all, m_all, v_all in flats:
+        for lo in range(0, w_all.size, ADAM_SLICE):
+            hi = lo + ADAM_SLICE
+            g, w, m, v = g_all[lo:hi], w_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
+            s1, s2 = state.scratch[0, : w.size], state.scratch[1, : w.size]
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=s1)
+            v *= ADAM_BETA2
+            v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=s1), g, out=s1)
+            np.sqrt(np.divide(v, bc2, out=s1), out=s1)
+            s1 += ADAM_EPS
+            w -= np.multiply(np.divide(np.divide(m, bc1, out=s2), s1, out=s2), lr, out=s2)
+            if config.weight_decay:
+                w -= np.multiply(decay, w, out=s2)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +569,8 @@ def train(
         raise ValidationError("manifest has no train videos")
     windows = make_windows(train_videos, train_config.seq_len)
     heldout_gt = ev.GroundTruth(rows, cmap) if heldout else None
+    # so is every held-out feature file, once for all evaluations
+    heldout_streams = [dio.load_video_streams(manifest, v, params.config.streams) for v in heldout]
 
     metrics: list[EpochMetrics] = []
     for epoch in range(1, train_config.epochs + 1):
@@ -534,7 +600,7 @@ def train(
 
         heldout_map = None
         if heldout_gt is not None and epoch % train_config.eval_every == 0:
-            dump = predict_manifest(params, manifest, "test")
+            dump = predict_manifest(params, manifest, "test", heldout_streams)
             heldout_map = ev.per_frame_map(dump, heldout_gt).mean_ap
         metrics.append(EpochMetrics(epoch=epoch, mean_loss=mean_loss, heldout_map=heldout_map))
         log.info(
@@ -546,17 +612,22 @@ def train(
     return params, metrics
 
 
-def predict_manifest(params: TrnParams, manifest: dio.Manifest, split: str) -> ev.PredictionDump:
+def predict_manifest(
+    params: TrnParams, manifest: dio.Manifest, split: str, streams: list[dict] | None = None
+) -> ev.PredictionDump:
     """Whole-sequence inference over a manifest split; up to
     ``model.GROUP_SIZE`` videos run at once as the columns of one ragged
-    batch (``model.forward_videos``)."""
+    batch (``model.forward_videos``). ``streams`` holds each video's
+    arrays as ``dio.load_video_streams`` reads them, in split order; they
+    are read here by default (``train`` reads its held-out split once)."""
     cfg = params.config
     videos = manifest.split(split)
     chunk_size, fps = dio.split_clock(videos, (cfg.chunk_size, cfg.fps))
     dump = ev.PredictionDump(
         chunk_size=chunk_size, fps=fps, decoder_steps=cfg.decoder_steps, classes=cfg.classes
     )
-    streams = [dio.load_video_streams(manifest, video, cfg.streams) for video in videos]
+    if streams is None:
+        streams = [dio.load_video_streams(manifest, video, cfg.streams) for video in videos]
     for video, (present, anticipated) in zip(videos, md.forward_videos(params, streams)):
         dump.videos[video.video_id] = ev.VideoPredictions(present, anticipated)
     return dump
@@ -579,58 +650,40 @@ def _tensor_index(config: TrnConfig) -> list[dict]:
     return [{"name": k, "shape": list(s)} for k, s in md.param_shapes(config).items()]
 
 
-def save_checkpoint(
-    path: str,
-    params: TrnParams,
-    adam: AdamState | None = None,
-    meta: dict | None = None,
-) -> None:
-    """A TRNC container: the config, tensor index, Adam step and ``meta``
-    as the index; the parameters, then Adam's m and v, as the payload.
-    Identical inputs give identical bytes. A non-finite value, which the
-    reader would refuse, raises ValidationError before the file is opened."""
+def save_checkpoint(path: str, params: TrnParams, meta: dict | None = None) -> None:
+    """A TRNC container: the config, tensor index and ``meta`` as the
+    index, the parameters as the payload. Identical inputs give identical
+    bytes. A non-finite value, which the reader would refuse, raises
+    ValidationError before the file is opened."""
     config = params.config
     doc = {
         "config": {**asdict(config), "fusion_variant": config.fusion_variant.value},
         "tensors": _tensor_index(config),
-        "adam": None if adam is None else {"t": adam.t},
+        "adam": None,  # once an optimizer payload; kept so the bytes stay the same
         "meta": meta or {},
     }
     named = params.named()
-    arrays = [t.data for t in named.values()]
-    if adam is not None:
-        arrays += [adam.m[k] for k in named] + [adam.v[k] for k in named]
-    for name, a in zip(itertools.cycle(named), arrays):
-        if not np.isfinite(a).all():
+    for name, t in named.items():
+        if not np.isfinite(t.data).all():
             raise ValidationError(f"{name} holds a non-finite value; checkpoint not written")
-    dio.write_container(path, CKPT_MAGIC, doc, arrays)
+    dio.write_container(path, CKPT_MAGIC, doc, [t.data for t in named.values()])
 
 
-def load_checkpoint(path: str) -> tuple[TrnParams, AdamState | None, dict]:
-    """Read a checkpoint written by :func:`save_checkpoint`. An index that
-    does not describe this architecture raises HeaderError; the payload's
-    size is checked against the index before any tensor is allocated."""
+def load_checkpoint(path: str) -> tuple[TrnParams, dict]:
+    """Read a checkpoint written by :func:`save_checkpoint` as (params,
+    meta). An index that does not describe this architecture, or that
+    declares an optimizer payload, raises HeaderError; the payload's size
+    is checked against the index before any tensor is allocated."""
 
     def layout(doc):
         config = config_from_dict(doc["config"])
         if doc["tensors"] != _tensor_index(config):
             raise HeaderError("tensor index does not match the architecture")
-        adam = doc["adam"]
-        if adam is not None and type(adam["t"]) is not int:
-            raise HeaderError("the Adam step must be an integer")
-        parts = ["tensor"] if adam is None else ["tensor", "adam m", "adam v"]
-        shapes = md.param_shapes(config).items()
-        return [(f"{part} {k}", shape) for part in parts for k, shape in shapes]
+        if doc["adam"] is not None:
+            raise HeaderError("the checkpoint carries an Adam payload, which is no longer read")
+        return [(f"tensor {k}", shape) for k, shape in md.param_shapes(config).items()]
 
     doc, arrays = dio.read_container(path, CKPT_MAGIC, layout)
     config = config_from_dict(doc["config"])
-    names = list(md.param_shapes(config))
-    n = len(names)
-    params = TrnParams.from_arrays(config, dict(zip(names, arrays)))
-    adam = None
-    if doc["adam"] is not None:
-        adam = AdamState(
-            m=dict(zip(names, arrays[n : 2 * n])), v=dict(zip(names, arrays[2 * n :])),
-            t=doc["adam"]["t"],
-        )
-    return params, adam, doc.get("meta", {})
+    params = TrnParams.from_arrays(config, dict(zip(md.param_shapes(config), arrays)))
+    return params, doc.get("meta", {})

@@ -212,8 +212,7 @@ def test_train_writes_loadable_checkpoint(dataset, tmp_path, capsys):
     metrics = tmp_path / "metrics.json"
     rc = run(train_argv(dataset, ckpt) + ["--metrics-out", str(metrics)])
     assert rc == 0
-    params, adam, meta = tr.load_checkpoint(str(ckpt))
-    assert adam is None
+    params, meta = tr.load_checkpoint(str(ckpt))
     assert meta["epochs"] == 1
     assert meta["final_loss"] > 0
     rows = json.loads(metrics.read_text())
@@ -239,7 +238,7 @@ def test_train_config_file_precedence(dataset, tmp_path, caplog):
     assert rc == 0
     assert "config epochs = 1" in caplog.text  # flag wins
     assert "config hidden_size = 8" in caplog.text  # file wins
-    _, _, meta = tr.load_checkpoint(str(ckpt))
+    _, meta = tr.load_checkpoint(str(ckpt))
     assert meta["epochs"] == 1
 
 
@@ -247,7 +246,7 @@ def test_train_heldout_metric_reported(dataset, tmp_path):
     ckpt = tmp_path / "m.trnc"
     rc = run(train_argv(dataset, ckpt, eval_every=1))
     assert rc == 0
-    _, _, meta = tr.load_checkpoint(str(ckpt))
+    _, meta = tr.load_checkpoint(str(ckpt))
     assert 0.0 <= meta["heldout_map"] <= 1.0
 
 
@@ -311,11 +310,26 @@ def test_train_on_a_non_finite_fps_exits_2(dataset, tmp_path, caplog):
     assert "videos[1]: fps must be a finite positive number" in caplog.text
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "lambda_enc", "lambda_dec"])
+def test_train_non_finite_hyperparameter_exits_1_before_reading_features(
+    dataset, tmp_path, caplog, monkeypatch, field, value
+):
+    # a NaN learning rate trained one step, then exited 1 naming fusion.w's gradient
+    reads = []
+    read = dio.read_features
+    monkeypatch.setattr(dio, "read_features", lambda *a, **k: reads.append(a) or read(*a, **k))
+    ckpt = tmp_path / "m.trnc"
+    assert run(train_argv(dataset, ckpt, **{field: value})) == 1
+    assert f"{field} must be finite, got {value}" in caplog.text
+    assert not reads and not ckpt.exists()
+
+
 def test_train_fused_variant_uses_pose_stream(dataset, tmp_path):
     ckpt = tmp_path / "m.trnc"
     rc = run(train_argv(dataset, ckpt, variant="fused_two_stream"))
     assert rc == 0
-    params, _, _ = tr.load_checkpoint(str(ckpt))
+    params, _ = tr.load_checkpoint(str(ckpt))
     assert params.config.fusion_variant is FusionVariant.FUSED_TWO_STREAM
     assert params.config.pose_dim == 134  # dim read from the manifest
 
@@ -395,7 +409,7 @@ def test_fractional_fps_reaches_checkpoint_and_dump(dataset, tmp_path):
     set_manifest_fps(dataset, 29.97)
     ckpt = tmp_path / "m.trnc"
     assert run(train_argv(dataset, ckpt)) == 0
-    params, _, _ = tr.load_checkpoint(str(ckpt))
+    params, _ = tr.load_checkpoint(str(ckpt))
     assert params.config.fps == 29.97
     manifest = dio.load_manifest(dataset)
     video = manifest.videos[0]
@@ -413,7 +427,7 @@ def test_infer_mixed_clocks_exits_1(dataset, tmp_path):
               "--out", str(out)])
     assert rc == 1
     assert not out.exists()
-    params, _, _ = tr.load_checkpoint(ckpt)
+    params, _ = tr.load_checkpoint(ckpt)
     with pytest.raises(ValidationError, match="clock"):
         tr.predict_manifest(params, dio.load_manifest(dataset), "test")
 
@@ -484,7 +498,7 @@ def no_tape(monkeypatch):
 
 def test_inference_paths_run_no_tape(dataset, tmp_path, no_tape):
     ckpt, cfg = tiny_ckpt(tmp_path, appearance_dim=5, motion_dim=4)
-    params, _, _ = tr.load_checkpoint(ckpt)
+    params, _ = tr.load_checkpoint(ckpt)
     manifest = dio.load_manifest(dataset)
     videos = [dio.load_video_streams(manifest, v, cfg.streams) for v in manifest.split("test")]
     assert len(videos) == 2

@@ -63,6 +63,12 @@ def test_config_validation():
         tiny_config(FusionVariant.FUSED_TWO_STREAM, pose_dim=None)
 
 
+@pytest.mark.parametrize("fps", [float("nan"), float("inf"), 0.0])
+def test_config_rejects_an_fps_that_is_not_finite_and_positive(fps):
+    with pytest.raises(nm.ValidationError, match="fps must be a finite positive number"):
+        tiny_config(fps=fps)
+
+
 def test_config_classes_is_actions_plus_background():
     assert tiny_config(num_actions=20).classes == 21
 

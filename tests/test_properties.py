@@ -194,29 +194,26 @@ def test_prediction_dump_roundtrip_is_bitwise(dump):
         assert got.anticipated.tobytes() == pred.anticipated.tobytes()
 
 
-def checkpoint_bytes(variant, adam):
-    """A tiny checkpoint of ``variant``, with Adam state when ``adam``."""
+def checkpoint_bytes(variant):
+    """A tiny checkpoint of ``variant``."""
     cfg = TrnConfig.for_streams(
         variant, {"appearance": 3, "motion": 2, "pose": 4}, hidden_size=3, decoder_steps=2,
         num_actions=2, chunk_size=6, fps=29.97,
     )
     params = TrnParams.init(cfg, np.random.default_rng(0))
-    state = tr.AdamState.init(params) if adam else None
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.trnc")
-        tr.save_checkpoint(path, params, state, meta={"epochs": 1})
+        tr.save_checkpoint(path, params, meta={"epochs": 1})
         with open(path, "rb") as f:
             return f.read()
 
 
-CHECKPOINTS = [checkpoint_bytes(v, adam) for v in FusionVariant for adam in (False, True)]
+CHECKPOINTS = [checkpoint_bytes(v) for v in FusionVariant]
 
 
 def check_checkpoint(blob):
-    params, adam, _ = read_bytes(blob, tr.load_checkpoint)
+    params, _ = read_bytes(blob, tr.load_checkpoint)
     arrays = [t.data for t in params.named().values()]
-    if adam is not None:
-        arrays += list(adam.m.values()) + list(adam.v.values())
     assert all(a.dtype == np.float64 and np.isfinite(a).all() for a in arrays)
     fresh = TrnParams.zeros(params.config).named()
     assert {k: t.data.shape for k, t in params.named().items()} == {
@@ -355,7 +352,7 @@ def test_a_split_runs_on_one_clock(clock_dataset, data):
     test_clocks = {(v.chunk_size, v.fps) for v in test}
     all_agree = len({(v.chunk_size, v.fps) for v in manifest.videos}) == 1
 
-    params, _, _ = tr.load_checkpoint(ckpt)
+    params, _ = tr.load_checkpoint(ckpt)
     out = os.path.join(os.path.dirname(manifest_path), "dump.trnd")
     if os.path.exists(out):
         os.remove(out)

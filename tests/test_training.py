@@ -62,6 +62,13 @@ def test_train_config_defaults():
     assert cfg.seq_len == 64
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "lambda_enc", "lambda_dec"])
+def test_train_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        tr.TrainConfig(**{field: value})
+
+
 def test_decoder_target_pairs_masking_example():
     pairs = tr.decoder_target_pairs(4, 8)
     assert len(pairs) == 6
@@ -333,10 +340,11 @@ def transposed_copies(params):
 
 
 def test_bptt_peak_memory_stays_within_its_blocks():
-    # grads() writes dz and d_feat into the trace it consumes. Measured at
-    # this shape: 2.85 blocks beside the gradients and the transposed
-    # weight copies, while the trace turns into its factors; a dz buffer
-    # (5.07) or a contiguous copy of the decoder's dz (3.62) crosses the budget
+    # grads() writes dz and d_feat into the trace it consumes, and takes the
+    # heads' hidden-state gradients a few chunks at a time. Measured at this
+    # shape: 1.60 blocks beside the gradients and the transposed weight
+    # copies; the budget leaves 0.4 blocks of slack. Window-sized head
+    # gradients and their transposed copy read 2.85, a dz buffer 5.07
     hs, t_len, batch, steps = 16, 48, 8, 3
     cfg = tiny_model(hidden_size=hs, decoder_steps=steps, num_actions=3)
     params = TrnParams.init(cfg, np.random.default_rng(42))
@@ -353,8 +361,30 @@ def test_bptt_peak_memory_stays_within_its_blocks():
     finally:
         tracemalloc.stop()
     block = hs * (steps + 1) * t_len * batch * 8  # H rows over every step's columns
-    budget = sum(g.nbytes for g in grads.values()) + transposed_copies(params) + 3.25 * block
+    budget = sum(g.nbytes for g in grads.values()) + transposed_copies(params) + 2.0 * block
     assert peak <= budget, (peak, budget)
+
+
+@pytest.mark.parametrize("hs, t_len, batch, steps", [
+    (16, 1, 1, 1), (16, 2, 1, 1), (16, 5, 1, 3), (4, 7, 3, 1), (16, 48, 8, 3), (128, 64, 2, 8),
+    (128, 64, 1, 8),
+])
+def test_bptt_head_gradient_blocks_are_bitwise_the_window_gemm(hs, t_len, batch, steps):
+    # BPTT takes the hidden-state gradients of a few chunks at a time; every
+    # block must hold the bits the window-wide GEMM gave. A block of one
+    # chunk at batch 1 would run a one-column GEMM, which BLAS does as a
+    # gemv that sums in another order
+    rng = np.random.default_rng(hs + t_len + batch + steps)
+    blocks = tr._chunk_blocks(t_len, (steps + 1) * hs * batch * 8)
+    assert [t for t0, t1 in reversed(blocks) for t in range(t0, t1)] == list(range(t_len))
+    assert all(t1 - t0 >= min(2, t_len) for t0, t1 in blocks)
+    for rows in (1, steps):  # the encoder head, then the decoder's, one row per step
+        w = rng.normal(size=(3, hs))
+        g = rng.normal(size=(3, rows * t_len * batch))
+        window = (w.T @ g).reshape(hs, rows, t_len, batch).transpose(2, 1, 0, 3)
+        for t0, t1 in blocks:
+            got = tr._head_grads(w, g, (hs, t_len, batch), t0, t1)
+            assert np.array_equal(got, window[t0:t1]), (rows, t0, t1)
 
 
 def test_workspace_holds_the_trace_and_the_two_operands():
@@ -556,11 +586,9 @@ def test_adam_first_update_magnitude_is_lr_for_any_scale():
         assert abs(abs(embed_b(params)) - 0.01) < 1e-4
 
 
-@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
-def test_adam_step_equals_the_out_of_place_oracle_bitwise(weight_decay):
-    # the in-place update keeps the textbook's operation order, so every
-    # weight and moment matches the oracle to the bit, step after step
-    cfg = tiny_model(fusion_variant=FusionVariant.FUSED_TWO_STREAM, pose_dim=5)
+def assert_adam_matches_the_oracle(cfg, weight_decay):
+    """Four adam_step calls on ``cfg``'s fresh parameters equal the
+    out-of-place oracle's weights and moments to the bit."""
     params = TrnParams.init(cfg, np.random.default_rng(40))
     state = tr.AdamState.init(params)
     ref = {k: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data))
@@ -577,6 +605,66 @@ def test_adam_step_equals_the_out_of_place_oracle_bitwise(weight_decay):
                                            tc.weight_decay)
             assert np.array_equal(t.data, w) and np.array_equal(state.m[k], m), k
             assert np.array_equal(state.v[k], v), k
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+def test_adam_step_equals_the_out_of_place_oracle_bitwise(weight_decay):
+    # the in-place update keeps the textbook's operation order, so every
+    # weight and moment matches the oracle to the bit, step after step
+    cfg = tiny_model(fusion_variant=FusionVariant.FUSED_TWO_STREAM, pose_dim=5)
+    assert_adam_matches_the_oracle(cfg, weight_decay)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+def test_sliced_adam_equals_the_out_of_place_oracle_bitwise(weight_decay):
+    # hidden 72: the LSTM weights (288 x 144 and 288 x 216) span 2.5 and 3.8
+    # slices, so slice bounds fall inside them and each ends in a ragged tail
+    cfg = tiny_model(fusion_variant=FusionVariant.FUSED_TWO_STREAM, pose_dim=5, hidden_size=72)
+    largest = max(math.prod(s) for s in md.param_shapes(cfg).values())
+    assert largest > 2 * tr.ADAM_SLICE and largest % tr.ADAM_SLICE
+    assert_adam_matches_the_oracle(cfg, weight_decay)
+
+
+def test_adam_working_memory_is_two_slices_for_any_model():
+    # hidden 128: the LSTM weights hold 8 and 12 slices. Measured: the first
+    # step's peak is its two scratch rows and about 11 KB of views; the
+    # budget allows 32 KB beyond the rows, so two scratch rows the size of
+    # the largest parameter (3 MB here) cross it
+    params = TrnParams.init(tiny_model(hidden_size=128), np.random.default_rng(50))
+    assert max(t.data.size for t in params.named().values()) >= 8 * tr.ADAM_SLICE
+    state, rng = tr.AdamState.init(params), np.random.default_rng(51)
+    grads = {k: rng.normal(size=t.data.shape) for k, t in params.named().items()}
+    tracemalloc.start()
+    try:
+        tr.adam_step(params, grads, state, tiny_train())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.scratch.shape == (2, tr.ADAM_SLICE)
+    assert peak <= 2 * tr.ADAM_SLICE * 8 + 32 * 1024, peak
+
+
+def test_adam_updates_weights_and_moments_in_their_own_buffers():
+    # the update runs on flat views: a reshape that copied would drop it
+    params = TrnParams.init(tiny_model(hidden_size=72), np.random.default_rng(52))
+    state, rng = tr.AdamState.init(params), np.random.default_rng(53)
+    buffers = {k: (t.data, state.m[k], state.v[k]) for k, t in params.named().items()}
+    before = {k: t.data.copy() for k, t in params.named().items()}
+    tr.adam_step(params, {k: rng.normal(size=t.data.shape) for k, t in params.named().items()},
+                 state, tiny_train())
+    for k, t in params.named().items():
+        w, m, v = buffers[k]
+        assert t.data is w and state.m[k] is m and state.v[k] is v, k
+        assert (w != before[k]).all() and (m != 0).all() and (v != 0).all(), k
+    # a layout reshape(-1) would copy is refused before anything moves
+    name = "decoder.lstm.w"
+    state.m[name] = np.asfortranarray(state.m[name])
+    moved = {k: t.data.copy() for k, t in params.named().items()}
+    with pytest.raises(ValidationError, match=f"Adam m of {name} is not C-contiguous"):
+        tr.adam_step(params, {k: np.ones_like(t.data) for k, t in params.named().items()},
+                     state, tiny_train())
+    assert state.t == 1
+    assert all(np.array_equal(t.data, moved[k]) for k, t in params.named().items())
 
 
 def test_adam_nonfinite_gradient_names_parameter():
@@ -802,6 +890,19 @@ def test_train_heldout_map_reads_every_annotation_file(tmp_path):
     assert metrics[0].heldout_map == expected
 
 
+def test_train_reads_each_heldout_feature_file_once(tmp_path, monkeypatch):
+    # the held-out split was read again at every evaluation
+    manifest = synth_manifest(tmp_path, num_videos=8, video_len=12)
+    reads = []
+    read = dio.read_features
+    monkeypatch.setattr(dio, "read_features", lambda path, *a: reads.append(path) or read(path, *a))
+    mc = tiny_model(appearance_dim=5, motion_dim=4, hidden_size=6, decoder_steps=2)
+    _, metrics = tr.train(manifest, mc, tiny_train(seq_len=6, epochs=3, eval_every=1))
+    assert all(m.heldout_map is not None for m in metrics)
+    heldout = {manifest.resolve(v.streams[n].path) for v in manifest.split("test") for n in mc.streams}
+    assert heldout <= set(reads) and len(reads) == len(set(reads))
+
+
 def test_train_class_map_mismatch(tmp_path):
     manifest = synth_manifest(tmp_path)
     mc = tiny_model(appearance_dim=5, motion_dim=4, num_actions=7)
@@ -879,16 +980,12 @@ def test_checkpoint_roundtrip(tmp_path):
         grads = {k: rng.normal(size=t.data.shape) for k, t in params.named().items()}
         tr.adam_step(params, grads, adam, tc)
     path = str(tmp_path / "model.trnc")
-    tr.save_checkpoint(path, params, adam, meta={"note": "unit"})
-    loaded, adam2, meta = tr.load_checkpoint(path)
+    tr.save_checkpoint(path, params, meta={"note": "unit"})
+    loaded, meta = tr.load_checkpoint(path)
     assert meta == {"note": "unit"}
     assert loaded.config == cfg
     for k, t in params.named().items():
         assert np.array_equal(loaded.named()[k].data, t.data)
-    assert adam2.t == adam.t
-    for k in adam.m:
-        assert np.array_equal(adam2.m[k], adam.m[k])
-        assert np.array_equal(adam2.v[k], adam.v[k])
 
 
 def rewrite_index(path, edit):
@@ -915,21 +1012,55 @@ def test_checkpoint_with_integer_fps_loads(tmp_path):
         doc["config"]["fps"] = 30
 
     rewrite_index(path, int_fps)
-    loaded, _, _ = tr.load_checkpoint(str(path))
+    loaded, _ = tr.load_checkpoint(str(path))
     assert loaded.config.fps == 30.0 and isinstance(loaded.config.fps, float)
     for k, t in params.named().items():
         assert np.array_equal(loaded.named()[k].data, t.data)
 
 
 def test_checkpoint_without_adam(tmp_path):
+    # the index keeps its "adam": null, and the payload is the parameters alone
     cfg = tiny_model()
     params = TrnParams.init(cfg, np.random.default_rng(13))
-    path = str(tmp_path / "m.trnc")
-    tr.save_checkpoint(path, params)
-    loaded, adam, _ = tr.load_checkpoint(path)
-    assert adam is None
+    path = tmp_path / "m.trnc"
+    tr.save_checkpoint(str(path), params)
+    loaded, meta = tr.load_checkpoint(str(path))
+    assert meta == {}
     for k, t in params.named().items():
         assert np.array_equal(loaded.named()[k].data, t.data)
+    blob, at = path.read_bytes(), dio.CONTAINER_HEADER.size
+    _, _, index_len = dio.CONTAINER_HEADER.unpack(blob[:at])
+    assert json.loads(blob[at : at + index_len])["adam"] is None
+    assert len(blob) == at + index_len + sum(t.data.nbytes for t in params.named().values())
+
+
+def test_checkpoint_with_an_adam_payload_is_a_header_error(tmp_path, caplog):
+    # an earlier writer could append Adam's m and v after the parameters and
+    # record its step in the index; that payload is no longer read
+    params = TrnParams.init(tiny_model(), np.random.default_rng(19))
+    path = tmp_path / "m.trnc"
+    tr.save_checkpoint(str(path), params)
+    moments = b"".join(np.zeros_like(t.data).tobytes() for t in params.named().values())
+    path.write_bytes(path.read_bytes() + 2 * moments)
+    rewrite_index(path, lambda doc: doc.__setitem__("adam", {"t": 2}))
+    with pytest.raises(dio.HeaderError, match="Adam payload"):
+        tr.load_checkpoint(str(path))
+    features = tmp_path / "appearance.trnf"
+    dio.write_features(str(features), np.zeros((2, 3)))
+    assert cli.main(["stream", "--ckpt", str(path), "--out", str(tmp_path / "d.trnd"),
+                     "--features", f"appearance={features}", f"motion={features}"]) == 2
+    assert "Adam payload" in caplog.text
+    assert not (tmp_path / "d.trnd").exists()
+
+
+def test_checkpoint_with_a_non_finite_fps_is_a_header_error(tmp_path):
+    # JSON carries NaN, and the config took it
+    params = TrnParams.init(tiny_model(), np.random.default_rng(20))
+    path = tmp_path / "m.trnc"
+    tr.save_checkpoint(str(path), params)
+    rewrite_index(path, lambda doc: doc["config"].__setitem__("fps", float("nan")))
+    with pytest.raises(dio.HeaderError, match="fps must be a finite positive number"):
+        tr.load_checkpoint(str(path))
 
 
 def test_checkpoint_deterministic_bytes(tmp_path):
@@ -941,16 +1072,13 @@ def test_checkpoint_deterministic_bytes(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-# sha256 of pinned_checkpoint's bytes, without and with Adam state, as
-# written by the checkpoint writer before it moved onto dataio's container
-PINNED_CHECKPOINT_SHA256 = {
-    False: "fee2953c5799146ed4a8d29772f965a13415e354f82150ec1a24a33f18d0a7f9",
-    True: "094b1619118d26a5016bd6d886e85f3672d065fe373f58faa1defc6fd6cdeaad",
-}
+# sha256 of the pinned checkpoint's bytes, as written by the checkpoint
+# writer before it moved onto dataio's container (and before it dropped
+# the Adam payload, which this checkpoint never held)
+PINNED_CHECKPOINT_SHA256 = "fee2953c5799146ed4a8d29772f965a13415e354f82150ec1a24a33f18d0a7f9"
 
 
-@pytest.mark.parametrize("with_adam", [False, True])
-def test_checkpoint_bytes_are_pinned(tmp_path, with_adam):
+def test_checkpoint_bytes_are_pinned(tmp_path):
     cfg = tiny_model(fusion_variant=FusionVariant.FUSED_TWO_STREAM, pose_dim=5, fps=29.97)
     params = TrnParams.init(cfg, np.random.default_rng(2024))
     adam = tr.AdamState.init(params)
@@ -959,9 +1087,8 @@ def test_checkpoint_bytes_are_pinned(tmp_path, with_adam):
         grads = {k: rng.normal(size=t.data.shape) for k, t in params.named().items()}
         tr.adam_step(params, grads, adam, tr.TrainConfig(seq_len=4))
     path = tmp_path / "m.trnc"
-    tr.save_checkpoint(str(path), params, adam if with_adam else None,
-                       meta={"epochs": 2, "note": "pin"})
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHECKPOINT_SHA256[with_adam]
+    tr.save_checkpoint(str(path), params, meta={"epochs": 2, "note": "pin"})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHECKPOINT_SHA256
 
 
 def test_checkpoint_writer_refuses_non_finite_values(tmp_path):
@@ -973,10 +1100,9 @@ def test_checkpoint_writer_refuses_non_finite_values(tmp_path):
         tr.save_checkpoint(str(path), params)
     assert not path.exists()
     params.named()["embed.w"].data[1, 2] = 0.0
-    adam = tr.AdamState.init(params)
-    adam.v["decoder.cls.b"][0] = np.inf
+    params.named()["decoder.cls.b"].data[0] = np.inf
     with pytest.raises(ValidationError, match="decoder.cls.b holds a non-finite value"):
-        tr.save_checkpoint(str(path), params, adam)
+        tr.save_checkpoint(str(path), params)
     assert not path.exists()
 
 
@@ -1036,7 +1162,7 @@ def test_checkpoint_preserves_predictions(tmp_path):
     params = TrnParams.init(mc, np.random.default_rng(16))
     path = str(tmp_path / "m.trnc")
     tr.save_checkpoint(path, params)
-    loaded, _, _ = tr.load_checkpoint(path)
+    loaded, _ = tr.load_checkpoint(path)
     a = tr.predict_manifest(params, manifest, "test")
     b = tr.predict_manifest(loaded, manifest, "test")
     for vid in a.videos:
