@@ -174,9 +174,8 @@ def _chunk_blocks(t_len: int, chunk_bytes: int) -> list[tuple[int, int]]:
     two chunks unless the window has one: a head GEMM over a single
     column would run as a gemv, which sums in another order than the
     window GEMM's gemm."""
-    per_block = max(2, HEAD_BLOCK_BYTES // chunk_bytes)
-    bounds = np.linspace(0, t_len, max(1, t_len // per_block) + 1).round().astype(int)
-    return list(zip(bounds[-2::-1].tolist(), bounds[:0:-1].tolist()))
+    n = max(1, t_len // max(2, HEAD_BLOCK_BYTES // chunk_bytes))
+    return [(t_len * i // n, t_len * (i + 1) // n) for i in reversed(range(n))]
 
 
 def _head_grads(w: np.ndarray, g: np.ndarray, shape: tuple, t0: int, t1: int) -> np.ndarray:
@@ -413,14 +412,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _flat_view(a: np.ndarray, what: str) -> np.ndarray:
-    """``a`` as one flat view; the update writes through it, so a layout
-    that would need a copy raises ValidationError instead."""
-    if not a.flags.c_contiguous:
-        raise ValidationError(f"{what} is not C-contiguous; adam_step updates it in place")
-    return a.reshape(-1)
-
-
 def adam_step(
     params: TrnParams,
     grads: dict[str, np.ndarray],
@@ -450,9 +441,11 @@ def adam_step(
             raise ValidationError(
                 f"gradient shape {g.shape} does not match parameter {name} {tensor.data.shape}"
             )
-        flats.append((np.reshape(g, -1), _flat_view(tensor.data, f"parameter {name}"),
-                      _flat_view(state.m[name], f"Adam m of {name}"),
-                      _flat_view(state.v[name], f"Adam v of {name}")))
+        # the update writes through flat views: a layout reshape would copy is refused
+        arrays = (tensor.data, state.m[name], state.v[name])
+        if not all(a.flags.c_contiguous for a in arrays):
+            raise ValidationError(f"parameter {name} or its Adam moments are not C-contiguous")
+        flats.append((np.reshape(g, -1), *(a.reshape(-1) for a in arrays)))
     state.t += 1
     params.updates += 1
     bc1 = 1.0 - ADAM_BETA1**state.t

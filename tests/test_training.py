@@ -660,7 +660,7 @@ def test_adam_updates_weights_and_moments_in_their_own_buffers():
     name = "decoder.lstm.w"
     state.m[name] = np.asfortranarray(state.m[name])
     moved = {k: t.data.copy() for k, t in params.named().items()}
-    with pytest.raises(ValidationError, match=f"Adam m of {name} is not C-contiguous"):
+    with pytest.raises(ValidationError, match=f"{name} or its Adam moments are not C-contiguous"):
         tr.adam_step(params, {k: np.ones_like(t.data) for k, t in params.named().items()},
                      state, tiny_train())
     assert state.t == 1
