@@ -434,10 +434,11 @@ class WindowPass:
     enc_in: np.ndarray  # (2H, B, T + 1): the encoder's (ctx; h_prev), then the final h
     h: np.ndarray  # state after the last chunk, (H, B)
     c: np.ndarray
-    # (6H, B, T, steps + 1), Fortran order, when traced: per step its gates
-    # [i, f, g, o], tanh(c) and c_prev as one column-major (6H, B) block,
-    # the encoder's step last. Row slices of it are :func:`cols` operands,
-    # so BPTT writes each step's gradients into the block it consumed
+    # (6H, B, T, steps + 1), Fortran order, with ``trace`` (else None): per
+    # step its gates [i, f, g, o], tanh(c) and c_prev as one column-major
+    # (6H, B) block, the encoder's step last. Row slices of it are
+    # :func:`cols` operands, so BPTT writes each step's gradients into the
+    # block it consumed: after a backward pass it holds no trace
     lstm: np.ndarray | None
 
 
@@ -447,41 +448,8 @@ def cols(a: np.ndarray) -> np.ndarray:
     return a.reshape(len(a), -1, order="F")
 
 
-class Workspace:
-    """The large per-window arrays of training, reused from window to window.
-
-    Each role (the trace "lstm" and the operands "dec_in" and "enc_in") is
-    one flat float64 buffer that grows to the largest request it has
-    served; :meth:`take` views its head in the shape and order asked for,
-    so a shorter window or a smaller batch allocates nothing. BPTT needs
-    no buffer of its own: it writes each step's gradients into the trace
-    block it has just read. ``forwards`` counts the traced forwards
-    served: a view taken before the latest one holds another window's
-    values.
-    """
-
-    def __init__(self):
-        self.buffers: dict[str, np.ndarray] = {}
-        self.forwards = 0
-
-    def take(self, role: str, shape: tuple[int, ...], order: str = "C") -> np.ndarray:
-        size = int(np.prod(shape))
-        buf = self.buffers.get(role)
-        if buf is None or buf.size < size:
-            buf = self.buffers[role] = np.empty(size)
-        return buf[:size].reshape(shape, order=order)
-
-
-def _buffer(workspace: Workspace | None, role: str, shape: tuple[int, ...], order: str = "C"):
-    """A fresh array without a workspace, else a view of its ``role`` buffer."""
-    if workspace is None:
-        return np.empty(shape, order=order)
-    return workspace.take(role, shape, order)
-
-
 def window_forward(
-    params: TrnParams, raw: np.ndarray, h: np.ndarray, c: np.ndarray,
-    workspace: Workspace | None = None,
+    params: TrnParams, raw: np.ndarray, h: np.ndarray, c: np.ndarray, trace: bool = False
 ) -> WindowPass:
     """The cell over an equal-length block of columns.
 
@@ -493,10 +461,9 @@ def window_forward(
     the time loop every later step is one GEMM, on the stacked operand the
     step before wrote, of its weight as stored (a view of the encoder's
     (ctx; h) columns). The arithmetic is the one ``chunk_step`` runs, up
-    to float reassociation. With a ``workspace`` the pass is traced: it
-    keeps the gates, tanh(c) and c_prev a backward pass reads, and its
-    operands and trace are views of the workspace, valid until its next
-    forward. Without one (inference) every array is fresh and untraced.
+    to float reassociation. Every array of the pass is fresh. With
+    ``trace`` (the training loss) the pass also keeps the gates, tanh(c)
+    and c_prev a backward pass reads; inference runs untraced.
     """
     cfg, p = params.config, params.arrays()
     hs, steps = cfg.hidden_size, cfg.decoder_steps
@@ -509,11 +476,8 @@ def window_forward(
     fused = raw
     if cfg.has_fusion_layer:
         fused = np.maximum(p["fusion.w"] @ raw + p["fusion.b"][:, None], 0.0)
-    trace = workspace is not None
-    if trace:
-        workspace.forwards += 1
-    dec_in = _buffer(workspace, "dec_in", (2 * hs, batch, t_len, steps + 1), "F")
-    enc_in = _buffer(workspace, "enc_in", (2 * hs, batch, t_len + 1), "F")
+    dec_in = np.empty((2 * hs, batch, t_len, steps + 1), order="F")
+    enc_in = np.empty((2 * hs, batch, t_len + 1), order="F")
     x = cols(dec_in[:hs, :, :, 0])
     x[...] = np.maximum(p["embed.w"] @ fused + p["embed.b"][:, None], 0.0)
     # the input halves of decoder step 1 and of the encoder
@@ -526,7 +490,7 @@ def window_forward(
     # decoder step k's (feature; h) out, step k + 1's operand; the last step's
     # feature rows stay 0, since its feature feeds nothing
     ops = np.zeros((steps, 2 * hs, batch))
-    lstm = _buffer(workspace, "lstm", (6 * hs, batch, t_len, steps + 1), "F") if trace else None
+    lstm = np.empty((6 * hs, batch, t_len, steps + 1), order="F") if trace else None
     c_last = np.empty((hs, batch))  # the last decoder step's c feeds nothing
     per_step = [  # its gates, c_prev, c out, tanh(c), h out and feature out
         (col[k, : 4 * hs], col[k, 5 * hs :], col[k + 1, 5 * hs :] if k + 1 < steps else c_last,

@@ -24,10 +24,10 @@ classifier. The tests pin it to the tape's op-by-op ``model.chunk_step``.
 The gradient is a hand-derived backpropagation through time that runs
 only when the loss's ``grads()`` is called, and writes each step's
 gradient into the trace block it has just read, where the weight GEMMs
-read it. A training step is plain numpy from feature arrays to Adam,
-which updates in place, a cache-sized slice at a time. One ``train`` call runs every window in one
-``model.Workspace``, so the trace and the stacked operands are allocated
-once, not once per step.
+read it. Each loss owns its pass, trace and operands, and drops it as
+``grads()`` returns, so consecutive steps never hold two traces. A
+training step is plain numpy from feature arrays to Adam, which updates
+in place, a cache-sized slice at a time.
 
 Batching packs same-length windows as columns of one matrix; per-sequence
 results are identical to running each window alone (up to float
@@ -93,18 +93,15 @@ def sequence_loss(
     videos: list[dict],
     labels: np.ndarray,
     ambiguous: np.ndarray | None = None,
-    workspace: md.Workspace | None = None,
 ) -> "WindowLoss":
     """Two-head training loss for one window of B columns.
 
     videos: B name -> (T, D) stream dicts, as ``model.forward_videos``
     takes, all of one length T. labels: (T, B) ints, or (T,) for one
-    window. ambiguous: an optional bool mask of the labels' shape. An
-    ambiguous chunk leaves the encoder head's mean, and a (t, i) pair whose
-    target t + i is ambiguous leaves the decoder head's mean; a head with
-    nothing left contributes 0. The pass's large arrays come from
-    ``workspace``, a fresh one by default; a caller that runs many windows
-    passes one :class:`model.Workspace` to them all.
+    window; any other dtype is a ValidationError. ambiguous: an optional
+    bool mask of the labels' shape. An ambiguous chunk leaves the encoder
+    head's mean, and a (t, i) pair whose target t + i is ambiguous leaves
+    the decoder head's mean; a head with nothing left contributes 0.
 
     Returns the :class:`WindowLoss`: the loss as a float, and its
     gradients from ``grads()``, which alone runs the backward pass.
@@ -114,6 +111,8 @@ def sequence_loss(
         raise DimensionError(f"a batch needs windows of one length, got lengths {sorted(lengths)}")
     (t_len,) = lengths
     labels = np.asarray(labels)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
     want = (t_len,) if labels.ndim == 1 and len(videos) == 1 else (t_len, len(videos))
     if labels.shape != want:
         raise ValidationError(f"labels have shape {labels.shape}, expected {want}")
@@ -130,9 +129,7 @@ def sequence_loss(
             )
         ambiguous = ambiguous.reshape(t_len, -1)
     labels = labels.reshape(t_len, -1).astype(np.int64)
-    if workspace is None:
-        workspace = md.Workspace()
-    return WindowLoss(params, config, videos, labels, ambiguous, workspace)
+    return WindowLoss(params, config, videos, labels, ambiguous)
 
 
 def _lstm_factors(lstm: np.ndarray) -> None:
@@ -288,26 +285,23 @@ class WindowLoss:
     weight gradient is one GEMM. Gates are [i, f, g, o], the ReLU gradient
     is 0 at 0, and clamped cross-entropy columns carry no gradient.
 
-    The trace and the operands live in the workspace, and the backward
-    pass writes each step's dz and d_feat into the trace block it has just
-    read, where the weight GEMMs read them. So ``grads()`` holds only until
-    the workspace serves another forward; after that it raises
-    ValidationError. It raises too once ``adam_step`` has moved the
-    weights its forward ran with. A second call reruns the forward, since
-    the first one has spent its trace.
+    ``run`` is the traced pass until ``grads()``, which writes each step's
+    dz and d_feat over the trace block it has just read and drops the pass
+    before it returns; a second call reruns the forward. ``grads()``
+    raises ValidationError once ``adam_step`` has moved the weights the
+    forward ran with.
     """
 
     def __init__(
-        self, params: TrnParams, config: TrainConfig, videos, labels: np.ndarray, ambiguous,
-        workspace: md.Workspace,
+        self, params: TrnParams, config: TrainConfig, videos, labels: np.ndarray, ambiguous
     ):
         cfg = params.config
         hs, steps = cfg.hidden_size, cfg.decoder_steps
         t_len, batch = labels.shape
         self.params, self.shape = params, (hs, t_len, steps, batch)
         self.raw = md.stack_block(cfg, videos, 0, t_len)
-        self.workspace, self.updates = workspace, params.updates
-        run = self._forward()
+        self.updates = params.updates
+        run = self.run = self._forward()
 
         # heads; the decoder keeps the (step, t, b) whose target t + step is in the window
         keep = np.ones(t_len * batch, dtype=bool) if ambiguous is None else ~ambiguous.reshape(-1)
@@ -325,23 +319,18 @@ class WindowLoss:
         self.loss = float(self.loss + dec)
 
     def _forward(self) -> md.WindowPass:
-        """Run the traced forward into the workspace, from zero state."""
+        """The traced forward, from zero state."""
         zero = np.zeros((self.shape[0], self.shape[3]))
-        self.run = md.window_forward(self.params, self.raw, zero, zero, self.workspace)
-        self.forward_id, self.spent = self.workspace.forwards, False
-        return self.run
+        return md.window_forward(self.params, self.raw, zero, zero, trace=True)
 
     def grads(self) -> dict[str, np.ndarray]:
         """The gradient of the loss for every parameter, keyed and ordered
         as ``TrnParams.named``."""
-        if self.workspace.forwards != self.forward_id:
-            raise ValidationError("stale loss: its workspace has since run another window")
         if self.params.updates != self.updates:
             raise ValidationError("stale loss: its parameters have since been updated")
-        if self.spent:  # an earlier call wrote its gradients over the trace
-            self._forward()
-        self.spent = True
-        p, run = self.params.arrays(), self.run
+        # BPTT writes its gradients over the trace, so the pass serves one call
+        run, self.run = self.run or self._forward(), None
+        p = self.params.arrays()
         hs, t_len, steps, batch = self.shape
         out: dict[str, np.ndarray] = {}
 
@@ -368,7 +357,8 @@ class WindowLoss:
         out["decoder.feat.b"] = d_feat.sum(axis=1)
 
         # input stages: both step-1 projections of x, then embed and fusion
-        dx = wd[:, :hs].T @ cols(lstm[: 4 * hs, ..., 0]) + we[:, :hs].T @ dz_enc
+        dx = wd[:, :hs].T @ cols(lstm[: 4 * hs, ..., 0])
+        dx += we[:, :hs].T @ dz_enc
         dx *= x > 0.0
         out["embed.w"] = dx @ run.fused.T
         out["embed.b"] = dx.sum(axis=1)
@@ -552,7 +542,6 @@ def train(
         )
     params = TrnParams.init(model_config, rng)
     adam = AdamState.init(params)
-    workspace = md.Workspace()  # every step's forward and BPTT run in it
 
     # every annotation file either split needs is read, and checked, before the first step
     heldout = manifest.split("test") if train_config.eval_every else []
@@ -585,8 +574,7 @@ def train(
         for batch in batches:
             labels = np.stack([w.labels for w in batch], axis=1)
             ambiguous = np.stack([w.ambiguous for w in batch], axis=1)
-            loss = sequence_loss(params, train_config, [w.streams for w in batch], labels,
-                                 ambiguous, workspace)
+            loss = sequence_loss(params, train_config, [w.streams for w in batch], labels, ambiguous)
             adam_step(params, loss.grads(), adam, train_config)
             losses.append(loss.loss)
         mean_loss = float(np.mean(losses))

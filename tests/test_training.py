@@ -113,6 +113,18 @@ def test_sequence_loss_label_out_of_range():
         tr.sequence_loss(params, tiny_train(), window, np.array([-1, 0]))
 
 
+@pytest.mark.parametrize("labels, dtype", [
+    ([0.4, 1.9, 2.5, 1.0], "float64"),  # would train as [0, 1, 2, 1]
+    ([0.0, float("nan"), 1.0, 2.0], "float64"),
+    (["0", "1", "2", "1"], "<U1"),
+])
+def test_sequence_loss_refuses_labels_that_are_not_integers(labels, dtype):
+    cfg = tiny_model()
+    window = random_windows(np.random.default_rng(4), cfg, 4)
+    with pytest.raises(ValidationError, match=f"labels must be integers, got dtype {dtype}"):
+        tr.sequence_loss(TrnParams.zeros(cfg), tiny_train(), window, np.array(labels))
+
+
 def test_sequence_loss_rejects_misshapen_batches():
     cfg = tiny_model()
     params = TrnParams.zeros(cfg)
@@ -350,10 +362,9 @@ def test_bptt_peak_memory_stays_within_its_blocks():
     params = TrnParams.init(cfg, np.random.default_rng(42))
     videos = random_windows(np.random.default_rng(43), cfg, t_len, batch)
     labels = np.random.default_rng(44).integers(0, cfg.classes, size=(t_len, batch))
-    ws = md.Workspace()
-    # leave numpy's first-call allocations and the workspace's own out of the measure
-    tr.sequence_loss(params, tiny_train(), videos, labels, workspace=ws).grads()
-    loss = tr.sequence_loss(params, tiny_train(), videos, labels, workspace=ws)
+    # leave numpy's first-call allocations out of the measure
+    tr.sequence_loss(params, tiny_train(), videos, labels).grads()
+    loss = tr.sequence_loss(params, tiny_train(), videos, labels)
     tracemalloc.start()
     try:
         grads = loss.grads()
@@ -387,18 +398,20 @@ def test_bptt_head_gradient_blocks_are_bitwise_the_window_gemm(hs, t_len, batch,
             assert np.array_equal(got, window[t0:t1]), (rows, t0, t1)
 
 
-def test_workspace_holds_the_trace_and_the_two_operands():
-    # BPTT keeps no buffer of its own: after a step the workspace is the
-    # (6H) trace plus the (2H) operands of the decoder and the encoder
+def test_grads_drops_the_pass_and_a_second_call_matches():
+    # grads() writes over the trace it reads and lets the pass go, so a
+    # loss left bound holds no window-sized array; a second call reruns
+    # the forward and gives the same bits
     hs, t_len, batch, steps = 8, 7, 3, 3
-    params, rng = workspace_setup(hs, steps)
-    ws = md.Workspace()
+    params, rng = loss_setup(hs, steps)
     videos = random_windows(rng, params.config, t_len, batch)
     labels = rng.integers(0, params.config.classes, size=(t_len, batch))
-    tr.sequence_loss(params, tiny_train(), videos, labels, workspace=ws).grads()
-    step_cols = batch * t_len * (steps + 1)
-    want = (6 * hs * step_cols + 2 * hs * step_cols + 2 * hs * batch * (t_len + 1)) * 8
-    assert sum(b.nbytes for b in ws.buffers.values()) == want
+    loss = tr.sequence_loss(params, tiny_train(), videos, labels)
+    assert loss.run.lstm is not None
+    first = loss.grads()
+    assert loss.run is None
+    assert all(np.array_equal(g, first[k]) for k, g in loss.grads().items())
+    assert loss.run is None
 
 
 def test_bptt_gemm_operands_are_views_of_the_trace(monkeypatch):
@@ -407,15 +420,15 @@ def test_bptt_gemm_operands_are_views_of_the_trace(monkeypatch):
     # leading dimension BLAS takes, and a GEMM on such a strided operand
     # gives the bits of the same GEMM on a contiguous copy
     hs, t_len, batch, steps = 8, 5, 3, 3
-    params, rng = workspace_setup(hs, steps)
+    params, rng = loss_setup(hs, steps)
     videos = random_windows(rng, params.config, t_len, batch)
     labels = rng.integers(0, params.config.classes, size=(t_len, batch))
     loss = tr.sequence_loss(params, tiny_train(), videos, labels)
+    run = loss.run  # grads() drops it
     seen, cols = [], md.cols
     monkeypatch.setattr(md, "cols", lambda a: seen.append((a, cols(a))) or seen[-1][1])
     grads = loss.grads()
     monkeypatch.undo()
-    run = loss.run
     assert all(np.shares_memory(m, a) for a, m in seen)
     on_trace = [m for _, m in seen if np.shares_memory(m, run.lstm)]
     # the factor pass, the dz of the decoder and of the encoder, the
@@ -432,55 +445,29 @@ def test_bptt_gemm_operands_are_views_of_the_trace(monkeypatch):
     )
 
 
-def workspace_setup(hs=16, steps=3, seed=45):
+def loss_setup(hs=16, steps=3, seed=45):
     cfg = tiny_model(hidden_size=hs, decoder_steps=steps, num_actions=3)
     return TrnParams.init(cfg, np.random.default_rng(seed)), np.random.default_rng(seed + 1)
 
 
-def test_workspace_steps_are_bitwise_fresh_ones():
-    # consecutive steps, then a ragged window, then a smaller batch: each
-    # matches a loss on its own fresh workspace to the bit, though every
-    # buffer is poisoned in between and none is reallocated after the first
-    params, rng = workspace_setup()
+def test_interleaved_losses_give_fresh_grads():
+    # each loss owns its pass: a loss built after another leaves the
+    # first one's grads() to the bit as a fresh loss gives them
+    params, rng = loss_setup()
     tc = tiny_train()
-    ws = md.Workspace()
-    buffers = None
-    for t_len, batch in [(64, 3), (64, 3), (40, 3), (40, 2)]:
-        videos = random_windows(rng, params.config, t_len, batch)
-        labels = rng.integers(0, params.config.classes, size=(t_len, batch))
-        ambiguous = rng.random((t_len, batch)) < 0.1
-        loss = tr.sequence_loss(params, tc, videos, labels, ambiguous, ws)
-        got = loss.grads()
-        fresh = tr.sequence_loss(params, tc, videos, labels, ambiguous)
-        assert loss.loss == fresh.loss
-        for name, g in fresh.grads().items():
-            assert np.array_equal(got[name], g), (t_len, batch, name)
-        if buffers is None:
-            buffers = dict(ws.buffers)
-        assert ws.buffers.keys() == buffers.keys() == {"lstm", "dec_in", "enc_in"}
-        assert all(ws.buffers[k] is b for k, b in buffers.items())
-        for b in buffers.values():
-            b.fill(np.nan)
-
-
-def test_stale_loss_grads_raise():
-    params, rng = workspace_setup()
-    tc, ws = tiny_train(), md.Workspace()
     windows = [random_windows(rng, params.config, 5, 2) for _ in range(2)]
     labels = np.zeros((5, 2), int)
-    first = tr.sequence_loss(params, tc, windows[0], labels, workspace=ws)
-    first.grads()  # current: its workspace has run nothing since
-    second = tr.sequence_loss(params, tc, windows[1], labels, workspace=ws)
-    with pytest.raises(ValidationError, match="stale loss"):
-        first.grads()
-    want = tr.sequence_loss(params, tc, windows[1], labels).grads()
-    assert all(np.array_equal(g, want[k]) for k, g in second.grads().items())
+    first = tr.sequence_loss(params, tc, windows[0], labels)
+    second = tr.sequence_loss(params, tc, windows[1], labels)
+    for loss, window in ((first, windows[0]), (second, windows[1])):
+        want = tr.sequence_loss(params, tc, window, labels).grads()
+        assert all(np.array_equal(g, want[k]) for k, g in loss.grads().items())
 
 
 def test_loss_grads_raise_once_adam_has_moved_its_weights():
     # the trace holds the forward's activations, not its weights: a
     # grads() after adam_step would mix the old trace with the new weights
-    params, rng = workspace_setup(hs=4)
+    params, rng = loss_setup(hs=4)
     tc = tiny_train()
     videos = random_windows(rng, params.config, 6, 2)
     labels = rng.integers(0, params.config.classes, size=(6, 2))
@@ -514,25 +501,34 @@ def test_float32_windows_give_the_loss_and_grads_of_their_widening():
             assert np.array_equal(got.grads()[name], g), (variant, name)
 
 
-def test_warm_workspace_step_allocates_no_trace_or_dz():
-    # measured at this shape: about 3.4 blocks besides the gradients and
-    # BPTT's contiguous copies of the transposed weights on a warm
-    # workspace; a fresh dz (4 blocks) or trace (6) crosses the budget
+def test_consecutive_steps_never_hold_two_traces():
+    # train keeps the last step's loss bound while it runs the next one. A
+    # loss drops its pass as grads() returns, so the next step's peak holds
+    # one trace and one pair of operands beside the gradients, BPTT's
+    # transposed weight copies and 2 blocks of slack for the smaller arrays
+    # (the fused input, the logit gradients, BPTT's per-block gradients).
+    # Measured at this shape: 1.56 blocks under the budget; a loss that
+    # kept its pass would add 8.5 blocks
     hs, t_len, batch, steps = 16, 12, 2, 3
-    params, rng = workspace_setup(hs, steps)
-    tc, ws = tiny_train(), md.Workspace()
-    windows = [random_windows(rng, params.config, t_len, batch) for _ in range(2)]
+    params, rng = loss_setup(hs, steps)
+    tc = tiny_train()
+    windows = [random_windows(rng, params.config, t_len, batch) for _ in range(3)]
     labels = rng.integers(0, params.config.classes, size=(t_len, batch))
-    tr.sequence_loss(params, tc, windows[0], labels, workspace=ws).grads()
+    tr.sequence_loss(params, tc, windows[0], labels).grads()  # numpy's first-call allocations
     tracemalloc.start()
     try:
-        grads = tr.sequence_loss(params, tc, windows[1], labels, workspace=ws).grads()
+        loss = tr.sequence_loss(params, tc, windows[1], labels)
+        loss.grads()
+        tracemalloc.reset_peak()
+        grads = tr.sequence_loss(params, tc, windows[2], labels).grads()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    trace = 6 * hs * (steps + 1) * t_len * batch * 8
-    budget = trace + sum(g.nbytes for g in grads.values()) + transposed_copies(params)
-    assert peak < budget, (peak, budget)
+    block = hs * (steps + 1) * t_len * batch * 8
+    operands = 2 * block + 2 * hs * batch * (t_len + 1) * 8  # dec_in, enc_in
+    budget = (6 + 2.0) * block + operands + sum(g.nbytes for g in grads.values())
+    budget += transposed_copies(params)
+    assert peak < budget, (peak / block, budget / block)
 
 
 # ---------------------------------------------------------------------------
