@@ -90,6 +90,22 @@ class Opt:
             return _features_value(value)
         return self.typ(value)
 
+    def from_file(self, value, where: str):
+        """A config-file value, refused unless of the option's JSON kind: a
+        boolean for an on/off flag, an integer (a number for a float
+        option) that is not a boolean, text the flag would take, or null
+        where the default is null."""
+        kinds, what = {
+            "flag": ((bool,), "a boolean"), "features": ((list, dict), "a list or an object"),
+        }.get(self.kind) or {
+            int: ((int, str), "an integer or a string"),
+            float: ((int, float, str), "a number or a string"),
+        }.get(self.typ, ((str,), "a string"))
+        if (isinstance(value, kinds) and (self.kind == "flag" or not isinstance(value, bool))
+                or (value is None and self.default is None)):
+            return self.coerce(value)
+        raise ValidationError(f"{where} must be {what}, got {json.dumps(value)}")
+
 
 def _defaults(cls) -> dict:
     """The default of every field of the dataclass ``cls``."""
@@ -236,7 +252,7 @@ def _effective_config(args, options: dict[str, Opt], file_flag: str = "config") 
         if unknown:
             raise ValidationError(f"{path}: unknown config keys {unknown}")
         for k, v in doc.items():
-            cfg[k] = options[k].coerce(v)
+            cfg[k] = options[k].from_file(v, f"{path}: {k}")
     for k, opt in options.items():
         v = getattr(args, k)
         if v is not None:

@@ -71,6 +71,11 @@ _VARIANT_STREAMS = {
 }
 
 
+def _positive_int(value) -> bool:
+    """Whether ``value`` is an integer >= 1; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class TrnConfig:
     """Architecture hyperparameters. Immutable; validated on construction."""
@@ -87,16 +92,10 @@ class TrnConfig:
     fps: float = 30.0
 
     def __post_init__(self):
-        if self.hidden_size < 1:
-            raise ValidationError(f"hidden_size must be >= 1, got {self.hidden_size}")
-        if self.decoder_steps < 1:
-            raise ValidationError(f"decoder_steps must be >= 1, got {self.decoder_steps}")
-        if self.num_actions < 1:
-            raise ValidationError(f"num_actions must be >= 1, got {self.num_actions}")
-        if self.chunk_size < 1:
-            raise ValidationError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.seq_len < 1:
-            raise ValidationError(f"seq_len must be >= 1, got {self.seq_len}")
+        for name in ("hidden_size", "decoder_steps", "num_actions", "chunk_size", "seq_len"):
+            value = getattr(self, name)
+            if not _positive_int(value):
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         if not (math.isfinite(self.fps) and self.fps > 0):
             raise ValidationError(f"fps must be a finite positive number, got {self.fps}")
         # an integer fps (older checkpoints store one) is kept as a float, so
@@ -108,9 +107,9 @@ class TrnConfig:
             )
         for name in self.streams:
             dim = getattr(self, f"{name}_dim")
-            if dim is None or dim < 1:
+            if not _positive_int(dim):
                 raise ValidationError(
-                    f"{self.fusion_variant.value} requires a positive {name}_dim, got {dim}"
+                    f"{self.fusion_variant.value} requires a positive integer {name}_dim, got {dim!r}"
                 )
 
     @staticmethod

@@ -22,12 +22,13 @@ recurrence (fusion, embedding, the input projections of the two LSTMs)
 runs as one GEMM over all chunks of the window, and so does each
 classifier. The tests pin it to the tape's op-by-op ``model.chunk_step``.
 The gradient is a hand-derived backpropagation through time that runs
-only when the loss's ``grads()`` is called, and writes each step's
-gradient into the trace block it has just read, where the weight GEMMs
-read it. Each loss owns its pass, trace and operands, and drops it as
-``grads()`` returns, so consecutive steps never hold two traces. A
-training step is plain numpy from feature arrays to Adam, which updates
-in place, a cache-sized slice at a time.
+only when the loss's ``grads()`` is called. It walks the window one
+chunk at a time, newest first, takes that chunk's head gradients there,
+and writes each step's gradient into the trace block it has just read,
+where the weight GEMMs read it. Each loss owns its pass, trace and
+operands, and drops it as ``grads()`` returns, so consecutive steps
+never hold two traces. A training step is plain numpy from feature
+arrays to Adam, which updates in place, a cache-sized slice at a time.
 
 Batching packs same-length windows as columns of one matrix; per-sequence
 results are identical to running each window alone (up to float
@@ -79,14 +80,6 @@ class TrainConfig:
             raise ValidationError("loss weights must be >= 0")
 
 
-def decoder_target_pairs(seq_len: int, steps: int) -> list[tuple[int, int]]:
-    """All (chunk t, step i) pairs whose target t + i stays inside the
-    window; i is 1-based."""
-    return [
-        (t, i) for t in range(seq_len) for i in range(1, steps + 1) if t + i <= seq_len - 1
-    ]
-
-
 def sequence_loss(
     params: TrnParams,
     config: TrainConfig,
@@ -98,10 +91,11 @@ def sequence_loss(
 
     videos: B name -> (T, D) stream dicts, as ``model.forward_videos``
     takes, all of one length T. labels: (T, B) ints, or (T,) for one
-    window; any other dtype is a ValidationError. ambiguous: an optional
-    bool mask of the labels' shape. An ambiguous chunk leaves the encoder
-    head's mean, and a (t, i) pair whose target t + i is ambiguous leaves
-    the decoder head's mean; a head with nothing left contributes 0.
+    window; any other dtype is a ValidationError. ambiguous: a bool mask
+    of the labels' shape (likewise), or None for no chunk marked. An
+    ambiguous chunk leaves the encoder head's mean, and a (t, i) pair
+    whose target t + i is ambiguous leaves the decoder head's mean; a
+    head with nothing left contributes 0.
 
     Returns the :class:`WindowLoss`: the loss as a float, and its
     gradients from ``grads()``, which alone runs the backward pass.
@@ -121,15 +115,13 @@ def sequence_loss(
         raise ValidationError(
             f"labels must lie in [0, {classes}), got range [{labels.min()}, {labels.max()}]"
         )
-    if ambiguous is not None:
-        ambiguous = np.asarray(ambiguous, dtype=bool)
-        if ambiguous.shape != labels.shape:
-            raise ValidationError(
-                f"ambiguous mask has shape {ambiguous.shape}, labels {labels.shape}"
-            )
-        ambiguous = ambiguous.reshape(t_len, -1)
+    ambiguous = np.zeros(labels.shape, dtype=bool) if ambiguous is None else np.asarray(ambiguous)
+    if ambiguous.dtype != bool:
+        raise ValidationError(f"ambiguous mask must be boolean, got dtype {ambiguous.dtype}")
+    if ambiguous.shape != labels.shape:
+        raise ValidationError(f"ambiguous mask has shape {ambiguous.shape}, labels {labels.shape}")
     labels = labels.reshape(t_len, -1).astype(np.int64)
-    return WindowLoss(params, config, videos, labels, ambiguous)
+    return WindowLoss(params, config, videos, labels, ambiguous.reshape(t_len, -1))
 
 
 def _lstm_factors(lstm: np.ndarray) -> None:
@@ -162,31 +154,6 @@ def _lstm_backward(fac: np.ndarray, dh: np.ndarray, dc, dz: np.ndarray) -> np.nd
     return dc * fac[5]
 
 
-HEAD_BLOCK_BYTES = 2**16  # BPTT's per-block hidden-state gradients, about this size
-
-
-def _chunk_blocks(t_len: int, chunk_bytes: int) -> list[tuple[int, int]]:
-    """The window's chunks as [t0, t1) blocks of about ``HEAD_BLOCK_BYTES``
-    (``chunk_bytes`` a chunk), newest block first. A block holds at least
-    two chunks unless the window has one: a head GEMM over a single
-    column would run as a gemv, which sums in another order than the
-    window GEMM's gemm."""
-    n = max(1, t_len // max(2, HEAD_BLOCK_BYTES // chunk_bytes))
-    return [(t_len * i // n, t_len * (i + 1) // n) for i in reversed(range(n))]
-
-
-def _head_grads(w: np.ndarray, g: np.ndarray, shape: tuple, t0: int, t1: int) -> np.ndarray:
-    """d(loss)/d hidden of chunks t0..t1-1 through a classifier ``w``, as a
-    (t1 - t0, K, H, B) view: per step k one GEMM of ``w.T`` over the
-    block's columns of the (classes, K*T*B) logit gradient ``g``, whose
-    columns run (k, t, b). Each GEMM spans at least two columns whenever
-    the window's does, so the blocks are bitwise the window GEMM's."""
-    hs, t_len, batch = shape
-    g = g.reshape(len(g), -1, t_len * batch)[:, :, t0 * batch : t1 * batch]
-    prod = np.matmul(w.T, g.transpose(1, 0, 2))  # (K, H, n*B)
-    return prod.reshape(len(prod), hs, t1 - t0, batch).transpose(2, 0, 1, 3)
-
-
 def _bptt(p: dict, run: md.WindowPass, shape: tuple, g_enc: np.ndarray, g_dec: np.ndarray) -> None:
     """Backpropagate the heads' logit gradients through a traced window and
     leave every step's dz (rows :4H) and decoder step k's d_feat (rows
@@ -194,14 +161,13 @@ def _bptt(p: dict, run: md.WindowPass, shape: tuple, g_enc: np.ndarray, g_dec: n
 
     The trace first turns into its factors in place. Then BPTT runs
     newest chunk first; within a chunk the encoder step comes before the
-    decoder rollout that produced its future context. The gradients the
-    heads send to the hiddens, and the feature head's ReLU mask, are made
-    for a few chunks at a time (:func:`_chunk_blocks`) as contiguous
-    (H, B) blocks, so no array of the window's size is made here. A
-    chunk's factors are copied into contiguous (6, H, B) blocks, a step
-    writes its dz and d_feat over the factors it has just read, and the
-    chunk's blocks then go back to its trace columns. The working arrays
-    die when it returns, before the weight GEMMs run.
+    decoder rollout that produced its future context. A chunk's factors
+    are copied into contiguous (6, H, B) blocks, and the gradients the
+    heads send to its hiddens, and its feature ReLU mask, are made as
+    contiguous (H, B) blocks, so no array of the window's size is made
+    here. A step writes its dz and d_feat over the factors it has just
+    read, and the chunk's blocks then go back to its trace columns. The
+    working arrays die when it returns, before the weight GEMMs run.
     """
     hs, t_len, steps, batch = shape
     trace = md.cols(run.lstm)  # (6H, N), a cache-sized block of columns at a time
@@ -213,13 +179,15 @@ def _bptt(p: dict, run: md.WindowPass, shape: tuple, g_enc: np.ndarray, g_dec: n
     wd_t, w_rec_t, wf_t = (np.ascontiguousarray(p[name][:, cut:].T) for name, cut in (
         ("decoder.lstm.w", 0), ("encoder.lstm.w", hs), ("decoder.feat.w", 0)))
     w_dh_t = wd_t[hs:]  # the decoder's h columns
+    w_enc_cls_t, w_dec_cls_t = p["encoder.cls.w"].T, p["decoder.cls.w"].T
+    # the logit gradients' columns run (t, b) and (step, t, b)
+    g_enc = g_enc.reshape(len(g_enc), t_len, batch)
+    g_dec = g_dec.reshape(len(g_dec), steps, t_len, batch)
 
-    blocks = _chunk_blocks(t_len, (steps + 1) * hs * batch * 8)
-    most = max(t1 - t0 for t0, t1 in blocks)
-    # per chunk of a block: the gradients reaching the encoder's and the
-    # decoder steps' hiddens from the heads, and where the feature ReLU passed
-    d_enc_h, d_dec_h = np.empty((most, hs, batch)), np.empty((most, steps, hs, batch))
-    feat_on = np.empty((most, steps - 1, hs, batch), dtype=bool)
+    # per chunk: the gradients reaching the encoder's and the decoder
+    # steps' hiddens from the heads, and where the feature ReLU passed
+    d_enc_h, d_dec_h = np.empty((hs, batch)), np.empty((steps, hs, batch))
+    feat_on = np.empty((steps - 1, hs, batch), dtype=bool)
     fac = np.empty((steps + 1, 6, hs, batch))
     fac_rows = fac.reshape(steps + 1, 6 * hs, batch)
     # per decoder step, newest first: its factors, its dz as (4, H, B) and
@@ -230,33 +198,29 @@ def _bptt(p: dict, run: md.WindowPass, shape: tuple, g_enc: np.ndarray, g_dec: n
     r_dec, r_enc = np.empty((2 * hs, batch)), np.empty((2 * hs, batch))
     d_ctx, dh_feat, dh_dec = np.empty((hs, batch)), np.empty((hs, batch)), np.empty((hs, batch))
     dh_next, dc_next = np.zeros((hs, batch)), np.zeros((hs, batch))
-    head_shape = (hs, t_len, batch)
-    for t0, t1 in blocks:
-        n = t1 - t0
-        d_enc_h[:n] = _head_grads(p["encoder.cls.w"], g_enc, head_shape, t0, t1)[:, 0]
-        d_dec_h[:n] = _head_grads(p["decoder.cls.w"], g_dec, head_shape, t0, t1)
-        np.greater(run.dec_in[:hs, :, t0:t1, 1:steps], 0.0, out=feat_on[:n].transpose(2, 3, 0, 1))
-        for t in reversed(range(t0, t1)):
-            chunk = run.lstm[:, :, t]  # (6H, B, steps + 1)
-            for b in range(batch):  # column by column: each copy runs along H
-                fac_rows[:, :, b] = chunk[:, b].T
-            d_dec_t, feat_on_t = d_dec_h[t - t0], feat_on[t - t0]
-            dh = d_enc_h[t - t0] + dh_next
-            dc_prev = _lstm_backward(enc_fac, dh, dc_next, enc_dz)
-            np.matmul(w_rec_t, enc_dz_rows, out=r_enc)  # (d ctx; d h_prev)
-            d_dec_t += np.true_divide(r_enc[:hs], steps, out=d_ctx)
-            dh, dc = d_dec_t[steps - 1], 0.0
-            for k, step, dz, dz_rows, d_feat in per_step:
-                dc = _lstm_backward(step, dh, dc, dz)
-                if k:
-                    np.matmul(wd_t, dz_rows, out=r_dec)  # (d feature; d h_prev)
-                    np.multiply(r_dec[:hs], feat_on_t[k - 1], out=d_feat)
-                    dh = np.add(d_dec_t[k - 1], r_dec[hs:], out=dh_dec)
-                    dh += np.matmul(wf_t, d_feat, out=dh_feat)
-            # step 1's input half acts on x, whose gradient is one GEMM in grads()
-            dh_next = r_enc[hs:] + w_dh_t @ dz_rows
-            dc_next = dc_prev + dc
-            chunk[: 5 * hs].transpose(2, 0, 1)[...] = fac_rows[:, : 5 * hs]
+    for t in reversed(range(t_len)):
+        chunk = run.lstm[:, :, t]  # (6H, B, steps + 1)
+        for b in range(batch):  # column by column: each copy runs along H
+            fac_rows[:, :, b] = chunk[:, b].T
+        np.matmul(w_enc_cls_t, g_enc[:, t], out=d_enc_h)
+        np.matmul(w_dec_cls_t, g_dec[:, :, t].transpose(1, 0, 2), out=d_dec_h)
+        np.greater(run.dec_in[:hs, :, t, 1:steps], 0.0, out=feat_on.transpose(1, 2, 0))
+        dh = d_enc_h + dh_next
+        dc_prev = _lstm_backward(enc_fac, dh, dc_next, enc_dz)
+        np.matmul(w_rec_t, enc_dz_rows, out=r_enc)  # (d ctx; d h_prev)
+        d_dec_h += np.true_divide(r_enc[:hs], steps, out=d_ctx)
+        dh, dc = d_dec_h[steps - 1], 0.0
+        for k, step, dz, dz_rows, d_feat in per_step:
+            dc = _lstm_backward(step, dh, dc, dz)
+            if k:
+                np.matmul(wd_t, dz_rows, out=r_dec)  # (d feature; d h_prev)
+                np.multiply(r_dec[:hs], feat_on[k - 1], out=d_feat)
+                dh = np.add(d_dec_h[k - 1], r_dec[hs:], out=dh_dec)
+                dh += np.matmul(wf_t, d_feat, out=dh_feat)
+        # step 1's input half acts on x, whose gradient is one GEMM in grads()
+        dh_next = r_enc[hs:] + w_dh_t @ dz_rows
+        dc_next = dc_prev + dc
+        chunk[: 5 * hs].transpose(2, 0, 1)[...] = fac_rows[:, : 5 * hs]
 
 
 def _head(logits: np.ndarray, labels: np.ndarray, keep: np.ndarray, weight: float):
@@ -303,17 +267,14 @@ class WindowLoss:
         self.updates = params.updates
         run = self.run = self._forward()
 
-        # heads; the decoder keeps the (step, t, b) whose target t + step is in the window
-        keep = np.ones(t_len * batch, dtype=bool) if ambiguous is None else ~ambiguous.reshape(-1)
+        # heads; the decoder keeps the (step, t, b) whose target t + step is
+        # in the window and not ambiguous
         p = params.arrays()
         logits = p["encoder.cls.w"] @ run.enc_h + p["encoder.cls.b"][:, None]
-        self.loss, self.g_enc = _head(logits, labels.reshape(-1), keep, config.lambda_enc)
-        keep = np.zeros((steps, t_len, batch), dtype=bool)
-        t_idx, i_idx = np.array(decoder_target_pairs(t_len, steps), dtype=int).reshape(-1, 2).T
-        keep[i_idx - 1, t_idx] = True
-        target = np.minimum(np.arange(1, steps + 1)[:, None] + np.arange(t_len), t_len - 1)
-        if ambiguous is not None:
-            keep &= ~ambiguous[target]
+        self.loss, self.g_enc = _head(logits, labels.ravel(), ~ambiguous.ravel(), config.lambda_enc)
+        target = np.arange(1, steps + 1)[:, None] + np.arange(t_len)  # (steps, T)
+        inside, target = target < t_len, np.minimum(target, t_len - 1)
+        keep = inside[..., None] & ~ambiguous[target]
         logits = p["decoder.cls.w"] @ run.dec_h + p["decoder.cls.b"][:, None]
         dec, self.g_dec = _head(logits, labels[target].reshape(-1), keep.reshape(-1), config.lambda_dec)
         self.loss = float(self.loss + dec)

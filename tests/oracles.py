@@ -126,6 +126,17 @@ def cross_entropy(p, label):
     return nm._result(np.array([-math.log(max(picked, nm.CE_CLAMP))]), (p,), backward)
 
 
+def decoder_target_pairs(seq_len, steps):
+    """All (chunk t, step i) pairs whose target t + i stays inside a window
+    of ``seq_len`` chunks; i is 1-based."""
+    pairs = []
+    for t in range(seq_len):
+        for i in range(1, steps + 1):
+            if t + i <= seq_len - 1:
+                pairs.append((t, i))
+    return pairs
+
+
 def adam_oracle(w, g, m, v, t, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
     """Adam step ``t`` (1-based) with bias correction and decoupled weight
     decay, out of place and operation by operation as the textbook writes

@@ -242,6 +242,32 @@ def test_train_config_file_precedence(dataset, tmp_path, caplog):
     assert meta["epochs"] == 1
 
 
+@pytest.mark.parametrize("cmd, key, value, kind", [
+    ("train", "epochs", 1.9, "an integer or a string"),  # trained 1 epoch
+    ("train", "hidden_size", True, "an integer or a string"),  # trained hidden size 1
+    ("train", "batch_size", 2.5, "an integer or a string"),  # trained batch 2
+    ("train", "epochs", None, "an integer or a string"),  # a traceback
+    ("train", "learning_rate", False, "a number or a string"),  # trained at 0.0
+    ("train", "out", 5, "a string"),  # wrote a file named 5
+    ("eval", "expand_to_frames", "no", "a boolean"),  # ranked frames
+])
+def test_config_file_value_of_another_json_kind_is_refused(tmp_path, caplog, cmd, key, value, kind):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({key: value}))
+    assert run([cmd, "--config", str(cfgfile)]) == 1
+    assert f"{cfgfile}: {key} must be {kind}, got {json.dumps(value)}" in caplog.text
+
+
+def test_config_file_text_parses_as_the_flag_would(tmp_path, caplog):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"epochs": "3", "learning_rate": "0.01", "metrics_out": None}))
+    with caplog.at_level("INFO", logger="trn.cli"):
+        rc = run(["train", "--config", str(cfgfile)])
+    assert rc == 1  # no manifest; the config is read and echoed first
+    assert "config epochs = 3\n" in caplog.text + "\n"
+    assert "config learning_rate = 0.01" in caplog.text
+
+
 def test_train_heldout_metric_reported(dataset, tmp_path):
     ckpt = tmp_path / "m.trnc"
     rc = run(train_argv(dataset, ckpt, eval_every=1))

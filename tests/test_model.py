@@ -69,6 +69,15 @@ def test_config_rejects_an_fps_that_is_not_finite_and_positive(fps):
         tiny_config(fps=fps)
 
 
+@pytest.mark.parametrize("value", [16.0, True])
+@pytest.mark.parametrize("key", [
+    "hidden_size", "decoder_steps", "num_actions", "seq_len", "chunk_size", "appearance_dim", "motion_dim",
+])
+def test_config_refuses_a_size_that_is_not_an_integer(key, value):
+    with pytest.raises(nm.ValidationError, match=f"integer.*{key}|{key}.*integer"):
+        tiny_config(**{key: value})
+
+
 def test_config_classes_is_actions_plus_background():
     assert tiny_config(num_actions=20).classes == 21
 

@@ -3,12 +3,17 @@ import hashlib
 import itertools
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import adam_oracle, add, cross_entropy, scale, tape_chunks, tape_forward, tape_grads
+from oracles import (
+    adam_oracle, add, cross_entropy, decoder_target_pairs, scale, tape_chunks, tape_forward,
+    tape_grads,
+)
 from trn import cli
 from trn import dataio as dio
 from trn import evaluate as ev
@@ -70,7 +75,7 @@ def test_train_config_rejects_non_finite_values(field, value):
 
 
 def test_decoder_target_pairs_masking_example():
-    pairs = tr.decoder_target_pairs(4, 8)
+    pairs = decoder_target_pairs(4, 8)
     assert len(pairs) == 6
     assert pairs == [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (2, 1)]
 
@@ -226,7 +231,7 @@ def tape_loss(params, tc, videos, labels, ambiguous=None):
         return None if total is None else scale(total, weight / count)
 
     loss = mean(tc.lambda_enc, zip(enc, labels, ignored))
-    pairs = tr.decoder_target_pairs(t_len, params.config.decoder_steps)
+    pairs = decoder_target_pairs(t_len, params.config.decoder_steps)
     dec_mean = mean(tc.lambda_dec, ((dec[t][i - 1], labels[t + i], ignored[t + i]) for t, i in pairs))
     if dec_mean is not None:
         loss = dec_mean if loss is None else add(loss, dec_mean)
@@ -329,6 +334,18 @@ def test_sequence_loss_rejects_misshapen_ambiguous_mask():
         tr.sequence_loss(params, tc, videos, labels, np.zeros(labels.shape[0], bool))
 
 
+@pytest.mark.parametrize("mask, dtype", [
+    ([0.2, 0.0, 0.7, 0.0], "float64"),  # would train as [True, False, True, False]
+    ([0.0, float("nan"), 0.0, 0.0], "float64"),  # the NaN would count as ambiguous
+    (["no", "", "yes", ""], "<U3"),
+])
+def test_sequence_loss_refuses_ambiguous_masks_that_are_not_boolean(mask, dtype):
+    cfg = tiny_model()
+    window = random_windows(np.random.default_rng(4), cfg, 4)
+    with pytest.raises(ValidationError, match=f"ambiguous mask must be boolean, got dtype {dtype}"):
+        tr.sequence_loss(TrnParams.zeros(cfg), tiny_train(), window, np.arange(4) % 3, np.array(mask))
+
+
 def test_sequence_loss_runs_bptt_only_in_grads(monkeypatch):
     # grad_check evaluates the loss 2N times; none of them may pay for BPTT
     params, tc, videos, labels = fused_setup(FusionVariant.TWO_STREAM, 3, 5, 3, 8)
@@ -353,7 +370,7 @@ def transposed_copies(params):
 
 def test_bptt_peak_memory_stays_within_its_blocks():
     # grads() writes dz and d_feat into the trace it consumes, and takes the
-    # heads' hidden-state gradients a few chunks at a time. Measured at this
+    # heads' hidden-state gradients one chunk at a time. Measured at this
     # shape: 1.60 blocks beside the gradients and the transposed weight
     # copies; the budget leaves 0.4 blocks of slack. Window-sized head
     # gradients and their transposed copy read 2.85, a dz buffer 5.07
@@ -374,28 +391,6 @@ def test_bptt_peak_memory_stays_within_its_blocks():
     block = hs * (steps + 1) * t_len * batch * 8  # H rows over every step's columns
     budget = sum(g.nbytes for g in grads.values()) + transposed_copies(params) + 2.0 * block
     assert peak <= budget, (peak, budget)
-
-
-@pytest.mark.parametrize("hs, t_len, batch, steps", [
-    (16, 1, 1, 1), (16, 2, 1, 1), (16, 5, 1, 3), (4, 7, 3, 1), (16, 48, 8, 3), (128, 64, 2, 8),
-    (128, 64, 1, 8),
-])
-def test_bptt_head_gradient_blocks_are_bitwise_the_window_gemm(hs, t_len, batch, steps):
-    # BPTT takes the hidden-state gradients of a few chunks at a time; every
-    # block must hold the bits the window-wide GEMM gave. A block of one
-    # chunk at batch 1 would run a one-column GEMM, which BLAS does as a
-    # gemv that sums in another order
-    rng = np.random.default_rng(hs + t_len + batch + steps)
-    blocks = tr._chunk_blocks(t_len, (steps + 1) * hs * batch * 8)
-    assert [t for t0, t1 in reversed(blocks) for t in range(t0, t1)] == list(range(t_len))
-    assert all(t1 - t0 >= min(2, t_len) for t0, t1 in blocks)
-    for rows in (1, steps):  # the encoder head, then the decoder's, one row per step
-        w = rng.normal(size=(3, hs))
-        g = rng.normal(size=(3, rows * t_len * batch))
-        window = (w.T @ g).reshape(hs, rows, t_len, batch).transpose(2, 1, 0, 3)
-        for t0, t1 in blocks:
-            got = tr._head_grads(w, g, (hs, t_len, batch), t0, t1)
-            assert np.array_equal(got, window[t0:t1]), (rows, t0, t1)
 
 
 def test_grads_drops_the_pass_and_a_second_call_matches():
@@ -1057,6 +1052,27 @@ def test_checkpoint_with_a_non_finite_fps_is_a_header_error(tmp_path):
     rewrite_index(path, lambda doc: doc["config"].__setitem__("fps", float("nan")))
     with pytest.raises(dio.HeaderError, match="fps must be a finite positive number"):
         tr.load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("decoder_steps", 2.0),  # was a TypeError traceback, exit 1
+    ("hidden_size", 4.0),  # passed the tensor-index check: [16, 4] == [16.0, 4.0]
+])
+def test_checkpoint_with_a_size_that_is_not_an_integer_is_a_header_error(tmp_path, key, value):
+    params = TrnParams.init(tiny_model(), np.random.default_rng(21))
+    path = tmp_path / "m.trnc"
+    tr.save_checkpoint(str(path), params)
+    rewrite_index(path, lambda doc: doc["config"].__setitem__(key, value))
+    features = tmp_path / "appearance.trnf"
+    dio.write_features(str(features), np.zeros((2, 3)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trn.cli", "stream", "--ckpt", str(path), "--out", str(tmp_path / "d.trnd"),
+         "--features", f"appearance={features}", f"motion={features}"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+    assert f"{key} must be an integer >= 1, got {value}" in proc.stderr
+    assert not (tmp_path / "d.trnd").exists()
 
 
 def test_checkpoint_deterministic_bytes(tmp_path):
