@@ -81,14 +81,22 @@ class Opt:
         self.help = help_text
         self.kind = kind  # "value" | "flag" | "features"
 
-    def coerce(self, value):
+    def coerce(self, value, where: str):
+        """``value`` as the option's type; text that does not parse is a
+        ValidationError naming ``where`` (the flag or the config-file key)."""
         if value is None:
             return None
         if self.kind == "flag":
             return bool(value)
         if self.kind == "features":
             return _features_value(value)
-        return self.typ(value)
+        try:
+            return self.typ(value)
+        except ValidationError:
+            raise
+        except ValueError:
+            what = self.typ.__name__
+            raise ValidationError(f"{where} must parse as {what}, got {value!r}") from None
 
     def from_file(self, value, where: str):
         """A config-file value, refused unless of the option's JSON kind: a
@@ -103,7 +111,7 @@ class Opt:
         }.get(self.typ, ((str,), "a string"))
         if (isinstance(value, kinds) and (self.kind == "flag" or not isinstance(value, bool))
                 or (value is None and self.default is None)):
-            return self.coerce(value)
+            return self.coerce(value, where)
         raise ValidationError(f"{where} must be {what}, got {json.dumps(value)}")
 
 
@@ -256,7 +264,7 @@ def _effective_config(args, options: dict[str, Opt], file_flag: str = "config") 
     for k, opt in options.items():
         v = getattr(args, k)
         if v is not None:
-            cfg[k] = opt.coerce(v)
+            cfg[k] = opt.coerce(v, "--" + k.replace("_", "-"))
     for k in sorted(cfg):
         log.info("config %s = %r", k, cfg[k])
     return cfg

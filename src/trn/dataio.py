@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import skeleton as sk
-from .numeric import ValidationError
+from .numeric import ValidationError, check_int, check_real
 
 log = logging.getLogger(__name__)
 
@@ -311,8 +311,9 @@ def chunk_labels(
     several intervals cover a center, the earliest-starting one wins.
     Uncovered chunks are background (0).
     """
-    if chunk_size < 1 or num_chunks < 0 or fps <= 0:
-        raise ValidationError("chunk_labels needs chunk_size >= 1, num_chunks >= 0, fps > 0")
+    check_int("chunk_size", chunk_size)
+    check_int("num_chunks", num_chunks, 0)
+    check_real("fps", fps, open_lo=True)
     horizon = num_chunks * chunk_size / fps
     cleaned = []
     for cls, start, end in intervals:
@@ -568,24 +569,18 @@ class SyntheticSpec:
     video_len: int = 64
     train_fraction: float = 0.8
     chunk_size: int = 6
-    fps: int = 30
+    fps: float = 30.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 1:
-            raise ValidationError("num_classes must be >= 1")
-        if self.appearance_dim < 1 or self.motion_dim < 1:
-            raise ValidationError("stream dims must be >= 1")
-        if self.sigma_ratio < 0:
-            raise ValidationError("sigma_ratio must be >= 0")
-        if self.mean_segment_len < 1:
-            raise ValidationError("mean_segment_len must be >= 1")
-        if not (0.0 <= self.background_prior <= 1.0):
-            raise ValidationError("background_prior must lie in [0, 1]")
-        if self.num_videos < 1 or self.video_len < 1:
-            raise ValidationError("num_videos and video_len must be >= 1")
-        if not (0.0 <= self.train_fraction <= 1.0):
-            raise ValidationError("train_fraction must lie in [0, 1]")
+        for name in ("num_classes", "appearance_dim", "motion_dim", "mean_segment_len",
+                     "num_videos", "video_len", "chunk_size"):
+            check_int(name, getattr(self, name))
+        check_int("seed", self.seed, 0)
+        check_real("sigma_ratio", self.sigma_ratio)
+        for name in ("background_prior", "train_fraction"):
+            check_real(name, getattr(self, name), hi=1.0)
+        check_real("fps", self.fps, open_lo=True)
 
 
 def _segment_labels(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:

@@ -20,13 +20,12 @@ pairs that run past the video end are dropped.
 from __future__ import annotations
 
 import logging
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dataio as dio
-from .numeric import ValidationError
+from .numeric import ValidationError, check_int, check_real
 
 log = logging.getLogger(__name__)
 
@@ -112,10 +111,6 @@ def _video_pools(dump: PredictionDump, labels: VideoLabels, step: int | None):
             keep = ~excluded
             yield pred.present[keep], chunk_labels[keep]
         else:
-            if not (1 <= step <= dump.decoder_steps):
-                raise ValidationError(
-                    f"step must lie in [1, {dump.decoder_steps}], got {step}"
-                )
             if t <= step:
                 continue  # every target falls off the video end
             scores = pred.anticipated[: t - step, step - 1, :]
@@ -186,6 +181,7 @@ def anticipation_map(
 ) -> EvalResult:
     """Anticipation mAP at decoder step `step` (1-based); ``labels`` as
     for :func:`per_frame_map`."""
+    check_int("step", step, 1, dump.decoder_steps)
     return _pooled_map(dump, gt, step, expand_to_frames, labels)
 
 
@@ -285,22 +281,14 @@ def read_prediction_dump(path: str) -> PredictionDump:
 
 
 def _dump_header(doc: dict) -> PredictionDump:
-    """The empty dump an index declares."""
-    values = {}
-    for key in ("chunk_size", "decoder_steps", "classes", "fps"):
-        v = doc.get(key)
-        if key == "fps":
-            ok = type(v) in (int, float) and 0 < v <= sys.float_info.max
-        else:
-            ok = type(v) is int and v > 0
-        if not ok:
-            kind = "a positive number" if key == "fps" else "a positive integer"
-            raise dio.HeaderError(f"{key} must be {kind}, got {v!r}")
-        values[key] = v
+    """The empty dump an index declares. A bad field raises ValidationError,
+    which ``dio.read_container`` reports as a HeaderError."""
+    values = {key: check_int(key, doc.get(key))
+              for key in ("chunk_size", "decoder_steps", "classes")}
+    fps = check_real("fps", doc.get("fps"), open_lo=True)
     if doc.get("dtype") != "float64":
         raise dio.HeaderError(f"dtype must be 'float64', got {doc.get('dtype')!r}")
-    values["fps"] = float(values["fps"])
-    return PredictionDump(**values)
+    return PredictionDump(**values, fps=fps)
 
 
 def ground_truth_from_files(annotations_path: str, class_map_path: str) -> GroundTruth:

@@ -34,13 +34,12 @@ under that one name.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import numeric as nm
-from .numeric import DimensionError, Tensor, ValidationError
+from .numeric import DimensionError, Tensor, ValidationError, check_int, check_real
 
 
 class FusionVariant(enum.Enum):
@@ -71,11 +70,6 @@ _VARIANT_STREAMS = {
 }
 
 
-def _positive_int(value) -> bool:
-    """Whether ``value`` is an integer >= 1; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
-
-
 @dataclass(frozen=True)
 class TrnConfig:
     """Architecture hyperparameters. Immutable; validated on construction."""
@@ -93,24 +87,16 @@ class TrnConfig:
 
     def __post_init__(self):
         for name in ("hidden_size", "decoder_steps", "num_actions", "chunk_size", "seq_len"):
-            value = getattr(self, name)
-            if not _positive_int(value):
-                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-        if not (math.isfinite(self.fps) and self.fps > 0):
-            raise ValidationError(f"fps must be a finite positive number, got {self.fps}")
+            check_int(name, getattr(self, name))
         # an integer fps (older checkpoints store one) is kept as a float, so
         # every checkpoint and dump header carries the same type
-        object.__setattr__(self, "fps", float(self.fps))
+        object.__setattr__(self, "fps", check_real("fps", self.fps, open_lo=True))
         if self.fusion_variant is FusionVariant.ONE_STREAM and len(self.streams) != 1:
             raise ValidationError(
                 f"one_stream requires exactly one stream dim, got {list(self.streams) or 'none'}"
             )
         for name in self.streams:
-            dim = getattr(self, f"{name}_dim")
-            if not _positive_int(dim):
-                raise ValidationError(
-                    f"{self.fusion_variant.value} requires a positive integer {name}_dim, got {dim!r}"
-                )
+            check_int(f"{self.fusion_variant.value} {name}_dim", getattr(self, f"{name}_dim"))
 
     @staticmethod
     def for_streams(

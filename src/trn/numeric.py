@@ -18,6 +18,7 @@ every parameter under its own name.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -30,6 +31,36 @@ class ValidationError(ValueError):
 
 class DimensionError(ValidationError):
     """Operands have incompatible shapes."""
+
+
+def check_int(name: str, value, lo: int = 1, hi: int | None = None):
+    """``value`` if it is an integer in [lo, hi] (a numpy integer is one, a
+    bool is not); anything else is a ValidationError naming the field."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and lo <= value and (hi is None or value <= hi)):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValidationError(f"{name} must be an integer {bound}, got {value!r}")
+    return value
+
+
+def check_real(name: str, value, lo: float = 0.0, hi: float = math.inf, *,
+               open_lo: bool = False) -> float:
+    """``value`` as a float if it is a finite real in [lo, hi], or in (lo, hi]
+    with ``open_lo`` (a bool is not one); anything else is a ValidationError
+    naming the field."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    if not (math.isfinite(x) and (lo < x if open_lo else lo <= x) and x <= hi):
+        if (lo, hi, open_lo) == (0, math.inf, True):
+            what = "positive number"
+        else:
+            left, right = "(" if open_lo else "[", "]" if hi < math.inf else ")"
+            what = f"number in {left}{lo:g}, {hi:g}{right}"
+        raise ValidationError(f"{name} must be a finite {what}, got {value!r}")
+    return x
 
 
 _GRAD_ENABLED = True

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import ValidationError
+from .numeric import ValidationError, check_int
 
 BODY_POINTS = 25
 HAND_POINTS = 21
@@ -122,8 +122,7 @@ def pose_chunk_matrix(frames: list[PoseFrame], chunk_size: int, num_chunks: int)
 
     Chunks past the end of the frame list get zero vectors.
     """
-    if chunk_size < 1:
-        raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
+    check_int("chunk_size", chunk_size)
     out = np.zeros((num_chunks, FEATURE_DIM))
     for t in range(num_chunks):
         block = frames[t * chunk_size : (t + 1) * chunk_size]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from . import model as md
 from .model import ChunkStreams, DetectionOutput, TrnParams, TrnState
-from .numeric import ValidationError
+from .numeric import ValidationError, check_int
 
 
 class PoisonedError(ValidationError):
@@ -33,17 +33,9 @@ class OnlineDetector:
         self.chunks_seen = 0
         self._poisoned = False
 
-    @property
-    def chunk_duration(self) -> float:
-        """Seconds of video consumed per push."""
-        return self.config.chunk_size / self.config.fps
-
     def horizon_seconds(self, step: int) -> float:
         """Wall-clock lookahead of decoder step `step` (1-based)."""
-        if not (1 <= step <= self.config.decoder_steps):
-            raise ValidationError(
-                f"step must lie in [1, {self.config.decoder_steps}], got {step}"
-            )
+        check_int("step", step, 1, self.config.decoder_steps)
         return step * self.config.chunk_size / self.config.fps
 
     def reset(self) -> None:

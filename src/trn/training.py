@@ -38,7 +38,6 @@ reassociation in the gemm).
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -67,17 +66,13 @@ class TrainConfig:
     eval_every: int = 1  # held-out mAP cadence in epochs; 0 disables
 
     def __post_init__(self):
-        for name in ("learning_rate", "weight_decay", "lambda_enc", "lambda_dec"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.learning_rate <= 0 or self.weight_decay < 0:
-            raise ValidationError("learning_rate must be > 0 and weight_decay >= 0")
-        if self.batch_size < 1 or self.seq_len < 1:
-            raise ValidationError("batch_size and seq_len must be >= 1")
-        if self.epochs < 0 or self.eval_every < 0:
-            raise ValidationError("epochs and eval_every must be >= 0")
-        if self.lambda_enc < 0 or self.lambda_dec < 0:
-            raise ValidationError("loss weights must be >= 0")
+        for name in ("batch_size", "seq_len"):
+            nm.check_int(name, getattr(self, name))
+        for name in ("epochs", "seed", "eval_every"):
+            nm.check_int(name, getattr(self, name), 0)
+        nm.check_real("learning_rate", self.learning_rate, open_lo=True)
+        for name in ("weight_decay", "lambda_enc", "lambda_dec"):
+            nm.check_real(name, getattr(self, name))
 
 
 def sequence_loss(

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -173,6 +174,18 @@ def test_synth_spec_file_with_flag_override(tmp_path, capsys):
     assert manifest.videos[0].num_chunks == 10  # file beats default
 
 
+def test_synth_refuses_a_zero_fps_before_writing(tmp_path):
+    # a ZeroDivisionError traceback, after the class map was written
+    out = tmp_path / "bad"
+    proc = subprocess.run(
+        [sys.executable, "-m", "trn.cli", *synth_args(out, fps=0)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert "fps must be a finite positive number, got 0.0" in proc.stderr
+    assert not out.exists() or not any(out.rglob("*"))
+
+
 def test_config_file_unknown_key_rejected(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"num_videos": 4, "frobnicate": 1}))
@@ -268,6 +281,18 @@ def test_config_file_text_parses_as_the_flag_would(tmp_path, caplog):
     assert "config learning_rate = 0.01" in caplog.text
 
 
+@pytest.mark.parametrize("key, text, kind", [("epochs", "2.5", "int"), ("learning_rate", "abc", "float")])
+def test_a_value_that_does_not_parse_names_its_flag_or_key(tmp_path, caplog, key, text, kind):
+    # the message read "invalid literal for int() with base 10: '2.5'"
+    flag = "--" + key.replace("_", "-")
+    assert run(["train", flag, text]) == 1
+    assert f"{flag} must parse as {kind}, got {text!r}" in caplog.text
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({key: text}))
+    assert run(["train", "--config", str(cfgfile)]) == 1
+    assert f"{cfgfile}: {key} must parse as {kind}, got {text!r}" in caplog.text
+
+
 def test_train_heldout_metric_reported(dataset, tmp_path):
     ckpt = tmp_path / "m.trnc"
     rc = run(train_argv(dataset, ckpt, eval_every=1))
@@ -347,7 +372,7 @@ def test_train_non_finite_hyperparameter_exits_1_before_reading_features(
     monkeypatch.setattr(dio, "read_features", lambda *a, **k: reads.append(a) or read(*a, **k))
     ckpt = tmp_path / "m.trnc"
     assert run(train_argv(dataset, ckpt, **{field: value})) == 1
-    assert f"{field} must be finite, got {value}" in caplog.text
+    assert re.search(f"{field} must be a finite (positive )?number.*, got {value}", caplog.text)
     assert not reads and not ckpt.exists()
 
 

@@ -120,6 +120,15 @@ def test_anticipation_step_out_of_range():
         ev.anticipation_map(dump, gt, dump.decoder_steps + 1)
 
 
+@pytest.mark.parametrize("step", [0, 3, True, 1.0])
+def test_anticipation_step_is_checked_before_any_video(step):
+    # on a dump with no videos, steps 0 and 3 scored 0.0, and True passed as step 1
+    dump = ev.PredictionDump(chunk_size=6, fps=30.0, decoder_steps=2, classes=2)
+    gt = ground_truth({}, dio.ClassMap(["Background", "class_1"]))
+    with pytest.raises(ValidationError, match=rf"step must be an integer in \[1, 2\], got {step!r}"):
+        ev.anticipation_map(dump, gt, step)
+
+
 def test_map_matches_brute_force_oracle():
     rng = np.random.default_rng(3)
     for _ in range(200):

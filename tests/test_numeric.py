@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,30 @@ from oracles import add, cross_entropy, parameter, scale, tape_grad_check, tape_
 from trn import model as md
 from trn import numeric as nm
 from trn import training as tr
+
+
+def test_check_int_takes_numpy_integers_and_refuses_bools():
+    assert nm.check_int("n", np.int64(3)) == 3
+    assert nm.check_int("step", 2, 1, 2) == 2
+    for value, lo, hi, bound in [(True, 1, None, ">= 1"), (0, 1, None, ">= 1"), (3, 1, 2, "in [1, 2]"),
+                                 (-1, 0, None, ">= 0"), (2.0, 1, None, ">= 1")]:
+        with pytest.raises(nm.ValidationError, match=rf"n must be an integer {re.escape(bound)}, got"):
+            nm.check_int("n", value, lo, hi)
+
+
+def test_check_real_bounds_and_refusals():
+    assert nm.check_real("fps", 30, open_lo=True) == 30.0
+    assert type(nm.check_real("fps", np.float32(29.5), open_lo=True)) is float
+    assert nm.check_real("prior", 0.0, hi=1.0) == 0.0
+    assert nm.check_real("prior", 1.0, hi=1.0) == 1.0
+    for value in (0, 0.0, -1.0, math.nan, math.inf, True, "30", None, 10 ** 400):
+        with pytest.raises(nm.ValidationError, match="fps must be a finite positive number, got"):
+            nm.check_real("fps", value, open_lo=True)
+    for value in (-1e-9, 1.5, -math.inf, False):
+        with pytest.raises(nm.ValidationError, match=r"prior must be a finite number in \[0, 1\], got"):
+            nm.check_real("prior", value, hi=1.0)
+    with pytest.raises(nm.ValidationError, match=r"decay must be a finite number in \[0, inf\), got nan"):
+        nm.check_real("decay", math.nan)
 
 
 def test_linear_identity():

@@ -1,9 +1,11 @@
 """Property tests: the vectorised labelling against brute-force scans,
-prediction dumps and checkpoints against their own writers, and the one
-clock a split must share."""
+prediction dumps and checkpoints against their own writers, the one
+clock a split must share, and the field checks of the config
+dataclasses."""
 
 import json
 import logging
+import math
 import os
 import tempfile
 
@@ -372,3 +374,51 @@ def test_a_split_runs_on_one_clock(clock_dataset, data):
                    "--hidden-size", "3", "--seq-len", "6", "--decoder-steps", "2",
                    "--eval-every", "0"])
     assert rc == (0 if all_agree else 1)
+
+
+# ---------------------------------------------------------------------------
+# constructor fields
+
+# per dataclass: each integer field's least value, and each number field's
+# (lowest, highest, lowest excluded)
+FIELD_RULES = {
+    TrnConfig: (
+        dict(hidden_size=1, decoder_steps=1, num_actions=1, seq_len=1, chunk_size=1,
+             appearance_dim=1, motion_dim=1),
+        dict(fps=(0.0, math.inf, True)),
+    ),
+    tr.TrainConfig: (
+        dict(batch_size=1, seq_len=1, epochs=0, seed=0, eval_every=0),
+        dict(learning_rate=(0.0, math.inf, True), weight_decay=(0.0, math.inf, False),
+             lambda_enc=(0.0, math.inf, False), lambda_dec=(0.0, math.inf, False)),
+    ),
+    dio.SyntheticSpec: (
+        dict(num_classes=1, appearance_dim=1, motion_dim=1, mean_segment_len=1, num_videos=1,
+             video_len=1, chunk_size=1, seed=0),
+        dict(sigma_ratio=(0.0, math.inf, False), background_prior=(0.0, 1.0, False),
+             train_fraction=(0.0, 1.0, False), fps=(0.0, math.inf, True)),
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(FIELD_RULES)), st.data())
+def test_config_fields_of_the_wrong_kind_are_refused_by_name(cls, data):
+    """Valid draws (numpy integers among them) construct; one integer field
+    given a float, a bool or a string, or one number field given NaN, an
+    infinity or a bool, raises ValidationError naming that field."""
+    ints, reals = FIELD_RULES[cls]
+    valid = {}
+    for name, lo in ints.items():
+        value = st.integers(lo, lo + 64)
+        valid[name] = data.draw(value | value.map(np.int64), label=name)
+    for name, (lo, hi, open_lo) in reals.items():
+        valid[name] = data.draw(st.floats(lo, min(hi, 1e6), exclude_min=open_lo), label=name)
+    cls(**valid)
+    name = data.draw(st.sampled_from(sorted(valid)), label="field")
+    if name in ints:
+        bad = st.floats() | st.booleans() | st.text()
+    else:
+        bad = st.sampled_from([math.nan, math.inf, -math.inf]) | st.booleans()
+    with pytest.raises(ValidationError, match=f"{name} must be"):
+        cls(**(valid | {name: data.draw(bad, label="bad value")}))

@@ -130,7 +130,6 @@ def test_horizon_seconds():
     det = make_detector(chunk_size=6, fps=30, decoder_steps=8)
     assert det.horizon_seconds(1) == pytest.approx(0.2)
     assert det.horizon_seconds(8) == pytest.approx(1.6)
-    assert det.chunk_duration == pytest.approx(0.2)
     det16 = make_detector(chunk_size=16, fps=30, decoder_steps=8)
     assert det16.horizon_seconds(3) == pytest.approx(1.6)
     with pytest.raises(ValidationError):

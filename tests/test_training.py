@@ -70,7 +70,7 @@ def test_train_config_defaults():
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "lambda_enc", "lambda_dec"])
 def test_train_config_rejects_non_finite_values(field, value):
-    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+    with pytest.raises(ValidationError, match=f"{field} must be a finite (positive )?number.*, got {value}"):
         tr.TrainConfig(**{field: value})
 
 
@@ -1050,6 +1050,16 @@ def test_checkpoint_with_a_non_finite_fps_is_a_header_error(tmp_path):
     path = tmp_path / "m.trnc"
     tr.save_checkpoint(str(path), params)
     rewrite_index(path, lambda doc: doc["config"].__setitem__("fps", float("nan")))
+    with pytest.raises(dio.HeaderError, match="fps must be a finite positive number"):
+        tr.load_checkpoint(str(path))
+
+
+def test_checkpoint_with_an_fps_past_the_float_range_is_a_header_error(tmp_path):
+    # JSON carries the integer 10**400, and math.isfinite of it raised OverflowError
+    params = TrnParams.init(tiny_model(), np.random.default_rng(20))
+    path = tmp_path / "m.trnc"
+    tr.save_checkpoint(str(path), params)
+    rewrite_index(path, lambda doc: doc["config"].__setitem__("fps", 10 ** 400))
     with pytest.raises(dio.HeaderError, match="fps must be a finite positive number"):
         tr.load_checkpoint(str(path))
 
