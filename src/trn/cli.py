@@ -446,6 +446,8 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _effective_config(args, _gradcheck_options())
+    nm.check_real("tolerance", cfg["tolerance"], open_lo=True)
+    nm.check_int("seed", cfg["seed"], 0)
     model_config = TrnConfig.for_streams(
         FusionVariant(cfg["variant"]),
         {n: cfg[f"{n}_dim"] for n in md.STREAM_NAMES},
@@ -462,8 +464,8 @@ def cmd_gradcheck(args) -> int:
     # a relu pre-activation exactly on its kink (dead fused vector feeding a
     # zero bias), where one-sided analytic gradients and central differences
     # legitimately disagree
-    for t in params.named().values():
-        t.data = rng.uniform(-0.5, 0.5, size=t.data.shape)
+    for a in params.arrays().values():
+        a[...] = rng.uniform(-0.5, 0.5, size=a.shape)
     dims = {n: getattr(model_config, f"{n}_dim") for n in md.STREAM_NAMES}
     # drawn chunk by chunk: the draw order fixes which inputs a seed audits
     chunks = [
@@ -476,7 +478,7 @@ def cmd_gradcheck(args) -> int:
     err = nm.grad_check(
         lambda: tr.sequence_loss(params, train_config, [streams], labels).loss,
         analytic,
-        [t.data for t in params.named().values()],
+        list(params.arrays().values()),
     )
     ok = err < cfg["tolerance"]
     print(f"max relative error {err:.3e} (tolerance {cfg['tolerance']:.1e})")

@@ -25,10 +25,10 @@ videos. `chunk_step` runs the same stages op by op on `numeric` tensors;
 it is the test oracle that the window kernel is pinned to, and no
 inference path calls it.
 
-The parameters are one table, `TrnParams`, keyed and ordered by
-`param_shapes` ("embed.w", "decoder.lstm.b", ...). The kernel, the tape
-stages, the training BPTT, Adam and checkpoints all address a weight
-under that one name.
+The parameters are one table of plain arrays, `TrnParams`, keyed and
+ordered by `param_shapes` ("embed.w", "decoder.lstm.b", ...). The kernel,
+the training BPTT, Adam and checkpoints all read a weight under that one
+name; `TrnParams.named` is the tape's view of the same arrays.
 """
 
 from __future__ import annotations
@@ -156,16 +156,17 @@ def param_shapes(config: TrnConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-@dataclass
+@dataclass(eq=False)
 class TrnParams:
-    """The config plus one table of every learnable tensor, keyed and
+    """The config plus one table of every learnable array, keyed and
     ordered by :func:`param_shapes`. Every layer reads a weight under the
     name its gradient, Adam state and checkpoint entry use. ``updates``
     counts the optimizer steps applied in place (``training.adam_step``)."""
 
     config: TrnConfig
-    tensors: dict[str, Tensor]
-    updates: int = field(default=0, compare=False, repr=False)
+    table: dict[str, np.ndarray]
+    updates: int = field(default=0, repr=False)
+    _tensors: dict[str, Tensor] | None = field(default=None, init=False, repr=False)
 
     @staticmethod
     def init(config: TrnConfig, rng: np.random.Generator) -> "TrnParams":
@@ -193,15 +194,17 @@ class TrnParams:
         """Parameters over ``arrays``, one per :func:`param_shapes` name
         (float64 arrays are used in place)."""
         names = param_shapes(config)
-        return TrnParams(config, {k: Tensor(arrays[k], requires_grad=True) for k in names})
-
-    def named(self) -> dict[str, Tensor]:
-        """The parameter table, in :func:`param_shapes` order."""
-        return self.tensors
+        return TrnParams(config, {k: np.asarray(arrays[k], dtype=np.float64) for k in names})
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """Every parameter's value, keyed as :meth:`named`."""
-        return {name: t.data for name, t in self.tensors.items()}
+        """The parameter table itself; ``training.adam_step`` writes it in place."""
+        return self.table
+
+    def named(self) -> dict[str, Tensor]:
+        """The tape's view of the table, built once: Tensors over the stored arrays."""
+        if self._tensors is None:
+            self._tensors = {k: Tensor(a, requires_grad=True) for k, a in self.table.items()}
+        return self._tensors
 
 
 @dataclass
@@ -378,12 +381,8 @@ def forward_sequence_logits(
     """
     if not sequence:
         raise ValidationError("empty sequence")
-    hs = params.config.hidden_size
-    arr = np.asarray(getattr(sequence[0], params.config.streams[0]))
-    if arr.ndim == 2:
-        shape = (hs, arr.shape[1])
-    else:
-        shape = (hs,)
+    first = np.shape(getattr(sequence[0], params.config.streams[0]))
+    shape = (params.config.hidden_size,) + first[1:]  # (H,), or (H, B) for column batches
     h = h0 if h0 is not None else nm.tensor(np.zeros(shape))
     c = c0 if c0 is not None else nm.tensor(np.zeros(shape))
     enc_logits: list[Tensor] = []

@@ -281,7 +281,7 @@ class WindowLoss:
 
     def grads(self) -> dict[str, np.ndarray]:
         """The gradient of the loss for every parameter, keyed and ordered
-        as ``TrnParams.named``."""
+        as ``TrnParams.arrays``."""
         if self.params.updates != self.updates:
             raise ValidationError("stale loss: its parameters have since been updated")
         # BPTT writes its gradients over the trace, so the pass serves one call
@@ -346,10 +346,9 @@ class AdamState:
 
     @staticmethod
     def init(params: TrnParams) -> "AdamState":
-        named = params.named()
         return AdamState(
-            m={k: np.zeros_like(p.data) for k, p in named.items()},
-            v={k: np.zeros_like(p.data) for k, p in named.items()},
+            m={k: np.zeros_like(a) for k, a in params.arrays().items()},
+            v={k: np.zeros_like(a) for k, a in params.arrays().items()},
         )
 
 
@@ -374,21 +373,21 @@ def adam_step(
     time, so every pass of the update reads a slice still in cache and
     the two scratch rows are one slice long whatever the model's size.
     The operations are elementwise, so slicing moves no bit."""
-    missing = [name for name in params.named() if name not in grads]
+    missing = [name for name in params.arrays() if name not in grads]
     if missing:
         raise ValidationError(f"no gradient for parameter {', '.join(missing)}")
     flats = []
-    for name, tensor in params.named().items():
+    for name, w in params.arrays().items():
         g = grads[name]
         # min and max carry any NaN or infinity, without a mask of g's size
         if g.size and not (np.isfinite(g.min()) and np.isfinite(g.max())):
             raise ValidationError(f"non-finite gradient for parameter {name}")
-        if g.shape != tensor.data.shape:
+        if g.shape != w.shape:
             raise ValidationError(
-                f"gradient shape {g.shape} does not match parameter {name} {tensor.data.shape}"
+                f"gradient shape {g.shape} does not match parameter {name} {w.shape}"
             )
         # the update writes through flat views: a layout reshape would copy is refused
-        arrays = (tensor.data, state.m[name], state.v[name])
+        arrays = (w, state.m[name], state.v[name])
         if not all(a.flags.c_contiguous for a in arrays):
             raise ValidationError(f"parameter {name} or its Adam moments are not C-contiguous")
         flats.append((np.reshape(g, -1), *(a.reshape(-1) for a in arrays)))
@@ -599,11 +598,10 @@ def save_checkpoint(path: str, params: TrnParams, meta: dict | None = None) -> N
         "adam": None,  # once an optimizer payload; kept so the bytes stay the same
         "meta": meta or {},
     }
-    named = params.named()
-    for name, t in named.items():
-        if not np.isfinite(t.data).all():
+    for name, a in params.arrays().items():
+        if not np.isfinite(a).all():
             raise ValidationError(f"{name} holds a non-finite value; checkpoint not written")
-    dio.write_container(path, CKPT_MAGIC, doc, [t.data for t in named.values()])
+    dio.write_container(path, CKPT_MAGIC, doc, params.arrays().values())
 
 
 def load_checkpoint(path: str) -> tuple[TrnParams, dict]:

@@ -38,8 +38,8 @@ def _random_setup(cfg: TrnConfig, rng: np.random.Generator, generic: bool):
     coordinate so no pre-activation sits exactly on a relu kink."""
     params = TrnParams.init(cfg, rng)
     if generic:
-        for p in params.named().values():
-            p.data = rng.uniform(-0.5, 0.5, size=p.data.shape)
+        for a in params.arrays().values():
+            a[...] = rng.uniform(-0.5, 0.5, size=a.shape)
     sequence = [
         ChunkStreams(
             **{

@@ -537,14 +537,17 @@ def test_stream_keeps_only_the_distributions():
 
 @pytest.fixture()
 def no_tape(monkeypatch):
-    """The tape's step, constructors and backward sweep patched to raise."""
+    """The tape's step, constructors and backward sweep, and the parameter
+    table's tape view, patched to raise: no Tensor is built at all."""
     def tape(*args, **kw):
         raise AssertionError("a production path ran the tape")
 
     monkeypatch.setattr(md, "chunk_step", tape)
     monkeypatch.setattr(nm, "tensor", tape)
     monkeypatch.setattr(nm, "_result", tape)
+    monkeypatch.setattr(nm.Tensor, "__init__", tape)
     monkeypatch.setattr(nm.Tensor, "backward", tape)
+    monkeypatch.setattr(TrnParams, "named", tape)
 
 
 def test_inference_paths_run_no_tape(dataset, tmp_path, no_tape):
@@ -880,6 +883,24 @@ def test_gradcheck_corrupted_gradient_fails(monkeypatch, capsys):
 def test_gradcheck_bad_variant_exits_1(capsys):
     rc = run(["gradcheck", "--variant", "three_stream"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("tolerance", float("nan"), "tolerance must be a finite positive number, got nan"),
+    ("tolerance", -1.0, "tolerance must be a finite positive number, got -1.0"),
+    ("seed", -1, "seed must be an integer >= 0, got -1"),
+])
+def test_gradcheck_range_checks_its_tolerance_and_seed(tmp_path, capsys, caplog,
+                                                        key, value, message):
+    # the tolerances ran the whole audit and printed FAIL; the seed failed
+    # with numpy's "expected non-negative integer", which names no flag
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({key: value}))
+    for argv in (["--" + key, str(value)], ["--config", str(cfgfile)]):
+        caplog.clear()
+        assert run(["gradcheck"] + argv) == 1
+        assert message in caplog.text
+        assert capsys.readouterr().out == ""
 
 
 def test_module_entrypoint(tmp_path):

@@ -265,8 +265,8 @@ def fused_setup(variant, batch, t_len, steps, seed):
     )
     rng = np.random.default_rng(seed)
     params = TrnParams.init(cfg, rng)
-    for t in params.named().values():
-        t.data = rng.uniform(-0.5, 0.5, size=t.data.shape)
+    for a in params.arrays().values():
+        a[...] = rng.uniform(-0.5, 0.5, size=a.shape)
     videos = random_windows(rng, cfg, t_len, batch)
     labels = rng.integers(0, cfg.classes, size=(t_len,) if batch == 1 else (t_len, batch))
     tc = tiny_train(lambda_enc=1.5, lambda_dec=0.75)
@@ -539,6 +539,24 @@ def one_param_setup(theta):
 
 def embed_b(params):
     return params.named()["embed.b"].data[0]
+
+
+def test_params_are_one_table_of_arrays_viewed_by_the_tape():
+    rng = np.random.default_rng(5)
+    params = TrnParams.init(tiny_model(), rng)
+    table = params.arrays()
+    assert table is params.arrays()  # the stored table, not a copy built per call
+    assert list(table) == list(md.param_shapes(params.config))
+    assert TrnParams.from_arrays(params.config, table).arrays()["embed.w"] is table["embed.w"]
+    named = params.named()
+    assert named is params.named() and list(named) == list(table)
+    for k, t in named.items():
+        assert t.data is table[k] and t.requires_grad, k
+    before = {k: a.copy() for k, a in table.items()}
+    grads = {k: rng.normal(size=a.shape) for k, a in table.items()}
+    tr.adam_step(params, grads, tr.AdamState.init(params), tiny_train())
+    for k, t in params.named().items():  # the step shows through the tape's view
+        assert t.data is table[k] and not np.array_equal(t.data, before[k]), k
 
 
 def test_adam_zero_grad_zero_decay_is_identity():
