@@ -373,43 +373,25 @@ def _load_feature_inputs(cfg: dict, config: TrnConfig):
     return inputs, clock
 
 
-def _run_inference(params: TrnParams, inputs, clock, batch: bool) -> ev.PredictionDump:
-    cfg = params.config
-    dump = ev.PredictionDump(
-        chunk_size=clock[0], fps=clock[1], decoder_steps=cfg.decoder_steps, classes=cfg.classes
-    )
-    if batch:
-        results = md.forward_videos(params, [streams for _, streams in inputs])
-    else:
-        results = [_stream_video(params, streams) for _, streams in inputs]
-    for (video_id, _), (present, anticipated) in zip(inputs, results):
-        dump.videos[video_id] = ev.VideoPredictions(present, anticipated)
-    return dump
-
-
-def _stream_video(params: TrnParams, streams: dict) -> tuple[np.ndarray, np.ndarray]:
-    """One video pushed chunk by chunk through a fresh detector; only each
-    push's two distributions are kept."""
-    cfg = params.config
-    t_len = md.check_streams(cfg, streams)
-    present = np.empty((t_len, cfg.classes))
-    anticipated = np.empty((t_len, cfg.decoder_steps, cfg.classes))
-    det = OnlineDetector(params)
-    for t in range(t_len):
-        out = det.push_chunk(ChunkStreams(**{n: streams[n][t] for n in cfg.streams}))
-        present[t], anticipated[t] = out.present, out.anticipated
-    return present, anticipated
-
-
 def _cmd_inference(args, batch_flag: bool) -> int:
     cfg = _effective_config(args, _io_options(batch_flag))
     _require(cfg, "ckpt", "out")
     params, _ = tr.load_checkpoint(cfg["ckpt"])
-    inputs, clock = _load_feature_inputs(cfg, params.config)
-    dump = _run_inference(params, inputs, clock, batch=bool(cfg.get("batch")))
-    ev.write_prediction_dump(cfg["out"], dump)
-    chunks = sum(v.num_chunks for v in dump.videos.values())
-    log.info("wrote %d videos (%d chunks) to %s", len(dump.videos), chunks, cfg["out"])
+    model = params.config
+    inputs, (chunk_size, fps) = _load_feature_inputs(cfg, model)
+    videos = [(video_id, md.check_streams(model, streams)) for video_id, streams in inputs]
+    with ev.prediction_dump_writer(cfg["out"], chunk_size, fps, model.decoder_steps,
+                                   model.classes, videos) as put:
+        if cfg.get("batch"):
+            for j, _, present, anticipated in md.forward_blocks(params, [s for _, s in inputs]):
+                put(j, present, anticipated)
+        else:
+            for j, (_, streams) in enumerate(inputs):
+                det = OnlineDetector(params)
+                for t in range(videos[j][1]):
+                    out = det.push_chunk(ChunkStreams(**{n: streams[n][t] for n in model.streams}))
+                    put(j, out.present[None], np.stack(out.anticipated)[None])
+    log.info("wrote %d videos (%d chunks) to %s", len(videos), sum(t for _, t in videos), cfg["out"])
     print(cfg["out"])
     return EXIT_OK
 

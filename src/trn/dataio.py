@@ -24,6 +24,7 @@ whose skeletons ``trn.skeleton`` renders and normalizes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -144,16 +145,54 @@ CONTAINER_VERSION = 1
 CONTAINER_HEADER = struct.Struct("<4sIQ")  # magic, version, index length
 
 
-def write_container(path: str, magic: bytes, doc: dict, arrays) -> None:
-    """Write the header, ``doc`` as a sorted-key JSON index, then each of
-    ``arrays`` as C-order little-endian float64. Identical inputs give
-    identical bytes."""
+@contextlib.contextmanager
+def container_writer(path: str, magic: bytes, doc: dict, shapes: list[tuple[int, ...]]):
+    """Build a container at ``path`` as its arrays are computed: the header
+    and ``doc`` as a sorted-key JSON index, then the yielded ``put(i, rows)``
+    writes ``rows`` as the next rows of array ``i`` (``shapes`` fixes every
+    array's offset), C-order little-endian float64. The file is built under
+    a temporary name beside ``path``, renamed over it only once every row is
+    written, and removed on any exception, leaving a file already at ``path``.
+    A symlink at ``path`` is followed; a device or directory there is refused."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"{path} exists and is not a regular file")
     index = json.dumps(doc, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CONTAINER_HEADER.pack(magic, CONTAINER_VERSION, len(index)))
-        f.write(index)
-        for a in arrays:
-            f.write(np.ascontiguousarray(a, dtype="<f8"))
+    row_bytes = [8 * math.prod(shape[1:]) for shape in shapes]
+    starts = np.cumsum([CONTAINER_HEADER.size + len(index)] + [8 * math.prod(s) for s in shapes])
+    filled = [0] * len(shapes)  # rows written per array
+
+    def put(i: int, rows) -> None:
+        a = np.ascontiguousarray(rows, dtype="<f8")
+        if a.shape[1:] != shapes[i][1:] or filled[i] + len(a) > shapes[i][0]:
+            raise ValueError(f"rows of shape {a.shape} do not fit array {i} of shape "
+                             f"{shapes[i]} from its row {filled[i]}")
+        f.seek(starts[i] + filled[i] * row_bytes[i])
+        f.write(a)
+        filled[i] += len(a)
+
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(CONTAINER_HEADER.pack(magic, CONTAINER_VERSION, len(index)))
+            f.write(index)
+            yield put
+        if filled != [shape[0] for shape in shapes]:
+            raise ValueError(f"{path}: rows written per array {filled}, not {shapes}")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_container(path: str, magic: bytes, doc: dict, arrays) -> None:
+    """``arrays`` written whole after ``doc`` through :func:`container_writer`.
+    Identical inputs give identical bytes."""
+    rows = [np.ascontiguousarray(a, dtype="<f8").reshape(1, -1) for a in arrays]
+    with container_writer(path, magic, doc, [a.shape for a in rows]) as put:
+        for i, a in enumerate(rows):
+            put(i, a)
 
 
 def read_container(path: str, magic: bytes, layout) -> tuple[dict, list[np.ndarray]]:

@@ -19,6 +19,7 @@ pairs that run past the video end are dropped.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from dataclasses import dataclass, field
 
@@ -231,31 +232,46 @@ def render_report(
 DUMP_MAGIC = b"TRND"
 
 
+@contextlib.contextmanager
+def prediction_dump_writer(path: str, chunk_size: int, fps: float, decoder_steps: int,
+                           classes: int, videos: list[tuple[str, int]]):
+    """Build a TRND container at ``path`` block by block: the clock, steps,
+    classes, dtype and the ordered ``videos`` list of [video id, chunks] as
+    the index, each video's present (T, classes) then anticipated (T, steps,
+    classes) as the payload. Yields ``put(j, present, anticipated)``, which
+    writes the next rows of video ``j``. A misshapen or non-finite block
+    raises ValidationError naming the video (and its chunk in the video),
+    and leaves no file but one already at ``path`` (``dio.container_writer``)."""
+    doc = {"chunk_size": chunk_size, "fps": fps, "decoder_steps": decoder_steps,
+           "classes": classes, "dtype": "float64", "videos": [list(v) for v in videos]}
+    shapes = [shape for _, t in videos for shape in ((t, classes), (t, decoder_steps, classes))]
+    done = [0] * len(videos)  # chunks written per video
+
+    with dio.container_writer(path, DUMP_MAGIC, doc, shapes) as put_rows:
+        def put(j: int, present: np.ndarray, anticipated: np.ndarray) -> None:
+            video_id, rows = videos[j][0], len(present)
+            for name, a, shape in (("present", present, (rows, classes)),
+                                   ("anticipated", anticipated, (rows, decoder_steps, classes))):
+                if a.shape != shape:
+                    raise ValidationError(f"video {video_id!r}: {name} is {a.shape}, not {shape}")
+                if not np.isfinite(a).all():
+                    bad = np.nonzero(~np.isfinite(a))[0][0]
+                    raise ValidationError(f"video {video_id!r} chunk {done[j] + bad}: "
+                                          f"{name} holds a non-finite value")
+            put_rows(2 * j, present)
+            put_rows(2 * j + 1, anticipated)
+            done[j] += rows
+
+        yield put
+
+
 def write_prediction_dump(path: str, dump: PredictionDump) -> None:
-    """Write ``dump`` as a TRND container: the clock, steps, classes, dtype
-    and ordered [video id, chunks] list as the index, each video's present
-    (T, classes) then anticipated (T, steps, classes) as the payload. A
-    misshapen or non-finite distribution raises ValidationError naming the
-    video (and the chunk) before the file is opened."""
-    arrays = []
-    for video_id, pred in dump.videos.items():
-        t, k = pred.num_chunks, dump.classes
-        for name, a, shape in (("present", pred.present, (t, k)),
-                               ("anticipated", pred.anticipated, (t, dump.decoder_steps, k))):
-            if a.shape != shape:
-                raise ValidationError(f"video {video_id!r}: {name} is {a.shape}, not {shape}")
-            bad = np.nonzero(~np.isfinite(a))[0]
-            if bad.size:
-                raise ValidationError(
-                    f"video {video_id!r} chunk {bad[0]}: {name} holds a non-finite value"
-                )
-            arrays.append(a)
-    doc = {
-        "chunk_size": dump.chunk_size, "fps": dump.fps, "decoder_steps": dump.decoder_steps,
-        "classes": dump.classes, "dtype": "float64",
-        "videos": [[video_id, pred.num_chunks] for video_id, pred in dump.videos.items()],
-    }
-    dio.write_container(path, DUMP_MAGIC, doc, arrays)
+    """Write ``dump`` whole through :func:`prediction_dump_writer`."""
+    videos = [(video_id, pred.num_chunks) for video_id, pred in dump.videos.items()]
+    with prediction_dump_writer(path, dump.chunk_size, dump.fps, dump.decoder_steps,
+                                dump.classes, videos) as put:
+        for j, pred in enumerate(dump.videos.values()):
+            put(j, pred.present, pred.anticipated)
 
 
 def read_prediction_dump(path: str) -> PredictionDump:

@@ -20,7 +20,7 @@ is hoisted out of the time loop, and each step in it is one GEMM of an
 LSTM weight as stored on the stacked (input; h) operand the step before
 wrote. The training loss runs it, and
 so does every inference path through one step, `detect_block`: streaming
-and `trn_forward` as one-chunk blocks, `forward_videos` as blocks of many
+and `trn_forward` as one-chunk blocks, `forward_blocks` as blocks of many
 videos. `chunk_step` runs the same stages op by op on `numeric` tensors;
 it is the test oracle that the window kernel is pinned to, and no
 inference path calls it.
@@ -606,64 +606,59 @@ GROUP_SIZE = 16
 BLOCK_CHUNKS = 16
 
 
-def forward_videos(params: TrnParams, videos: list[dict]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Whole-sequence inference over many videos of any lengths.
+def forward_blocks(params: TrnParams, videos: list[dict]):
+    """Whole-sequence inference over many videos of any lengths, yielded
+    as (video index, t0, present, anticipated): fresh (rows, classes) and
+    (rows, steps, classes) arrays for chunks t0.. of each video in each
+    block, each video's blocks in chunk order.
 
-    ``videos`` holds one name -> (T_i, D) stream dict per video. The videos
-    run longest first (a stable sort), ``GROUP_SIZE`` at a time, as the
-    columns of :func:`detect_block` calls. A group of one video runs in
-    one-chunk blocks, as ``trn stream`` does, so its outputs are bitwise
-    those of ``trn stream`` and ``trn_forward``. A wider group runs in
-    blocks of at most ``BLOCK_CHUNKS`` chunks; a block also ends where a
-    video retires, and the next block runs without its column. Its
-    outputs may differ from single-video ones in the last bits (a wider
-    GEMM may sum in another order).
+    ``videos`` holds one name -> (T_i, D) stream dict per video, all
+    checked before the first block runs. The videos run longest first (a
+    stable sort), ``GROUP_SIZE`` at a time, as the columns of
+    :func:`detect_block` calls. A group of one video runs in one-chunk
+    blocks, as ``trn stream`` does, so its outputs are bitwise those of
+    ``trn stream`` and ``trn_forward``. A wider group runs in blocks of at
+    most ``BLOCK_CHUNKS`` chunks; a block also ends where a video retires,
+    and the next block runs without its column. Its outputs may differ from
+    single-video ones in the last bits (a wider GEMM may sum in another order).
 
     The streams may be float32 (as ``dio.read_features`` loads them) or
     float64: :func:`stack_block` widens one block at a time, so a float32
     video and its float64 widening give the same bits. Only one block's
-    arrays are alive at a time, beside the outputs and the carried state.
-
-    Returns (present (T_i, classes), anticipated (T_i, steps, classes)) per
-    video, in input order.
-    """
-    lengths = [check_streams(params.config, v) for v in videos]
-    order = sorted(range(len(videos)), key=lambda i: -lengths[i])
-    out: list = [None] * len(videos)
-    for at in range(0, len(order), GROUP_SIZE):
-        group = order[at : at + GROUP_SIZE]
-        block = BLOCK_CHUNKS if len(group) > 1 else 1
-        results = _forward_blocks(
-            params, [videos[i] for i in group], [lengths[i] for i in group], block
-        )
-        for i, result in zip(group, results):
-            out[i] = result
-    return out
-
-
-def _forward_blocks(params: TrnParams, videos: list[dict], lengths: list[int], block: int):
-    """``forward_videos`` over checked videos sorted longest first, in
-    blocks of at most ``block`` chunks."""
+    arrays are alive at a time, beside the carried state and the caller's rows."""
     cfg = params.config
     k, steps, hs = cfg.classes, cfg.decoder_steps, cfg.hidden_size
-    present = [np.empty((t_len, k)) for t_len in lengths]
-    anticipated = [np.empty((t_len, steps, k)) for t_len in lengths]
-    n = len(videos)
-    h, c = np.zeros((hs, n)), np.zeros((hs, n))
-    t0 = 0
-    while t0 < lengths[0]:
-        while lengths[n - 1] <= t0:
-            n -= 1
-        t1 = min(t0 + block, lengths[n - 1])
-        p, run = detect_block(params, stack_block(cfg, videos[:n], t0, t1), h[:, :n], c[:, :n])
-        # the encoder head's columns (t, b), then the decoder head's (step, t, b)
-        p = p.reshape(k, 1 + steps, t1 - t0, n)
-        for j in range(n):
-            present[j][t0:t1] = p[:, 0, :, j].T
-            anticipated[j][t0:t1] = p[:, 1:, :, j].transpose(2, 1, 0)
-        # run.h views the pass's operands: copied, it lets the block's
-        # arrays go before the next block allocates its own
-        h, c = run.h.copy(), run.c
-        del p, run
-        t0 = t1
-    return list(zip(present, anticipated))
+    lengths = [check_streams(cfg, v) for v in videos]
+    order = sorted(range(len(videos)), key=lambda i: -lengths[i])
+    for at in range(0, len(order), GROUP_SIZE):
+        group = order[at : at + GROUP_SIZE]
+        n, block = len(group), (BLOCK_CHUNKS if len(group) > 1 else 1)
+        h, c = np.zeros((hs, n)), np.zeros((hs, n))
+        t0 = 0
+        while t0 < lengths[group[0]]:
+            while lengths[group[n - 1]] <= t0:
+                n -= 1
+            t1 = min(t0 + block, lengths[group[n - 1]])
+            raw = stack_block(cfg, [videos[i] for i in group[:n]], t0, t1)
+            p, run = detect_block(params, raw, h[:, :n], c[:, :n])
+            # the encoder head's columns (t, b), then the decoder head's (step, t, b)
+            p = p.reshape(k, 1 + steps, t1 - t0, n)
+            # run.h views the pass's operands: copied, it lets the block's
+            # arrays go before the next block allocates its own
+            h, c = run.h.copy(), run.c
+            for j, i in enumerate(group[:n]):
+                yield i, t0, p[:, 0, :, j].T.copy(), p[:, 1:, :, j].transpose(2, 1, 0).copy()
+            del p, run
+            t0 = t1
+
+
+def forward_videos(params: TrnParams, videos: list[dict]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`forward_blocks` collected: (present (T_i, classes),
+    anticipated (T_i, steps, classes)) per video, in input order."""
+    cfg = params.config
+    out = [(np.empty((t_len, cfg.classes)), np.empty((t_len, cfg.decoder_steps, cfg.classes)))
+           for t_len in [check_streams(cfg, v) for v in videos]]
+    for i, t0, present, anticipated in forward_blocks(params, videos):
+        out[i][0][t0 : t0 + len(present)] = present
+        out[i][1][t0 : t0 + len(present)] = anticipated
+    return out

@@ -516,23 +516,87 @@ def test_infer_batch_ragged_split_matches_stream(tmp_path):
         assert np.abs(s.anticipated - t.anticipated).max() <= 1e-12
 
 
-def test_stream_keeps_only_the_distributions():
-    # a detection also carries the decoder's predicted features (H floats
-    # per step); trn stream must not hold them for the whole video
+def test_inference_holds_one_block_of_outputs(tmp_path, capsys):
+    # 4,000 chunks of 9 distributions over 21 classes are 6 MB of outputs;
+    # both commands write each block (each push) as it is computed, so
+    # neither holds the video's outputs, nor a detection's predicted
+    # features, beyond one block
     cfg = TrnConfig(fusion_variant=FusionVariant.TWO_STREAM, appearance_dim=8, motion_dim=8,
-                    pose_dim=None, hidden_size=128, decoder_steps=8, num_actions=3)
-    params = TrnParams.init(cfg, np.random.default_rng(0))
+                    pose_dim=None, hidden_size=16, decoder_steps=8, num_actions=20)
+    ckpt = str(tmp_path / "m.trnc")
+    tr.save_checkpoint(ckpt, TrnParams.init(cfg, np.random.default_rng(0)))
     rng = np.random.default_rng(1)
-    video = {n: rng.normal(size=(1000, 8)) for n in ("appearance", "motion")}
-    tracemalloc.start()
-    try:
-        present, anticipated = cli._stream_video(params, video)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert present.shape == (1000, 4) and anticipated.shape == (1000, 8, 4)
-    # the two outputs hold 0.29 MB; the predicted features alone are 8.2 MB
-    assert peak < 2_000_000, peak
+    feats = []
+    for name in ("appearance", "motion"):
+        dio.write_features(str(tmp_path / f"{name}.trnf"), rng.normal(size=(4000, 8)))
+        feats.append(f"{name}={tmp_path / f'{name}.trnf'}")
+    loaded = 2 * 4000 * 8 * 4  # the two streams, float32
+    dumps = []
+    for command in (["infer", "--batch"], ["stream"]):
+        dumps.append(tmp_path / f"{command[0]}.trnd")
+        argv = command + ["--ckpt", ckpt, "--out", str(dumps[-1]), "--features"] + feats
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < loaded + 2_000_000, (command, peak)
+    assert dumps[0].stat().st_size > 6_000_000
+    assert dumps[0].read_bytes() == dumps[1].read_bytes()
+
+
+@pytest.mark.parametrize("command", [["infer", "--batch"], ["stream"]])
+@pytest.mark.parametrize("error", [ValidationError("boom"), KeyboardInterrupt()])
+def test_inference_that_fails_midway_leaves_the_old_dump(tmp_path, monkeypatch, command, error):
+    # the dump is built under a temporary name: a failure on the third
+    # block removes it and leaves the file already at --out as it was
+    ckpt, cfg = tiny_ckpt(tmp_path)
+    feats = tiny_features(tmp_path, cfg, t=5)
+    out = tmp_path / "dump.trnd"
+    out.write_bytes(b"an earlier dump")
+    before = sorted(os.listdir(tmp_path))
+    calls = []
+    detect_block = md.detect_block
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise error
+        return detect_block(*args)
+
+    monkeypatch.setattr(md, "detect_block", failing)
+    argv = command + ["--ckpt", ckpt, "--out", str(out),
+                      "--features", f"appearance={feats['appearance']}", f"motion={feats['motion']}"]
+    if isinstance(error, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            run(argv)
+    else:
+        assert run(argv) == 1
+    assert len(calls) == 3
+    assert sorted(os.listdir(tmp_path)) == before
+    assert out.read_bytes() == b"an earlier dump"
+
+
+def test_dump_target_symlink_is_followed_and_a_directory_refused(tmp_path):
+    # the dump is renamed into place: a symlink at --out keeps pointing at
+    # the file it names, which gets the dump, and a target that is not a
+    # regular file (a directory, a device such as /dev/null) is refused
+    # rather than replaced
+    ckpt, cfg = tiny_ckpt(tmp_path)
+    feats = tiny_features(tmp_path, cfg, t=3)
+    argv = ["stream", "--ckpt", ckpt, "--features",
+            f"appearance={feats['appearance']}", f"motion={feats['motion']}", "--out"]
+    real, link, folder = tmp_path / "real.trnd", tmp_path / "link.trnd", tmp_path / "folder"
+    real.write_bytes(b"old")
+    link.symlink_to(real)
+    folder.mkdir()
+    before = sorted(os.listdir(tmp_path))
+    assert run(argv + [str(link)]) == 0
+    assert link.is_symlink() and ev.read_prediction_dump(str(real)).videos["video"].num_chunks == 3
+    assert run(argv + [str(folder)]) == 2
+    assert folder.is_dir() and list(folder.iterdir()) == []
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 @pytest.fixture()

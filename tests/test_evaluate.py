@@ -378,7 +378,7 @@ def test_write_rejects_non_finite_naming_video_and_chunk(tmp_path):
         path = tmp_path / "dump.trnd"
         with pytest.raises(ValidationError, match=f"video 'b' chunk 3: {name} holds a non-finite"):
             ev.write_prediction_dump(str(path), dump)
-        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []  # neither the dump nor its temporary file
 
 
 def test_write_rejects_misshapen_distributions(tmp_path):
@@ -392,7 +392,7 @@ def test_write_rejects_misshapen_distributions(tmp_path):
         dump.videos["v"] = ev.VideoPredictions(present, anticipated)
         with pytest.raises(ValidationError, match="video 'v'"):
             ev.write_prediction_dump(str(path), dump)
-        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []  # neither the dump nor its temporary file
 
 
 def test_ground_truth_from_files(tmp_path):

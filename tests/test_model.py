@@ -1,10 +1,12 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import add, cross_entropy, tape_chunks, tape_forward, tape_grad_check
+from trn import evaluate as ev
 from trn import model as md
 from trn import numeric as nm
 from trn.model import ChunkStreams, FusionVariant, TrnConfig, TrnParams, TrnState
@@ -619,6 +621,31 @@ def test_forward_videos_group_size_caps_columns(monkeypatch):
     assert widths == [5, 4, 3, 2, 2]
     for (p1, a1), (p2, a2) in zip(capped, whole):
         assert np.abs(p1 - p2).max() <= 1e-12 and np.abs(a1 - a2).max() <= 1e-12
+
+
+@pytest.mark.parametrize("group_size", [16, 3])
+def test_forward_blocks_written_block_by_block_give_the_whole_dump(tmp_path, monkeypatch,
+                                                                  group_size):
+    # 3, 16 and 17 retire inside blocks; at a group size of 3 the longest
+    # three share blocks and the fourth runs alone, after them
+    monkeypatch.setattr(md, "GROUP_SIZE", group_size)
+    cfg = tiny_config(decoder_steps=3, num_actions=4)
+    params = TrnParams.init(cfg, np.random.default_rng(44))
+    rng = np.random.default_rng(45)
+    videos = [random_video(rng, cfg, t) for t in (16, 40, 3, 17)]
+    ids = [f"v{i}" for i in range(len(videos))]
+    clock = (cfg.chunk_size, cfg.fps, cfg.decoder_steps, cfg.classes)
+    blocks = tmp_path / "blocks.trnd"
+    with ev.prediction_dump_writer(str(blocks), *clock,
+                                   [(i, len(v["appearance"])) for i, v in zip(ids, videos)]) as put:
+        for j, _, present, anticipated in md.forward_blocks(params, videos):
+            put(j, present, anticipated)
+    whole = ev.PredictionDump(*clock)
+    for i, (present, anticipated) in zip(ids, md.forward_videos(params, videos)):
+        whole.videos[i] = ev.VideoPredictions(present, anticipated)
+    ev.write_prediction_dump(str(tmp_path / "whole.trnd"), whole)
+    assert blocks.read_bytes() == (tmp_path / "whole.trnd").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["blocks.trnd", "whole.trnd"]
 
 
 def test_forward_videos_rejects_bad_input():

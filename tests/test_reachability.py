@@ -41,6 +41,8 @@ ALLOWED = {
         "numeric.lstm_step", "numeric.lstm_step.<locals>.cell_backward",
         "numeric.lstm_step.<locals>.out_backward",
     ], TAPE),
+    # the CLI writes its dumps block by block; benchmarks/workloads.py still wraps it
+    "evaluate.write_prediction_dump": "harness pin until 1b",
     "streaming.OnlineDetector.reset": "named by an error message (PoisonedError)",
 }
 
