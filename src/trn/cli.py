@@ -7,10 +7,12 @@ table), gradcheck (finite-difference audit of the training gradients).
 
 Every flag has a config-file equivalent: pass --config (or --spec for
 synth) pointing at a JSON object whose keys are the flag names with
-underscores. Precedence is flag > file > built-in default, unknown keys
-are rejected, and the effective configuration is logged before any work
-starts. Exit codes: 0 success, 1 validation failure, 2 I/O or file
-format error. TRN_LOG_LEVEL controls verbosity (default INFO).
+underscores. Each option's type is its parser. ``main`` merges the flags,
+the file and the defaults once (flag > file > built-in default, unknown
+keys rejected), logs the result and hands it to the subcommand. One
+handler maps errors to exit codes: 0 success, 1 validation failure (any
+ValueError but a format error), 2 I/O or file format error.
+TRN_LOG_LEVEL controls verbosity (default INFO).
 """
 
 from __future__ import annotations
@@ -73,23 +75,22 @@ def _features_value(value) -> dict[str, str]:
 
 
 class Opt:
-    """One merged option: flag, config-file key, type, default."""
+    """One merged option: flag, config-file key, type, default. The type is
+    the parser: ``bool`` makes an on/off flag, ``_features_value`` a
+    NAME=PATH list, and any other callable parses the flag's text."""
 
-    def __init__(self, typ, default, help_text, kind="value"):
+    def __init__(self, typ, default, help_text):
         self.typ = typ
         self.default = default
         self.help = help_text
-        self.kind = kind  # "value" | "flag" | "features"
 
     def coerce(self, value, where: str):
         """``value`` as the option's type; text that does not parse is a
         ValidationError naming ``where`` (the flag or the config-file key)."""
         if value is None:
             return None
-        if self.kind == "flag":
+        if self.typ is bool:
             return bool(value)
-        if self.kind == "features":
-            return _features_value(value)
         try:
             return self.typ(value)
         except ValidationError:
@@ -104,12 +105,12 @@ class Opt:
         option) that is not a boolean, text the flag would take, or null
         where the default is null."""
         kinds, what = {
-            "flag": ((bool,), "a boolean"), "features": ((list, dict), "a list or an object"),
-        }.get(self.kind) or {
+            bool: ((bool,), "a boolean"),
+            _features_value: ((list, dict), "a list or an object"),
             int: ((int, str), "an integer or a string"),
             float: ((int, float, str), "a number or a string"),
         }.get(self.typ, ((str,), "a string"))
-        if (isinstance(value, kinds) and (self.kind == "flag" or not isinstance(value, bool))
+        if (isinstance(value, kinds) and (self.typ is bool or not isinstance(value, bool))
                 or (value is None and self.default is None)):
             return self.coerce(value, where)
         raise ValidationError(f"{where} must be {what}, got {json.dumps(value)}")
@@ -170,19 +171,16 @@ def _synth_options():
     return out | _field_options(_defaults(dio.SyntheticSpec), helps)
 
 
-def _io_options(batch_flag: bool):
-    out = {
+def _io_options():
+    return {
         "ckpt": Opt(str, None, "checkpoint file"),
         "out": Opt(str, None, "prediction dump to write (TRND)"),
-        "features": Opt(None, None, "per-stream feature files as NAME=PATH", kind="features"),
+        "features": Opt(_features_value, None, "per-stream feature files as NAME=PATH"),
         "video_id": Opt(str, "video", "video id recorded with --features input"),
         "manifest": Opt(str, None, "dataset manifest (alternative to --features)"),
         "split": Opt(str, "test", "manifest split to process"),
         "video": Opt(str, None, "restrict manifest input to one video id"),
     }
-    if batch_flag:
-        out["batch"] = Opt(bool, False, "run the whole-sequence path instead of chunkwise pushes", kind="flag")
-    return out
 
 
 def _eval_options():
@@ -190,7 +188,7 @@ def _eval_options():
         "dump": Opt(str, None, "prediction dump (TRND)"),
         "gt": Opt(str, None, "ground-truth annotation TSV"),
         "classmap": Opt(str, None, "class map TSV"),
-        "expand_to_frames": Opt(bool, False, "rank frames instead of chunks", kind="flag"),
+        "expand_to_frames": Opt(bool, False, "rank frames instead of chunks"),
     }
 
 
@@ -218,24 +216,17 @@ class CliParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _add_options(parser: argparse.ArgumentParser, options: dict[str, Opt]) -> None:
     for key, opt in options.items():
-        flag = "--" + key.replace("_", "-")
-        if opt.kind == "flag":
-            parser.add_argument(
-                flag, dest=key, action="store_true", default=None,
-                help=f"{opt.help} (default: {opt.default})",
-            )
-        elif opt.kind == "features":
-            parser.add_argument(
-                flag, dest=key, nargs="+", metavar="NAME=PATH", default=None,
-                help=f"{opt.help} (default: {opt.default})",
-            )
-        else:
-            parser.add_argument(
-                flag, dest=key, default=None, metavar=key.upper(),
-                help=f"{opt.help} (default: {opt.default})",
-            )
+        shape = ({"action": "store_true"} if opt.typ is bool
+                 else {"nargs": "+", "metavar": "NAME=PATH"} if opt.typ is _features_value
+                 else {"metavar": key.upper()})
+        parser.add_argument(_flag(key), dest=key, default=None,
+                            help=f"{opt.help} (default: {opt.default})", **shape)
 
 
 def _load_config_file(path: str) -> dict:
@@ -250,10 +241,12 @@ def _load_config_file(path: str) -> dict:
     return doc
 
 
-def _effective_config(args, options: dict[str, Opt], file_flag: str = "config") -> dict:
-    """Merge defaults, config file, and explicit flags; echo the result."""
+def _effective_config(args) -> dict:
+    """Merge the subcommand's defaults, its config file and the explicit
+    flags; echo the result."""
+    options = args.options
     cfg = {k: opt.default for k, opt in options.items()}
-    path = getattr(args, file_flag, None)
+    path = getattr(args, args.file_flag)
     if path:
         doc = _load_config_file(path)
         unknown = sorted(set(doc) - set(options))
@@ -264,7 +257,7 @@ def _effective_config(args, options: dict[str, Opt], file_flag: str = "config") 
     for k, opt in options.items():
         v = getattr(args, k)
         if v is not None:
-            cfg[k] = opt.coerce(v, "--" + k.replace("_", "-"))
+            cfg[k] = opt.coerce(v, _flag(k))
     for k in sorted(cfg):
         log.info("config %s = %r", k, cfg[k])
     return cfg
@@ -274,7 +267,7 @@ def _require(cfg: dict, *keys: str) -> None:
     missing = [k for k in keys if not cfg.get(k)]
     if missing:
         raise ValidationError(
-            "missing required " + ", ".join("--" + k.replace("_", "-") for k in missing)
+            "missing required " + ", ".join(_flag(k) for k in missing)
         )
 
 
@@ -282,8 +275,7 @@ def _require(cfg: dict, *keys: str) -> None:
 # subcommands
 
 
-def cmd_synth(args) -> int:
-    cfg = _effective_config(args, _synth_options(), file_flag="spec")
+def cmd_synth(cfg: dict) -> int:
     _require(cfg, "out")
     out_dir = cfg.pop("out")
     spec = dio.SyntheticSpec(**cfg)
@@ -317,8 +309,7 @@ def _model_config_from_manifest(
     )
 
 
-def cmd_train(args) -> int:
-    cfg = _effective_config(args, _train_options())
+def cmd_train(cfg: dict) -> int:
     _require(cfg, "manifest", "out")
     manifest = dio.load_manifest(cfg["manifest"])
     cmap = dio.read_class_map(manifest.resolve(manifest.class_map))
@@ -373,8 +364,9 @@ def _load_feature_inputs(cfg: dict, config: TrnConfig):
     return inputs, clock
 
 
-def _cmd_inference(args, batch_flag: bool) -> int:
-    cfg = _effective_config(args, _io_options(batch_flag))
+def cmd_infer(cfg: dict) -> int:
+    """``trn stream`` and ``trn infer``: one detector push per chunk, or the
+    whole-sequence blocks when ``trn infer`` gets --batch."""
     _require(cfg, "ckpt", "out")
     params, _ = tr.load_checkpoint(cfg["ckpt"])
     model = params.config
@@ -396,16 +388,7 @@ def _cmd_inference(args, batch_flag: bool) -> int:
     return EXIT_OK
 
 
-def cmd_stream(args) -> int:
-    return _cmd_inference(args, batch_flag=False)
-
-
-def cmd_infer(args) -> int:
-    return _cmd_inference(args, batch_flag=True)
-
-
-def cmd_eval(args) -> int:
-    cfg = _effective_config(args, _eval_options())
+def cmd_eval(cfg: dict) -> int:
     _require(cfg, "dump", "gt", "classmap")
     dump = ev.read_prediction_dump(cfg["dump"])
     gt = ev.ground_truth_from_files(cfg["gt"], cfg["classmap"])
@@ -426,8 +409,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(args) -> int:
-    cfg = _effective_config(args, _gradcheck_options())
+def cmd_gradcheck(cfg: dict) -> int:
     nm.check_real("tolerance", cfg["tolerance"], open_lo=True)
     nm.check_int("seed", cfg["seed"], 0)
     model_config = TrnConfig.for_streams(
@@ -480,21 +462,16 @@ def build_parser() -> argparse.ArgumentParser:
         # add_parser builds subparsers with the parent's class, so these
         # inherit the exit-code-1 error handler
         p = sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "--" + file_flag,
-            dest=file_flag,
-            metavar="FILE",
-            default=None,
-            help="JSON file with flag defaults (flags win; unknown keys rejected)",
-        )
+        p.add_argument(_flag(file_flag), dest=file_flag, metavar="FILE", default=None,
+                       help="JSON file with flag defaults (flags win; unknown keys rejected)")
         _add_options(p, options)
-        p.set_defaults(func=func)
-        return p
+        p.set_defaults(func=func, options=options, file_flag=file_flag)
 
     add("synth", cmd_synth, _synth_options(), "generate a synthetic dataset", file_flag="spec")
     add("train", cmd_train, _train_options(), "train a model on a manifest")
-    add("stream", cmd_stream, _io_options(False), "chunk-by-chunk streaming inference")
-    add("infer", cmd_infer, _io_options(True), "whole-sequence inference")
+    add("stream", cmd_infer, _io_options(), "chunk-by-chunk streaming inference")
+    batch = Opt(bool, False, "run the whole-sequence path instead of chunkwise pushes")
+    add("infer", cmd_infer, _io_options() | {"batch": batch}, "whole-sequence inference")
     add("eval", cmd_eval, _eval_options(), "render the mAP report for a dump")
     add("gradcheck", cmd_gradcheck, _gradcheck_options(), "finite-difference gradient audit")
     return parser
@@ -510,22 +487,12 @@ def main(argv: list[str] | None = None) -> int:
         level=level, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
     )
     logging.getLogger("trn").setLevel(level)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except dio.FormatError as e:
+        return args.func(_effective_config(args))
+    except (OSError, ValueError) as e:  # ValidationError is a ValueError, as is FormatError
         log.error("%s", e)
-        return EXIT_IO
-    except ValidationError as e:
-        log.error("%s", e)
-        return EXIT_VALIDATION
-    except OSError as e:
-        log.error("%s", e)
-        return EXIT_IO
-    except ValueError as e:
-        log.error("%s", e)
-        return EXIT_VALIDATION
+        return EXIT_IO if isinstance(e, (OSError, dio.FormatError)) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

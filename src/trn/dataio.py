@@ -516,35 +516,48 @@ def _video_entry(root: str, entry: dict, where: str) -> VideoEntry:
     if not (math.isfinite(fps) and fps > 0 and size.is_integer() and size >= 1):
         raise FormatError(f"{where}: fps must be a finite positive number and chunk_size "
                           f"a positive integer, got {entry['fps']!r} and {entry['chunk_size']!r}")
+    video_id, split, annotations = (
+        _entry_text(entry[key], key, where) for key in ("id", "split", "annotations"))
     streams = {}
     counts = {}
     for name, ref in entry["streams"].items():
-        full = os.path.join(root, ref["path"])
-        t, d = read_feature_header(full)
-        if d != ref["dim"]:
-            raise ValidationError(
-                f"{entry['id']}/{name}: file dim {d} != declared dim {ref['dim']}"
-            )
-        streams[name] = StreamRef(ref["path"], int(ref["dim"]))
+        path = _entry_text(ref["path"], f"streams.{name}.path", where)
+        try:  # as chunk_size is read: 3, 3.0 and "3" are 3
+            dim = float(ref["dim"])
+        except (TypeError, ValueError, OverflowError):
+            dim = math.nan
+        if not (dim.is_integer() and dim >= 1):
+            raise FormatError(f"{where}: streams.{name}.dim must be a positive integer, "
+                              f"got {ref['dim']!r}")
+        t, d = read_feature_header(os.path.join(root, path))
+        if d != dim:
+            raise ValidationError(f"{video_id}/{name}: file dim {d} != declared dim {int(dim)}")
+        streams[name] = StreamRef(path, int(dim))
         counts[name] = t
     if not counts:
-        raise ValidationError(f"{entry['id']}: no streams")
+        raise ValidationError(f"{video_id}: no streams")
     lo, hi = min(counts.values()), max(counts.values())
     if hi - lo > 1:
         raise ValidationError(
-            f"{entry['id']}: stream chunk counts disagree by more than one: {counts}"
+            f"{video_id}: stream chunk counts disagree by more than one: {counts}"
         )
     if hi != lo:
-        log.warning("%s: stream chunk counts %s truncated to %d", entry["id"], counts, lo)
+        log.warning("%s: stream chunk counts %s truncated to %d", video_id, counts, lo)
     return VideoEntry(
-        video_id=entry["id"],
+        video_id=video_id,
         fps=fps,
         chunk_size=int(size),
-        split=entry["split"],
+        split=split,
         streams=streams,
-        annotations=entry["annotations"],
+        annotations=annotations,
         num_chunks=lo,
     )
+
+
+def _entry_text(value, key: str, where: str) -> str:
+    if not isinstance(value, str):
+        raise FormatError(f"{where}: {key} must be a string, got {value!r}")
+    return value
 
 
 def load_video_streams(

@@ -232,6 +232,16 @@ def render_report(
 DUMP_MAGIC = b"TRND"
 
 
+def _check_videos(videos, error: type[Exception]) -> None:
+    """Raise ``error`` unless each [video id, chunks] entry is a new string
+    id with a non-negative integer count."""
+    seen = set()
+    for video_id, t in videos:
+        if not isinstance(video_id, str) or type(t) is not int or t < 0 or video_id in seen:
+            raise error(f"videos entry {[video_id, t]} is not a new [id, chunks]")
+        seen.add(video_id)
+
+
 @contextlib.contextmanager
 def prediction_dump_writer(path: str, chunk_size: int, fps: float, decoder_steps: int,
                            classes: int, videos: list[tuple[str, int]]):
@@ -241,7 +251,9 @@ def prediction_dump_writer(path: str, chunk_size: int, fps: float, decoder_steps
     classes) as the payload. Yields ``put(j, present, anticipated)``, which
     writes the next rows of video ``j``. A misshapen or non-finite block
     raises ValidationError naming the video (and its chunk in the video),
-    and leaves no file but one already at ``path`` (``dio.container_writer``)."""
+    and leaves no file but one already at ``path`` (``dio.container_writer``);
+    so does, before any file is made, a ``videos`` list the reader refuses."""
+    _check_videos(videos, ValidationError)
     doc = {"chunk_size": chunk_size, "fps": fps, "decoder_steps": decoder_steps,
            "classes": classes, "dtype": "float64", "videos": [list(v) for v in videos]}
     shapes = [shape for _, t in videos for shape in ((t, classes), (t, decoder_steps, classes))]
@@ -282,11 +294,8 @@ def read_prediction_dump(path: str) -> PredictionDump:
     def layout(doc):
         nonlocal dump
         dump = _dump_header(doc)
-        seen = set()
+        _check_videos(doc["videos"], dio.HeaderError)
         for video_id, t in doc["videos"]:
-            if not isinstance(video_id, str) or type(t) is not int or t < 0 or video_id in seen:
-                raise dio.HeaderError(f"videos entry {[video_id, t]} is not a new [id, chunks]")
-            seen.add(video_id)
             yield f"video {video_id!r} present", (t, dump.classes)
             yield f"video {video_id!r} anticipated", (t, dump.decoder_steps, dump.classes)
 

@@ -516,6 +516,26 @@ def test_infer_batch_ragged_split_matches_stream(tmp_path):
         assert np.abs(s.anticipated - t.anticipated).max() <= 1e-12
 
 
+def test_infer_without_batch_equals_stream(tmp_path):
+    # the two subcommands run one function; without --batch, trn infer
+    # takes the push-by-push path, so its dump is trn stream's, byte for byte
+    rc = run(synth_args(tmp_path / "data", num_classes=9, num_videos=6, train_fraction=0.2))
+    manifest_path = str(tmp_path / "data" / "manifest.json")
+    manifest = dio.load_manifest(manifest_path)
+    for video, length in zip(manifest.split("test"), (7, 1, 12, 4, 9)):
+        for ref in video.streams.values():
+            path = manifest.resolve(ref.path)
+            dio.write_features(path, dio.read_features(path)[:length])
+    ckpt, _ = tiny_ckpt(tmp_path, appearance_dim=5, motion_dim=4, num_actions=9)
+    argv = ["--ckpt", ckpt, "--manifest", manifest_path, "--split", "test"]
+    a, b = tmp_path / "stream.trnd", tmp_path / "infer.trnd"
+    assert rc == 0
+    assert run(["stream", "--out", str(a)] + argv) == 0
+    assert run(["infer", "--out", str(b)] + argv) == 0
+    assert len(ev.read_prediction_dump(str(a)).videos) == 5
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_inference_holds_one_block_of_outputs(tmp_path, capsys):
     # 4,000 chunks of 9 distributions over 21 classes are 6 MB of outputs;
     # both commands write each block (each push) as it is computed, so
@@ -908,6 +928,23 @@ def test_eval_malformed_dump_exits_2(tmp_path, caplog):
     rc = run(["eval", "--dump", str(dump), "--gt", str(gt), "--classmap", str(classmap)])
     assert rc == 2
     assert "not a TRND file" in caplog.text
+
+
+@pytest.mark.parametrize("error, code", [
+    (dio.HeaderError("a header fault"), 2),
+    (IsADirectoryError("a directory"), 2),
+    (ValidationError("a bad value"), 1),
+    (ValueError("a value of no known kind"), 1),
+])
+def test_each_error_kind_maps_to_its_exit_code(monkeypatch, caplog, error, code):
+    # I/O and file format faults exit 2, every other ValueError exits 1,
+    # each logged as one line without a traceback
+    def failing(cfg):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_eval", failing)
+    assert run(["eval"]) == code
+    assert str(error) in caplog.text and "Traceback" not in caplog.text
 
 
 # ---------------------------------------------------------------------------

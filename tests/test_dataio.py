@@ -391,6 +391,41 @@ def test_manifest_integral_clock_values_load(tmp_path):
     assert video.chunk_size == 6 and type(video.chunk_size) is int and video.fps == 29.97
 
 
+def set_stream_key(key, value):
+    return lambda doc: doc["videos"][0]["streams"]["appearance"].update({key: value})
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("id", lambda doc: doc["videos"][0].update(id=103)),  # a dump could not record it
+    ("split", lambda doc: doc["videos"][0].update(split=["train"])),  # in no split
+    ("annotations", lambda doc: doc["videos"][0].update(annotations=7)),
+    ("streams.appearance.path", set_stream_key("path", 5)),
+    ("streams.appearance.dim", set_stream_key("dim", "three")),
+    ("streams.appearance.dim", set_stream_key("dim", 3.5)),
+    ("streams.appearance.dim", set_stream_key("dim", 0)),
+    ("streams.appearance.dim", set_stream_key("dim", None)),
+], ids=["id", "split", "annotations", "path", "dim-text", "dim-fraction", "dim-zero", "dim-null"])
+def test_manifest_entry_of_the_wrong_kind_is_a_format_error(tmp_path, key, edit):
+    path = build_dataset(tmp_path)
+    rewrite_manifest(path, edit)
+    with pytest.raises(dio.FormatError, match=re.escape(f"videos[0]: {key} must be")) as exc:
+        dio.load_manifest(path)
+    assert path in str(exc.value)
+
+
+def test_manifest_integral_dims_load(tmp_path):
+    # dims are read as chunk_size is: "3" and 4.0 are the integers 3 and 4
+    def edit(doc):
+        streams = doc["videos"][0]["streams"]
+        streams["appearance"]["dim"], streams["motion"]["dim"] = "3", 4.0
+
+    path = build_dataset(tmp_path)
+    rewrite_manifest(path, edit)
+    (video,) = dio.load_manifest(path).videos
+    dims = [ref.dim for ref in video.streams.values()]
+    assert dims == [3, 4] and all(type(d) is int for d in dims)
+
+
 def test_manifest_without_class_map_is_a_format_error(tmp_path):
     path = build_dataset(tmp_path)
     rewrite_manifest(path, lambda doc: doc.pop("class_map"))

@@ -395,6 +395,18 @@ def test_write_rejects_misshapen_distributions(tmp_path):
         assert list(tmp_path.iterdir()) == []  # neither the dump nor its temporary file
 
 
+@pytest.mark.parametrize("videos", [
+    [(103, 4)],  # not a string id
+    [("v", 4), ("v", 2)],  # a repeated id
+    [("v", -1)],  # a negative chunk count
+])
+def test_writer_refuses_a_videos_list_the_reader_refuses(tmp_path, videos):
+    with pytest.raises(ValidationError, match=r"is not a new \[id, chunks\]"):
+        with ev.prediction_dump_writer(str(tmp_path / "dump.trnd"), 6, 30.0, 2, 3, videos):
+            pass
+    assert list(tmp_path.iterdir()) == []  # neither the dump nor its temporary file
+
+
 def test_ground_truth_from_files(tmp_path):
     ann = tmp_path / "ann.tsv"
     cm = tmp_path / "classes.tsv"
