@@ -66,11 +66,14 @@ def _features_value(value) -> dict[str, str]:
             if not sep or not name or not path:
                 raise ValidationError(f"--features takes NAME=PATH pairs, got {item!r}")
             pairs[name] = path
-    for name in pairs:
+    for name, path in pairs.items():
         if name not in md.STREAM_NAMES:
             raise ValidationError(
                 f"unknown stream {name!r}, expected one of {list(md.STREAM_NAMES)}"
             )
+        if not (isinstance(path, str) and path):
+            raise ValidationError(f"the {name} features path must be a non-empty string, "
+                                  f"got {json.dumps(path)}")
     return pairs
 
 
@@ -345,9 +348,6 @@ def _load_feature_inputs(cfg: dict, config: TrnConfig):
         raise ValidationError("pass either --features or --manifest, not both")
     if cfg.get("features"):
         streams = {name: dio.read_features(path) for name, path in cfg["features"].items()}
-        lengths = {name: len(arr) for name, arr in streams.items()}
-        if len(set(lengths.values())) > 1:
-            raise ValidationError(f"feature files disagree on chunk count: {lengths}")
         return [(cfg["video_id"], streams)], (config.chunk_size, config.fps)
     if not cfg.get("manifest"):
         raise ValidationError("missing input: pass --features NAME=PATH ... or --manifest")
@@ -382,7 +382,7 @@ def cmd_infer(cfg: dict) -> int:
                 det = OnlineDetector(params)
                 for t in range(videos[j][1]):
                     out = det.push_chunk(ChunkStreams(**{n: streams[n][t] for n in model.streams}))
-                    put(j, out.present[None], np.stack(out.anticipated)[None])
+                    put(j, out.present[None], out.anticipated[None])
     log.info("wrote %d videos (%d chunks) to %s", len(videos), sum(t for _, t in videos), cfg["out"])
     print(cfg["out"])
     return EXIT_OK

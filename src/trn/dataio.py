@@ -167,8 +167,8 @@ def container_writer(path: str, magic: bytes, doc: dict, shapes: list[tuple[int,
         if a.shape[1:] != shapes[i][1:] or filled[i] + len(a) > shapes[i][0]:
             raise ValueError(f"rows of shape {a.shape} do not fit array {i} of shape "
                              f"{shapes[i]} from its row {filled[i]}")
-        f.seek(starts[i] + filled[i] * row_bytes[i])
-        f.write(a)
+        if os.pwrite(f.fileno(), a, starts[i] + filled[i] * row_bytes[i]) != a.nbytes:
+            raise OSError(f"{path}: short write of array {i}")
         filled[i] += len(a)
 
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
@@ -177,6 +177,7 @@ def container_writer(path: str, magic: bytes, doc: dict, shapes: list[tuple[int,
         with f:
             f.write(CONTAINER_HEADER.pack(magic, CONTAINER_VERSION, len(index)))
             f.write(index)
+            f.flush()  # the rows bypass the buffer: each put is one pwrite at its offset
             yield put
         if filled != [shape[0] for shape in shapes]:
             raise ValueError(f"{path}: rows written per array {filled}, not {shapes}")
@@ -479,9 +480,9 @@ def load_manifest(path: str) -> Manifest:
     declared dimension. Streams of one video must agree on chunk count;
     an off-by-one tail is tolerated (effective count = minimum, with a
     warning), anything worse is an error. A missing ``class_map``, or an
-    entry that lacks a key, holds a value of the wrong kind or a clock
-    that is not a positive fps and chunk_size (an integer), is a
-    FormatError naming the file and the entry, as is a repeated id.
+    entry that lacks a key or holds a value of the wrong kind (a boolean
+    for fps, chunk_size or a dim among them), is a FormatError naming the
+    file, the entry and the key, as is a repeated id.
     """
     root = os.path.dirname(os.path.abspath(path))
     try:
@@ -509,30 +510,19 @@ def load_manifest(path: str) -> Manifest:
 
 def _video_entry(root: str, entry: dict, where: str) -> VideoEntry:
     """One manifest entry, its clock and its feature headers checked."""
-    try:
-        fps, size = float(entry["fps"]), float(entry["chunk_size"])
-    except (ValueError, OverflowError) as e:
-        raise FormatError(f"{where}: fps and chunk_size must be numbers: {e}") from e
-    if not (math.isfinite(fps) and fps > 0 and size.is_integer() and size >= 1):
-        raise FormatError(f"{where}: fps must be a finite positive number and chunk_size "
-                          f"a positive integer, got {entry['fps']!r} and {entry['chunk_size']!r}")
+    fps = _entry_number(entry["fps"], "fps", where)
+    size = _entry_number(entry["chunk_size"], "chunk_size", where, whole=True)
     video_id, split, annotations = (
         _entry_text(entry[key], key, where) for key in ("id", "split", "annotations"))
     streams = {}
     counts = {}
     for name, ref in entry["streams"].items():
         path = _entry_text(ref["path"], f"streams.{name}.path", where)
-        try:  # as chunk_size is read: 3, 3.0 and "3" are 3
-            dim = float(ref["dim"])
-        except (TypeError, ValueError, OverflowError):
-            dim = math.nan
-        if not (dim.is_integer() and dim >= 1):
-            raise FormatError(f"{where}: streams.{name}.dim must be a positive integer, "
-                              f"got {ref['dim']!r}")
+        dim = _entry_number(ref["dim"], f"streams.{name}.dim", where, whole=True)
         t, d = read_feature_header(os.path.join(root, path))
         if d != dim:
-            raise ValidationError(f"{video_id}/{name}: file dim {d} != declared dim {int(dim)}")
-        streams[name] = StreamRef(path, int(dim))
+            raise ValidationError(f"{video_id}/{name}: file dim {d} != declared dim {dim}")
+        streams[name] = StreamRef(path, dim)
         counts[name] = t
     if not counts:
         raise ValidationError(f"{video_id}: no streams")
@@ -546,12 +536,24 @@ def _video_entry(root: str, entry: dict, where: str) -> VideoEntry:
     return VideoEntry(
         video_id=video_id,
         fps=fps,
-        chunk_size=int(size),
+        chunk_size=size,
         split=split,
         streams=streams,
         annotations=annotations,
         num_chunks=lo,
     )
+
+
+def _entry_number(value, key: str, where: str, whole: bool = False):
+    """A positive number (an int where ``whole``) from 6, 6.0 or "6", never a boolean."""
+    try:
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not (math.isfinite(x) and x > 0 and (x.is_integer() or not whole)):
+        what = "a positive integer" if whole else "a finite positive number"
+        raise FormatError(f"{where}: {key} must be {what}, got {value!r}")
+    return int(x) if whole else x
 
 
 def _entry_text(value, key: str, where: str) -> str:

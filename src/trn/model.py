@@ -21,7 +21,10 @@ LSTM weight as stored on the stacked (input; h) operand the step before
 wrote. The training loss runs it, and
 so does every inference path through one step, `detect_block`: streaming
 and `trn_forward` as one-chunk blocks, `forward_blocks` as blocks of many
-videos. `chunk_step` runs the same stages op by op on `numeric` tensors;
+videos. Every input, a pushed chunk too, enters through `check_streams`
+(names, dims, lengths) and `stack_block` (layout, float64 widening, the
+finiteness check), and `detect_block` splits its one softmax by head.
+`chunk_step` runs the same stages op by op on `numeric` tensors;
 it is the test oracle that the window kernel is pinned to, and no
 inference path calls it.
 
@@ -221,38 +224,25 @@ class TrnState:
 
 @dataclass(frozen=True)
 class DetectionOutput:
-    present: np.ndarray  # probability distribution over classes
-    anticipated: list[np.ndarray] = field(default_factory=list)  # one per decoder step
-    predicted_features: list[np.ndarray] = field(default_factory=list)
-
-
-def _chunk_parts(config: TrnConfig, streams: ChunkStreams) -> list[np.ndarray]:
-    """The consumed streams of one chunk as float64 arrays, in fusion order
-    (a float32 stream, as ``dio.read_features`` loads it, is widened here);
-    a missing stream is a ValidationError, a wrong dim a DimensionError."""
-    parts = []
-    for name in config.streams:
-        v = getattr(streams, name)
-        if v is None:
-            raise ValidationError(f"{config.fusion_variant.value} requires the {name} stream")
-        v = np.asarray(v, dtype=np.float64)
-        dim = getattr(config, f"{name}_dim")
-        if v.shape[:1] != (dim,):
-            raise DimensionError(f"{name} stream has shape {v.shape}, config requires dim {dim}")
-        parts.append(v)
-    return parts
+    present: np.ndarray  # (classes,): the present chunk's distribution over classes
+    anticipated: np.ndarray  # (steps, classes): one distribution per decoder step
+    predicted_features: np.ndarray  # (steps, hidden)
 
 
 def fuse(params: TrnParams, streams: ChunkStreams) -> Tensor:
     """Combine the chunk's streams into the model input vector.
 
-    The streams are concatenated in ``TrnConfig.streams`` order (pose rides
-    between appearance and motion for FUSED_TWO_STREAM). Variants with a
-    fusion layer then apply ReLU(W_f x + b_f); ONE_STREAM passes the raw
-    features through unchanged.
+    The streams, each (D,) or a (D, B) column batch, are checked as
+    :func:`check_streams` checks a video and concatenated in
+    ``TrnConfig.streams`` order (pose rides between appearance and motion
+    for FUSED_TWO_STREAM). Variants with a fusion layer then apply
+    ReLU(W_f x + b_f); ONE_STREAM passes the raw features through unchanged.
     """
-    joined = nm.concat([nm.tensor(v) for v in _chunk_parts(params.config, streams)])
-    if not params.config.has_fusion_layer:
+    cfg = params.config
+    parts = {n: v for n in cfg.streams if (v := getattr(streams, n)) is not None}
+    check_streams(cfg, {n: np.atleast_2d(np.transpose(v)) for n, v in parts.items()})
+    joined = nm.concat([nm.tensor(v) for v in parts.values()])
+    if not cfg.has_fusion_layer:
         return joined
     t = params.named()
     return nm.relu(nm.linear(t["fusion.w"], t["fusion.b"], joined))
@@ -285,11 +275,12 @@ def check_streams(config: TrnConfig, streams: dict) -> int:
 
 
 def stack_block(config: TrnConfig, videos: list[dict], t0: int, t1: int) -> np.ndarray:
-    """Chunks t0..t1-1 of B checked stream dicts as the (D, (t1-t0)*B)
-    float64 input of :func:`window_forward`: rows in fusion order,
-    columns t-major (column t*B + b), each column contiguous in memory.
-    Streams may be float32, as ``dio.read_features`` loads them: this copy
-    is where a block of them is widened."""
+    """Chunks t0..t1-1 of B stream dicts, each checked by :func:`check_streams`,
+    as the (D, (t1-t0)*B) float64 input of :func:`window_forward`: rows in
+    fusion order, columns t-major (column t*B + b), each contiguous. Every
+    model input is copied here: float32 streams (as ``dio.read_features``
+    loads them) are widened, and a non-finite value is refused, a
+    ValidationError naming the first stream holding one."""
     cols = np.empty((t1 - t0, len(videos), config.concat_dim()))
     at = 0
     for name in config.streams:
@@ -297,6 +288,11 @@ def stack_block(config: TrnConfig, videos: list[dict], t0: int, t1: int) -> np.n
         for b, video in enumerate(videos):
             cols[:, b, at : at + dim] = video[name][t0:t1]
         at += dim
+    if not np.isfinite(cols).all():
+        ends = np.cumsum([getattr(config, f"{n}_dim") for n in config.streams])
+        bad = np.argmin(np.isfinite(cols).all(axis=(0, 1)))
+        name = config.streams[int(np.searchsorted(ends, bad, side="right"))]
+        raise ValidationError(f"the {name} stream holds a non-finite value")
     return cols.reshape(-1, cols.shape[2]).T
 
 
@@ -518,36 +514,28 @@ def window_forward(
 # inference: every path runs detect_block
 
 
-def _check_finite(config: TrnConfig, raw: np.ndarray) -> None:
-    """Raise ValidationError naming the first stream whose rows of ``raw``
-    hold a NaN or an infinity."""
-    bad = ~np.isfinite(raw).all(axis=1)
-    if bad.any():
-        ends = np.cumsum([getattr(config, f"{n}_dim") for n in config.streams])
-        name = config.streams[int(np.searchsorted(ends, np.argmax(bad), side="right"))]
-        raise ValidationError(f"the {name} stream holds a non-finite value")
-
-
 def detect_block(
     params: TrnParams, raw: np.ndarray, h: np.ndarray, c: np.ndarray
-) -> tuple[np.ndarray, WindowPass]:
+) -> tuple[np.ndarray, np.ndarray, WindowPass]:
     """Inference over one block: :func:`window_forward`, both classifier
     heads, and one softmax over all their columns.
 
-    Takes what ``window_forward`` takes. Returns the distributions as one
-    (classes, T*B*(1 + steps)) matrix, the encoder head's columns (t, b)
-    first, then the decoder head's (step, t, b); and the pass, whose
-    (h, c) is the state after the block. Non-finite input raises
-    ValidationError naming the stream.
+    Takes what ``window_forward`` takes, ``raw`` as :func:`stack_block`
+    builds (and checks) it. Returns present (T, B, classes) and
+    anticipated (T, B, steps, classes) distributions, both views of the
+    one softmax, and the pass, whose (h, c) is the state after the block.
     """
-    _check_finite(params.config, raw)
+    cfg, p = params.config, params.arrays()
+    n, batch = raw.shape[1], h.shape[1]  # T*B columns
     run = window_forward(params, raw, h, c)
-    p = params.arrays()
-    logits = np.concatenate([
+    # the encoder head's columns (t, b), then the decoder head's (step, t, b)
+    probs = nm.softmax_array(np.concatenate([
         p["encoder.cls.w"] @ run.enc_h + p["encoder.cls.b"][:, None],
         p["decoder.cls.w"] @ run.dec_h + p["decoder.cls.b"][:, None],
-    ], axis=1)
-    return nm.softmax_array(logits), run
+    ], axis=1))
+    present = probs[:, :n].T.reshape(-1, batch, cfg.classes)
+    anticipated = probs[:, n:].reshape(cfg.classes, cfg.decoder_steps, -1, batch)
+    return present, anticipated.transpose(2, 3, 1, 0), run
 
 
 def detect_chunk(
@@ -556,28 +544,20 @@ def detect_chunk(
     """One chunk of one sequence from the (H,) state (h, c), as a one-chunk
     :func:`detect_block`; returns the detection and the new state.
 
-    Streaming and ``trn_forward`` run this. Each consumed stream must be
-    a vector of its configured dim.
+    Streaming and ``trn_forward`` run this. The chunk enters as a
+    one-chunk video, through :func:`check_streams` and :func:`stack_block`.
     """
-    cfg = params.config
+    cfg, p = params.config, params.arrays()
     hs = cfg.hidden_size
-    for name, v in (("h", h), ("c", c)):
-        if np.shape(v) != (hs,):
-            raise DimensionError(f"state {name} has shape {np.shape(v)}, hidden size is {hs}")
-    parts = _chunk_parts(cfg, streams)
-    for name, v in zip(cfg.streams, parts):
-        if v.ndim != 1:
-            raise ValidationError(f"a chunk step takes single vectors, {name} has batch dims")
-    raw = np.concatenate(parts)[:, None]
-    p, run = detect_block(params, raw, h[:, None], c[:, None])
-    dists = p.T.copy()  # present, then one row per decoder step
+    chunk = {n: np.asarray(v)[None] for n in cfg.streams if (v := getattr(streams, n)) is not None}
+    check_streams(cfg, chunk)
+    present, anticipated, run = detect_block(
+        params, stack_block(cfg, [chunk], 0, 1), h[:, None], c[:, None])
     feats = np.empty((cfg.decoder_steps, hs))
     feats[:-1] = run.dec_in[:hs, 0, 0, 1:-1].T
     # the last step's feature feeds no further step, so the kernel skips it
-    p = params.arrays()
     feats[-1] = np.maximum(p["decoder.feat.w"] @ run.dec_in[hs:, 0, 0, -1] + p["decoder.feat.b"], 0.0)
-    out = DetectionOutput(dists[0], list(dists[1:]), list(feats))
-    return out, run.h[:, 0], run.c[:, 0]
+    return DetectionOutput(present[0, 0], anticipated[0, 0], feats), run.h[:, 0], run.c[:, 0]
 
 
 def trn_forward(
@@ -589,8 +569,11 @@ def trn_forward(
     :func:`detect_chunk` per chunk, from ``state0`` (zero by default)."""
     if not sequence:
         raise ValidationError("empty sequence")
-    if state0 is None:
-        state0 = TrnState.zero(params.config.hidden_size)
+    hs = params.config.hidden_size
+    state0 = state0 or TrnState.zero(hs)
+    for name, v in (("h", state0.h), ("c", state0.c)):
+        if np.shape(v) != (hs,):
+            raise DimensionError(f"state {name} has shape {np.shape(v)}, hidden size is {hs}")
     h, c = state0.h, state0.c
     outputs = []
     for streams in sequence:
@@ -627,28 +610,25 @@ def forward_blocks(params: TrnParams, videos: list[dict]):
     video and its float64 widening give the same bits. Only one block's
     arrays are alive at a time, beside the carried state and the caller's rows."""
     cfg = params.config
-    k, steps, hs = cfg.classes, cfg.decoder_steps, cfg.hidden_size
     lengths = [check_streams(cfg, v) for v in videos]
     order = sorted(range(len(videos)), key=lambda i: -lengths[i])
     for at in range(0, len(order), GROUP_SIZE):
         group = order[at : at + GROUP_SIZE]
         n, block = len(group), (BLOCK_CHUNKS if len(group) > 1 else 1)
-        h, c = np.zeros((hs, n)), np.zeros((hs, n))
+        h, c = np.zeros((cfg.hidden_size, n)), np.zeros((cfg.hidden_size, n))
         t0 = 0
         while t0 < lengths[group[0]]:
             while lengths[group[n - 1]] <= t0:
                 n -= 1
             t1 = min(t0 + block, lengths[group[n - 1]])
             raw = stack_block(cfg, [videos[i] for i in group[:n]], t0, t1)
-            p, run = detect_block(params, raw, h[:, :n], c[:, :n])
-            # the encoder head's columns (t, b), then the decoder head's (step, t, b)
-            p = p.reshape(k, 1 + steps, t1 - t0, n)
+            present, anticipated, run = detect_block(params, raw, h[:, :n], c[:, :n])
             # run.h views the pass's operands: copied, it lets the block's
             # arrays go before the next block allocates its own
             h, c = run.h.copy(), run.c
             for j, i in enumerate(group[:n]):
-                yield i, t0, p[:, 0, :, j].T.copy(), p[:, 1:, :, j].transpose(2, 1, 0).copy()
-            del p, run
+                yield i, t0, present[:, j].copy(), anticipated[:, j].copy()
+            del present, anticipated, run
             t0 = t1
 
 

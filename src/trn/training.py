@@ -508,6 +508,13 @@ def train(
     heldout_gt = ev.GroundTruth(rows, cmap) if heldout else None
     # so is every held-out feature file, once for all evaluations
     heldout_streams = [dio.load_video_streams(manifest, v, params.config.streams) for v in heldout]
+    # and every video of either split is checked against the model, by name
+    ids = [v[0] for v in train_videos] + [v.video_id for v in heldout]
+    for video_id, streams in zip(ids, [v[1] for v in train_videos] + heldout_streams):
+        try:
+            md.check_streams(params.config, streams)
+        except ValidationError as e:
+            raise type(e)(f"{video_id}: {e}") from None
 
     metrics: list[EpochMetrics] = []
     for epoch in range(1, train_config.epochs + 1):

@@ -271,6 +271,22 @@ def test_config_file_value_of_another_json_kind_is_refused(tmp_path, caplog, cmd
     assert f"{cfgfile}: {key} must be {kind}, got {json.dumps(value)}" in caplog.text
 
 
+def test_config_file_features_paths_must_be_strings(tmp_path, caplog, monkeypatch):
+    # a path of 0 opened file descriptor 0: stdin was read, closed, and
+    # reported as a feature file shorter than its header (exit 2)
+    ckpt, _ = tiny_ckpt(tmp_path)
+    opened = []
+    read = dio.read_features
+    monkeypatch.setattr(dio, "read_features", lambda path: opened.append(path) or read(path))
+    cfgfile, out = tmp_path / "cfg.json", str(tmp_path / "d.trnd")
+    for bad in (0, "", None, ["a.trnf"]):
+        cfgfile.write_text(json.dumps({"features": {"appearance": bad, "motion": "m.trnf"}}))
+        assert run(["stream", "--ckpt", ckpt, "--out", out, "--config", str(cfgfile)]) == 1
+        want = f"the appearance features path must be a non-empty string, got {json.dumps(bad)}"
+        assert want in caplog.text
+    assert opened == [] and not (tmp_path / "d.trnd").exists()
+
+
 def test_config_file_text_parses_as_the_flag_would(tmp_path, caplog):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"epochs": "3", "learning_rate": "0.01", "metrics_out": None}))

@@ -169,6 +169,16 @@ def test_error_taxonomy_is_format_error():
         assert issubclass(cls, dio.FormatError)
 
 
+def test_container_short_write_leaves_no_file(tmp_path, monkeypatch):
+    # each block's rows go out in one pwrite at their offset: one that
+    # writes short must fail the build, not leave a hole in the file
+    pwrite = os.pwrite
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, at: pwrite(fd, bytes(data)[:-8], at))
+    with pytest.raises(OSError, match="short write of array 1"):
+        dio.write_container(str(tmp_path / "c.trnc"), b"TRNC", {}, [np.zeros(0), np.ones(3)])
+    assert list(tmp_path.iterdir()) == []  # neither the file nor its temporary file
+
+
 # ---------------------------------------------------------------------------
 # class map / annotations
 
@@ -374,6 +384,8 @@ def rewrite_manifest(path, edit):
     ("fps", 0),
     ("fps", -30),
     ("chunk_size", 6.5),  # int() would silently make it 6
+    ("chunk_size", True),  # float(True) is 1.0: one-frame chunks
+    ("fps", True),  # 1.0 fps
 ])
 def test_manifest_clock_values_are_format_errors(tmp_path, key, value):
     path = build_dataset(tmp_path)
@@ -404,7 +416,9 @@ def set_stream_key(key, value):
     ("streams.appearance.dim", set_stream_key("dim", 3.5)),
     ("streams.appearance.dim", set_stream_key("dim", 0)),
     ("streams.appearance.dim", set_stream_key("dim", None)),
-], ids=["id", "split", "annotations", "path", "dim-text", "dim-fraction", "dim-zero", "dim-null"])
+    ("streams.appearance.dim", set_stream_key("dim", True)),
+], ids=["id", "split", "annotations", "path", "dim-text", "dim-fraction", "dim-zero", "dim-null",
+        "dim-bool"])
 def test_manifest_entry_of_the_wrong_kind_is_a_format_error(tmp_path, key, edit):
     path = build_dataset(tmp_path)
     rewrite_manifest(path, edit)

@@ -9,6 +9,7 @@ from oracles import add, cross_entropy, tape_chunks, tape_forward, tape_grad_che
 from trn import evaluate as ev
 from trn import model as md
 from trn import numeric as nm
+from trn import training as tr
 from trn.model import ChunkStreams, FusionVariant, TrnConfig, TrnParams, TrnState
 from trn.streaming import OnlineDetector
 
@@ -663,6 +664,39 @@ def test_forward_videos_rejects_bad_input():
     videos[1]["motion"][1, 0] = np.nan
     with pytest.raises(nm.ValidationError, match="motion stream holds a non-finite"):
         md.forward_videos(params, videos)
+
+
+def nan_in(video, name):
+    """A copy of ``video`` whose ``name`` stream holds a NaN at its last chunk."""
+    video = {n: a.copy() for n, a in video.items()}
+    video[name][-1, 0] = np.nan
+    return video
+
+
+@pytest.mark.parametrize("way", ["push", "forward_videos", "sequence_loss"])
+@pytest.mark.parametrize("name", ["appearance", "pose", "motion"])
+def test_a_non_finite_value_is_refused_on_every_way_in_naming_its_stream(way, name):
+    # a NaN window reached the loss as "loss nan", and Adam then named a
+    # parameter's gradient instead of the stream
+    cfg = tiny_config(FusionVariant.FUSED_TWO_STREAM)
+    params = TrnParams.init(cfg, np.random.default_rng(46))
+    rng = np.random.default_rng(47)
+    videos = [random_video(rng, cfg, 3), nan_in(random_video(rng, cfg, 3), name)]
+
+    def push():
+        for video in videos:
+            det = OnlineDetector(params)
+            for t in range(3):
+                det.push_chunk(ChunkStreams(**{n: a[t] for n, a in video.items()}))
+
+    run = {
+        "push": push,
+        "forward_videos": lambda: md.forward_videos(params, videos),
+        "sequence_loss": lambda: tr.sequence_loss(params, tr.TrainConfig(), videos,
+                                                  np.zeros((3, 2), dtype=int)),
+    }[way]
+    with pytest.raises(nm.ValidationError, match=f"the {name} stream holds a non-finite value"):
+        run()
 
 
 def as_float32(video):

@@ -108,6 +108,10 @@ def test_anticipated_count_every_push():
     for _ in range(5):
         out = det.push_chunk(draw_streams(rng, det.config))
         assert len(out.anticipated) == 8
+        # one array per field, split by head in the kernel's own step
+        assert out.present.shape == (det.config.classes,)
+        assert out.anticipated.shape == (8, det.config.classes)
+        assert out.predicted_features.shape == (8, det.config.hidden_size)
 
 
 def test_causality_future_perturbation():

@@ -912,6 +912,25 @@ def test_train_reads_each_heldout_feature_file_once(tmp_path, monkeypatch):
     assert heldout <= set(reads) and len(reads) == len(set(reads))
 
 
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_train_checks_every_video_before_its_first_step(tmp_path, monkeypatch, split):
+    # the model takes its dims from the first video: a later train video of
+    # another dim failed after 2 Adam steps, a held-out one after an epoch
+    manifest = synth_manifest(tmp_path, appearance_dim=3)
+    odd = manifest.split(split)[-1]
+    rng = np.random.default_rng(0)
+    dio.write_features(manifest.resolve("odd.trnf"), rng.normal(size=(odd.num_chunks, 5)))
+    streams = odd.streams | {"appearance": dio.StreamRef("odd.trnf", 5)}
+    videos = [dataclasses.replace(v, streams=streams) if v is odd else v for v in manifest.videos]
+    steps = []
+    step = tr.adam_step
+    monkeypatch.setattr(tr, "adam_step", lambda *a: steps.append(1) or step(*a))
+    mc = tiny_model(appearance_dim=3, motion_dim=4)
+    with pytest.raises(nm.DimensionError, match=f"{odd.video_id}: appearance stream has shape"):
+        tr.train(dataclasses.replace(manifest, videos=videos), mc, tiny_train(eval_every=1))
+    assert steps == []
+
+
 def test_train_class_map_mismatch(tmp_path):
     manifest = synth_manifest(tmp_path)
     mc = tiny_model(appearance_dim=5, motion_dim=4, num_actions=7)
