@@ -371,7 +371,7 @@ def cmd_infer(cfg: dict) -> int:
     params, _ = tr.load_checkpoint(cfg["ckpt"])
     model = params.config
     inputs, (chunk_size, fps) = _load_feature_inputs(cfg, model)
-    videos = [(video_id, md.check_streams(model, streams)) for video_id, streams in inputs]
+    videos = [(video_id, md.check_streams(model, streams, video_id)) for video_id, streams in inputs]
     with ev.prediction_dump_writer(cfg["out"], chunk_size, fps, model.decoder_steps,
                                    model.classes, videos) as put:
         if cfg.get("batch"):

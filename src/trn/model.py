@@ -206,7 +206,7 @@ class TrnParams:
     def named(self) -> dict[str, Tensor]:
         """The tape's view of the table, built once: Tensors over the stored arrays."""
         if self._tensors is None:
-            self._tensors = {k: Tensor(a, requires_grad=True) for k, a in self.table.items()}
+            self._tensors = {k: Tensor(a) for k, a in self.table.items()}
         return self._tensors
 
 
@@ -248,29 +248,31 @@ def fuse(params: TrnParams, streams: ChunkStreams) -> Tensor:
     return nm.relu(nm.linear(t["fusion.w"], t["fusion.b"], joined))
 
 
-def check_streams(config: TrnConfig, streams: dict) -> int:
+def check_streams(config: TrnConfig, streams: dict, video: str | None = None) -> int:
     """Validate the streams of one name -> (T, D) dict that the variant
     consumes and return the chunk count T they share.
 
     A missing stream or T = 0 is a ValidationError; a stream that is not
     2-D with its configured dim, or a disagreeing T, a DimensionError.
+    Given ``video``, its name leads the message.
     """
+    where = "" if video is None else f"{video}: "
     lengths = {}
     for name in config.streams:
         if name not in streams:
             raise ValidationError(
-                f"{config.fusion_variant.value} requires streams {list(config.streams)}, "
-                f"input lacks {name}"
+                f"{where}{config.fusion_variant.value} requires streams "
+                f"{list(config.streams)}, input lacks {name}"
             )
         shape, dim = np.shape(streams[name]), getattr(config, f"{name}_dim")
         if len(shape) != 2 or shape[1] != dim:
-            raise DimensionError(f"{name} stream has shape {shape}, config requires (T, {dim})")
+            raise DimensionError(f"{where}{name} stream has shape {shape}, config requires (T, {dim})")
         lengths[name] = shape[0]
     if len(set(lengths.values())) != 1:
-        raise DimensionError(f"streams disagree on chunk count: {lengths}")
+        raise DimensionError(f"{where}streams disagree on chunk count: {lengths}")
     t_len = lengths[config.streams[0]]
     if t_len == 0:
-        raise ValidationError("empty sequence")
+        raise ValidationError(f"{where}empty sequence")
     return t_len
 
 
@@ -280,7 +282,8 @@ def stack_block(config: TrnConfig, videos: list[dict], t0: int, t1: int) -> np.n
     fusion order, columns t-major (column t*B + b), each contiguous. Every
     model input is copied here: float32 streams (as ``dio.read_features``
     loads them) are widened, and a non-finite value is refused, a
-    ValidationError naming the first stream holding one."""
+    ValidationError naming the first stream holding one and the first
+    chunk in which it does."""
     cols = np.empty((t1 - t0, len(videos), config.concat_dim()))
     at = 0
     for name in config.streams:
@@ -289,10 +292,11 @@ def stack_block(config: TrnConfig, videos: list[dict], t0: int, t1: int) -> np.n
             cols[:, b, at : at + dim] = video[name][t0:t1]
         at += dim
     if not np.isfinite(cols).all():
-        ends = np.cumsum([getattr(config, f"{n}_dim") for n in config.streams])
-        bad = np.argmin(np.isfinite(cols).all(axis=(0, 1)))
-        name = config.streams[int(np.searchsorted(ends, bad, side="right"))]
-        raise ValidationError(f"the {name} stream holds a non-finite value")
+        finite = np.isfinite(cols).all(axis=1)  # (chunk, row): finite in every video
+        edges = np.cumsum([0] + [getattr(config, f"{n}_dim") for n in config.streams])
+        i = int(np.searchsorted(edges, np.argmin(finite.all(axis=0)), side="right")) - 1
+        chunk = t0 + int(np.argmin(finite[:, edges[i] : edges[i + 1]].all(axis=1)))
+        raise ValidationError(f"the {config.streams[i]} stream holds a non-finite value at chunk {chunk}")
     return cols.reshape(-1, cols.shape[2]).T
 
 
@@ -441,23 +445,25 @@ def window_forward(
     the time loop every later step is one GEMM, on the stacked operand the
     step before wrote, of its weight as stored (a view of the encoder's
     (ctx; h) columns). The arithmetic is the one ``chunk_step`` runs, up
-    to float reassociation. Every array of the pass is fresh. With
-    ``trace`` (the training loss) the pass also keeps the gates, tanh(c)
-    and c_prev a backward pass reads; inference runs untraced.
+    to float reassociation. Every array of the pass is fresh and of the
+    weights' dtype: float64, or complex for the tests' complex-step
+    derivatives. With ``trace`` (the training loss) the pass also keeps
+    the gates, tanh(c) and c_prev a backward pass reads; inference runs
+    untraced.
     """
     cfg, p = params.config, params.arrays()
     hs, steps = cfg.hidden_size, cfg.decoder_steps
     wd, we, wf = p["decoder.lstm.w"], p["encoder.lstm.w"], p["decoder.feat.w"]
     w_dh, w_rec = wd[:, hs:], we[:, hs:]  # decoder h, encoder (ctx; h) columns
     bd, bf = p["decoder.lstm.b"][:, None], p["decoder.feat.b"][:, None]
-    batch = h.shape[1]
+    batch, dt = h.shape[1], wd.dtype
     t_len = raw.shape[1] // batch
 
     fused = raw
     if cfg.has_fusion_layer:
         fused = np.maximum(p["fusion.w"] @ raw + p["fusion.b"][:, None], 0.0)
-    dec_in = np.empty((2 * hs, batch, t_len, steps + 1), order="F")
-    enc_in = np.empty((2 * hs, batch, t_len + 1), order="F")
+    dec_in = np.empty((2 * hs, batch, t_len, steps + 1), dt, order="F")
+    enc_in = np.empty((2 * hs, batch, t_len + 1), dt, order="F")
     x = cols(dec_in[:hs, :, :, 0])
     x[...] = np.maximum(p["embed.w"] @ fused + p["embed.b"][:, None], 0.0)
     # the input halves of decoder step 1 and of the encoder
@@ -466,20 +472,20 @@ def window_forward(
 
     # a chunk's steps run on contiguous (rows, B) blocks, reused by every
     # chunk; traced, each chunk's trace then goes to its column-major block
-    col = np.empty((steps + 1, 6 * hs, batch))  # per step: gates, tanh(c), c_prev
+    col = np.empty((steps + 1, 6 * hs, batch), dt)  # per step: gates, tanh(c), c_prev
     # decoder step k's (feature; h) out, step k + 1's operand; the last step's
     # feature rows stay 0, since its feature feeds nothing
-    ops = np.zeros((steps, 2 * hs, batch))
-    lstm = np.empty((6 * hs, batch, t_len, steps + 1), order="F") if trace else None
-    c_last = np.empty((hs, batch))  # the last decoder step's c feeds nothing
+    ops = np.zeros((steps, 2 * hs, batch), dt)
+    lstm = np.empty((6 * hs, batch, t_len, steps + 1), dt, order="F") if trace else None
+    c_last = np.empty((hs, batch), dt)  # the last decoder step's c feeds nothing
     per_step = [  # its gates, c_prev, c out, tanh(c), h out and feature out
         (col[k, : 4 * hs], col[k, 5 * hs :], col[k + 1, 5 * hs :] if k + 1 < steps else c_last,
          col[k, 4 * hs : 5 * hs], ops[k, hs:], ops[k, :hs])
         for k in range(steps)
     ]
-    z, e = np.empty((4 * hs, batch)), np.empty((2 * hs, batch))  # e: the encoder's (ctx; h)
+    z, e = np.empty((4 * hs, batch), dt), np.empty((2 * hs, batch), dt)  # e: the encoder's (ctx; h)
     e_ctx, e_h = e[:hs], e[hs:]
-    e_h[...], c = h, np.array(c)  # the encoder's state, updated in place
+    e_h[...], c = h, np.array(c, dt)  # the encoder's state, updated in place
     enc_gates, enc_cp, enc_tc = col[steps, : 4 * hs], col[steps, 5 * hs :], col[steps, 4 * hs : 5 * hs]
     for t in range(t_len):
         dec_in[hs:, :, t, 0] = e_h
@@ -544,12 +550,19 @@ def detect_chunk(
     """One chunk of one sequence from the (H,) state (h, c), as a one-chunk
     :func:`detect_block`; returns the detection and the new state.
 
-    Streaming and ``trn_forward`` run this. The chunk enters as a
-    one-chunk video, through :func:`check_streams` and :func:`stack_block`.
+    Streaming and ``trn_forward`` run this. Each stream given must be a
+    (D,) vector; a DimensionError names the shape pushed. The chunk then
+    enters as a one-chunk video, through :func:`check_streams` (which
+    refuses a missing stream) and :func:`stack_block` (which names a
+    non-finite value's chunk as 0, its place in that video).
     """
     cfg, p = params.config, params.arrays()
     hs = cfg.hidden_size
-    chunk = {n: np.asarray(v)[None] for n in cfg.streams if (v := getattr(streams, n)) is not None}
+    chunk = {n: np.asarray(v) for n in cfg.streams if (v := getattr(streams, n)) is not None}
+    for name, v in chunk.items():
+        if v.shape != (dim := getattr(cfg, f"{name}_dim"),):
+            raise DimensionError(f"{name} stream has shape {v.shape}, config requires ({dim},)")
+    chunk = {n: v[None] for n, v in chunk.items()}
     check_streams(cfg, chunk)
     present, anticipated, run = detect_block(
         params, stack_block(cfg, [chunk], 0, 1), h[:, None], c[:, None])

@@ -21,7 +21,8 @@ inference path runs too (``model.detect_block``): every product off the
 recurrence (fusion, embedding, the input projections of the two LSTMs)
 runs as one GEMM over all chunks of the window, and so does each
 classifier. The tests pin it to the tape's op-by-op ``model.chunk_step``.
-The gradient is a hand-derived backpropagation through time that runs
+The gradient is a hand-derived backpropagation through time, which the
+tests check against complex-step derivatives of the kernel; it runs
 only when the loss's ``grads()`` is called. It walks the window one
 chunk at a time, newest first, takes that chunk's head gradients there,
 and writes each step's gradient into the trace block it has just read,
@@ -220,7 +221,7 @@ def _bptt(p: dict, run: md.WindowPass, shape: tuple, g_enc: np.ndarray, g_dec: n
 
 def _head(logits: np.ndarray, labels: np.ndarray, keep: np.ndarray, weight: float):
     """``weight`` times the mean of -log softmax(logits)[label] over the
-    kept columns (0 when none is kept), with the tape's 1e-12 clamp;
+    kept columns (0 when none is kept), with the ``CE_CLAMP`` clamp;
     returns (loss, d loss / d logits)."""
     p = nm.softmax_array(logits)
     cols = np.arange(labels.size)
@@ -511,10 +512,7 @@ def train(
     # and every video of either split is checked against the model, by name
     ids = [v[0] for v in train_videos] + [v.video_id for v in heldout]
     for video_id, streams in zip(ids, [v[1] for v in train_videos] + heldout_streams):
-        try:
-            md.check_streams(params.config, streams)
-        except ValidationError as e:
-            raise type(e)(f"{video_id}: {e}") from None
+        md.check_streams(params.config, streams, video_id)
 
     metrics: list[EpochMetrics] = []
     for epoch in range(1, train_config.epochs + 1):

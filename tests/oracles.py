@@ -1,12 +1,13 @@
 """Brute-force reference implementations shared by the test modules.
 
 Everything here is written for clarity over speed: explicit counting at
-every rank, quadratic scans, no shared code with the package. The one
-exception is the tape: the inference reference steps the package's tape
-cell (``chunk_step``) op by op, and tape losses get their analytic
-gradients from its backward sweep. No production path runs either. The
-tape ops only the tests use (``parameter``, ``add``, ``scale`` and
-``cross_entropy``) live here, on the package's graph nodes.
+every rank, quadratic scans, no shared code with the package. Two
+exceptions run package code. The inference reference steps the package's
+tape cell (``chunk_step``) op by op. The gradient oracle,
+:func:`complex_step`, runs the window kernel (``model.window_forward``,
+pinned to the tape's forward) at complex weights and scores it with
+:func:`window_loss`, this module's own loss head. No production path runs
+either.
 """
 
 import math
@@ -32,24 +33,6 @@ def tape_chunks(config, videos):
             for t in range(len(arrays[config.streams[0]]))]
 
 
-def tape_grads(loss_fn, tensors):
-    """(loss, gradient per tensor) of a tape loss, from one backward sweep;
-    a tensor the loss does not reach gets zeros."""
-    for t in tensors:
-        t.zero_grad()
-    loss = loss_fn()
-    loss.backward()
-    return loss.item(), [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
-                         for t in tensors]
-
-
-def tape_grad_check(loss_fn, tensors, h=1e-5):
-    """``nm.grad_check`` of a tape loss over ``tensors``: backward-sweep
-    gradients against central differences."""
-    _, grads = tape_grads(loss_fn, tensors)
-    return nm.grad_check(lambda: loss_fn().item(), grads, [t.data for t in tensors], h=h)
-
-
 def tape_forward(params, sequence, state0=None):
     """Inference over single-chunk vectors on the tape: ``md.chunk_step``
     plus one ``nm.softmax`` per head and step, per chunk. Returns
@@ -58,72 +41,13 @@ def tape_forward(params, sequence, state0=None):
     hs = params.config.hidden_size
     h0, c0 = (np.zeros(hs), np.zeros(hs)) if state0 is None else (state0.h, state0.c)
     present, anticipated, features = [], [], []
-    with nm.no_grad():
-        h, c = nm.tensor(h0), nm.tensor(c0)
-        for streams in sequence:
-            logits, dec_logits, dec_feats, h, c = md.chunk_step(params, streams, h, c)
-            present.append(nm.softmax(logits).data)
-            anticipated.append([nm.softmax(z).data for z in dec_logits])
-            features.append([f.data for f in dec_feats])
+    h, c = nm.tensor(h0), nm.tensor(c0)
+    for streams in sequence:
+        logits, dec_logits, dec_feats, h, c = md.chunk_step(params, streams, h, c)
+        present.append(nm.softmax(logits).data)
+        anticipated.append([nm.softmax(z).data for z in dec_logits])
+        features.append([f.data for f in dec_feats])
     return np.array(present), np.array(anticipated), np.array(features), (h.data, c.data)
-
-
-# tape ops only the tests build graphs with: a scalar loss from the
-# package's tape ops, and parameter leaves
-
-
-def parameter(data):
-    """Leaf tensor that collects gradients."""
-    return nm.Tensor(np.array(data, dtype=np.float64), requires_grad=True)
-
-
-def add(a, b):
-    if a.data.shape != b.data.shape:
-        raise nm.DimensionError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
-
-    def backward(g):
-        if nm._wants_grad(a):
-            nm._accum(a, g)
-        if nm._wants_grad(b):
-            nm._accum(b, g)
-
-    return nm._result(a.data + b.data, (a, b), backward)
-
-
-def scale(x, s):
-    s = float(s)
-
-    def backward(g):
-        if nm._wants_grad(x):
-            nm._accum(x, g * s)
-
-    return nm._result(x.data * s, (x,), backward)
-
-
-def cross_entropy(p, label):
-    """Negative log-likelihood -log p[label] of a probability vector.
-
-    The picked probability is clamped at ``nm.CE_CLAMP`` before the log;
-    below the clamp the gradient is zero.
-    """
-    if p.data.ndim != 1:
-        raise nm.DimensionError(
-            f"cross_entropy: expected a probability vector, got {p.data.shape}"
-        )
-    label = int(label)
-    k = p.data.shape[0]
-    if not 0 <= label < k:
-        raise nm.ValidationError(f"cross_entropy: label {label} out of range [0, {k})")
-    picked = p.data[label]
-
-    def backward(g):
-        if nm._wants_grad(p):
-            gp = np.zeros_like(p.data)
-            if picked >= nm.CE_CLAMP:
-                gp[label] = -g[0] / picked
-            nm._accum(p, gp)
-
-    return nm._result(np.array([-math.log(max(picked, nm.CE_CLAMP))]), (p,), backward)
 
 
 def decoder_target_pairs(seq_len, steps):
@@ -135,6 +59,73 @@ def decoder_target_pairs(seq_len, steps):
             if t + i <= seq_len - 1:
                 pairs.append((t, i))
     return pairs
+
+
+def log_softmax(z):
+    """Log-probabilities of one logit vector, at any dtype: shifted by the
+    largest real part, so a complex vector keeps its imaginary parts."""
+    s = z - z.real.max()
+    return s - np.log(np.exp(s).sum())
+
+
+def clamped_nll(logits, label):
+    """-log softmax(logits)[label], the picked probability clamped at
+    ``nm.CE_CLAMP``: below it (judged on the real part) the term is the
+    constant -log(CE_CLAMP) and carries no derivative."""
+    if not 0 <= label < len(logits):
+        raise nm.ValidationError(f"label {label} out of range [0, {len(logits)})")
+    logp = log_softmax(logits)[label]
+    if math.exp(logp.real) < nm.CE_CLAMP:
+        return -math.log(nm.CE_CLAMP)
+    return -logp
+
+
+def window_loss(tc, enc, dec, labels, ambiguous=None):
+    """The two-head training loss of one window from its logits, at any
+    dtype, term by term: ``enc`` (T, K, B) present logits, ``dec`` (T,
+    steps, K, B) decoder logits, ``labels`` (T, B) or (T,). Each head is
+    its weight times the mean cross-entropy over the columns it keeps (0
+    when none): the encoder keeps the chunks ``ambiguous`` does not mark,
+    the decoder the (t, i) pairs whose target t + i lies in the window and
+    is not marked."""
+    t_len, steps, _, batch = dec.shape
+    labels = np.asarray(labels).reshape(t_len, batch)
+    ignored = (np.zeros(labels.shape, bool) if ambiguous is None
+               else np.asarray(ambiguous).reshape(labels.shape))
+
+    def mean(weight, terms):
+        return weight * sum(terms) / len(terms) if terms else 0.0
+
+    enc_terms = [clamped_nll(enc[t, :, b], labels[t, b])
+                 for t in range(t_len) for b in range(batch) if not ignored[t, b]]
+    dec_terms = [clamped_nll(dec[t, i - 1, :, b], labels[t + i, b])
+                 for t, i in decoder_target_pairs(t_len, steps)
+                 for b in range(batch) if not ignored[t + i, b]]
+    return mean(tc.lambda_enc, enc_terms) + mean(tc.lambda_dec, dec_terms)
+
+
+COMPLEX_STEP = 1e-30
+
+
+def complex_step(params, tc, videos, labels, direction, ambiguous=None):
+    """The derivative of the window loss along ``direction`` (name ->
+    array), by complex step (Squire & Trapp, SIAM Review 1998): the
+    imaginary part of the loss at weights w + 1e-30j * v, over 1e-30. It
+    subtracts nothing, so it is exact to rounding at any step this small.
+    The forward is the window kernel at complex weights; the heads are
+    :func:`window_loss`."""
+    cfg = params.config
+    shifted = md.TrnParams(cfg, {k: a + COMPLEX_STEP * 1j * direction[k]
+                                 for k, a in params.arrays().items()})
+    p, t_len, batch = shifted.arrays(), len(labels), len(videos)
+    zero = np.zeros((cfg.hidden_size, batch))
+    run = md.window_forward(shifted, md.stack_block(cfg, videos, 0, t_len), zero, zero)
+    # the heads' columns run (t, b) and (step, t, b)
+    enc = p["encoder.cls.w"] @ run.enc_h + p["encoder.cls.b"][:, None]
+    dec = p["decoder.cls.w"] @ run.dec_h + p["decoder.cls.b"][:, None]
+    enc = enc.reshape(cfg.classes, t_len, batch).transpose(1, 0, 2)
+    dec = dec.reshape(cfg.classes, cfg.decoder_steps, t_len, batch).transpose(2, 1, 0, 3)
+    return np.imag(window_loss(tc, enc, dec, labels, ambiguous)) / COMPLEX_STEP
 
 
 def adam_oracle(w, g, m, v, t, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -499,6 +499,27 @@ def test_infer_mixed_clocks_exits_1(dataset, tmp_path):
         tr.predict_manifest(params, dio.load_manifest(dataset), "test")
 
 
+def test_infer_names_the_video_whose_streams_do_not_fit(dataset, tmp_path, caplog):
+    # the last test video declares an appearance dim of 3, and its file
+    # matches, against a checkpoint of dim 5: the refusal named no video
+    ckpt, _ = tiny_ckpt(tmp_path, appearance_dim=5, motion_dim=4)
+    with open(dataset) as f:
+        doc = json.load(f)
+    odd = [v for v in doc["videos"] if v["split"] == "test"][-1]
+    folder = os.path.dirname(dataset)
+    chunks = len(dio.read_features(os.path.join(folder, odd["streams"]["appearance"]["path"])))
+    dio.write_features(os.path.join(folder, "odd.trnf"), np.ones((chunks, 3)))
+    odd["streams"]["appearance"] = {"path": "odd.trnf", "dim": 3}
+    with open(dataset, "w") as f:
+        json.dump(doc, f)
+    before = sorted(os.listdir(tmp_path))
+    rc = run(["infer", "--batch", "--ckpt", ckpt, "--manifest", dataset, "--out",
+              str(tmp_path / "d.trnd")])
+    assert rc == 1
+    assert f"{odd['id']}: appearance stream has shape ({chunks}, 3), config requires (T, 5)" in caplog.text
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_train_mixed_clocks_exits_1(dataset, tmp_path):
     set_manifest_fps(dataset, 30, 25)  # the two train videos disagree
     ckpt = tmp_path / "m.trnc"
@@ -637,16 +658,14 @@ def test_dump_target_symlink_is_followed_and_a_directory_refused(tmp_path):
 
 @pytest.fixture()
 def no_tape(monkeypatch):
-    """The tape's step, constructors and backward sweep, and the parameter
-    table's tape view, patched to raise: no Tensor is built at all."""
+    """The tape's step and constructors, and the parameter table's tape
+    view, patched to raise: no Tensor is built at all."""
     def tape(*args, **kw):
         raise AssertionError("a production path ran the tape")
 
     monkeypatch.setattr(md, "chunk_step", tape)
     monkeypatch.setattr(nm, "tensor", tape)
-    monkeypatch.setattr(nm, "_result", tape)
     monkeypatch.setattr(nm.Tensor, "__init__", tape)
-    monkeypatch.setattr(nm.Tensor, "backward", tape)
     monkeypatch.setattr(TrnParams, "named", tape)
 
 

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import add, cross_entropy, parameter, scale, tape_grad_check, tape_grads
+from oracles import clamped_nll
 from trn import model as md
 from trn import numeric as nm
 from trn import training as tr
@@ -35,29 +35,29 @@ def test_check_real_bounds_and_refusals():
 
 
 def test_linear_identity():
-    w = parameter(np.eye(2))
-    b = parameter(np.zeros(2))
+    w = nm.tensor(np.eye(2))
+    b = nm.tensor(np.zeros(2))
     x = nm.tensor([3.0, -1.0])
     assert np.array_equal(nm.linear(w, b, x).data, [3.0, -1.0])
 
 
 def test_linear_zero_weights():
-    w = parameter(np.zeros((2, 3)))
-    b = parameter([5.0, 5.0])
+    w = nm.tensor(np.zeros((2, 3)))
+    b = nm.tensor([5.0, 5.0])
     x = nm.tensor([7.0, -2.0, 0.5])
     assert np.array_equal(nm.linear(w, b, x).data, [5.0, 5.0])
 
 
 def test_linear_hand_arithmetic():
-    w = parameter([[1.0, 2.0], [3.0, 4.0]])
-    b = parameter([1.0, 0.0])
+    w = nm.tensor([[1.0, 2.0], [3.0, 4.0]])
+    b = nm.tensor([1.0, 0.0])
     x = nm.tensor([1.0, 1.0])
     assert np.allclose(nm.linear(w, b, x).data, [4.0, 7.0], atol=0)
 
 
 def test_linear_dimension_mismatch_reports_both_shapes():
-    w = parameter(np.zeros((2, 3)))
-    b = parameter(np.zeros(2))
+    w = nm.tensor(np.zeros((2, 3)))
+    b = nm.tensor(np.zeros(2))
     x = nm.tensor(np.zeros(4))
     with pytest.raises(nm.DimensionError) as exc:
         nm.linear(w, b, x)
@@ -66,9 +66,9 @@ def test_linear_dimension_mismatch_reports_both_shapes():
 
 def test_linear_additive_in_x():
     rng = np.random.default_rng(0)
-    w = parameter(rng.normal(size=(4, 6)))
-    b = parameter(rng.normal(size=4))
-    zero = parameter(np.zeros(4))
+    w = nm.tensor(rng.normal(size=(4, 6)))
+    b = nm.tensor(rng.normal(size=4))
+    zero = nm.tensor(np.zeros(4))
     x1 = rng.normal(size=6)
     x2 = rng.normal(size=6)
     lhs = nm.linear(w, b, nm.tensor(x1 + x2)).data
@@ -78,8 +78,8 @@ def test_linear_additive_in_x():
 
 def test_linear_batch_matches_columns():
     rng = np.random.default_rng(1)
-    w = parameter(rng.normal(size=(3, 5)))
-    b = parameter(rng.normal(size=3))
+    w = nm.tensor(rng.normal(size=(3, 5)))
+    b = nm.tensor(rng.normal(size=3))
     xb = rng.normal(size=(5, 4))
     out = nm.linear(w, b, nm.tensor(xb)).data
     for j in range(4):
@@ -115,12 +115,12 @@ def lstm_params(din, hs, rng=None):
     """(w, b) of a cell: zero, or with ``rng`` weights uniform in
     +-1/sqrt(din + hs) and the forget-gate biases at 1."""
     if rng is None:
-        return parameter(np.zeros((4 * hs, din + hs))), parameter(np.zeros(4 * hs))
+        return nm.tensor(np.zeros((4 * hs, din + hs))), nm.tensor(np.zeros(4 * hs))
     bound = 1.0 / math.sqrt(din + hs)
     w = rng.uniform(-bound, bound, size=(4 * hs, din + hs))
     b = np.zeros(4 * hs)
     b[hs : 2 * hs] = 1.0
-    return parameter(w), parameter(b)
+    return nm.tensor(w), nm.tensor(b)
 
 
 def test_lstm_step_zero_everything():
@@ -147,7 +147,7 @@ def test_lstm_step_matches_scalar_reference():
         h0 = rng.normal(size=hs)
         c0 = rng.normal(size=hs)
         h, c = nm.lstm_step(
-            parameter(w), parameter(b), nm.tensor(x), nm.tensor(h0), nm.tensor(c0)
+            nm.tensor(w), nm.tensor(b), nm.tensor(x), nm.tensor(h0), nm.tensor(c0)
         )
         h_ref, c_ref = _scalar_lstm_reference(w, b, x, h0, c0)
         assert np.max(np.abs(h.data - h_ref)) < 1e-12
@@ -203,7 +203,7 @@ def test_lstm_params_init_forget_bias():
 
 
 # ---------------------------------------------------------------------------
-# softmax / cross-entropy
+# softmax / the oracle's cross-entropy
 
 
 def test_softmax_uniform():
@@ -235,148 +235,64 @@ def test_softmax_sums_and_shift_invariance():
 
 
 def test_cross_entropy_one_hot_is_zero():
-    p = nm.tensor([0.0, 1.0, 0.0])
-    assert cross_entropy(p, 1).item() == 0.0
+    assert clamped_nll(np.array([-1000.0, 0.0, -1000.0]), 1) == 0.0
 
 
 def test_cross_entropy_uniform_four():
-    p = nm.tensor([0.25] * 4)
     for label in range(4):
-        assert abs(cross_entropy(p, label).item() - math.log(4)) < 1e-12
+        assert abs(clamped_nll(np.zeros(4), label) - math.log(4)) < 1e-12
 
 
 def test_cross_entropy_hand_arithmetic():
-    loss = cross_entropy(nm.tensor([0.25, 0.75]), 1).item()
+    loss = clamped_nll(np.log([0.25, 0.75]), 1)
     assert abs(loss - 0.2876820724517809) < 1e-12
 
 
 def test_cross_entropy_label_out_of_range():
-    p = nm.tensor([0.5, 0.5])
+    logits = np.zeros(2)
     with pytest.raises(nm.ValidationError):
-        cross_entropy(p, 2)
+        clamped_nll(logits, 2)
     with pytest.raises(nm.ValidationError):
-        cross_entropy(p, -1)
+        clamped_nll(logits, -1)
 
 
 # ---------------------------------------------------------------------------
 # gradients
 
 
-def test_backward_known_analytic_gradient():
-    # loss = -log softmax(Wx + b)[label]; gradient wrt preactivation is
-    # (p - onehot), so with W = I, b = 0 the x gradient equals p - onehot.
-    w = parameter(np.eye(3))
-    b = parameter(np.zeros(3))
-    x = parameter([0.2, -0.4, 1.1])
-    loss = cross_entropy(nm.softmax(nm.linear(w, b, x)), 2)
-    loss.backward()
-    p = np.exp(x.data) / np.exp(x.data).sum()
-    expected = p.copy()
-    expected[2] -= 1.0
-    assert np.max(np.abs(x.grad - expected)) < 1e-12
-
-
-def test_per_op_gradients_match_finite_differences():
-    rng = np.random.default_rng(11)
-
-    def check(make_loss, params, tol=1e-4):
-        err = tape_grad_check(make_loss, params, h=1e-5)
-        assert err < tol, err
-
-    for _ in range(6):
-        m, n = rng.integers(2, 6), rng.integers(2, 6)
-        w = parameter(rng.normal(size=(m, n)))
-        b = parameter(rng.normal(size=m))
-        x = parameter(rng.normal(size=n))
-        labels = int(rng.integers(0, m))
-
-        check(lambda: cross_entropy(nm.softmax(nm.linear(w, b, x)), labels), [w, b, x])
-        check(lambda: cross_entropy(nm.softmax(nm.relu(nm.linear(w, b, x))), labels), [w, b, x])
-
-    # concat + mean_stack + add + scale through a scalar head
-    a = parameter(rng.normal(size=3))
-    c = parameter(rng.normal(size=2))
-    w2 = parameter(rng.normal(size=(3, 5)))
-    b2 = parameter(rng.normal(size=3))
-
-    def composite():
-        joined = nm.concat([a, c])
-        lifted = nm.linear(w2, b2, joined)
-        avg = nm.mean_stack([lifted, nm.relu(lifted), scale(lifted, -0.5)])
-        p = nm.softmax(avg)
-        return add(scale(cross_entropy(p, 0), 0.25), cross_entropy(p, 2))
-
-    check(composite, [a, c, w2, b2])
-
-
-def test_lstm_step_gradient_matches_finite_differences():
-    rng = np.random.default_rng(21)
-    din, hs = 3, 4
-    w = parameter(rng.normal(size=(4 * hs, din + hs)))
-    b = parameter(rng.normal(size=4 * hs))
-    x = parameter(rng.normal(size=din))
-    h0 = parameter(rng.normal(size=hs))
-    c0 = parameter(rng.normal(size=hs))
-    wcls = parameter(rng.normal(size=(3, hs)))
-    bcls = parameter(rng.normal(size=3))
-
-    def loss():
-        # route both h and c into the scalar so both outputs get checked
-        h, c = nm.lstm_step(w, b, x, h0, c0)
-        ph = cross_entropy(nm.softmax(nm.linear(wcls, bcls, h)), 1)
-        pc = cross_entropy(nm.softmax(nm.linear(wcls, bcls, c)), 2)
-        return add(ph, pc)
-
-    err = tape_grad_check(loss, [w, b, x, h0, c0, wcls, bcls], h=1e-5)
-    assert err < 1e-4
-
-
 def test_grad_check_flags_corrupted_gradient():
+    # -log softmax(Wx + b)[0] in plain numpy, with its closed-form gradient:
+    # g = softmax - onehot at the logits, then outer(g, x), g and W^T g
     rng = np.random.default_rng(5)
-    w = parameter(rng.normal(size=(3, 3)))
-    b = parameter(rng.normal(size=3))
-    x = parameter(rng.normal(size=3))
+    w, b, x = rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal(size=3)
 
     def loss():
-        return cross_entropy(nm.softmax(nm.linear(w, b, x)), 0)
+        z = w @ x + b
+        return float(np.log(np.exp(z).sum()) - z[0])
 
-    _, grads = tape_grads(loss, [w, b, x])
-    arrays = [w.data, b.data, x.data]
-    clean = nm.grad_check(lambda: loss().item(), grads, arrays)
+    g = nm.softmax_array(w @ x + b)
+    g[0] -= 1.0
+    grads = [np.outer(g, x), g, w.T @ g]
+    clean = nm.grad_check(loss, grads, [w, b, x])
     grads[0][0, 0] += 0.1
-    corrupted = nm.grad_check(lambda: loss().item(), grads, arrays)
+    corrupted = nm.grad_check(loss, grads, [w, b, x])
     assert clean < 1e-4 < corrupted
+
+
+def test_complex_step_of_the_oracle_head_is_its_closed_form_gradient():
+    # d/dz -log softmax(z)[label] is softmax(z) - onehot; the imaginary part
+    # of the head at z + 1e-30j e_j over 1e-30 gives it without a subtraction,
+    # and a column below the clamp gives 0
+    rng = np.random.default_rng(6)
+    z = rng.normal(size=5)
+    want = nm.softmax_array(z)
+    want[3] -= 1.0
+    got = [clamped_nll(z + 1e-30j * e, 3).imag / 1e-30 for e in np.eye(5)]
+    assert np.max(np.abs(np.array(got) - want)) <= 1e-15
+    clamped = np.array([-40.0, 0.0]) + 1e-30j * np.array([1.0, -1.0])
+    assert clamped_nll(clamped, 0) == -math.log(nm.CE_CLAMP)
 
 
 def test_grad_check_rejects_nonfinite_loss():
     with pytest.raises(FloatingPointError):
         nm.grad_check(lambda: np.inf, [np.zeros(1)], [np.array([1.0])])
-
-
-def test_bptt_gradients_accumulate_across_steps():
-    # two steps reusing the same cell: parameter grads must be the sum of
-    # per-step contributions, which finite differences verify implicitly
-    rng = np.random.default_rng(9)
-    w = parameter(rng.normal(size=(8, 4)))
-    b = parameter(rng.normal(size=8))
-    xs = [parameter(rng.normal(size=2)) for _ in range(3)]
-    wcls = parameter(rng.normal(size=(2, 2)))
-    bcls = parameter(rng.normal(size=2))
-
-    def loss():
-        h = nm.tensor(np.zeros(2))
-        c = nm.tensor(np.zeros(2))
-        for x in xs:
-            h, c = nm.lstm_step(w, b, x, h, c)
-        return cross_entropy(nm.softmax(nm.linear(wcls, bcls, h)), 1)
-
-    err = tape_grad_check(loss, [w, b, wcls, bcls] + xs)
-    assert err < 1e-4
-
-
-def test_no_grad_blocks_graph():
-    w = parameter(np.eye(2))
-    b = parameter(np.zeros(2))
-    with nm.no_grad():
-        y = nm.linear(w, b, nm.tensor([1.0, 2.0]))
-    assert y._backward is None and not y.requires_grad

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -185,12 +186,17 @@ def test_non_finite_push_keeps_state_and_poisons(bad):
 
 
 def test_batch_input_rejected():
+    # refused by the shape pushed: a (4, 2) batch was reported as the
+    # one-chunk video it was wrapped in, (1, 4, 2) against (T, 4)
     det = make_detector()
-    with pytest.raises(ValidationError):
-        det.push_chunk(ChunkStreams(appearance=np.zeros((4, 2)), motion=np.zeros((3, 2))))
-    det.reset()
-    with pytest.raises(ValidationError):  # a scalar, not a vector
-        det.push_chunk(ChunkStreams(appearance=np.float64(1.0), motion=np.zeros(3)))
+    for appearance, want in [
+        (np.zeros((4, 2)), "appearance stream has shape (4, 2), config requires (4,)"),
+        (np.float64(1.0), "appearance stream has shape (), config requires (4,)"),  # a scalar
+        (np.zeros(5), "appearance stream has shape (5,), config requires (4,)"),
+    ]:
+        det.reset()
+        with pytest.raises(DimensionError, match=re.escape(want)):
+            det.push_chunk(ChunkStreams(appearance=appearance, motion=np.zeros(3)))
 
 
 def test_push_cost_independent_of_history():

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import (
-    adam_oracle, add, cross_entropy, decoder_target_pairs, scale, tape_chunks, tape_forward,
-    tape_grads,
+    adam_oracle, complex_step, decoder_target_pairs, tape_chunks, tape_forward, window_loss,
 )
 from trn import cli
 from trn import dataio as dio
@@ -190,7 +189,7 @@ def test_sequence_loss_lambda_weights():
 
 
 # ---------------------------------------------------------------------------
-# fused loss against the tape
+# fused loss against the tape's value and the complex-step derivative
 
 
 STREAM_DIMS = {
@@ -201,41 +200,13 @@ STREAM_DIMS = {
 
 
 def tape_loss(params, tc, videos, labels, ambiguous=None):
-    """The two-head window loss built op by op on the tape, through the
-    inference cell: the reference the fused kernel must reproduce.
-    Columns that ``ambiguous`` marks leave the head means."""
-    sequence = tape_chunks(params.config, videos)
-    labels = np.asarray(labels).reshape(len(sequence), -1)
-    t_len, batch = labels.shape
-    ignored = np.zeros(labels.shape, dtype=bool)
-    if ambiguous is not None:
-        ignored = np.asarray(ambiguous).reshape(labels.shape)
-    enc, dec, _, _ = md.forward_sequence_logits(params, sequence)
-
-    def column(m, j):
-        # column j of a matrix as a tape op: m @ e_j
-        return nm.linear(m, nm.tensor(np.zeros(m.shape[0])), nm.tensor(np.eye(batch)[j]))
-
-    def mean(weight, logits_labels_ignored):
-        # weight times the mean cross-entropy over the kept columns, or
-        # None when no column is kept
-        total, count = None, 0
-        for logits, row, skip in logits_labels_ignored:
-            p = nm.softmax(logits)
-            for j in range(batch):
-                if skip[j]:
-                    continue
-                ce = cross_entropy(column(p, j), row[j])
-                total = ce if total is None else add(total, ce)
-                count += 1
-        return None if total is None else scale(total, weight / count)
-
-    loss = mean(tc.lambda_enc, zip(enc, labels, ignored))
-    pairs = decoder_target_pairs(t_len, params.config.decoder_steps)
-    dec_mean = mean(tc.lambda_dec, ((dec[t][i - 1], labels[t + i], ignored[t + i]) for t, i in pairs))
-    if dec_mean is not None:
-        loss = dec_mean if loss is None else add(loss, dec_mean)
-    return loss
+    """The two-head window loss of the tape's forward, op by op through the
+    inference cell (``md.forward_sequence_logits``), scored by the oracle's
+    own head: the independent value the fused loss must reproduce."""
+    enc, dec, _, _ = md.forward_sequence_logits(params, tape_chunks(params.config, videos))
+    enc = np.array([z.data for z in enc])
+    dec = np.array([[z.data for z in row] for row in dec])
+    return window_loss(tc, enc, dec, labels, ambiguous)
 
 
 def fused_loss(params, tc, videos, labels, ambiguous=None):
@@ -244,15 +215,18 @@ def fused_loss(params, tc, videos, labels, ambiguous=None):
     return loss.loss, loss.grads()
 
 
-def assert_matches_tape(params, tc, videos, labels, ambiguous=None):
+def assert_matches_oracles(params, tc, videos, labels, ambiguous=None):
+    """The fused loss equals the tape's to 1e-12, and its gradient, along
+    each of 4 random directions over every parameter, the complex-step
+    derivative to 1e-12 relative."""
     fused, fused_grads = fused_loss(params, tc, videos, labels, ambiguous)
-    tape, tape_grad_list = tape_grads(
-        lambda: tape_loss(params, tc, videos, labels, ambiguous), list(params.named().values())
-    )
-    assert abs(fused - tape) <= 1e-12
-    for name, want in zip(params.named(), tape_grad_list):
-        err = np.abs(fused_grads[name] - want).max()
-        assert err <= 1e-10 * np.abs(want).max(), (name, err)
+    assert abs(fused - tape_loss(params, tc, videos, labels, ambiguous)) <= 1e-12
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        v = {k: rng.normal(size=a.shape) for k, a in params.arrays().items()}
+        want = complex_step(params, tc, videos, labels, v, ambiguous)
+        got = sum(float(np.vdot(fused_grads[k], v[k])) for k in v)
+        assert abs(got - want) <= 1e-12 * max(abs(got), abs(want)), (got, want)
     return fused_grads
 
 
@@ -278,7 +252,7 @@ def test_fused_loss_matches_tape():
         itertools.product(FusionVariant, (1, 3), (1, 5), (1, 3))
     ):
         params, tc, videos, labels = fused_setup(variant, batch, t_len, steps, 100 + n)
-        grads = assert_matches_tape(params, tc, videos, labels)
+        grads = assert_matches_oracles(params, tc, videos, labels)
         if steps == 1:  # the last predicted feature feeds nothing
             assert not grads["decoder.feat.w"].any() and not grads["decoder.feat.b"].any()
         if t_len == 1:  # no (t, i) pair stays inside the window
@@ -288,10 +262,10 @@ def test_fused_loss_matches_tape():
 def test_fused_loss_clamped_columns_match_tape():
     params, tc, videos, labels = fused_setup(FusionVariant.TWO_STREAM, 3, 5, 3, 7)
     # background (label 0) is pushed below the 1e-12 clamp in both heads
-    params.named()["encoder.cls.b"].data[0] = -40.0
-    params.named()["decoder.cls.b"].data[0] = -40.0
+    params.arrays()["encoder.cls.b"][0] = -40.0
+    params.arrays()["decoder.cls.b"][0] = -40.0
     labels[:, 0] = 0
-    assert_matches_tape(params, tc, videos, labels)
+    assert_matches_oracles(params, tc, videos, labels)
 
 
 def test_fused_loss_ambiguous_columns_match_tape():
@@ -301,7 +275,7 @@ def test_fused_loss_ambiguous_columns_match_tape():
         ambiguous = rng.random(labels.shape) < 0.4
         ambiguous[0] = True  # a chunk no pair targets
         ambiguous[-1] = True  # the target of the last chunks' step-1 pairs
-        assert_matches_tape(params, tc, videos, labels, ambiguous)
+        assert_matches_oracles(params, tc, videos, labels, ambiguous)
 
 
 def test_fused_loss_head_with_every_column_ambiguous_contributes_zero():
@@ -551,7 +525,7 @@ def test_params_are_one_table_of_arrays_viewed_by_the_tape():
     named = params.named()
     assert named is params.named() and list(named) == list(table)
     for k, t in named.items():
-        assert t.data is table[k] and t.requires_grad, k
+        assert t.data is table[k], k
     before = {k: a.copy() for k, a in table.items()}
     grads = {k: rng.normal(size=a.shape) for k, a in table.items()}
     tr.adam_step(params, grads, tr.AdamState.init(params), tiny_train())
