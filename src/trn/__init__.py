@@ -1,7 +1,7 @@
 """Online action detection on chunked video streams with a recurrent
 encoder that consults its own short-range future predictions.
 
-Subpackages are deliberately flat: ``numeric`` (forward tape and checks),
+Subpackages are deliberately flat: ``numeric`` (LSTM gates and checks),
 ``model`` (the recurrent cell and fusion variants), ``skeleton`` (pose
 features and synthetic skeletons), ``dataio`` (file formats and synthetic data),
 ``streaming`` (online detector), ``training`` (optimizer and loop),

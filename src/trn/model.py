@@ -24,14 +24,16 @@ and `trn_forward` as one-chunk blocks, `forward_blocks` as blocks of many
 videos. Every input, a pushed chunk too, enters through `check_streams`
 (names, dims, lengths) and `stack_block` (layout, float64 widening, the
 finiteness check), and `detect_block` splits its one softmax by head.
-`chunk_step` runs the same stages op by op on `numeric` tensors;
-it is the test oracle that the window kernel is pinned to, and no
-inference path calls it.
+`chunk_step` runs the same stages one chunk at a time on plain arrays,
+each stage taking and returning `numeric.Tensor` values; it is the test
+oracle that the window kernel is pinned to, and no inference path calls
+it.
 
 The parameters are one table of plain arrays, `TrnParams`, keyed and
 ordered by `param_shapes` ("embed.w", "decoder.lstm.b", ...). The kernel,
 the training BPTT, Adam and checkpoints all read a weight under that one
-name; `TrnParams.named` is the tape's view of the same arrays.
+name; `TrnParams.named` is a `Tensor` view of the same arrays, which
+only the benchmark harness reads.
 """
 
 from __future__ import annotations
@@ -204,7 +206,7 @@ class TrnParams:
         return self.table
 
     def named(self) -> dict[str, Tensor]:
-        """The tape's view of the table, built once: Tensors over the stored arrays."""
+        """The table as Tensors over the stored arrays, built once."""
         if self._tensors is None:
             self._tensors = {k: Tensor(a) for k, a in self.table.items()}
         return self._tensors
@@ -227,25 +229,6 @@ class DetectionOutput:
     present: np.ndarray  # (classes,): the present chunk's distribution over classes
     anticipated: np.ndarray  # (steps, classes): one distribution per decoder step
     predicted_features: np.ndarray  # (steps, hidden)
-
-
-def fuse(params: TrnParams, streams: ChunkStreams) -> Tensor:
-    """Combine the chunk's streams into the model input vector.
-
-    The streams, each (D,) or a (D, B) column batch, are checked as
-    :func:`check_streams` checks a video and concatenated in
-    ``TrnConfig.streams`` order (pose rides between appearance and motion
-    for FUSED_TWO_STREAM). Variants with a fusion layer then apply
-    ReLU(W_f x + b_f); ONE_STREAM passes the raw features through unchanged.
-    """
-    cfg = params.config
-    parts = {n: v for n in cfg.streams if (v := getattr(streams, n)) is not None}
-    check_streams(cfg, {n: np.atleast_2d(np.transpose(v)) for n, v in parts.items()})
-    joined = nm.concat([nm.tensor(v) for v in parts.values()])
-    if not cfg.has_fusion_layer:
-        return joined
-    t = params.named()
-    return nm.relu(nm.linear(t["fusion.w"], t["fusion.b"], joined))
 
 
 def check_streams(config: TrnConfig, streams: dict, video: str | None = None) -> int:
@@ -276,14 +259,17 @@ def check_streams(config: TrnConfig, streams: dict, video: str | None = None) ->
     return t_len
 
 
-def stack_block(config: TrnConfig, videos: list[dict], t0: int, t1: int) -> np.ndarray:
+def stack_block(
+    config: TrnConfig, videos: list[dict], t0: int, t1: int, index: list[int] | None = None
+) -> np.ndarray:
     """Chunks t0..t1-1 of B stream dicts, each checked by :func:`check_streams`,
     as the (D, (t1-t0)*B) float64 input of :func:`window_forward`: rows in
     fusion order, columns t-major (column t*B + b), each contiguous. Every
     model input is copied here: float32 streams (as ``dio.read_features``
     loads them) are widened, and a non-finite value is refused, a
-    ValidationError naming the first stream holding one and the first
-    chunk in which it does."""
+    ValidationError naming the first stream holding one, the first chunk
+    in which it does and, given ``index`` (the caller's index of each
+    video), the first video holding it there."""
     cols = np.empty((t1 - t0, len(videos), config.concat_dim()))
     at = 0
     for name in config.streams:
@@ -292,17 +278,55 @@ def stack_block(config: TrnConfig, videos: list[dict], t0: int, t1: int) -> np.n
             cols[:, b, at : at + dim] = video[name][t0:t1]
         at += dim
     if not np.isfinite(cols).all():
-        finite = np.isfinite(cols).all(axis=1)  # (chunk, row): finite in every video
+        bad = ~np.isfinite(cols)  # (chunk, video, row)
         edges = np.cumsum([0] + [getattr(config, f"{n}_dim") for n in config.streams])
-        i = int(np.searchsorted(edges, np.argmin(finite.all(axis=0)), side="right")) - 1
-        chunk = t0 + int(np.argmin(finite[:, edges[i] : edges[i + 1]].all(axis=1)))
-        raise ValidationError(f"the {config.streams[i]} stream holds a non-finite value at chunk {chunk}")
+        i = int(np.searchsorted(edges, np.argmax(bad.any(axis=(0, 1))), side="right")) - 1
+        in_stream = bad[:, :, edges[i] : edges[i + 1]].any(axis=2)  # (chunk, video)
+        chunk, b = np.unravel_index(np.argmax(in_stream), in_stream.shape)
+        where = "" if index is None else f"video {index[b]}: "
+        raise ValidationError(
+            f"{where}the {config.streams[i]} stream holds a non-finite value at chunk {t0 + chunk}")
     return cols.reshape(-1, cols.shape[2]).T
 
 
+# ---------------------------------------------------------------------------
+# the cell one chunk at a time: the test oracle
+
+
+def _layer(p: dict, name: str, x: np.ndarray, relu: bool = False) -> np.ndarray:
+    """W x + b of layer ``name`` on a vector or column batch x, then ReLU if asked."""
+    b = p[f"{name}.b"]
+    y = p[f"{name}.w"] @ x + (b if x.ndim == 1 else b[:, None])
+    return np.maximum(y, 0.0) if relu else y
+
+
+def _lstm_step(p: dict, cell: str, x: np.ndarray, h: np.ndarray, c: np.ndarray):
+    """One step of the ``cell`` LSTM: its packed weight on concat(x, h) plus
+    its bias, through ``nm.lstm_forward``; returns (h, c)."""
+    h, c, _ = nm.lstm_forward(_layer(p, f"{cell}.lstm", np.concatenate([x, h])), c, len(h))
+    return h, c
+
+
+def fuse(params: TrnParams, streams: ChunkStreams) -> Tensor:
+    """Combine the chunk's streams into the model input vector.
+
+    The streams, each (D,) or a (D, B) column batch, are checked as
+    :func:`check_streams` checks a video and concatenated in
+    ``TrnConfig.streams`` order (pose rides between appearance and motion
+    for FUSED_TWO_STREAM). Variants with a fusion layer then apply
+    ReLU(W_f x + b_f); ONE_STREAM passes the raw features through unchanged.
+    """
+    cfg = params.config
+    parts = {n: v for n in cfg.streams if (v := getattr(streams, n)) is not None}
+    check_streams(cfg, {n: np.atleast_2d(np.transpose(v)) for n, v in parts.items()})
+    joined = Tensor(np.concatenate(list(parts.values())))
+    if not cfg.has_fusion_layer:
+        return joined
+    return Tensor(_layer(params.arrays(), "fusion", joined.data, relu=True))
+
+
 def embed(params: TrnParams, fused: Tensor) -> Tensor:
-    t = params.named()
-    return nm.relu(nm.linear(t["embed.w"], t["embed.b"], fused))
+    return Tensor(_layer(params.arrays(), "embed", fused.data, relu=True))
 
 
 def decoder_rollout(
@@ -316,16 +340,14 @@ def decoder_rollout(
     """
     if steps < 1:
         raise ValidationError(f"decoder rollout needs steps >= 1, got {steps}")
-    hiddens: list[Tensor] = []
-    logits: list[Tensor] = []
-    feats: list[Tensor] = []
-    x, t = x_embed, params.named()
+    p, x, h, c = params.arrays(), x_embed.data, h.data, c.data
+    hiddens, logits, feats = [], [], []
     for _ in range(steps):
-        h, c = nm.lstm_step(t["decoder.lstm.w"], t["decoder.lstm.b"], x, h, c)
-        hiddens.append(h)
-        logits.append(nm.linear(t["decoder.cls.w"], t["decoder.cls.b"], h))
-        x = nm.relu(nm.linear(t["decoder.feat.w"], t["decoder.feat.b"], h))
-        feats.append(x)
+        h, c = _lstm_step(p, "decoder", x, h, c)
+        x = _layer(p, "decoder.feat", h, relu=True)
+        hiddens.append(Tensor(h))
+        logits.append(Tensor(_layer(p, "decoder.cls", h)))
+        feats.append(Tensor(x))
     return hiddens, logits, feats
 
 
@@ -333,7 +355,7 @@ def future_gate(hiddens: list[Tensor]) -> Tensor:
     """Order-insensitive aggregation: elementwise mean of decoder hiddens."""
     if not hiddens:
         raise ValidationError("future_gate requires at least one hidden state")
-    return nm.mean_stack(hiddens)
+    return Tensor(np.mean([t.data for t in hiddens], axis=0))
 
 
 def encoder_step(
@@ -343,16 +365,16 @@ def encoder_step(
 
     Returns (new h, new c, present logits).
     """
-    joined, t = nm.concat([x_embed, future_ctx]), params.named()
-    h, c = nm.lstm_step(t["encoder.lstm.w"], t["encoder.lstm.b"], joined, h, c)
-    logits = nm.linear(t["encoder.cls.w"], t["encoder.cls.b"], h)
-    return h, c, logits
+    p = params.arrays()
+    h, c = _lstm_step(p, "encoder", np.concatenate([x_embed.data, future_ctx.data]), h.data, c.data)
+    return Tensor(h), Tensor(c), Tensor(_layer(p, "encoder.cls", h))
 
 
 def chunk_step(
     params: TrnParams, streams: ChunkStreams, h: Tensor, c: Tensor
 ) -> tuple[Tensor, list[Tensor], list[Tensor], Tensor, Tensor]:
-    """The full cell for one chunk, op by op on the tape: the reference
+    """The full cell for one chunk, stage by stage on plain arrays (no
+    product hoisted, each LSTM step ``W @ concat(x, h) + b``): the reference
     the tests pin :func:`window_forward` and every inference path to. No
     inference path runs it.
 
@@ -366,32 +388,6 @@ def chunk_step(
     ctx = future_gate(dec_h)
     h, c, logits = encoder_step(params, x, ctx, h, c)
     return logits, dec_logits, dec_feats, h, c
-
-
-def forward_sequence_logits(
-    params: TrnParams,
-    sequence: list[ChunkStreams],
-    h0: Tensor | None = None,
-    c0: Tensor | None = None,
-) -> tuple[list[Tensor], list[list[Tensor]], Tensor, Tensor]:
-    """Run the cell over a chunk sequence, keeping logits as graph tensors.
-
-    Inputs may be vectors or column batches. Returns (encoder logits per
-    chunk, decoder logits per chunk per step, final h, final c).
-    """
-    if not sequence:
-        raise ValidationError("empty sequence")
-    first = np.shape(getattr(sequence[0], params.config.streams[0]))
-    shape = (params.config.hidden_size,) + first[1:]  # (H,), or (H, B) for column batches
-    h = h0 if h0 is not None else nm.tensor(np.zeros(shape))
-    c = c0 if c0 is not None else nm.tensor(np.zeros(shape))
-    enc_logits: list[Tensor] = []
-    dec_logits: list[list[Tensor]] = []
-    for streams in sequence:
-        logits, dlogits, _, h, c = chunk_step(params, streams, h, c)
-        enc_logits.append(logits)
-        dec_logits.append(dlogits)
-    return enc_logits, dec_logits, h, c
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +616,8 @@ def forward_blocks(params: TrnParams, videos: list[dict]):
 
     The streams may be float32 (as ``dio.read_features`` loads them) or
     float64: :func:`stack_block` widens one block at a time, so a float32
-    video and its float64 widening give the same bits. Only one block's
+    video and its float64 widening give the same bits; a non-finite value
+    is refused naming the video by its index in ``videos``. Only one block's
     arrays are alive at a time, beside the carried state and the caller's rows."""
     cfg = params.config
     lengths = [check_streams(cfg, v) for v in videos]
@@ -634,7 +631,7 @@ def forward_blocks(params: TrnParams, videos: list[dict]):
             while lengths[group[n - 1]] <= t0:
                 n -= 1
             t1 = min(t0 + block, lengths[group[n - 1]])
-            raw = stack_block(cfg, [videos[i] for i in group[:n]], t0, t1)
+            raw = stack_block(cfg, [videos[i] for i in group[:n]], t0, t1, group[:n])
             present, anticipated, run = detect_block(params, raw, h[:, :n], c[:, :n])
             # run.h views the pass's operands: copied, it lets the block's
             # arrays go before the next block allocates its own

@@ -1,18 +1,16 @@
-"""Dense forward ops on vectors/matrices, the LSTM gates, a gradient audit.
+"""Errors and value checks, the LSTM gates, softmax, a gradient audit.
 
-Everything here operates on plain numpy arrays wrapped in :class:`Tensor`
-values. A tensor is either a 1-d vector or a 2-d matrix; for activations the
-second axis, when present, is a batch of column samples, so ``linear`` maps
-``(n,) -> (m,)`` and ``(n, B) -> (m, B)`` with the same weights. The tape
-runs in float64.
+Everything here runs on plain numpy arrays. :func:`lstm_forward` is the
+one gate function: the fused window kernel and the model's per-chunk
+stages (``model.chunk_step``, the test oracle) both run their LSTM steps
+through it. :class:`Tensor` is a bare float64 vector or matrix that those
+stages take and return, and :func:`softmax` the head over one; they stay
+because the benchmark harness calls the stages and reads ``.data``. No
+production path builds a Tensor.
 
-Ops never mutate their inputs and record no graph: the tape is the
-op-by-op forward reference the fused kernel is tested against, and it
-computes no gradient. The training loss derives its own (hand-written
-BPTT); the tests check it against complex-step derivatives of the kernel
-and central differences (:func:`grad_check`). Ops take their weights as
-plain tensors (the LSTM step its packed weight and bias), so the model
-keeps every parameter under its own name.
+The training loss derives its own gradient (hand-written BPTT); the
+tests check it against complex-step derivatives of the kernel and
+central differences (:func:`grad_check`).
 """
 
 from __future__ import annotations
@@ -63,13 +61,13 @@ def check_real(name: str, value, lo: float = 0.0, hi: float = math.inf, *,
     return x
 
 
-# the tape records no graph, so its forward needs nothing switched off; kept
-# as the context manager the benchmark harness enters
+# nothing here records a graph, so nothing needs switching off; kept as the
+# context manager the benchmark harness enters
 no_grad = nullcontext
 
 
 class Tensor:
-    """A vector or matrix value of the tape: ``data`` is a float64 array."""
+    """A vector or matrix value of the per-chunk stages: ``data`` is a float64 array."""
 
     __slots__ = ("data",)
 
@@ -81,70 +79,10 @@ class Tensor:
             )
         self.data = arr
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape})"
-
 
 def tensor(data) -> Tensor:
     """Leaf tensor treated as constant input."""
     return Tensor(data)
-
-
-# ---------------------------------------------------------------------------
-# elementary ops
-
-
-def linear(w: Tensor, b: Tensor, x: Tensor) -> Tensor:
-    """y = W @ x + b for a vector or column-batch x."""
-    if w.data.ndim != 2 or b.data.ndim != 1 or w.data.shape[0] != b.data.shape[0]:
-        raise DimensionError(
-            f"linear: weight {w.data.shape} incompatible with bias {b.data.shape}"
-        )
-    if x.data.shape[0] != w.data.shape[1]:
-        raise DimensionError(
-            f"linear: weight {w.data.shape} cannot act on input {x.data.shape}"
-        )
-    if x.data.ndim == 1:
-        return Tensor(w.data @ x.data + b.data)
-    return Tensor(w.data @ x.data + b.data[:, None])
-
-
-def relu(x: Tensor) -> Tensor:
-    return Tensor(np.maximum(x.data, 0.0))
-
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the feature axis (axis 0)."""
-    if not parts:
-        raise DimensionError("concat: empty input list")
-    ndims = {p.data.ndim for p in parts}
-    if len(ndims) != 1:
-        raise DimensionError("concat: mixed vector/matrix operands")
-    if parts[0].data.ndim == 2:
-        widths = {p.data.shape[1] for p in parts}
-        if len(widths) != 1:
-            raise DimensionError("concat: batch widths differ")
-    return Tensor(np.concatenate([p.data for p in parts], axis=0))
-
-
-def mean_stack(parts: Sequence[Tensor]) -> Tensor:
-    """Elementwise mean of same-shape tensors."""
-    if not parts:
-        raise DimensionError("mean_stack: empty input list")
-    shape = parts[0].data.shape
-    for p in parts:
-        if p.data.shape != shape:
-            raise DimensionError(
-                f"mean_stack: shape {p.data.shape} differs from {shape}"
-            )
-    acc = parts[0].data.copy()
-    for p in parts[1:]:
-        acc += p.data
-    return Tensor(acc / len(parts))
 
 
 def softmax_array(z: np.ndarray) -> np.ndarray:
@@ -155,7 +93,7 @@ def softmax_array(z: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: Tensor) -> Tensor:
-    """:func:`softmax_array` as a tape op."""
+    """:func:`softmax_array` of a :class:`Tensor`."""
     if z.data.shape[0] < 1:
         raise DimensionError("softmax: empty input")
     return Tensor(softmax_array(z.data))
@@ -177,8 +115,8 @@ def lstm_forward(z, c_prev, hs: int, a=None, c=None, tc=None, h=None):
     The trace holds the gate activations (g in its tanh form), c_prev and
     tanh(c), which a backward pass needs. Given, ``a`` (z's shape) and
     ``c``, ``tc``, ``h`` (c_prev's; ``c`` may be ``c_prev``) receive the
-    gates, c, tanh(c) and h in place. Both the tape's :func:`lstm_step` and
-    the fused kernel run their gates through here.
+    gates, c, tanh(c) and h in place. Both the per-chunk stages and the
+    fused kernel run their gates through here.
     """
     if a is None:
         a, c, tc, h = (np.empty_like(v) for v in (z, c_prev, c_prev, c_prev))
@@ -189,30 +127,6 @@ def lstm_forward(z, c_prev, hs: int, a=None, c=None, tc=None, h=None):
     c += a[:hs] * a[2 * hs : 3 * hs]
     np.multiply(a[3 * hs :], np.tanh(c, tc), h)
     return h, c, (a, c_prev, tc)
-
-
-def lstm_step(w: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_prev: Tensor):
-    """One LSTM step: returns (h, c).
-
-    ``w`` is (4H, D+H) acting on concat(x, h_prev) and ``b`` is (4H,),
-    their rows the four gates [i, f, g, o]; H comes from ``b`` and D from
-    ``w``. i, f, o = sigmoid of their pre-activations, g = tanh, then
-    c = f*c_prev + i*g and h = o*tanh(c).
-    """
-    hs = b.data.shape[0] // 4
-    input_dim = w.data.shape[1] - hs
-    if x.data.shape[0] != input_dim:
-        raise DimensionError(
-            f"lstm_step: input {x.data.shape} but cell expects dim {input_dim}"
-        )
-    for name, t in (("h_prev", h_prev), ("c_prev", c_prev)):
-        if t.data.shape[0] != hs:
-            raise DimensionError(
-                f"lstm_step: {name} {t.data.shape} but hidden size is {hs}"
-            )
-    z = linear(w, b, concat([x, h_prev]))
-    h, c, _ = lstm_forward(z.data, c_prev.data, hs)
-    return Tensor(h), Tensor(c)
 
 
 # ---------------------------------------------------------------------------

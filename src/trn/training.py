@@ -15,12 +15,12 @@ the decay term lr * wd * theta is subtracted directly from the weights
 rather than folded into the gradient, so "weight_decay" means the same
 thing at any gradient scale.
 
-The loss is a fused kernel over one window rather than a tape built chunk
+The loss is a fused kernel over one window rather than a cell run chunk
 by chunk. Its forward pass is ``model.window_forward``, the kernel every
 inference path runs too (``model.detect_block``): every product off the
 recurrence (fusion, embedding, the input projections of the two LSTMs)
 runs as one GEMM over all chunks of the window, and so does each
-classifier. The tests pin it to the tape's op-by-op ``model.chunk_step``.
+classifier. The tests pin it to the per-chunk ``model.chunk_step``.
 The gradient is a hand-derived backpropagation through time, which the
 tests check against complex-step derivatives of the kernel; it runs
 only when the loss's ``grads()`` is called. It walks the window one
@@ -514,6 +514,7 @@ def train(
     for video_id, streams in zip(ids, [v[1] for v in train_videos] + heldout_streams):
         md.check_streams(params.config, streams, video_id)
 
+    heldout_labels = None  # labelled once, at the first evaluation
     metrics: list[EpochMetrics] = []
     for epoch in range(1, train_config.epochs + 1):
         order = rng.permutation(len(windows))
@@ -542,7 +543,8 @@ def train(
         heldout_map = None
         if heldout_gt is not None and epoch % train_config.eval_every == 0:
             dump = predict_manifest(params, manifest, "test", heldout_streams)
-            heldout_map = ev.per_frame_map(dump, heldout_gt).mean_ap
+            heldout_labels = heldout_labels or ev.video_labels(dump, heldout_gt)
+            heldout_map = ev.per_frame_map(dump, heldout_gt, labels=heldout_labels).mean_ap
         metrics.append(EpochMetrics(epoch=epoch, mean_loss=mean_loss, heldout_map=heldout_map))
         log.info(
             "epoch %d: loss %.4f%s",

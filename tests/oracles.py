@@ -2,12 +2,13 @@
 
 Everything here is written for clarity over speed: explicit counting at
 every rank, quadratic scans, no shared code with the package. Two
-exceptions run package code. The inference reference steps the package's
-tape cell (``chunk_step``) op by op. The gradient oracle,
-:func:`complex_step`, runs the window kernel (``model.window_forward``,
-pinned to the tape's forward) at complex weights and scores it with
-:func:`window_loss`, this module's own loss head. No production path runs
-either.
+exceptions run package code. The forward references (:func:`tape_forward`,
+:func:`tape_logits`) step the package's per-chunk cell
+(``model.chunk_step``: plain numpy, stage by stage, no product hoisted)
+one chunk at a time. The gradient oracle, :func:`complex_step`, runs the
+window kernel (``model.window_forward``, pinned to ``chunk_step``) at
+complex weights and scores it with :func:`window_loss`, this module's own
+loss head. No production path runs either.
 """
 
 import math
@@ -22,9 +23,9 @@ from trn.model import ChunkStreams
 
 
 def tape_chunks(config, videos):
-    """Per-chunk tape inputs from name -> (T, D) stream arrays: one dict
-    gives (D,) vectors, a list of B equal-length dicts (D, B) column
-    batches. Only the streams the variant consumes are kept."""
+    """Per-chunk ``md.chunk_step`` inputs from name -> (T, D) stream
+    arrays: one dict gives (D,) vectors, a list of B equal-length dicts
+    (D, B) column batches. Only the streams the variant consumes are kept."""
     if isinstance(videos, dict):
         return [ChunkStreams(**{n: videos[n][t] for n in config.streams})
                 for t in range(len(videos[config.streams[0]]))]
@@ -33,8 +34,22 @@ def tape_chunks(config, videos):
             for t in range(len(arrays[config.streams[0]]))]
 
 
+def tape_logits(params, sequence):
+    """``md.chunk_step`` stepped over ``sequence`` from the zero state, as
+    arrays: present logits (T, K), decoder logits (T, steps, K), and the
+    final h and c (H,), each with a trailing B axis for column batches."""
+    first = np.shape(getattr(sequence[0], params.config.streams[0]))
+    h = c = nm.tensor(np.zeros((params.config.hidden_size,) + first[1:]))
+    enc, dec = [], []
+    for streams in sequence:
+        logits, dec_logits, _, h, c = md.chunk_step(params, streams, h, c)
+        enc.append(logits.data)
+        dec.append([z.data for z in dec_logits])
+    return np.array(enc), np.array(dec), h.data, c.data
+
+
 def tape_forward(params, sequence, state0=None):
-    """Inference over single-chunk vectors on the tape: ``md.chunk_step``
+    """Inference over single-chunk vectors, one ``md.chunk_step``
     plus one ``nm.softmax`` per head and step, per chunk. Returns
     (present (T, K), anticipated (T, steps, K), predicted features (T,
     steps, H), final (h, c))."""

@@ -89,7 +89,7 @@ def test_criterion_1_gradient_correctness():
         err = nm.grad_check(
             lambda: tr.sequence_loss(params, tc, window, labels).loss,
             list(grads.values()),
-            [p.data for p in params.named().values()],
+            list(params.arrays().values()),
         )
         worst = max(worst, err)
         count += 1

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import tape_chunks, tape_forward
+from oracles import tape_chunks, tape_forward, tape_logits
 from trn import evaluate as ev
 from trn import model as md
 from trn import numeric as nm
@@ -100,7 +100,7 @@ def test_param_count_pure_function_of_config():
     cfg = tiny_config()
     rng = np.random.default_rng(0)
     def count(params):
-        return sum(t.data.size for t in params.named().values())
+        return sum(a.size for a in params.arrays().values())
 
     a = count(TrnParams.init(cfg, rng))
     b = count(TrnParams.init(cfg, np.random.default_rng(99)))
@@ -173,7 +173,7 @@ def test_fuse_one_stream_passthrough():
     v = np.random.default_rng(0).normal(size=4096)
     out = md.fuse(params, ChunkStreams(appearance=v))
     assert np.array_equal(out.data, v)
-    assert not cfg.has_fusion_layer and "fusion.w" not in params.named()
+    assert not cfg.has_fusion_layer and "fusion.w" not in params.arrays()
 
 
 def test_fuse_two_stream_zero_weights():
@@ -207,7 +207,7 @@ def test_fuse_fused_two_stream_orders_appearance_pose_motion():
     taps = [0, 3, 3 + 6]  # first entry of appearance, pose, motion blocks
     for row, col in enumerate(taps):
         w[row, col] = 1.0
-    params.named()["fusion.w"].data[:] = w
+    params.arrays()["fusion.w"][:] = w
     s = ChunkStreams(
         appearance=np.full(3, 2.0), motion=np.full(4, 5.0), pose=np.full(6, 3.0)
     )
@@ -247,14 +247,20 @@ def test_rollout_autoregressive_self_consistency():
     c0 = nm.tensor(rng.normal(size=5))
     x = nm.tensor(rng.normal(size=5))
     hid, logits, feats = md.decoder_rollout(params, h0, c0, x, 3)
-    # replay step 2 by hand from step 1's state and emitted feature
-    t = params.named()
-    h1, c1 = nm.lstm_step(t["decoder.lstm.w"], t["decoder.lstm.b"], x, h0, c0)
-    assert np.array_equal(h1.data, hid[0].data)
-    f1 = nm.relu(nm.linear(t["decoder.feat.w"], t["decoder.feat.b"], h1))
-    assert np.array_equal(f1.data, feats[0].data)
-    h2, _ = nm.lstm_step(t["decoder.lstm.w"], t["decoder.lstm.b"], f1, h1, c1)
-    assert np.array_equal(h2.data, hid[1].data)
+    # replay step 2 by hand in numpy from step 1's state and emitted feature
+    p = params.arrays()
+
+    def step(x, h, c):
+        z = p["decoder.lstm.w"] @ np.concatenate([x, h]) + p["decoder.lstm.b"]
+        h, c, _ = nm.lstm_forward(z, c, 5)
+        return h, c
+
+    h1, c1 = step(x.data, h0.data, c0.data)
+    assert np.array_equal(h1, hid[0].data)
+    f1 = np.maximum(p["decoder.feat.w"] @ h1 + p["decoder.feat.b"], 0.0)
+    assert np.array_equal(f1, feats[0].data)
+    h2, _ = step(f1, h1, c1)
+    assert np.array_equal(h2, hid[1].data)
 
 
 def test_rollout_length_property():
@@ -332,7 +338,7 @@ def _scalar_relu(x):
 
 def _scalar_cell(params, app, mot, h, c):
     """Pure-python re-implementation of one chunk pass (two-stream)."""
-    p = {k: t.data.tolist() for k, t in params.named().items()}
+    p = {k: a.tolist() for k, a in params.arrays().items()}
     fused = _scalar_relu(_scalar_linear(p["fusion.w"], p["fusion.b"], list(app) + list(mot)))
     x = _scalar_relu(_scalar_linear(p["embed.w"], p["embed.b"], fused))
     dh, dc = list(h), list(c)
@@ -427,7 +433,7 @@ def test_trn_forward_split_state_threading_bitwise():
 
 @pytest.mark.parametrize("variant", list(FusionVariant))
 def test_trn_forward_matches_tape_oracle(variant):
-    # the window kernel against the op-by-op tape cell, from a nonzero
+    # the window kernel against the per-chunk cell (chunk_step), from a nonzero
     # state: distributions, every predicted feature (the last one too),
     # and the carried state
     cfg = tiny_config(variant, decoder_steps=3, num_actions=4)
@@ -482,14 +488,12 @@ def test_forward_batch_columns_match_single_sequences():
         )
         for t in range(T)
     ]
-    enc, dec, h, c = md.forward_sequence_logits(params, batched)
+    enc, dec, h, c = tape_logits(params, batched)
     for b in range(B):
-        enc_s, dec_s, h_s, c_s = md.forward_sequence_logits(params, singles[b])
-        for t in range(T):
-            assert np.allclose(enc[t].data[:, b], enc_s[t].data, atol=1e-12)
-            for i in range(cfg.decoder_steps):
-                assert np.allclose(dec[t][i].data[:, b], dec_s[t][i].data, atol=1e-12)
-        assert np.allclose(h.data[:, b], h_s.data, atol=1e-12)
+        enc_s, dec_s, h_s, c_s = tape_logits(params, singles[b])
+        assert np.allclose(enc[..., b], enc_s, atol=1e-12)
+        assert np.allclose(dec[..., b], dec_s, atol=1e-12)
+        assert np.allclose(h[:, b], h_s, atol=1e-12)
 
 
 def test_one_stream_full_forward():
@@ -684,17 +688,25 @@ def test_a_non_finite_value_is_refused_on_every_way_in_naming_its_stream(way, na
 
 def test_a_non_finite_value_is_refused_naming_its_chunk():
     # the refusal named the stream only; a two-video group runs chunks
-    # 16..31 as one block, a lone video one chunk per block
+    # 16..31 as one block, a lone video one chunk per block. Many videos
+    # also name the one holding the value by its index in the list passed
+    # (either order gave the same text); a push names none
     cfg = tiny_config(FusionVariant.FUSED_TWO_STREAM)
     params = TrnParams.init(cfg, np.random.default_rng(48))
     rng = np.random.default_rng(49)
     long, short = random_video(rng, cfg, 40), random_video(rng, cfg, 30)
     long["motion"][[20, 23], 1] = np.nan
     long["appearance"][30, 0] = np.inf
-    for videos in ([long, short], [long]):
-        with pytest.raises(nm.ValidationError,
-                           match="the motion stream holds a non-finite value at chunk 20$"):
+    for videos, index in (([long, short], 0), ([short, long], 1), ([long], 0)):
+        with pytest.raises(nm.ValidationError, match=f"^video {index}: the motion stream "
+                                                     "holds a non-finite value at chunk 20$"):
             md.forward_videos(params, videos)
+    det = OnlineDetector(params)
+    for t in range(20):
+        det.push_chunk(ChunkStreams(**{n: a[t] for n, a in long.items()}))
+    with pytest.raises(nm.ValidationError,
+                       match="^the motion stream holds a non-finite value at chunk 0$"):
+        det.push_chunk(ChunkStreams(**{n: a[20] for n, a in long.items()}))
 
 
 def as_float32(video):

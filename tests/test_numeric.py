@@ -34,59 +34,6 @@ def test_check_real_bounds_and_refusals():
         nm.check_real("decay", math.nan)
 
 
-def test_linear_identity():
-    w = nm.tensor(np.eye(2))
-    b = nm.tensor(np.zeros(2))
-    x = nm.tensor([3.0, -1.0])
-    assert np.array_equal(nm.linear(w, b, x).data, [3.0, -1.0])
-
-
-def test_linear_zero_weights():
-    w = nm.tensor(np.zeros((2, 3)))
-    b = nm.tensor([5.0, 5.0])
-    x = nm.tensor([7.0, -2.0, 0.5])
-    assert np.array_equal(nm.linear(w, b, x).data, [5.0, 5.0])
-
-
-def test_linear_hand_arithmetic():
-    w = nm.tensor([[1.0, 2.0], [3.0, 4.0]])
-    b = nm.tensor([1.0, 0.0])
-    x = nm.tensor([1.0, 1.0])
-    assert np.allclose(nm.linear(w, b, x).data, [4.0, 7.0], atol=0)
-
-
-def test_linear_dimension_mismatch_reports_both_shapes():
-    w = nm.tensor(np.zeros((2, 3)))
-    b = nm.tensor(np.zeros(2))
-    x = nm.tensor(np.zeros(4))
-    with pytest.raises(nm.DimensionError) as exc:
-        nm.linear(w, b, x)
-    assert "(2, 3)" in str(exc.value) and "(4,)" in str(exc.value)
-
-
-def test_linear_additive_in_x():
-    rng = np.random.default_rng(0)
-    w = nm.tensor(rng.normal(size=(4, 6)))
-    b = nm.tensor(rng.normal(size=4))
-    zero = nm.tensor(np.zeros(4))
-    x1 = rng.normal(size=6)
-    x2 = rng.normal(size=6)
-    lhs = nm.linear(w, b, nm.tensor(x1 + x2)).data
-    rhs = nm.linear(w, b, nm.tensor(x1)).data + nm.linear(w, zero, nm.tensor(x2)).data
-    assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-
-def test_linear_batch_matches_columns():
-    rng = np.random.default_rng(1)
-    w = nm.tensor(rng.normal(size=(3, 5)))
-    b = nm.tensor(rng.normal(size=3))
-    xb = rng.normal(size=(5, 4))
-    out = nm.linear(w, b, nm.tensor(xb)).data
-    for j in range(4):
-        single = nm.linear(w, b, nm.tensor(xb[:, j])).data
-        assert np.allclose(out[:, j], single, atol=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # LSTM
 
@@ -111,30 +58,24 @@ def _scalar_lstm_reference(w, b, x, h_prev, c_prev):
     return np.array(h_out), np.array(c_out)
 
 
-def lstm_params(din, hs, rng=None):
-    """(w, b) of a cell: zero, or with ``rng`` weights uniform in
-    +-1/sqrt(din + hs) and the forget-gate biases at 1."""
-    if rng is None:
-        return nm.tensor(np.zeros((4 * hs, din + hs))), nm.tensor(np.zeros(4 * hs))
-    bound = 1.0 / math.sqrt(din + hs)
-    w = rng.uniform(-bound, bound, size=(4 * hs, din + hs))
-    b = np.zeros(4 * hs)
-    b[hs : 2 * hs] = 1.0
-    return nm.tensor(w), nm.tensor(b)
+def lstm_step(w, b, x, h_prev, c_prev):
+    """One LSTM step as the per-chunk stages run it: the packed weight on
+    concat(x, h_prev) plus the bias, through ``nm.lstm_forward``."""
+    bias = b.reshape(-1, *[1] * (np.ndim(x) - 1))
+    h, c, _ = nm.lstm_forward(w @ np.concatenate([x, h_prev]) + bias, c_prev, len(h_prev))
+    return h, c
 
 
 def test_lstm_step_zero_everything():
-    p = lstm_params(3, 2)
-    h, c = nm.lstm_step(*p, nm.tensor(np.zeros(3)), nm.tensor(np.zeros(2)), nm.tensor(np.zeros(2)))
-    assert np.array_equal(h.data, np.zeros(2))
-    assert np.array_equal(c.data, np.zeros(2))
+    h, c = lstm_step(np.zeros((8, 5)), np.zeros(8), np.zeros(3), np.zeros(2), np.zeros(2))
+    assert np.array_equal(h, np.zeros(2))
+    assert np.array_equal(c, np.zeros(2))
 
 
 def test_lstm_step_zero_params_ones_cell():
-    p = lstm_params(3, 2)
-    h, c = nm.lstm_step(*p, nm.tensor(np.zeros(3)), nm.tensor(np.zeros(2)), nm.tensor(np.ones(2)))
-    assert np.allclose(c.data, 0.5, atol=1e-15)
-    assert np.allclose(h.data, 0.5 * math.tanh(0.5), atol=1e-15)
+    h, c = lstm_step(np.zeros((8, 5)), np.zeros(8), np.zeros(3), np.zeros(2), np.ones(2))
+    assert np.allclose(c, 0.5, atol=1e-15)
+    assert np.allclose(h, 0.5 * math.tanh(0.5), atol=1e-15)
 
 
 def test_lstm_step_matches_scalar_reference():
@@ -146,46 +87,33 @@ def test_lstm_step_matches_scalar_reference():
         x = rng.normal(size=din)
         h0 = rng.normal(size=hs)
         c0 = rng.normal(size=hs)
-        h, c = nm.lstm_step(
-            nm.tensor(w), nm.tensor(b), nm.tensor(x), nm.tensor(h0), nm.tensor(c0)
-        )
+        h, c = lstm_step(w, b, x, h0, c0)
         h_ref, c_ref = _scalar_lstm_reference(w, b, x, h0, c0)
-        assert np.max(np.abs(h.data - h_ref)) < 1e-12
-        assert np.max(np.abs(c.data - c_ref)) < 1e-12
+        assert np.max(np.abs(h - h_ref)) < 1e-12
+        assert np.max(np.abs(c - c_ref)) < 1e-12
 
 
 def test_lstm_step_gates_equal_the_fused_kernel_gates(monkeypatch):
-    # the tape cell and the fused training kernel run one gate function:
-    # lstm_step equals lstm_forward bitwise, and the kernel calls it once
-    # per decoder step and encoder step
+    # the per-chunk stages and the fused training kernel run one gate
+    # function: a stage's decoder step equals lstm_forward bitwise, on a
+    # vector and on a column batch, and the kernel calls it once per
+    # decoder step and encoder step
     rng = np.random.default_rng(8)
-    w, b = lstm_params(3, 4, rng)
+    cfg = md.TrnConfig(appearance_dim=2, motion_dim=3, hidden_size=4, decoder_steps=3, num_actions=2)
+    params = md.TrnParams.init(cfg, rng)
+    w, b = params.arrays()["decoder.lstm.w"], params.arrays()["decoder.lstm.b"]
     for batch in ((), (5,)):
-        x, h0, c0 = (rng.normal(size=(n, *batch)) for n in (3, 4, 4))
-        h, c = nm.lstm_step(w, b, nm.tensor(x), nm.tensor(h0), nm.tensor(c0))
-        bias = b.data.reshape(-1, *[1] * len(batch))
-        z = w.data @ np.concatenate([x, h0]) + bias
-        h_ref, c_ref, _ = nm.lstm_forward(z, c0, 4)
-        assert np.array_equal(h.data, h_ref) and np.array_equal(c.data, c_ref)
+        x, h0, c0 = (rng.normal(size=(4, *batch)) for _ in range(3))
+        hiddens, _, _ = md.decoder_rollout(params, nm.tensor(h0), nm.tensor(c0), nm.tensor(x), 1)
+        h_ref, _ = lstm_step(w, b, x, h0, c0)
+        assert np.array_equal(hiddens[0].data, h_ref)
 
     calls = []
     gates = nm.lstm_forward
     monkeypatch.setattr(nm, "lstm_forward", lambda *a: calls.append(1) or gates(*a))
-    cfg = md.TrnConfig(appearance_dim=2, motion_dim=3, hidden_size=4, decoder_steps=3, num_actions=2)
-    params = md.TrnParams.init(cfg, rng)
     video = {"appearance": rng.normal(size=(2, 2)), "motion": rng.normal(size=(2, 3))}
     tr.sequence_loss(params, tr.TrainConfig(), [video], np.array([0, 1]))
     assert len(calls) == 2 * (3 + 1)
-
-
-def test_lstm_step_dimension_mismatch():
-    p = lstm_params(3, 2)
-    with pytest.raises(nm.DimensionError):
-        nm.lstm_step(*p, nm.tensor(np.zeros(4)), nm.tensor(np.zeros(2)), nm.tensor(np.zeros(2)))
-    with pytest.raises(nm.DimensionError):
-        nm.lstm_step(*p, nm.tensor(np.zeros(3)), nm.tensor(np.zeros(1)), nm.tensor(np.zeros(2)))
-    with pytest.raises(nm.DimensionError):
-        nm.lstm_step(*p, nm.tensor(np.zeros(3)), nm.tensor(np.zeros(2)), nm.tensor(np.zeros(3)))
 
 
 def test_lstm_params_init_forget_bias():
@@ -193,9 +121,9 @@ def test_lstm_params_init_forget_bias():
     # 0, weights within 1/sqrt(fan-in)
     cfg = md.TrnConfig(appearance_dim=2, motion_dim=3, hidden_size=4, decoder_steps=2, num_actions=2)
     params = md.TrnParams.init(cfg, np.random.default_rng(0))
-    t = params.named()
+    p = params.arrays()
     for layer, fan_in in (("decoder.lstm", 8), ("encoder.lstm", 12)):
-        w, b = t[f"{layer}.w"].data, t[f"{layer}.b"].data
+        w, b = p[f"{layer}.w"], p[f"{layer}.b"]
         assert np.array_equal(b[4:8], np.ones(4))
         assert np.array_equal(b[:4], np.zeros(4))
         assert np.array_equal(b[8:], np.zeros(8))

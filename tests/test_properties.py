@@ -215,12 +215,10 @@ CHECKPOINTS = [checkpoint_bytes(v) for v in FusionVariant]
 
 def check_checkpoint(blob):
     params, _ = read_bytes(blob, tr.load_checkpoint)
-    arrays = [t.data for t in params.named().values()]
-    assert all(a.dtype == np.float64 and np.isfinite(a).all() for a in arrays)
-    fresh = TrnParams.zeros(params.config).named()
-    assert {k: t.data.shape for k, t in params.named().items()} == {
-        k: t.data.shape for k, t in fresh.items()
-    }
+    arrays = params.arrays()
+    assert all(a.dtype == np.float64 and np.isfinite(a).all() for a in arrays.values())
+    fresh = TrnParams.zeros(params.config).arrays()
+    assert {k: a.shape for k, a in arrays.items()} == {k: a.shape for k, a in fresh.items()}
 
 
 def check_dump(blob):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    adam_oracle, complex_step, decoder_target_pairs, tape_chunks, tape_forward, window_loss,
+    adam_oracle, complex_step, decoder_target_pairs, tape_chunks, tape_forward, tape_logits,
+    window_loss,
 )
 from trn import cli
 from trn import dataio as dio
@@ -169,11 +170,11 @@ def test_sequence_loss_gradient_matches_finite_differences():
     labels = rng.integers(0, 3, size=3)
     tc = tiny_train()
     grads = tr.sequence_loss(params, tc, window, labels).grads()
-    assert list(grads) == list(params.named())
+    assert list(grads) == list(params.arrays())
     err = nm.grad_check(
         lambda: tr.sequence_loss(params, tc, window, labels).loss,
         list(grads.values()),
-        [t.data for t in params.named().values()],
+        list(params.arrays().values()),
     )
     assert err < 1e-4
 
@@ -200,12 +201,10 @@ STREAM_DIMS = {
 
 
 def tape_loss(params, tc, videos, labels, ambiguous=None):
-    """The two-head window loss of the tape's forward, op by op through the
-    inference cell (``md.forward_sequence_logits``), scored by the oracle's
-    own head: the independent value the fused loss must reproduce."""
-    enc, dec, _, _ = md.forward_sequence_logits(params, tape_chunks(params.config, videos))
-    enc = np.array([z.data for z in enc])
-    dec = np.array([[z.data for z in row] for row in dec])
+    """The two-head window loss of the per-chunk cell (``md.chunk_step``,
+    stepped by the oracle), scored by the oracle's own head: the
+    independent value the fused loss must reproduce."""
+    enc, dec, _, _ = tape_logits(params, tape_chunks(params.config, videos))
     return window_loss(tc, enc, dec, labels, ambiguous)
 
 
@@ -330,9 +329,9 @@ def test_sequence_loss_runs_bptt_only_in_grads(monkeypatch):
     assert isinstance(loss.loss, float) and not calls
     grads = loss.grads()
     assert len(calls) == 5 * (3 + 1)  # every encoder and decoder step of the window
-    assert list(grads) == list(params.named())
-    for name, t in params.named().items():
-        assert grads[name].shape == t.data.shape, name
+    assert list(grads) == list(params.arrays())
+    for name, a in params.arrays().items():
+        assert grads[name].shape == a.shape, name
 
 
 def transposed_copies(params):
@@ -507,12 +506,12 @@ def test_consecutive_steps_never_hold_two_traces():
 def one_param_setup(theta):
     cfg = tiny_model(hidden_size=1, appearance_dim=1, motion_dim=1, num_actions=1, decoder_steps=1)
     params = TrnParams.zeros(cfg)
-    params.named()["embed.b"].data[:] = theta
+    params.arrays()["embed.b"][:] = theta
     return params
 
 
 def embed_b(params):
-    return params.named()["embed.b"].data[0]
+    return params.arrays()["embed.b"][0]
 
 
 def test_params_are_one_table_of_arrays_viewed_by_the_tape():
@@ -536,11 +535,11 @@ def test_params_are_one_table_of_arrays_viewed_by_the_tape():
 def test_adam_zero_grad_zero_decay_is_identity():
     params = one_param_setup(1.0)
     state = tr.AdamState.init(params)
-    zeros = {k: np.zeros_like(t.data) for k, t in params.named().items()}
-    before = {k: t.data.copy() for k, t in params.named().items()}
+    zeros = {k: np.zeros_like(a) for k, a in params.arrays().items()}
+    before = {k: a.copy() for k, a in params.arrays().items()}
     tr.adam_step(params, zeros, state, tiny_train(weight_decay=0.0))
-    for k, t in params.named().items():
-        assert np.array_equal(t.data, before[k])
+    for k, a in params.arrays().items():
+        assert np.array_equal(a, before[k])
 
 
 def test_adam_single_step_hand_example():
@@ -548,7 +547,7 @@ def test_adam_single_step_hand_example():
     # correction the first update magnitude is ~lr
     params = one_param_setup(1.0)
     state = tr.AdamState.init(params)
-    grads = {k: np.zeros_like(t.data) for k, t in params.named().items()}
+    grads = {k: np.zeros_like(a) for k, a in params.arrays().items()}
     grads["embed.b"] = np.array([1.0])
     tc = tiny_train(learning_rate=0.1, weight_decay=0.0)
     tr.adam_step(params, grads, state, tc)
@@ -561,7 +560,7 @@ def test_adam_first_update_magnitude_is_lr_for_any_scale():
     for g in (1e-6, 1.0, 1e6):
         params = one_param_setup(0.0)
         state = tr.AdamState.init(params)
-        grads = {k: np.zeros_like(t.data) for k, t in params.named().items()}
+        grads = {k: np.zeros_like(a) for k, a in params.arrays().items()}
         grads["embed.b"] = np.array([g])
         tr.adam_step(
             params, grads, state, tiny_train(learning_rate=0.01, weight_decay=0.0)
@@ -574,19 +573,19 @@ def assert_adam_matches_the_oracle(cfg, weight_decay):
     out-of-place oracle's weights and moments to the bit."""
     params = TrnParams.init(cfg, np.random.default_rng(40))
     state = tr.AdamState.init(params)
-    ref = {k: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data))
-           for k, t in params.named().items()}
+    ref = {k: (a.copy(), np.zeros_like(a), np.zeros_like(a))
+           for k, a in params.arrays().items()}
     tc = tiny_train(learning_rate=3e-3, weight_decay=weight_decay)
     rng = np.random.default_rng(41)
     for step in range(1, 5):
-        grads = {k: rng.normal(scale=10.0**-step, size=t.data.shape)
-                 for k, t in params.named().items()}
+        grads = {k: rng.normal(scale=10.0**-step, size=a.shape)
+                 for k, a in params.arrays().items()}
         tr.adam_step(params, grads, state, tc)
-        for k, t in params.named().items():
+        for k, a in params.arrays().items():
             w, m, v = ref[k]
             ref[k] = w, m, v = adam_oracle(w, grads[k], m, v, step, tc.learning_rate,
                                            tc.weight_decay)
-            assert np.array_equal(t.data, w) and np.array_equal(state.m[k], m), k
+            assert np.array_equal(a, w) and np.array_equal(state.m[k], m), k
             assert np.array_equal(state.v[k], v), k
 
 
@@ -614,9 +613,9 @@ def test_adam_working_memory_is_two_slices_for_any_model():
     # budget allows 32 KB beyond the rows, so two scratch rows the size of
     # the largest parameter (3 MB here) cross it
     params = TrnParams.init(tiny_model(hidden_size=128), np.random.default_rng(50))
-    assert max(t.data.size for t in params.named().values()) >= 8 * tr.ADAM_SLICE
+    assert max(a.size for a in params.arrays().values()) >= 8 * tr.ADAM_SLICE
     state, rng = tr.AdamState.init(params), np.random.default_rng(51)
-    grads = {k: rng.normal(size=t.data.shape) for k, t in params.named().items()}
+    grads = {k: rng.normal(size=a.shape) for k, a in params.arrays().items()}
     tracemalloc.start()
     try:
         tr.adam_step(params, grads, state, tiny_train())
@@ -631,29 +630,29 @@ def test_adam_updates_weights_and_moments_in_their_own_buffers():
     # the update runs on flat views: a reshape that copied would drop it
     params = TrnParams.init(tiny_model(hidden_size=72), np.random.default_rng(52))
     state, rng = tr.AdamState.init(params), np.random.default_rng(53)
-    buffers = {k: (t.data, state.m[k], state.v[k]) for k, t in params.named().items()}
-    before = {k: t.data.copy() for k, t in params.named().items()}
-    tr.adam_step(params, {k: rng.normal(size=t.data.shape) for k, t in params.named().items()},
+    buffers = {k: (a, state.m[k], state.v[k]) for k, a in params.arrays().items()}
+    before = {k: a.copy() for k, a in params.arrays().items()}
+    tr.adam_step(params, {k: rng.normal(size=a.shape) for k, a in params.arrays().items()},
                  state, tiny_train())
-    for k, t in params.named().items():
+    for k, a in params.arrays().items():
         w, m, v = buffers[k]
-        assert t.data is w and state.m[k] is m and state.v[k] is v, k
+        assert a is w and state.m[k] is m and state.v[k] is v, k
         assert (w != before[k]).all() and (m != 0).all() and (v != 0).all(), k
     # a layout reshape(-1) would copy is refused before anything moves
     name = "decoder.lstm.w"
     state.m[name] = np.asfortranarray(state.m[name])
-    moved = {k: t.data.copy() for k, t in params.named().items()}
+    moved = {k: a.copy() for k, a in params.arrays().items()}
     with pytest.raises(ValidationError, match=f"{name} or its Adam moments are not C-contiguous"):
-        tr.adam_step(params, {k: np.ones_like(t.data) for k, t in params.named().items()},
+        tr.adam_step(params, {k: np.ones_like(a) for k, a in params.arrays().items()},
                      state, tiny_train())
     assert state.t == 1
-    assert all(np.array_equal(t.data, moved[k]) for k, t in params.named().items())
+    assert all(np.array_equal(a, moved[k]) for k, a in params.arrays().items())
 
 
 def test_adam_nonfinite_gradient_names_parameter():
     params = one_param_setup(1.0)
     state = tr.AdamState.init(params)
-    grads = {k: np.zeros_like(t.data) for k, t in params.named().items()}
+    grads = {k: np.zeros_like(a) for k, a in params.arrays().items()}
     grads["decoder.cls.b"] = np.array([np.nan])
     with pytest.raises(ValidationError) as exc:
         tr.adam_step(params, grads, state, tiny_train())
@@ -665,14 +664,14 @@ def test_adam_missing_gradient_names_parameter():
     # move the weight by its momentum and decay
     params = one_param_setup(1.0)
     state = tr.AdamState.init(params)
-    grads = {k: np.zeros_like(t.data) for k, t in params.named().items()}
+    grads = {k: np.zeros_like(a) for k, a in params.arrays().items()}
     del grads["encoder.lstm.w"]
-    before = {k: t.data.copy() for k, t in params.named().items()}
+    before = {k: a.copy() for k, a in params.arrays().items()}
     with pytest.raises(ValidationError, match="encoder.lstm.w"):
         tr.adam_step(params, grads, state, tiny_train())
     assert state.t == 0
-    for k, t in params.named().items():
-        assert np.array_equal(t.data, before[k])
+    for k, a in params.arrays().items():
+        assert np.array_equal(a, before[k])
 
 
 @pytest.mark.parametrize("bad", ["nan", "shape"])
@@ -682,27 +681,27 @@ def test_adam_bad_last_gradient_moves_nothing(bad):
     params = TrnParams.init(tiny_model(), np.random.default_rng(48))
     state, tc = tr.AdamState.init(params), tiny_train()
     rng = np.random.default_rng(49)
-    tr.adam_step(params, {k: rng.normal(size=t.data.shape) for k, t in params.named().items()},
+    tr.adam_step(params, {k: rng.normal(size=a.shape) for k, a in params.arrays().items()},
                  state, tc)  # nonzero moments, t = 1
-    grads = {k: rng.normal(size=t.data.shape) for k, t in params.named().items()}
-    last = list(params.named())[-1]
+    grads = {k: rng.normal(size=a.shape) for k, a in params.arrays().items()}
+    last = list(params.arrays())[-1]
     assert last == "encoder.cls.b"
     grads[last] = np.full(grads[last].shape, np.nan) if bad == "nan" else grads[last][:-1]
-    before = {k: (t.data.copy(), state.m[k].copy(), state.v[k].copy())
-              for k, t in params.named().items()}
+    before = {k: (a.copy(), state.m[k].copy(), state.v[k].copy())
+              for k, a in params.arrays().items()}
     with pytest.raises(ValidationError, match=last):
         tr.adam_step(params, grads, state, tc)
     assert state.t == 1 and params.updates == 1
-    for k, t in params.named().items():
+    for k, a in params.arrays().items():
         w, m, v = before[k]
-        assert np.array_equal(t.data, w) and np.array_equal(state.m[k], m), k
+        assert np.array_equal(a, w) and np.array_equal(state.m[k], m), k
         assert np.array_equal(state.v[k], v), k
 
 
 def test_adam_decay_only_shrinks_monotonically():
     params = one_param_setup(1.0)
     state = tr.AdamState.init(params)
-    zeros = {k: np.zeros_like(t.data) for k, t in params.named().items()}
+    zeros = {k: np.zeros_like(a) for k, a in params.arrays().items()}
     tc = tiny_train(learning_rate=0.1, weight_decay=0.5)
     norms = [abs(embed_b(params))]
     for _ in range(5):
@@ -720,9 +719,9 @@ def test_adam_deterministic():
         rng = np.random.default_rng(0)
         tc = tiny_train()
         for _ in range(10):
-            grads = {k: rng.normal(size=t.data.shape) for k, t in params.named().items()}
+            grads = {k: rng.normal(size=a.shape) for k, a in params.arrays().items()}
             tr.adam_step(params, grads, state, tc)
-        results.append({k: t.data.copy() for k, t in params.named().items()})
+        results.append({k: a.copy() for k, a in params.arrays().items()})
     for k in results[0]:
         assert np.array_equal(results[0][k], results[1][k])
 
@@ -835,9 +834,29 @@ def test_train_deterministic(tmp_path):
     tc = tiny_train(seq_len=6, epochs=2)
     params1, metrics1 = tr.train(manifest, mc, tc)
     params2, metrics2 = tr.train(manifest, mc, tc)
-    for k, t in params1.named().items():
-        assert np.array_equal(t.data, params2.named()[k].data), k
+    for k, a in params1.arrays().items():
+        assert np.array_equal(a, params2.arrays()[k]), k
     assert [m.mean_loss for m in metrics1] == [m.mean_loss for m in metrics2]
+
+
+def test_train_labels_the_heldout_split_once(tmp_path, caplog):
+    # every evaluation relabelled the held-out split, so an interval past
+    # its video's end was reported as clipped once per epoch
+    manifest = synth_manifest(tmp_path)
+    video = manifest.split("test")[0]
+    cmap = dio.read_class_map(manifest.resolve(manifest.class_map))
+    with open(manifest.resolve(video.annotations), "a") as f:
+        f.write(f"{video.video_id}\t{cmap.names[1]}\t2.0\t99.0\n")
+    mc = tiny_model(appearance_dim=5, motion_dim=4, hidden_size=6, decoder_steps=2)
+    with caplog.at_level("WARNING", logger="trn.dataio"):
+        params, metrics = tr.train(manifest, mc, tiny_train(seq_len=6, epochs=3, eval_every=1))
+    clipped = [r for r in caplog.records if r.getMessage().startswith("interval [2.0, 99.0) clipped")]
+    assert len(clipped) == 1
+    # the labels given once score as the labels computed afresh
+    gt = ev.ground_truth_from_files(manifest.resolve(video.annotations),
+                                    manifest.resolve(manifest.class_map))
+    dump = tr.predict_manifest(params, manifest, "test")
+    assert metrics[-1].heldout_map == ev.per_frame_map(dump, gt).mean_ap
 
 
 def test_train_heldout_metrics(tmp_path):
@@ -979,15 +998,15 @@ def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(12)
     tc = tiny_train()
     for _ in range(3):
-        grads = {k: rng.normal(size=t.data.shape) for k, t in params.named().items()}
+        grads = {k: rng.normal(size=a.shape) for k, a in params.arrays().items()}
         tr.adam_step(params, grads, adam, tc)
     path = str(tmp_path / "model.trnc")
     tr.save_checkpoint(path, params, meta={"note": "unit"})
     loaded, meta = tr.load_checkpoint(path)
     assert meta == {"note": "unit"}
     assert loaded.config == cfg
-    for k, t in params.named().items():
-        assert np.array_equal(loaded.named()[k].data, t.data)
+    for k, a in params.arrays().items():
+        assert np.array_equal(loaded.arrays()[k], a)
 
 
 def rewrite_index(path, edit):
@@ -1016,8 +1035,8 @@ def test_checkpoint_with_integer_fps_loads(tmp_path):
     rewrite_index(path, int_fps)
     loaded, _ = tr.load_checkpoint(str(path))
     assert loaded.config.fps == 30.0 and isinstance(loaded.config.fps, float)
-    for k, t in params.named().items():
-        assert np.array_equal(loaded.named()[k].data, t.data)
+    for k, a in params.arrays().items():
+        assert np.array_equal(loaded.arrays()[k], a)
 
 
 def test_checkpoint_without_adam(tmp_path):
@@ -1028,12 +1047,12 @@ def test_checkpoint_without_adam(tmp_path):
     tr.save_checkpoint(str(path), params)
     loaded, meta = tr.load_checkpoint(str(path))
     assert meta == {}
-    for k, t in params.named().items():
-        assert np.array_equal(loaded.named()[k].data, t.data)
+    for k, a in params.arrays().items():
+        assert np.array_equal(loaded.arrays()[k], a)
     blob, at = path.read_bytes(), dio.CONTAINER_HEADER.size
     _, _, index_len = dio.CONTAINER_HEADER.unpack(blob[:at])
     assert json.loads(blob[at : at + index_len])["adam"] is None
-    assert len(blob) == at + index_len + sum(t.data.nbytes for t in params.named().values())
+    assert len(blob) == at + index_len + sum(a.nbytes for a in params.arrays().values())
 
 
 def test_checkpoint_with_an_adam_payload_is_a_header_error(tmp_path, caplog):
@@ -1042,7 +1061,7 @@ def test_checkpoint_with_an_adam_payload_is_a_header_error(tmp_path, caplog):
     params = TrnParams.init(tiny_model(), np.random.default_rng(19))
     path = tmp_path / "m.trnc"
     tr.save_checkpoint(str(path), params)
-    moments = b"".join(np.zeros_like(t.data).tobytes() for t in params.named().values())
+    moments = b"".join(np.zeros_like(a).tobytes() for a in params.arrays().values())
     path.write_bytes(path.read_bytes() + 2 * moments)
     rewrite_index(path, lambda doc: doc.__setitem__("adam", {"t": 2}))
     with pytest.raises(dio.HeaderError, match="Adam payload"):
@@ -1117,7 +1136,7 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     adam = tr.AdamState.init(params)
     rng = np.random.default_rng(2025)
     for _ in range(2):
-        grads = {k: rng.normal(size=t.data.shape) for k, t in params.named().items()}
+        grads = {k: rng.normal(size=a.shape) for k, a in params.arrays().items()}
         tr.adam_step(params, grads, adam, tr.TrainConfig(seq_len=4))
     path = tmp_path / "m.trnc"
     tr.save_checkpoint(str(path), params, meta={"epochs": 2, "note": "pin"})
@@ -1128,12 +1147,12 @@ def test_checkpoint_writer_refuses_non_finite_values(tmp_path):
     # the reader refuses non-finite payloads, so the writer must not make one
     params = TrnParams.init(tiny_model(), np.random.default_rng(17))
     path = tmp_path / "m.trnc"
-    params.named()["embed.w"].data[1, 2] = np.nan
+    params.arrays()["embed.w"][1, 2] = np.nan
     with pytest.raises(ValidationError, match="embed.w holds a non-finite value"):
         tr.save_checkpoint(str(path), params)
     assert not path.exists()
-    params.named()["embed.w"].data[1, 2] = 0.0
-    params.named()["decoder.cls.b"].data[0] = np.inf
+    params.arrays()["embed.w"][1, 2] = 0.0
+    params.arrays()["decoder.cls.b"][0] = np.inf
     with pytest.raises(ValidationError, match="decoder.cls.b holds a non-finite value"):
         tr.save_checkpoint(str(path), params)
     assert not path.exists()
