@@ -2,9 +2,10 @@
 and fixed-width report tables.
 
 Average precision is non-interpolated: samples are ranked by score and AP
-is the mean of precision-at-rank over the positives. Ties are pinned down
-deterministically by permuting the pool with a fixed-seed shuffle before
-a stable descending sort, so equal scores cannot leak input-order bias.
+is the mean of precision-at-rank over the positives. A pool whose scores
+all differ has one descending order, which one stable sort finds. Only a
+pool that holds a tie is permuted with a fixed-seed shuffle before the
+stable descending sort, so equal scores cannot leak input-order bias.
 
 Evaluation granularity is the chunk: the model emits one distribution per
 chunk, so each chunk contributes one sample to its class pools. The
@@ -34,7 +35,10 @@ log = logging.getLogger(__name__)
 def average_precision(scores, positives) -> float:
     """Non-interpolated AP of one ranked pool.
 
-    scores: N reals; positives: N booleans with at least one True.
+    scores: N finite reals; positives: N booleans with at least one True.
+    Only a pool that holds a tie is ranked after a fixed-seed shuffle, so
+    its ties break the same way whatever the input order; an untied pool
+    has one descending order and never loads ``numpy.random``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     positives = np.asarray(positives, dtype=bool)
@@ -44,9 +48,14 @@ def average_precision(scores, positives) -> float:
         )
     if scores.size == 0 or not positives.any():
         raise ValidationError("average_precision needs at least one positive sample")
-    # fixed-seed shuffle then stable sort: deterministic tie handling
-    perm = np.random.default_rng(0).permutation(scores.size)
-    order = perm[np.argsort(-scores[perm], kind="stable")]
+    nonfinite = scores.size - np.count_nonzero(np.isfinite(scores))
+    if nonfinite:
+        raise ValidationError(f"average_precision needs finite scores, got {nonfinite} non-finite")
+    order = np.argsort(-scores, kind="stable")
+    ranked_scores = scores[order]
+    if (ranked_scores[1:] == ranked_scores[:-1]).any():
+        perm = np.random.default_rng(0).permutation(scores.size)
+        order = perm[np.argsort(-scores[perm], kind="stable")]
     ranked = positives[order]
     tp = np.cumsum(ranked)
     ranks = np.arange(1, scores.size + 1)

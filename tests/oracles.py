@@ -1,8 +1,10 @@
 """Brute-force reference implementations shared by the test modules.
 
 Everything here is written for clarity over speed: explicit counting at
-every rank, quadratic scans, no shared code with the package. Two
-exceptions run package code. The forward references (:func:`tape_forward`,
+every rank, quadratic scans, no shared code with the package.
+:func:`shuffled_ap` is the one vectorised reference: it shuffles every
+pool, which pins the bits of the package's AP. Two exceptions run
+package code. The forward references (:func:`tape_forward`,
 :func:`tape_logits`) step the package's per-chunk cell
 (``model.chunk_step``: plain numpy, stage by stage, no product hoisted)
 one chunk at a time. The gradient oracle, :func:`complex_step`, runs the
@@ -168,6 +170,20 @@ def brute_force_ap(scores, positives):
             tp = sum(1 for s, p in pool[:rank] if p)
             terms.append(tp / rank)
     return sum(terms) / len(terms)
+
+
+def shuffled_ap(scores, positives):
+    """AP with every pool shuffled by a fixed seed, then stable-sorted by
+    descending score: ``ev.average_precision`` must match its bits, tied
+    pool or not."""
+    scores = np.asarray(scores, dtype=np.float64)
+    positives = np.asarray(positives, dtype=bool)
+    perm = np.random.default_rng(0).permutation(scores.size)
+    order = perm[np.argsort(-scores[perm], kind="stable")]
+    ranked = positives[order]
+    tp = np.cumsum(ranked)
+    ranks = np.arange(1, scores.size + 1)
+    return float((tp[ranked] / ranks[ranked]).mean())
 
 
 def labels_to_intervals(labels, chunk_duration, cmap):

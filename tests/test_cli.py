@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import tape_chunks
+from oracles import shuffled_ap, tape_chunks
 from trn import cli
 from trn import dataio as dio
 from trn import evaluate as ev
@@ -834,6 +834,41 @@ def test_eval_logs_each_skipped_class_once_per_head(tmp_path, caplog):
     skips = [r.getMessage() for r in caplog.records if "kick" in r.getMessage()
              and "AP[" not in r.getMessage()]
     assert sorted(m.split(":")[0] for m in skips) == ["encoder", "step 1", "step 2"], skips
+
+
+def test_untied_eval_never_loads_numpy_random(tmp_path, capsys, monkeypatch):
+    # every class pool built a fixed-seed Generator, and importing
+    # numpy.random (secrets and OpenSSL come with it) set trn eval's peak
+    # RSS. Frame expansion repeats each chunk's scores, so there every pool
+    # ties and is shuffled: its table must be the reference ranking's.
+    gt, classmap, dump = tmp_path / "gt.tsv", tmp_path / "classes.tsv", tmp_path / "dump.trnd"
+    dio.write_annotations(str(gt), {"a": [dio.Interval("jump", 0.4, 1.2)],
+                                    "b": [dio.Interval("kick", 0.0, 0.8),
+                                          dio.Interval("jump", 1.4, 2.0)]})
+    dio.write_class_map(str(classmap), dio.ClassMap(["Background", "jump", "kick"]))
+    scores = np.random.default_rng(0).dirichlet(np.ones(3), size=(2, 12, 3))
+    d = ev.PredictionDump(chunk_size=6, fps=30.0, decoder_steps=2, classes=3)
+    for video_id, s in zip("ab", scores):
+        d.videos[video_id] = ev.VideoPredictions(s[:, 0], s[:, 1:])
+    ev.write_prediction_dump(str(dump), d)
+    argv = ["eval", "--dump", str(dump), "--gt", str(gt), "--classmap", str(classmap)]
+    script = ("import sys\n"
+              "from trn import cli\n"
+              "for expand in ([], ['--expand-to-frames']):\n"
+              "    assert cli.main(sys.argv[1:] + expand) == 0\n"
+              "    print('loaded:', *(m for m in ('numpy.random', 'secrets') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    untied, untied_loaded, tied, tied_loaded, _ = re.split(r"^(loaded:.*)\n", proc.stdout,
+                                                           flags=re.M)
+    assert untied_loaded == "loaded:"
+    assert tied_loaded == "loaded: numpy.random secrets"
+    monkeypatch.setattr(ev, "average_precision", shuffled_ap)
+    for out, expand in ((untied, []), (tied, ["--expand-to-frames"])):
+        assert run(argv + expand) == 0
+        assert out == capsys.readouterr().out
+    assert untied != tied
 
 
 def misspell_a_row(src, dst, video_ids):

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import (
     brute_force_ap, brute_force_map, ground_truth, labels_to_intervals, random_instance,
+    shuffled_ap,
 )
 from trn import dataio as dio
 from trn import evaluate as ev
@@ -57,6 +58,32 @@ def test_ap_ties_deterministic_and_match_oracle():
         a = ev.average_precision(scores, positives)
         assert a == ev.average_precision(scores, positives)
         assert abs(a - brute_force_ap(scores, positives)) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ap_refuses_non_finite_scores(bad):
+    # a NaN was ranked last and a number came back
+    scores = np.array([0.9, bad, 0.4, bad, 0.1])
+    with pytest.raises(ValidationError, match="needs finite scores, got 2 non-finite"):
+        ev.average_precision(scores, [True, False, True, False, False])
+
+
+def test_ap_bits_match_the_always_shuffled_ranking():
+    # an untied pool has one descending order, so ranking it without the
+    # shuffle must give the shuffled ranking's bits
+    rng = np.random.default_rng(28)
+    pools = {
+        "untied": lambda n: rng.random(n),
+        "heavy ties": lambda n: rng.integers(0, 3, size=n).astype(float),
+        "signed zeros": lambda n: rng.choice([-0.0, 0.0, 0.5], size=n),
+        "length 1": lambda n: rng.random(1),
+    }
+    for name, make in pools.items():
+        for _ in range(2500):
+            scores = make(int(rng.integers(2, 40)))
+            positives = rng.random(scores.size) < 0.4
+            positives[int(rng.integers(0, scores.size))] = True
+            assert ev.average_precision(scores, positives) == shuffled_ap(scores, positives), name
 
 
 # ---------------------------------------------------------------------------
